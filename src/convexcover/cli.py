@@ -38,6 +38,7 @@ from .packing import (
     build_interval_system,
     build_packing_family,
     packing_certificate,
+    require_certificate_budget,
     separation_curve,
     verify_cap_properties,
 )
@@ -78,6 +79,8 @@ def cmd_pack(args) -> int:
     out = _out_dir(args)
     eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
+    if system.n_cells <= CELL_CAP:
+        require_certificate_budget(system, args.grid_n)
     _write_json(out / "interval_system.json", system.to_json())
     report = verify_cap_properties(system, samples=args.cap_samples,
                                    seed=args.seed)

@@ -45,6 +45,10 @@ SPAN_LIMIT = 1.0 - 2.0**-30
 
 _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
 
+# Largest certificate value matrix, in bytes, that pack may ask for: at the
+# default grids only the 64-cell systems at d = 2 and d = 3 exceed it.
+CERT_VALUE_BUDGET = 2 * 10**9
+
 
 def _sum_sqrt_le(p: Fraction, q: Fraction, b: Fraction) -> bool:
     # sqrt(p) + sqrt(q) <= b, decided without leaving the rationals:
@@ -351,6 +355,27 @@ def build_packing_family(eta, d: int, seed: int = 0,
     return PackingFamily(system, code, funcs)
 
 
+def _cert_grid_n(d: int, grid_n: int | None) -> int:
+    return _DEFAULT_CERT_GRID.get(d, 40) if grid_n is None else grid_n
+
+
+def require_certificate_budget(system: IntervalSystem,
+                               grid_n: int | None = None) -> None:
+    """Refuse a system whose certificate values would exceed the budget.
+
+    packing_certificate holds one float64 row of grid_n^d quadrature values
+    per function, and the code search returns at most code_target(n_cells)
+    functions. Checked before the family is built, so an oversized input
+    fails at once instead of exhausting memory.
+    """
+    d = system.dim
+    need = code_target(system.n_cells) * _cert_grid_n(d, grid_n) ** d * 8
+    if need > CERT_VALUE_BUDGET:
+        raise ParameterError(
+            f"the certificate would need {need / 1e9:.1f} GB of values, over "
+            f"the {CERT_VALUE_BUDGET / 1e9:g} GB budget; pass a smaller grid_n")
+
+
 @dataclass(frozen=True)
 class PackingCertificate:
     """Quadrature evidence that the family is pairwise separated.
@@ -401,8 +426,7 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     """
     system = family.system
     d = system.dim
-    if grid_n is None:
-        grid_n = _DEFAULT_CERT_GRID.get(d, 40)
+    grid_n = _cert_grid_n(d, grid_n)
     pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n, "midpoint"))
     vals = np.stack([f.values(pts) for f in family.functions]) \
         if family.functions else np.zeros((0, len(pts)))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -58,6 +60,26 @@ def test_pack_over_the_cell_cap_still_reports(tmp_path):
                      "lower_bound_curve.csv"]
     system = json.loads((tmp_path / "interval_system.json").read_text())
     assert system["k"] == 13
+
+
+@pytest.mark.parametrize("eta, dim", [("1/144", "2"), ("1/49", "3")])
+def test_pack_refuses_a_certificate_over_the_memory_budget(tmp_path, capsys,
+                                                           eta, dim):
+    # 2981 functions at 600^2 or 120^3 nodes would need 8.6 GB or 41 GB
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rc = main(["pack", "--eta", eta, "--dim", dim,
+                   "--out-dir", str(tmp_path)])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "GB of values" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 8 * 2**20
+    assert not any(tmp_path.iterdir())
 
 
 def test_schedule_artifacts(tmp_path):

@@ -1,6 +1,7 @@
 """Quadrature grids, distances, and the epigraph support machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from convexcover import (
     greedy_packing,
     hausdorff_epigraph,
     lp_distance,
+    make_random_convex,
     quadrature_grid,
     sup_grid_distance,
     unit_rect,
     vertex_grid,
 )
+from convexcover import metrics
 
 
 # -- grids -------------------------------------------------------------------
@@ -222,6 +225,95 @@ def test_hausdorff_epigraph_needs_enough_directions():
     f = Affine(unit_rect(1), (0.0,), 0.0)
     with pytest.raises(ParameterError):
         hausdorff_epigraph(f, f, 1.0, 3)
+
+
+# -- the support kernel against the untiled formula --------------------------
+
+
+def _naive_support(pts, vals, bound, dirs):
+    # one function, every direction, the whole grid at once
+    d = pts.shape[1]
+    last = dirs[:, d]
+    lifted = pts @ dirs[:, :d].T + vals[:, None] * np.minimum(last, 0.0)
+    return lifted.max(axis=0) + np.maximum(last, 0.0) * bound
+
+
+def _naive_hausdorff(f, g, bound, dirs, n):
+    pts = vertex_grid(f.domain, n)
+    sf = _naive_support(pts, f.values(pts), bound, dirs)
+    sg = _naive_support(pts, g.values(pts), bound, dirs)
+    return float(np.abs(sf - sg).max())
+
+
+def _random_pair(d, seed):
+    return (make_random_convex(d, 0.9, 6, seed),
+            make_random_convex(d, 0.9, 6, seed + 1))
+
+
+@pytest.mark.parametrize("d, n, count", [(1, 501, 1024), (2, 151, 1000),
+                                         (3, 21, 1000)])
+def test_hausdorff_value_matches_the_naive_formula_bit_for_bit(d, n, count):
+    dirs = direction_set(d + 1, count)
+    for seed in range(0, 8, 2):
+        f, g = _random_pair(d, 300 + seed)
+        assert metrics._hausdorff_value(f, g, 1.0, dirs, n) == \
+            _naive_hausdorff(f, g, 1.0, dirs, n)
+
+
+def _assert_kernel_matches(f, g, n, dirs, bound=1.0):
+    pts = vertex_grid(f.domain, n)
+    vals = np.stack([f.values(pts), g.values(pts)])
+    both = metrics._support_batch(pts, vals, bound, dirs)
+    assert both.shape == (2, len(dirs))
+    for row, v in zip(both, vals):
+        assert np.array_equal(row, _naive_support(pts, v, bound, dirs))
+
+
+def test_support_kernel_is_exact_across_node_tile_boundaries():
+    f, g = _random_pair(1, 40)
+    dirs = direction_set(2, 64)
+    dirs = dirs[dirs[:, 1] < 0.0]
+    rows = metrics._TILE_ENTRIES // len(dirs)
+    for n in (rows - 1, rows, rows + 1):
+        _assert_kernel_matches(f, g, n, dirs, bound=0.9)
+        assert metrics._hausdorff_value(f, g, 0.9, dirs, n) == \
+            _naive_hausdorff(f, g, 0.9, dirs, n)
+
+
+def test_support_kernel_is_exact_across_direction_tile_boundaries():
+    f, g = _random_pair(2, 50)
+    for count in (metrics._TILE_ENTRIES - 1, metrics._TILE_ENTRIES,
+                  metrics._TILE_ENTRIES + 1):
+        _assert_kernel_matches(f, g, 3, direction_set(3, count))
+
+
+def test_only_ceiling_directions_are_skipped():
+    f, g = _random_pair(2, 60)
+    dirs = direction_set(3, 400)
+    up = dirs[dirs[:, 2] >= 0.0]
+    assert len(up) == 200
+    assert metrics._hausdorff_value(f, g, 1.0, up, 31) == 0.0
+    assert _naive_hausdorff(f, g, 1.0, up, 31) == 0.0
+    # one direction just below the horizontal still carries a gap
+    tilt = 1e-6
+    dirs = np.vstack([up, [[math.sqrt(1.0 - tilt * tilt), 0.0, -tilt]]])
+    got = metrics._hausdorff_value(f, g, 1.0, dirs, 31)
+    assert got > 0.0
+    assert got == _naive_hausdorff(f, g, 1.0, dirs, 31)
+
+
+def test_refined_c08_sized_call_keeps_its_transients_small():
+    # 301^2 nodes by 2000 directions; the untiled sweep held three 32 MB
+    # node-by-direction arrays at once
+    f, g = _random_pair(2, 80)
+    dirs = direction_set(3, 2000)
+    tracemalloc.start()
+    try:
+        metrics._hausdorff_value(f, g, 1.0, dirs, 301)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- greedy packing ----------------------------------------------------------

@@ -26,7 +26,12 @@ from convexcover import (
     separation_scale,
     verify_cap_properties,
 )
-from convexcover.packing import SPAN_LIMIT, hamming
+from convexcover.packing import (
+    CERT_VALUE_BUDGET,
+    SPAN_LIMIT,
+    hamming,
+    require_certificate_budget,
+)
 
 
 # -- interval counts, decided in Q -------------------------------------------
@@ -247,6 +252,19 @@ def test_build_packing_family_small():
 def test_build_packing_family_respects_the_cell_cap():
     with pytest.raises(ParameterError):
         build_packing_family(Fraction(1, 400), 2)  # 13^2 = 169 cells
+
+
+def test_certificate_budget_counts_the_largest_family():
+    # 64 cells: up to ceil(e^8) = 2981 functions
+    d2 = build_interval_system(Fraction(1, 144), 2)
+    with pytest.raises(ParameterError):
+        require_certificate_budget(d2)  # 2981 x 600^2 x 8 B = 8.6 GB
+    require_certificate_budget(d2, grid_n=200)  # 2981 x 200^2 x 8 B
+    with pytest.raises(ParameterError):
+        require_certificate_budget(build_interval_system(Fraction(1, 49), 3))
+    # 36 cells at d=2 (C01's largest family): 91 x 600^2 x 8 B
+    require_certificate_budget(build_interval_system(Fraction(1, 100), 2))
+    assert 91 * 600**2 * 8 < CERT_VALUE_BUDGET < 2981 * 600**2 * 8
 
 
 def test_packing_certificate_on_a_small_family():
