@@ -76,30 +76,34 @@ def _out_dir(args) -> Path:
 
 
 def cmd_pack(args) -> int:
+    # Everything is computed before the first write, so an input that
+    # raises leaves no partial artifact set behind.
     out = _out_dir(args)
     eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
-    if system.n_cells <= CELL_CAP:
+    capped = system.n_cells > CELL_CAP
+    if not capped:
         require_certificate_budget(system, args.grid_n)
-    _write_json(out / "interval_system.json", system.to_json())
     report = verify_cap_properties(system, samples=args.cap_samples,
                                    seed=args.seed)
-    _write_json(out / "cap_report.json", report.to_json())
     curve = separation_curve(eta, args.dim, steps=args.curve_steps)
+    if not capped:
+        family = build_packing_family(eta, args.dim, seed=args.seed,
+                                      max_samples=args.max_samples)
+        cert = packing_certificate(family, grid_n=args.grid_n, tol=args.tol)
+
+    _write_json(out / "interval_system.json", system.to_json())
+    _write_json(out / "cap_report.json", report.to_json())
     _write_csv(out / "lower_bound_curve.csv",
                ["eta", "k", "n_cells", "eps", "log_packing"],
                [[repr(pt.eta), str(pt.k), str(pt.n_cells), repr(pt.eps),
                  repr(pt.log_packing)] for pt in curve])
-
-    if system.n_cells > CELL_CAP:
+    if capped:
         print(f"{system.n_cells} cells exceeds the {CELL_CAP}-cell cap; "
               "wrote system, cap report, and curve only")
         return 0 if report.ok else 1
 
-    family = build_packing_family(eta, args.dim, seed=args.seed,
-                                  max_samples=args.max_samples)
     _write_json(out / "family.json", family.to_json())
-    cert = packing_certificate(family, grid_n=args.grid_n, tol=args.tol)
     _write_json(out / "packing_certificate.json", cert.to_json())
     print(f"family of {len(family.functions)} functions on {system.n_cells} "
           f"cells; certificate ok={cert.ok}, cap report ok={report.ok}")

@@ -7,6 +7,11 @@ safe to share between threads; evaluation never mutates state.
 
 Coordinates are 64-bit floats. Batch evaluation takes an (N, d) array
 and returns an (N,) array; the scalar helpers wrap the batch path.
+
+Each form names the parts whose pointwise maximum it is (`max_parts`):
+itself, or for MaxWith its parts' parts. `stacked_values` evaluates many
+functions at once and evaluates a part shared between them only once;
+max is exact, so every row equals that function's own values bit for bit.
 """
 
 from __future__ import annotations
@@ -121,6 +126,18 @@ class LipschitzVector:
         return sum(v * v for v in self.gamma)
 
 
+def _require_shape(pts: np.ndarray, dim: int) -> None:
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ParameterError(f"expected an (N, {dim}) array")
+
+
+def _require_within(pts: np.ndarray, domain: Rect) -> None:
+    lo = np.asarray(domain.lo)
+    hi = np.asarray(domain.hi)
+    if not (np.all(pts >= lo) and np.all(pts <= hi)):
+        raise DomainError("point outside the function's domain")
+
+
 @dataclass(frozen=True)
 class ConvexFunction:
     """Base for all convex forms. Subclasses fill _values/_subgradients."""
@@ -131,12 +148,8 @@ class ConvexFunction:
 
     def values(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.domain.dim:
-            raise ParameterError(f"expected an (N, {self.domain.dim}) array")
-        lo = np.asarray(self.domain.lo)
-        hi = np.asarray(self.domain.hi)
-        if not (np.all(pts >= lo) and np.all(pts <= hi)):
-            raise DomainError("point outside the function's domain")
+        _require_shape(pts, self.domain.dim)
+        _require_within(pts, self.domain)
         return self._values(pts)
 
     def value(self, x) -> float:
@@ -146,8 +159,7 @@ class ConvexFunction:
     def subgradients(self, points) -> np.ndarray:
         """One subgradient per row; points must be strictly interior."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.domain.dim:
-            raise ParameterError(f"expected an (N, {self.domain.dim}) array")
+        _require_shape(pts, self.domain.dim)
         lo = np.asarray(self.domain.lo)
         hi = np.asarray(self.domain.hi)
         if not (np.all(pts > lo) and np.all(pts < hi)):
@@ -157,6 +169,10 @@ class ConvexFunction:
     def subgradient(self, x) -> tuple[float, ...]:
         pts = np.asarray(x, dtype=float).reshape(1, -1)
         return tuple(float(v) for v in self.subgradients(pts)[0])
+
+    def max_parts(self) -> tuple["ConvexFunction", ...]:
+        """The functions whose pointwise maximum this one is."""
+        return (self,)
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -311,6 +327,9 @@ class MaxWith(ConvexFunction):
             if p.domain != self.domain:
                 raise ParameterError("parts must share the outer domain")
 
+    def max_parts(self):
+        return tuple(q for p in self.parts for q in p.max_parts())
+
     def _part_values(self, pts):
         return np.stack([p._values(pts) for p in self.parts], axis=1)
 
@@ -368,6 +387,35 @@ class Rescaled(ConvexFunction):
     def _form_json(self):
         return {"kind": "rescaled", "scale": _fstr(self.scale),
                 "base": self.base.to_json()}
+
+
+def stacked_values(functions, points) -> np.ndarray:
+    """Values of m functions at N points as an (m, N) array.
+
+    Row i equals functions[i].values(points) bit for bit, with the same
+    shape and domain checks: max is exact, so a running maximum over the
+    parts gives the bits of MaxWith's stacked maximum (only the sign of a
+    zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max).
+    Parts are collected over all functions by max_parts and keyed on the
+    frozen form, so a part that several functions share (equal under ==)
+    is evaluated once and folded into each of their rows.
+    """
+    pts = np.asarray(points, dtype=float)
+    rows: dict[ConvexFunction, list[int]] = {}
+    domains = set()
+    for i, f in enumerate(functions):
+        _require_shape(pts, f.domain.dim)
+        domains.add(f.domain)
+        for part in f.max_parts():
+            rows.setdefault(part, []).append(i)
+    for domain in domains:
+        _require_within(pts, domain)
+    out = np.full((len(functions), len(pts)), -np.inf)
+    for part, idx in rows.items():
+        vals = part._values(pts)
+        for i in idx:
+            np.maximum(out[i], vals, out=out[i])
+    return out
 
 
 def function_from_json(obj: dict) -> ConvexFunction:

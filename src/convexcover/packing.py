@@ -30,6 +30,7 @@ from .functions import (
     ParameterError,
     SeparableQuadratic,
     _fstr,
+    stacked_values,
     tensor_points,
     unit_rect,
 )
@@ -365,8 +366,10 @@ def require_certificate_budget(system: IntervalSystem,
 
     packing_certificate holds one float64 row of grid_n^d quadrature values
     per function, and the code search returns at most code_target(n_cells)
-    functions. Checked before the family is built, so an oversized input
-    fails at once instead of exhausting memory.
+    functions. Its peak is that value matrix, plus one block of at most 16
+    rows of pair differences, plus the quadrature grid. Checked before the
+    family is built, so an oversized input fails at once instead of
+    exhausting memory.
     """
     d = system.dim
     need = code_target(system.n_cells) * _cert_grid_n(d, grid_n) ** d * 8
@@ -421,15 +424,16 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
                         tol: float = 1e-6) -> PackingCertificate:
     """Check every pairwise L1 distance against its Hamming floor.
 
-    Uses midpoint quadrature on the unit cube. Values are computed once
-    per function and pairs are scanned in blocks to bound memory.
+    Uses midpoint quadrature on the unit cube. The value matrix comes from
+    stacked_values, which evaluates each part the family's functions share
+    (f0 and every cap) once. Pairs are scanned in blocks of at most 16
+    rows, and only one block of differences is alive at a time.
     """
     system = family.system
     d = system.dim
     grid_n = _cert_grid_n(d, grid_n)
     pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n, "midpoint"))
-    vals = np.stack([f.values(pts) for f in family.functions]) \
-        if family.functions else np.zeros((0, len(pts)))
+    vals = stacked_values(family.functions, pts)
 
     zeta = family.zeta
     eps = family.eps
@@ -445,7 +449,11 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
         hams = np.array([hamming(words[i], words[j]) for j in range(i + 1, m)])
         for s in range(i + 1, m, block):
             rows = vals[s:s + block]
-            l1 = np.abs(rows - vals[i]) @ w
+            diff = np.subtract(rows, vals[i])
+            np.abs(diff, out=diff)
+            l1 = diff @ w
+            # free this block before the next subtraction allocates one
+            del diff
             req = hams[s - i - 1:s - i - 1 + len(rows)] * zeta
             margin = l1 - req
             pairs += len(rows)

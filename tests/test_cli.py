@@ -82,6 +82,21 @@ def test_pack_refuses_a_certificate_over_the_memory_budget(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--grid-n", "1"], "need n >= 2"),
+    (["--cap-samples", "3"], "need samples >= 4"),
+    (["--curve-steps", "0"], "need steps >= 1"),
+    (["--max-samples", "0"], "max_samples must be >= 1"),
+])
+def test_pack_refuses_invalid_input_before_writing(tmp_path, capsys, bad,
+                                                   message):
+    rc = main(["pack", "--eta", "1/25", "--dim", "2", *bad,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_schedule_artifacts(tmp_path):
     rc = main(["schedule", "--p", "1", "--log2-eta", "-96",
                "--out-dir", str(tmp_path)])

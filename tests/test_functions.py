@@ -26,6 +26,7 @@ from convexcover import (
     tensor_points,
     unit_rect,
 )
+from convexcover.functions import stacked_values
 
 
 # -- boxes and grids --------------------------------------------------------
@@ -191,6 +192,70 @@ def test_rescale_to_unit():
     assert rescale_to_unit(h, 1.0) is h
     with pytest.raises(ParameterError):
         rescale_to_unit(f, 0.0)
+
+
+# -- stacked evaluation -----------------------------------------------------
+
+
+def _mixed_forms():
+    # equal copies of one hinge, one affine piece and one quadratic, shared
+    # across siblings and nested maxima
+    r = Rect((0.0, -1.0), (2.0, 1.0))
+    hinge = Hinge(r, 0.75, axis=0)
+    piece = Affine(r, (0.3, -0.2), 0.1)
+    quad = SeparableQuadratic(r)
+    max_affine = MaxAffine(r, (piece, Affine(r, (-0.5, 0.4), 0.2)))
+    rescaled = Rescaled(r, make_random_convex(2, 1.0, 4, seed=3), 0.7)
+    inner = MaxWith(r, (quad, Hinge(r, 0.75, axis=0)))
+    nested = MaxWith(r, (inner, Affine(r, (0.3, -0.2), 0.1),
+                         MaxWith(r, (Hinge(r, 0.75, axis=0), max_affine))))
+    return r, [max_affine, hinge, rescaled, inner, nested, quad, piece]
+
+
+def test_max_parts_flatten_nested_maxima():
+    _, (max_affine, hinge, rescaled, inner, nested, quad, piece) = _mixed_forms()
+    assert max_affine.max_parts() == (max_affine,)
+    assert rescaled.max_parts() == (rescaled,)
+    assert inner.max_parts() == (quad, hinge)
+    assert nested.max_parts() == (quad, hinge, piece, hinge, max_affine)
+
+
+def test_stacked_values_match_each_function_bit_for_bit(monkeypatch):
+    r, forms = _mixed_forms()
+    hinge_calls = []
+    hinge_values = Hinge._values
+
+    def counted(self, pts):
+        hinge_calls.append(self)
+        return hinge_values(self, pts)
+
+    monkeypatch.setattr(Hinge, "_values", counted)
+    rng = np.random.default_rng(11)
+    pts = np.asarray(r.lo) + rng.random((257, 2)) * np.asarray(r.widths)
+    pts = np.vstack([pts, [r.lo, r.hi, (0.75, 0.0)]])  # box corners, kink
+    vals = stacked_values(forms, pts.tolist())
+    # four equal hinges in three functions: one evaluation
+    assert len(hinge_calls) == 1
+    assert vals.shape == (len(forms), len(pts))
+    for f, row in zip(forms, vals):
+        assert row.tobytes() == f.values(pts).tobytes()
+
+
+def test_stacked_values_keep_the_domain_and_shape_checks():
+    unit = unit_rect(2)
+    small = Rect((0.0, 0.0), (0.5, 1.0))
+    fs = [SeparableQuadratic(unit), Hinge(small, 0.25)]
+    inside_both = np.array([[0.25, 0.5], [0.5, 1.0]])
+    assert stacked_values(fs, inside_both).shape == (2, 2)
+    # inside the first function's domain, outside the second's
+    with pytest.raises(DomainError):
+        stacked_values(fs, np.array([[0.25, 0.5], [0.75, 0.5]]))
+    with pytest.raises(DomainError):
+        stacked_values(fs[:1], np.array([[0.25, -1e-12]]))
+    with pytest.raises(ParameterError):
+        stacked_values(fs, np.array([0.25, 0.5]))
+    with pytest.raises(ParameterError):
+        stacked_values(fs + [SeparableQuadratic(unit_rect(1))], inside_both)
 
 
 # -- serialization ----------------------------------------------------------

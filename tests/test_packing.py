@@ -1,6 +1,7 @@
 """Interval systems, caps, codes, and the separation certificate."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from convexcover import (
     separation_scale,
     verify_cap_properties,
 )
+from convexcover.functions import Affine, stacked_values, unit_rect
+from convexcover.metrics import vertex_grid
 from convexcover.packing import (
     CERT_VALUE_BUDGET,
     SPAN_LIMIT,
@@ -289,6 +292,60 @@ def test_certificate_catches_an_unseparated_family():
     cert = packing_certificate(doctored)
     assert cert.failures == 1
     assert not cert.ok
+
+
+@pytest.mark.parametrize("eta,d,n", [
+    (Fraction(1, 100), 1, 2001),
+    (Fraction(1, 36), 2, 97),
+    (Fraction(1, 36), 3, 25),
+])
+def test_stacked_family_values_match_each_function(eta, d, n):
+    fam = build_packing_family(eta, d)
+    # word 0 is f0 alone; the vertex grid reaches the cube's faces
+    fs = (perturbed_function(fam.system, 0),) + fam.functions
+    pts = vertex_grid(unit_rect(d), n)
+    vals = stacked_values(fs, pts)
+    assert vals.shape == (len(fs), len(pts))
+    for f, row in zip(fs, vals):
+        assert row.tobytes() == f.values(pts).tobytes()
+    assert stacked_values((), pts).shape == (0, len(pts))
+
+
+def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
+    fam = build_packing_family(Fraction(1, 36), 2)
+    calls = []
+
+    def counted(values):
+        def wrapper(self, pts):
+            calls.append(self)
+            return values(self, pts)
+        return wrapper
+
+    for cls in (Affine, SeparableQuadratic):
+        monkeypatch.setattr(cls, "_values", counted(cls._values))
+    stacked_values(fam.functions, vertex_grid(unit_rect(2), 11))
+    # f0 plus one cap per cell that some word selects; the caps of each
+    # function are built afresh, so only equal forms can be shared
+    used = 0
+    for w in fam.code.words:
+        used |= w
+    total = sum(len(f.max_parts()) for f in fam.functions)
+    assert len(calls) == 1 + used.bit_count() == 17
+    assert total == 83
+
+
+def test_certificate_peak_memory_is_one_block_over_its_values():
+    # 8 functions x 600^2 nodes: a 23 MB value matrix, one 7-row block of
+    # differences (20 MB) and the 8.6 MB grid
+    fam = build_packing_family(Fraction(1, 36), 2)
+    tracemalloc.start()
+    try:
+        cert = packing_certificate(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.ok and cert.pairs_checked == 28
+    assert peak < 60 * 10**6
 
 
 # -- the separation curve ------------------------------------------------------
