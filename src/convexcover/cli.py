@@ -53,11 +53,16 @@ from .verify import (
 
 def _parse_eta(text: str) -> Fraction:
     # "1/400" and "0.0025" both parse exactly; fall back to the float's
-    # exact binary value for inputs Fraction cannot read (e.g. "2.5e-3")
+    # exact binary value for inputs Fraction cannot read (e.g. "1_000"
+    # before Python 3.11). NaN, infinities and zero denominators are refused.
     try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(float(text))
+        try:
+            return Fraction(text)
+        except ValueError:
+            return Fraction(float(text))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ParameterError(f"eta must be a finite decimal or fraction, "
+                             f"got {text!r}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -115,7 +120,13 @@ def cmd_schedule(args) -> int:
     if args.log2_eta is not None:
         log_eta = args.log2_eta * LOG2
     else:
-        log_eta = math.log(float(_parse_eta(args.eta)))
+        eta = _parse_eta(args.eta)
+        if eta <= 0:
+            raise ParameterError("eta must be positive")
+        try:
+            log_eta = math.log(float(eta))
+        except (OverflowError, ValueError):  # float(eta) is inf or 0.0
+            raise ParameterError("eta is outside the float range") from None
     sched = build_schedule(args.p, log_eta)
     _write_json(out / "schedule.json", sched.to_json())
 
@@ -138,6 +149,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    if args.pairs < 1:
+        raise ParameterError("need pairs >= 1")
     out = _out_dir(args)
     grid = GridSpec(args.grid_n)
     reports = []

@@ -427,8 +427,11 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     Uses midpoint quadrature on the unit cube. The value matrix comes from
     stacked_values, which evaluates each part the family's functions share
     (f0 and every cap) once. Pairs are scanned in blocks of at most 16
-    rows, and only one block of differences is alive at a time.
+    rows, and only one block of differences is alive at a time. tol must
+    be finite and nonnegative: a NaN or infinite tol could never fail.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError("tol must be finite and >= 0")
     system = family.system
     d = system.dim
     grid_n = _cert_grid_n(d, grid_n)
@@ -512,14 +515,15 @@ def separation_curve(eta, d: int, steps: int = 5,
     return tuple(separation_point(e / ratio**m, d) for m in range(steps))
 
 
-# -- exact rational verification of the cap properties --------------------
+# -- exact verification of the cap properties -----------------------------
 
 
 @dataclass(frozen=True)
 class CapPropertyReport:
-    """Counts of exact-rational checks of the four cap properties.
+    """Counts of the exact checks of the four cap properties.
 
-    affine: midpoint identity of the cap, checked in Q.
+    affine: midpoint identity cap(x) + cap(y) = 2 cap((x+y)/2). It holds
+        in Q for every affine map and cannot fail; cap_report.json counts it.
     corner: coefficients nonnegative and cap value at the all-ones corner
         at most 1, every cell.
     above_inside: cap >= f0 at sampled interior points of its own cell.
@@ -549,37 +553,18 @@ class CapPropertyReport:
                 "failures": list(self.failures), "ok": self.ok}
 
 
-def _cap_exact(cap: Affine, x: tuple[Fraction, ...]) -> Fraction:
-    total = Fraction(cap.intercept)
-    for c, v in zip(cap.coeffs, x):
-        total += Fraction(c) * v
-    return total
-
-
-def _base_exact(x: tuple[Fraction, ...], d: int) -> Fraction:
-    return sum(v * v for v in x) / d
-
-
-def _sample_in_cell(system: IntervalSystem, cell: tuple[int, ...],
-                    rng) -> tuple[Fraction, ...]:
-    # strictly interior rational point of the cell
-    lo, hi = system.cell_bounds(cell)
-    denom = 10**6
-    out = []
-    for u, v in zip(lo, hi):
-        t = Fraction(int(rng.integers(1, denom)), denom)
-        out.append(Fraction(u) + t * (Fraction(v) - Fraction(u)))
-    return tuple(out)
-
-
 def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
                           seed: int = 0) -> CapPropertyReport:
-    """Exact-rational spot checks of the four cap properties.
+    """Exact spot checks of the four cap properties, in integers.
 
-    Floats are taken at their exact binary values, so every comparison is
-    decided without rounding. Sampled points are strictly interior to
-    their cells; the samples budget is split across the point-sampled
-    properties, and the corner check covers every cell once.
+    Every cap coefficient, intercept and cell endpoint is a float, hence a
+    dyadic rational, so one common power of two 2^E scales them all to
+    integers. A sampled coordinate u + a/10^6 (v - u) is then X / D with
+    X = U 10^6 + a (V - U) and D = 2^E 10^6, and with the denominators
+    cleared every comparison is one integer comparison, decided without
+    rounding. Sampled points are strictly interior to their cells; the
+    samples budget is split across the point-sampled properties, and the
+    corner check covers every cell once.
     """
     if samples < 4:
         raise ParameterError("need samples >= 4")
@@ -587,58 +572,69 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     d = system.dim
     n = system.n_cells
     failures: list[str] = []
-    caps = {}
+    cells = [system.cell_from_index(idx) for idx in range(n)]
+    caps = [cap_function(system, cell) for cell in cells]
+    ends = [system.interval(i) for i in range(system.k)]
+    exact = [*ends, *((*cap.coeffs, cap.intercept) for cap in caps)]
+    scale = max(x.as_integer_ratio()[1] for xs in exact for x in xs)  # 2^E
 
-    def cap_at(idx: int) -> Affine:
-        if idx not in caps:
-            caps[idx] = cap_function(system, system.cell_from_index(idx))
-        return caps[idx]
+    def scaled(x: float) -> int:
+        num, q = x.as_integer_ratio()
+        return num * (scale // q)
 
-    # corner: every cell once
-    one = (Fraction(1),) * d
+    ticks = 10**6  # a sampled coordinate is u + a/ticks (v - u)
+    denom = scale * ticks  # D
+    # per cell: the coefficients times 2^E and the intercept times 2^E D
+    lin = [(tuple(map(scaled, cap.coeffs)), scaled(cap.intercept) * denom)
+           for cap in caps]
+    lo = [scaled(u) * ticks for u, _ in ends]
+    width = [scaled(v) - scaled(u) for u, v in ends]
+
+    def sample(cell: tuple[int, ...]) -> list[int]:
+        # numerators over D of a strictly interior point of the cell
+        return [lo[i] + int(rng.integers(1, ticks)) * width[i] for i in cell]
+
+    def cap_num(idx: int, x) -> int:
+        # 2^E D cap(x), for x given by its numerators over D
+        coeffs, intercept = lin[idx]
+        return intercept + sum(c * v for c, v in zip(coeffs, x))
+
+    # corner: every cell once; the all-ones corner has numerators D
+    one = (denom,) * d
     for idx in range(n):
-        cap = cap_at(idx)
-        if any(c < 0 for c in cap.coeffs):
+        if any(c < 0 for c in lin[idx][0]):
             failures.append(f"cell {idx}: negative coefficient")
-        if _cap_exact(cap, one) > 1:
+        if cap_num(idx, one) > scale * denom:
             failures.append(f"cell {idx}: corner value above 1")
-    corner_checks = n
 
     n_affine = samples // 4
     n_above = samples // 4
-    n_below = samples - n_affine - n_above
+    n_below = samples - n_affine - n_above if n >= 2 else 0
 
-    affine_checks = 0
     for _ in range(n_affine):
         idx = int(rng.integers(0, n))
-        cap = cap_at(idx)
-        x = _sample_in_cell(system, system.cell_from_index(idx), rng)
-        y = tuple(Fraction(int(rng.integers(0, 10**6)), 10**6) for _ in range(d))
-        mid = tuple((a + b) / 2 for a, b in zip(x, y))
-        if _cap_exact(cap, x) + _cap_exact(cap, y) != 2 * _cap_exact(cap, mid):
+        x = sample(cells[idx])
+        y = [int(rng.integers(0, ticks)) * scale for _ in range(d)]
+        # 2^E D 2 cap((x + y) / 2): the midpoint's numerators are x + y
+        # over 2D
+        twice_mid = cap_num(idx, [a + b for a, b in zip(x, y)]) + lin[idx][1]
+        if cap_num(idx, x) + cap_num(idx, y) != twice_mid:
             failures.append(f"cell {idx}: midpoint identity broken")
-        affine_checks += 1
 
-    above_checks = 0
+    # cap(x) < f0(x) = sum X_j^2 / (d D^2) iff d 10^6 cap_num(x) < sum X_j^2
     for _ in range(n_above):
         idx = int(rng.integers(0, n))
-        cell = system.cell_from_index(idx)
-        x = _sample_in_cell(system, cell, rng)
-        if _cap_exact(cap_at(idx), x) < _base_exact(x, d):
+        x = sample(cells[idx])
+        if d * ticks * cap_num(idx, x) < sum(v * v for v in x):
             failures.append(f"cell {idx}: cap below base inside own cell")
-        above_checks += 1
 
-    below_checks = 0
-    if n >= 2:
-        for _ in range(n_below):
-            idx = int(rng.integers(0, n))
-            other = int(rng.integers(0, n - 1))
-            if other >= idx:
-                other += 1
-            x = _sample_in_cell(system, system.cell_from_index(other), rng)
-            if _cap_exact(cap_at(idx), x) > _base_exact(x, d):
-                failures.append(f"cell {idx}: cap above base in cell {other}")
-            below_checks += 1
+    for _ in range(n_below):
+        idx = int(rng.integers(0, n))
+        other = int(rng.integers(0, n - 1))
+        if other >= idx:
+            other += 1
+        x = sample(cells[other])
+        if d * ticks * cap_num(idx, x) > sum(v * v for v in x):
+            failures.append(f"cell {idx}: cap above base in cell {other}")
 
-    return CapPropertyReport(affine_checks, corner_checks, above_checks,
-                             below_checks, tuple(failures))
+    return CapPropertyReport(n_affine, n, n_above, n_below, tuple(failures))

@@ -97,6 +97,31 @@ def test_pack_refuses_invalid_input_before_writing(tmp_path, capsys, bad,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_pack_refuses_a_tol_that_cannot_fail(tmp_path, capsys, tol):
+    # a NaN or infinite tol would certify any family
+    rc = main(["pack", "--eta", "1/25", "--dim", "1", "--tol", tol,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "tol must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--eta", "nan", "--dim", "1"],
+    ["pack", "--eta", "inf", "--dim", "1"],
+    ["pack", "--eta", "1/0", "--dim", "1"],
+    ["schedule", "--p", "1", "--eta", "nan"],
+    ["schedule", "--p", "1", "--eta", "1/0"],
+    ["schedule", "--p", "1", "--eta", "0"],
+], ids=lambda argv: f"{argv[0]}-{argv[argv.index('--eta') + 1]}")
+def test_an_eta_that_is_not_a_positive_number_exits_2(tmp_path, capsys, argv):
+    rc = main([*argv, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: eta ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_schedule_artifacts(tmp_path):
     rc = main(["schedule", "--p", "1", "--log2-eta", "-96",
                "--out-dir", str(tmp_path)])
@@ -141,6 +166,15 @@ def test_lemmas_runs_one_pair(tmp_path):
     assert len(report["reports"]) == 1
     pair = report["reports"][0]
     assert pair["sup"]["ok"] and pair["l1"]["ok"] and pair["slope_mass_ok"]
+
+
+def test_lemmas_refuses_zero_pairs(tmp_path, capsys):
+    # with no pairs nothing is checked, so all_ok would say nothing
+    rc = main(["lemmas", "--dim", "1", "--pairs", "0",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "need pairs >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_bounds_artifacts(tmp_path):

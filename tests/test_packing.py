@@ -4,9 +4,11 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from convexcover import (
+    CapPropertyReport,
     IntervalSystem,
     ParameterError,
     SeparableQuadratic,
@@ -154,6 +156,31 @@ def test_cell_gap_closed_form():
     assert cell_gap(Fraction(1, 25), 1) == 0.04**1.5 / 6.0
 
 
+# systems that break the construction's assumptions, each on purpose
+_DOCTORED = {
+    # the last interval pokes past 1: its cap tops 1 at the corner
+    "corner": IntervalSystem(eta=0.25, dim=1, k=2, length=0.5, gap=0.25,
+                             starts=(0.0, 0.75)),
+    # a cell left of 0 has a negative slope; its endpoints need a finer
+    # power of two than any cap coefficient or intercept
+    "negative": IntervalSystem(eta=0.01, dim=1, k=1, length=0.1, gap=0.0,
+                               starts=(-0.8,)),
+    # the cells over [-0.05, 0.05] have zero slopes, which are not negative
+    "centered": IntervalSystem(eta=0.01, dim=2, k=2, length=0.1, gap=0.25,
+                               starts=(-0.05, 0.3)),
+    "overlapping": IntervalSystem(eta=0.09, dim=2, k=3, length=0.3,
+                                  gap=-0.1, starts=(0.0, 0.2, 0.4)),
+    "touching": IntervalSystem(eta=0.04, dim=2, k=3, length=0.2, gap=0.0,
+                               starts=(0.0, 0.2, 0.4)),
+    # coefficient rounding outweighs the interior margin of a 1e-9 cell
+    "thin": IntervalSystem(eta=1e-18, dim=1, k=1, length=1e-9, gap=0.0,
+                           starts=(0.1,)),
+    # four cells on one dyadic point: every sampled cap equals f0 exactly
+    "point": IntervalSystem(eta=0.0, dim=2, k=2, length=0.0, gap=0.0,
+                            starts=(0.25, 0.25)),
+}
+
+
 def test_cap_properties_hold_on_built_systems():
     for eta, d in [(Fraction(1, 25), 1), (Fraction(1, 100), 2)]:
         report = verify_cap_properties(build_interval_system(eta, d),
@@ -165,19 +192,119 @@ def test_cap_properties_hold_on_built_systems():
 
 
 def test_cap_properties_catch_a_bad_system():
-    # last interval pokes past 1, so its cap tops 1 at the corner
-    bad = IntervalSystem(eta=0.25, dim=1, k=2, length=0.5, gap=0.25,
-                         starts=(0.0, 0.75))
-    report = verify_cap_properties(bad, samples=40, seed=0)
+    report = verify_cap_properties(_DOCTORED["corner"], samples=40, seed=0)
     assert not report.ok
     assert any("corner" in msg for msg in report.failures)
 
 
 def test_cap_properties_catch_negative_coefficients():
-    bad = IntervalSystem(eta=0.01, dim=1, k=1, length=0.1, gap=0.0,
-                         starts=(-0.8,))
-    report = verify_cap_properties(bad, samples=40, seed=0)
+    report = verify_cap_properties(_DOCTORED["negative"], samples=40, seed=0)
     assert any("negative coefficient" in msg for msg in report.failures)
+
+
+# -- the integer cap checks against a Fraction reference ----------------------
+
+
+def _reference_cap_properties(system, samples, seed):
+    """The cap checks computed naively in Fraction arithmetic.
+
+    Same draws in the same order as verify_cap_properties: one scalar
+    rng.integers call per index and per coordinate.
+    """
+    rng = np.random.default_rng(seed)
+    d = system.dim
+    n = system.n_cells
+    caps = [cap_function(system, system.cell_from_index(i)) for i in range(n)]
+
+    def cap_at(idx, x):
+        cap = caps[idx]
+        return Fraction(cap.intercept) + sum(
+            Fraction(c) * v for c, v in zip(cap.coeffs, x))
+
+    def base_at(x):
+        return sum(v * v for v in x) / d
+
+    def sample(idx):
+        lo, hi = system.cell_bounds(system.cell_from_index(idx))
+        return tuple(Fraction(u) + Fraction(int(rng.integers(1, 10**6)), 10**6)
+                     * (Fraction(v) - Fraction(u)) for u, v in zip(lo, hi))
+
+    failures = []
+    for idx in range(n):
+        if any(c < 0 for c in caps[idx].coeffs):
+            failures.append(f"cell {idx}: negative coefficient")
+        if cap_at(idx, (Fraction(1),) * d) > 1:
+            failures.append(f"cell {idx}: corner value above 1")
+    n_affine = n_above = samples // 4
+    n_below = samples - n_affine - n_above if n >= 2 else 0
+    for _ in range(n_affine):
+        idx = int(rng.integers(0, n))
+        x = sample(idx)
+        y = tuple(Fraction(int(rng.integers(0, 10**6)), 10**6)
+                  for _ in range(d))
+        mid = tuple((a + b) / 2 for a, b in zip(x, y))
+        if cap_at(idx, x) + cap_at(idx, y) != 2 * cap_at(idx, mid):
+            failures.append(f"cell {idx}: midpoint identity broken")
+    for _ in range(n_above):
+        idx = int(rng.integers(0, n))
+        x = sample(idx)
+        if cap_at(idx, x) < base_at(x):
+            failures.append(f"cell {idx}: cap below base inside own cell")
+    for _ in range(n_below):
+        idx = int(rng.integers(0, n))
+        other = int(rng.integers(0, n - 1))
+        if other >= idx:
+            other += 1
+        x = sample(other)
+        if cap_at(idx, x) > base_at(x):
+            failures.append(f"cell {idx}: cap above base in cell {other}")
+    return CapPropertyReport(n_affine, n, n_above, n_below, tuple(failures))
+
+
+_BUILT = {1: Fraction(1, 25), 2: Fraction(1, 36), 3: Fraction(1, 25),
+          4: Fraction(1, 16)}
+
+
+def _assert_matches_reference(system):
+    for seed in (0, 1, 7):
+        for samples in (4, 5, 401, 2000):
+            got = verify_cap_properties(system, samples=samples, seed=seed)
+            want = _reference_cap_properties(system, samples, seed)
+            assert got == want, (seed, samples)
+
+
+@pytest.mark.parametrize("d", sorted(_BUILT))
+def test_cap_properties_match_the_fraction_reference_on_built_systems(d):
+    system = build_interval_system(_BUILT[d], d)
+    assert verify_cap_properties(system, samples=400).ok
+    _assert_matches_reference(system)
+
+
+@pytest.mark.parametrize("name", sorted(_DOCTORED))
+def test_cap_properties_match_the_fraction_reference_on_doctored_systems(name):
+    _assert_matches_reference(_DOCTORED[name])
+
+
+def test_cap_properties_fail_inside_a_cell_below_rounding():
+    report = verify_cap_properties(_DOCTORED["thin"], samples=40, seed=0)
+    assert report.above_checks == 10 and report.below_checks == 0
+    assert report.failures == (
+        "cell 0: cap below base inside own cell",) * 10
+
+
+def test_cap_properties_let_equality_pass():
+    # cap = f0 at every sampled point: neither strict inequality fires
+    report = verify_cap_properties(_DOCTORED["point"], samples=40, seed=0)
+    assert report.ok and report.above_checks == 10
+    assert report.below_checks == 20
+
+
+def test_cap_properties_catch_overlapping_cells():
+    report = verify_cap_properties(_DOCTORED["overlapping"], samples=400,
+                                   seed=0)
+    assert report.below_checks == 200
+    assert 0 < len(report.failures) < 200
+    assert all("cap above base in cell" in msg for msg in report.failures)
 
 
 # -- binary codes -------------------------------------------------------------
@@ -292,6 +419,10 @@ def test_certificate_catches_an_unseparated_family():
     cert = packing_certificate(doctored)
     assert cert.failures == 1
     assert not cert.ok
+    # a NaN or infinite tol would let this family pass
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError):
+            packing_certificate(doctored, tol=tol)
 
 
 @pytest.mark.parametrize("eta,d,n", [
