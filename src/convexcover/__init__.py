@@ -4,7 +4,7 @@ bounded convex functions on axis-aligned boxes.
 The package splits into five layers:
 
   functions   convex function forms, evaluation, serialization
-  metrics     Lp / sup / epigraph-Hausdorff distances and greedy packing
+  metrics     Lp / sup / epigraph-Hausdorff distances and direction sets
   packing     well-separated families from interval systems and binary codes
   schedule    log-space refinement schedules and cover-count accounting
   verify      inequality checks, closed forms, and the assembled bounds
@@ -22,9 +22,7 @@ from .functions import (
     Rect,
     Rescaled,
     SeparableQuadratic,
-    coordinate_lipschitz_estimate,
     function_from_json,
-    lipschitz_budget,
     make_random_convex,
     rescale_to_unit,
     tensor_points,
@@ -32,15 +30,9 @@ from .functions import (
 )
 from .metrics import (
     DistanceReport,
-    EpigraphSupportQuery,
     GridSpec,
-    HausdorffEpigraphMetric,
-    LpMetric,
-    SupGridMetric,
     direction_covering_radius,
     direction_set,
-    epigraph_support,
-    greedy_packing,
     hausdorff_epigraph,
     lp_distance,
     quadrature_grid,
@@ -81,7 +73,6 @@ from .schedule import (
     cover_accounting,
     log_radius_closed_form,
     schedule_checks,
-    schedule_from_eta,
 )
 from .verify import (
     EntropyBounds,
@@ -104,14 +95,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine", "ConvexFunction", "DomainError", "Hinge", "LipschitzVector",
     "MaxAffine", "MaxWith", "ParameterError", "Rect", "Rescaled",
-    "SeparableQuadratic", "coordinate_lipschitz_estimate",
-    "function_from_json", "lipschitz_budget", "make_random_convex",
+    "SeparableQuadratic", "function_from_json", "make_random_convex",
     "rescale_to_unit", "tensor_points", "unit_rect",
-    "DistanceReport", "EpigraphSupportQuery", "GridSpec",
-    "HausdorffEpigraphMetric", "LpMetric", "SupGridMetric",
-    "direction_covering_radius", "direction_set",
-    "epigraph_support", "greedy_packing", "hausdorff_epigraph", "lp_distance",
-    "quadrature_grid", "sup_grid_distance", "vertex_grid",
+    "DistanceReport", "GridSpec", "direction_covering_radius",
+    "direction_set", "hausdorff_epigraph", "lp_distance", "quadrature_grid",
+    "sup_grid_distance", "vertex_grid",
     "CapPropertyReport", "CodeSearchResult", "IntervalSystem",
     "PackingCertificate", "PackingFamily", "SeparationPoint",
     "build_interval_system", "build_packing_family", "cap_function",
@@ -121,7 +109,7 @@ __all__ = [
     "separation_scale", "verify_cap_properties",
     "Breakpoints", "CoverAccounting", "Schedule", "ScheduleChecks",
     "breakpoints", "build_schedule", "cover_accounting",
-    "log_radius_closed_form", "schedule_checks", "schedule_from_eta",
+    "log_radius_closed_form", "schedule_checks",
     "EntropyBounds", "LemmaReport", "ScalingIdentityReport", "check_l1_bound",
     "check_pointwise_gap", "check_sup_bound", "entropy_bounds",
     "gradient_mass", "hinge_family", "hinge_hausdorff_closed_form",

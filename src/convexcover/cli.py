@@ -50,6 +50,10 @@ from .verify import (
     gradient_mass,
 )
 
+# Most directions lemmas accepts: the checks' refinements and error
+# estimates build at most 8x this many, a few tens of MB.
+MAX_DIRECTIONS = 10**5
+
 
 def _parse_eta(text: str) -> Fraction:
     # "1/400" and "0.0025" both parse exactly; fall back to the float's
@@ -151,6 +155,8 @@ def cmd_schedule(args) -> int:
 def cmd_lemmas(args) -> int:
     if args.pairs < 1:
         raise ParameterError("need pairs >= 1")
+    if args.directions > MAX_DIRECTIONS:
+        raise ParameterError(f"need directions <= {MAX_DIRECTIONS}")
     out = _out_dir(args)
     grid = GridSpec(args.grid_n)
     reports = []

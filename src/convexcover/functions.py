@@ -119,11 +119,13 @@ class LipschitzVector:
             if not v > 0:
                 raise ParameterError("gamma entries must be positive (inf allowed)")
 
-    def finite_sum(self) -> float:
-        return sum(v for v in self.gamma if math.isfinite(v))
-
     def sum_squares(self) -> float:
         return sum(v * v for v in self.gamma)
+
+
+def _budget(slopes) -> LipschitzVector:
+    # an exactly flat axis still needs a positive budget
+    return LipschitzVector(tuple(max(v, 1e-300) for v in slopes))
 
 
 def _require_shape(pts: np.ndarray, dim: int) -> None:
@@ -174,6 +176,15 @@ class ConvexFunction:
         """The functions whose pointwise maximum this one is."""
         return (self,)
 
+    def lipschitz_budget(self) -> LipschitzVector:
+        """Valid per-axis Lipschitz upper bounds, read off the form.
+
+        Each entry dominates the true coordinate Lipschitz constant, so the
+        result is safe to use where an inequality depends on it. An exactly
+        flat axis gets 1e-300, since budgets must be positive.
+        """
+        raise ParameterError(f"no Lipschitz budget rule for {type(self).__name__}")
+
     def _values(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -214,6 +225,9 @@ class Affine(ConvexFunction):
 
     def _subgradients(self, pts):
         return np.broadcast_to(self._coeff_arr, pts.shape).copy()
+
+    def lipschitz_budget(self):
+        return _budget(abs(c) for c in self.coeffs)
 
     def _form_json(self):
         return {"kind": "affine",
@@ -259,6 +273,10 @@ class MaxAffine(ConvexFunction):
         active = np.argmax(self._piece_values(pts), axis=1)
         return c[active]
 
+    def lipschitz_budget(self):
+        return _budget(max(abs(p.coeffs[j]) for p in self.pieces)
+                       for j in range(self.domain.dim))
+
     def _form_json(self):
         form = {"kind": "max_affine",
                 "pieces": [{"coeffs": [_fstr(v) for v in p.coeffs],
@@ -277,6 +295,11 @@ class SeparableQuadratic(ConvexFunction):
 
     def _subgradients(self, pts):
         return 2.0 * pts / self.domain.dim
+
+    def lipschitz_budget(self):
+        d = self.domain.dim
+        return _budget(2.0 * max(abs(a), abs(b)) / d
+                       for a, b in zip(self.domain.lo, self.domain.hi))
 
     def _form_json(self):
         return {"kind": "separable_quadratic"}
@@ -308,6 +331,10 @@ class Hinge(ConvexFunction):
         ramp = 1.0 - pts[:, self.axis] / self.alpha > 0
         out[ramp, self.axis] = -1.0 / self.alpha
         return out
+
+    def lipschitz_budget(self):
+        return _budget(1.0 / self.alpha if j == self.axis else 0.0
+                       for j in range(self.domain.dim))
 
     def _form_json(self):
         return {"kind": "hinge", "alpha": _fstr(self.alpha), "axis": self.axis}
@@ -341,6 +368,10 @@ class MaxWith(ConvexFunction):
         active = np.argmax(vals, axis=1)
         grads = np.stack([p._subgradients(pts) for p in self.parts], axis=1)
         return grads[np.arange(len(pts)), active]
+
+    def lipschitz_budget(self):
+        cols = zip(*(p.lipschitz_budget().gamma for p in self.parts))
+        return _budget(max(col) for col in cols)
 
     def _form_json(self):
         return {"kind": "max_with", "parts": [p.to_json() for p in self.parts]}
@@ -383,6 +414,12 @@ class Rescaled(ConvexFunction):
     def _subgradients(self, pts):
         _, _, _, ratio = self._map_arrays
         return self.scale * self.base._subgradients(self._mapped(pts)) * ratio
+
+    def lipschitz_budget(self):
+        ratio = [bw / tw for bw, tw in
+                 zip(self.base.domain.widths, self.domain.widths)]
+        return _budget(self.scale * b * r for b, r in
+                       zip(self.base.lipschitz_budget().gamma, ratio))
 
     def _form_json(self):
         return {"kind": "rescaled", "scale": _fstr(self.scale),
@@ -474,8 +511,10 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
     rect = rect if rect is not None else unit_rect(d)
     if rect.dim != d:
         raise ParameterError("rect dimension mismatch")
-    if BOUND_GRID_AXIS**d > MAX_GRID_POINTS:
-        raise ParameterError("bound grid too large at this dimension")
+    # the draw's values on the bound grid form a 17^d x pieces matrix
+    if BOUND_GRID_AXIS**d * pieces > MAX_GRID_POINTS:
+        raise ParameterError(f"{pieces} pieces on the {BOUND_GRID_AXIS}^{d} "
+                             f"bound grid exceed {MAX_GRID_POINTS} values")
     grid = tensor_points(_vertex_axes(rect, BOUND_GRID_AXIS))
     rng = np.random.default_rng(seed)
     for _ in range(1000):
@@ -494,54 +533,3 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
                          for c, b in zip(coeffs, icepts))
             return MaxAffine(rect, made, bound_on_grid=m)
     raise ParameterError("could not fit a random draw inside the bound")
-
-
-def lipschitz_budget(f: ConvexFunction) -> LipschitzVector:
-    """Valid per-axis Lipschitz upper bounds, read off the form.
-
-    Unlike coordinate_lipschitz_estimate this never under-reports: each
-    entry dominates the true coordinate Lipschitz constant, so the result
-    is safe to use where an inequality depends on it.
-    """
-    d = f.domain.dim
-    if isinstance(f, Affine):
-        g = [abs(c) for c in f.coeffs]
-    elif isinstance(f, MaxAffine):
-        g = [max(abs(p.coeffs[j]) for p in f.pieces) for j in range(d)]
-    elif isinstance(f, SeparableQuadratic):
-        g = [2.0 * max(abs(a), abs(b)) / d
-             for a, b in zip(f.domain.lo, f.domain.hi)]
-    elif isinstance(f, Hinge):
-        g = [0.0] * d
-        g[f.axis] = 1.0 / f.alpha
-    elif isinstance(f, MaxWith):
-        cols = zip(*(lipschitz_budget(p).gamma for p in f.parts))
-        g = [max(col) for col in cols]
-    elif isinstance(f, Rescaled):
-        ratio = [bw / tw for bw, tw in
-                 zip(f.base.domain.widths, f.domain.widths)]
-        g = [f.scale * b * r
-             for b, r in zip(lipschitz_budget(f.base).gamma, ratio)]
-    else:
-        raise ParameterError(f"no Lipschitz budget rule for {type(f).__name__}")
-    return LipschitzVector(tuple(max(v, 1e-300) for v in g))
-
-
-def coordinate_lipschitz_estimate(f: ConvexFunction, n: int = 33) -> LipschitzVector:
-    """Largest per-axis difference quotient over an n-per-axis vertex grid.
-
-    A grid estimate: up to rounding in the quotients it lower-bounds the
-    true coordinate Lipschitz constants, and converges to them as n grows.
-    """
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    d = f.domain.dim
-    axes = _vertex_axes(f.domain, n)
-    vals = f.values(tensor_points(axes)).reshape((n,) * d)
-    gammas = []
-    for i in range(d):
-        h = (f.domain.hi[i] - f.domain.lo[i]) / (n - 1)
-        diffs = np.abs(np.diff(vals, axis=i)) / h
-        gammas.append(float(diffs.max()) if diffs.size else 0.0)
-    # an exactly constant axis still needs a positive budget
-    return LipschitzVector(tuple(max(g, 1e-300) for g in gammas))

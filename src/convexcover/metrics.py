@@ -1,11 +1,11 @@
 """Distances between convex functions.
 
-Lp distances come from tensor-product quadrature (midpoint by default,
-trapezoid optionally), the sup distance from a vertex-grid maximum, and
-the epigraph Hausdorff distance from support functions sampled over a
-deterministic quasi-uniform set of directions. Every estimator here
-converges from below as its resolution grows, and each report carries an
-error estimate from a doubled-resolution recomputation.
+Lp distances come from midpoint tensor-product quadrature, the sup
+distance from a vertex-grid maximum, and the epigraph Hausdorff distance
+from support functions sampled over a deterministic quasi-uniform set of
+directions. Every estimator here converges from below as its resolution
+grows, and each report carries an error estimate from a doubled-resolution
+recomputation.
 
 The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
@@ -26,12 +26,9 @@ from .functions import (
     ConvexFunction,
     ParameterError,
     Rect,
-    _fstr,
     tensor_points,
     _vertex_axes,
 )
-
-RULES = ("midpoint", "trapezoid")
 
 # Entries of one node-by-direction tile of the support kernel. Its two
 # float64 working arrays (the shared spatial product and one function's
@@ -41,46 +38,16 @@ _TILE_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature resolution: n nodes per axis and the rule to apply."""
+    """Quadrature resolution: n midpoint nodes per axis."""
 
     n: int = 101
-    rule: str = "midpoint"
 
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("need n >= 2")
-        if self.rule not in RULES:
-            raise ParameterError(f"rule must be one of {RULES}")
 
     def refined(self) -> "GridSpec":
-        return GridSpec(2 * self.n - 1, self.rule)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "rule": self.rule}
-
-
-@dataclass(frozen=True)
-class LpMetric:
-    p: float
-
-    def to_json(self) -> dict:
-        return {"kind": "lp", "p": _fstr(self.p)}
-
-
-@dataclass(frozen=True)
-class SupGridMetric:
-    def to_json(self) -> dict:
-        return {"kind": "sup_grid"}
-
-
-@dataclass(frozen=True)
-class HausdorffEpigraphMetric:
-    bound: float
-    n_directions: int
-
-    def to_json(self) -> dict:
-        return {"kind": "hausdorff_epigraph", "bound": _fstr(self.bound),
-                "n_directions": self.n_directions}
+        return GridSpec(2 * self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -89,30 +56,15 @@ class DistanceReport:
 
     value: float
     error_estimate: float
-    grid: GridSpec
-    metric: LpMetric | SupGridMetric | HausdorffEpigraphMetric
-
-    def to_json(self) -> dict:
-        return {"value": _fstr(self.value),
-                "error_estimate": _fstr(self.error_estimate),
-                "grid": self.grid.to_json(),
-                "metric": self.metric.to_json()}
 
 
 def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (N, d) and weights (N,) of the tensor-product rule."""
+    """Nodes (N, d) and weights (N,) of the tensor-product midpoint rule."""
     nodes, weights = [], []
     for lo, hi in zip(rect.lo, rect.hi):
-        if spec.rule == "midpoint":
-            h = (hi - lo) / spec.n
-            nodes.append(lo + (np.arange(spec.n) + 0.5) * h)
-            weights.append(np.full(spec.n, h))
-        else:
-            h = (hi - lo) / (spec.n - 1)
-            nodes.append(np.linspace(lo, hi, spec.n))
-            w = np.full(spec.n, h)
-            w[0] = w[-1] = h / 2
-            weights.append(w)
+        h = (hi - lo) / spec.n
+        nodes.append(lo + (np.arange(spec.n) + 0.5) * h)
+        weights.append(np.full(spec.n, h))
     pts = tensor_points(nodes)
     w = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), weights)
     return pts, w
@@ -145,7 +97,7 @@ def lp_distance(f: ConvexFunction, g: ConvexFunction, p: float,
     _require_common_domain(f, g)
     value = _lp_value(f, g, p, grid)
     fine = _lp_value(f, g, p, grid.refined())
-    return DistanceReport(value, abs(value - fine), grid, LpMetric(p))
+    return DistanceReport(value, abs(value - fine))
 
 
 def _sup_value(f, g, n) -> float:
@@ -157,30 +109,13 @@ def sup_grid_distance(f: ConvexFunction, g: ConvexFunction,
                       grid: GridSpec = GridSpec()) -> DistanceReport:
     """Max of |f - g| over an inclusive vertex grid.
 
-    This is a lower bound for the true sup distance; it uses grid.n nodes
-    per axis regardless of the quadrature rule.
+    This is a lower bound for the true sup distance; it uses grid.n
+    vertices per axis, where the quadrature uses grid.n cell midpoints.
     """
     _require_common_domain(f, g)
     value = _sup_value(f, g, grid.n)
     fine = _sup_value(f, g, 2 * grid.n - 1)
-    return DistanceReport(value, abs(fine - value), grid, SupGridMetric())
-
-
-@dataclass(frozen=True)
-class EpigraphSupportQuery:
-    """A unit direction in R^(d+1) paired with the ceiling of the epigraph slab."""
-
-    direction: tuple[float, ...]
-    bound: float
-
-    def __post_init__(self):
-        u = tuple(float(v) for v in self.direction)
-        object.__setattr__(self, "direction", u)
-        object.__setattr__(self, "bound", float(self.bound))
-        if len(u) < 2:
-            raise ParameterError("direction must live in R^(d+1), d >= 1")
-        if abs(math.hypot(*u) - 1.0) > 1e-12:
-            raise ParameterError("direction must have unit norm within 1e-12")
+    return DistanceReport(value, abs(fine - value))
 
 
 def _support_batch(pts: np.ndarray, vals: np.ndarray, bound: float,
@@ -219,18 +154,6 @@ def _support_batch(pts: np.ndarray, vals: np.ndarray, bound: float,
                 np.maximum(b, tile.max(axis=0), out=b)
         out[:, s:s + step] = best + np.maximum(u[:, d], 0.0) * bound
     return out
-
-
-def epigraph_support(f: ConvexFunction, query: EpigraphSupportQuery,
-                     grid: GridSpec = GridSpec()) -> float:
-    """Support of the epigraph slab in the query direction (grid maximum)."""
-    pts = vertex_grid(f.domain, grid.n)
-    vals = f.values(pts)
-    u = np.asarray(query.direction)
-    if len(u) != f.domain.dim + 1:
-        raise ParameterError("direction dimension must be domain dim + 1")
-    return float(_support_batch(pts, vals[None, :], query.bound,
-                                u[None, :])[0, 0])
 
 
 def direction_set(ambient: int, count: int) -> np.ndarray:
@@ -299,12 +222,10 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction, bound: float,
     directions and grid refine. Directions whose last component is >= 0
     are left out of the sweep: both slabs reach them at the common ceiling
     with the same grid points, so their gap is exactly 0 and cannot raise
-    the maximum (a signed zero is lost to the absolute value). The kernel
-    tiles the grid, and since a maximum is exact in any order, the value
-    is bit-for-bit that of one untiled sweep. The error estimate doubles
-    the direction count and refines the support grid; it does not cover
-    the systematic sampling bias, which is at most twice the slab
-    circumradius times direction_covering_radius of the direction set.
+    the maximum (a signed zero is lost to the absolute value). The error
+    estimate doubles the direction count and refines the support grid; it
+    does not cover the systematic sampling bias, which is at most twice
+    the slab circumradius times direction_covering_radius of the set.
     """
     d = _require_common_domain(f, g).dim
     if n_directions < 2 * (d + 1):
@@ -313,33 +234,4 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction, bound: float,
     value = _hausdorff_value(f, g, bound, dirs, grid.n)
     fine = _hausdorff_value(f, g, bound, direction_set(d + 1, 2 * n_directions),
                             2 * grid.n - 1)
-    return DistanceReport(value, abs(fine - value), grid,
-                          HausdorffEpigraphMetric(bound, n_directions))
-
-
-def greedy_packing(family, eps: float,
-                   metric: LpMetric | SupGridMetric | HausdorffEpigraphMetric,
-                   grid: GridSpec = GridSpec()) -> list[int]:
-    """Indices of a maximal eps-separated subfamily, scanned in input order.
-
-    A candidate is admitted when its distance to every already admitted
-    member is at least eps. Deterministic for a fixed input order.
-    """
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
-
-    def dist(a, b):
-        if isinstance(metric, LpMetric):
-            return lp_distance(a, b, metric.p, grid).value
-        if isinstance(metric, SupGridMetric):
-            return sup_grid_distance(a, b, grid).value
-        return hausdorff_epigraph(a, b, metric.bound, metric.n_directions,
-                                  grid).value
-
-    chosen: list[int] = []
-    members: list[ConvexFunction] = []
-    for i, f in enumerate(family):
-        if all(dist(f, m) >= eps for m in members):
-            chosen.append(i)
-            members.append(f)
-    return chosen
+    return DistanceReport(value, abs(fine - value))

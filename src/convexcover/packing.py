@@ -40,6 +40,10 @@ from .metrics import GridSpec, quadrature_grid
 # 2^n words stops being practical and ints no longer fit two rng draws.
 CELL_CAP = 64
 
+# Larger interval systems are refused before anything is built: the exact
+# cap checks build every cell's cap, taking 1.3 s and 60 MB at this size.
+SYSTEM_CELL_CAP = 2**16
+
 # Keep the last interval this far below 1 so exact-rational checks of the
 # cap properties retain margin over coefficient rounding.
 SPAN_LIMIT = 1.0 - 2.0**-30
@@ -71,7 +75,10 @@ def interval_count(eta, d: int) -> int:
     """Largest k with k * (2 sqrt(eta) + sqrt(eta (d-1))) <= 2, exactly.
 
     eta may be an int, float, or Fraction; floats are taken at their exact
-    binary value. Raises if no k >= 1 exists (eta above max_eta(d)).
+    binary value. Raises if no k >= 1 exists (eta above max_eta(d)). The
+    first guess for k is formed in fixed-point integers, precise enough to
+    be off by at most a few units at any eta, so a tiny eta can neither
+    underflow it nor leave a long walk to the exact answer.
     """
     if not 1 <= d <= 8:
         raise ParameterError("dimension must be in 1..8")
@@ -85,7 +92,12 @@ def interval_count(eta, d: int) -> int:
 
     if not fits(1):
         raise ParameterError(f"eta must be at most {max_eta(d)} at d={d}")
-    k = max(1, int(2.0 / ((2.0 + math.sqrt(d - 1.0)) * math.sqrt(float(e)))))
+    # k ~ 2 / ((2 + sqrt(d-1)) sqrt(e)), with root = 2^p / sqrt(e) and
+    # s = 2^p sqrt(d-1); p exceeds the bits of k by 64
+    p = (e.denominator.bit_length() - e.numerator.bit_length()) // 2 + 64
+    root = math.isqrt((e.denominator << 2 * p) // e.numerator)
+    s = math.isqrt((d - 1) << 2 * p)
+    k = max(1, 2 * root // ((2 << p) + s))
     while not fits(k):
         k -= 1
     while fits(k + 1):
@@ -140,8 +152,12 @@ def build_interval_system(eta, d: int) -> IntervalSystem:
     Endpoints are floats; when rounding (or an exactly spanning eta) pushes
     the last endpoint past SPAN_LIMIT the lengths are scaled down once and
     then stepped by ulps, so every endpoint sits strictly inside [0, 1).
+    Refuses a system of more than SYSTEM_CELL_CAP cells before building it.
     """
     k = interval_count(eta, d)
+    if k**d > SYSTEM_CELL_CAP:
+        raise ParameterError(f"eta too small: the system would have more "
+                             f"than {SYSTEM_CELL_CAP} cells at d={d}")
     ef = float(Fraction(eta))
     sq = math.sqrt(ef)
     gap = 0.5 * math.sqrt(ef * (d - 1))
@@ -435,7 +451,7 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     system = family.system
     d = system.dim
     grid_n = _cert_grid_n(d, grid_n)
-    pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n, "midpoint"))
+    pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n))
     vals = stacked_values(family.functions, pts)
 
     zeta = family.zeta
@@ -503,7 +519,11 @@ def separation_point(eta, d: int) -> SeparationPoint:
     k = interval_count(eta, d)
     n = k**d
     ef = float(Fraction(eta))
-    return SeparationPoint(ef, d, k, n, separation_scale(d) * ef, n / 8.0)
+    try:
+        log_packing = n / 8.0
+    except OverflowError:  # more cells than a float can count
+        log_packing = math.inf
+    return SeparationPoint(ef, d, k, n, separation_scale(d) * ef, log_packing)
 
 
 def separation_curve(eta, d: int, steps: int = 5,

@@ -138,12 +138,6 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     return Schedule(p, log_eta, depth, edge, levels, weights, radii)
 
 
-def schedule_from_eta(p: float, eta: float) -> Schedule:
-    if not (0.0 < eta < 1.0):
-        raise ParameterError("need 0 < eta < 1")
-    return build_schedule(p, math.log(eta))
-
-
 @dataclass(frozen=True)
 class ScheduleChecks:
     """Numerical certificate of the schedule's defining inequalities.
@@ -235,17 +229,14 @@ def schedule_checks(sched: Schedule, dims: tuple[int, ...] = (1, 2, 3),
     zeta_square_ok = zeta_square_sum <= 4.0 / 3.0
 
     dim_rows = []
-    all_dims_ok = True
     for d in dims:
         s = sum(math.exp(d * v) for v in rd)
         b = 2.0**d / (2.0**d - 1.0)
-        ok_d = s <= b
-        all_dims_ok = all_dims_ok and ok_d
-        dim_rows.append((d, s, b, ok_d))
+        dim_rows.append((d, s, b, s <= b))
 
     ok = (chain_ok and edge_ok and weights_monotone and identity_ok
           and ratio_ok and closed_form_ok and s1_ok and zeta_square_ok
-          and all_dims_ok)
+          and all(row[3] for row in dim_rows))
     return ScheduleChecks(chain_ok, edge_ok, weights_monotone,
                           identity_residual, identity_ok, min_log_ratio,
                           ratio_ok, closed_form_gap, closed_form_ok,

@@ -35,12 +35,12 @@ from .functions import (
     ParameterError,
     Rect,
     _fstr,
-    lipschitz_budget,
     rescale_to_unit,
     unit_rect,
 )
 from .metrics import (
     GridSpec,
+    _require_common_domain,
     direction_covering_radius,
     hausdorff_epigraph,
     lp_distance,
@@ -86,7 +86,7 @@ def _grid_abs_max(f: ConvexFunction, n: int = 33) -> float:
 
 
 def _combined_budget(f: ConvexFunction, g: ConvexFunction) -> LipschitzVector:
-    gf, gg = lipschitz_budget(f).gamma, lipschitz_budget(g).gamma
+    gf, gg = f.lipschitz_budget().gamma, g.lipschitz_budget().gamma
     return LipschitzVector(tuple(max(a, b) for a, b in zip(gf, gg)))
 
 
@@ -105,30 +105,16 @@ def _hausdorff_bias(f: ConvexFunction, g: ConvexFunction, bound: float,
     return 2.0 * radius * direction_covering_radius(dom.dim + 1, n_directions)
 
 
-def check_sup_bound(f: ConvexFunction, g: ConvexFunction, bound: float,
-                    gammas: LipschitzVector | None = None,
-                    n_directions: int = 2000, grid: GridSpec = GridSpec(201),
-                    base_tol: float = 1e-9,
-                    max_refinements: int = 2) -> LemmaReport:
-    """sup |f - g| <= sqrt(1 + sum gamma_j^2) * slab Hausdorff distance.
+def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
+                     grid, base_tol, max_refinements) -> LemmaReport:
+    """distance(grid) <= factor * slab Hausdorff distance, refined on failure.
 
-    bound must dominate both functions (the slabs are cut at it); gammas
-    must be valid upper bounds on the per-axis slopes and default to the
-    form-derived budgets. Both sides are grid estimates converging from
-    below, so the tolerance carries the refinement gaps plus the
-    direction-sampling bias of the Hausdorff side.
+    Both sides converge from below, so the tolerance carries their
+    refinement gaps plus the Hausdorff side's direction-sampling bias.
     """
-    if f.domain != g.domain:
-        raise ParameterError("functions must share a domain")
-    if bound < max(_grid_max(f), _grid_max(g)):
-        raise ParameterError("bound must dominate both functions")
-    if gammas is None:
-        gammas = _combined_budget(f, g)
-    factor = math.sqrt(1.0 + gammas.sum_squares())
-
     refinements = 0
     while True:
-        lhs = sup_grid_distance(f, g, grid)
+        lhs = distance(grid)
         ell = hausdorff_epigraph(f, g, bound, n_directions, grid)
         if math.isinf(factor):
             rhs, tol = math.inf, math.inf
@@ -139,11 +125,34 @@ def check_sup_bound(f: ConvexFunction, g: ConvexFunction, bound: float,
                 + factor * (ell.error_estimate + bias)
         ok = lhs.value <= rhs + tol
         if ok or refinements >= max_refinements:
-            return LemmaReport("sup_vs_hausdorff", lhs.value, rhs, tol,
+            return LemmaReport(name, lhs.value, rhs, tol,
                                rhs + tol - lhs.value, refinements, ok)
         refinements += 1
         n_directions *= 2
-        grid = GridSpec(2 * grid.n - 1, grid.rule)
+        grid = grid.refined()
+
+
+def check_sup_bound(f: ConvexFunction, g: ConvexFunction, bound: float,
+                    gammas: LipschitzVector | None = None,
+                    n_directions: int = 2000, grid: GridSpec = GridSpec(201),
+                    base_tol: float = 1e-9,
+                    max_refinements: int = 2) -> LemmaReport:
+    """sup |f - g| <= sqrt(1 + sum gamma_j^2) * slab Hausdorff distance.
+
+    bound must dominate both functions (the slabs are cut at it); gammas
+    must be valid upper bounds on the per-axis slopes and default to the
+    form-derived budgets.
+    """
+    _require_common_domain(f, g)
+    if bound < max(_grid_max(f), _grid_max(g)):
+        raise ParameterError("bound must dominate both functions")
+    if gammas is None:
+        gammas = _combined_budget(f, g)
+    factor = math.sqrt(1.0 + gammas.sum_squares())
+    return _refine_until_ok("sup_vs_hausdorff",
+                            lambda grid: sup_grid_distance(f, g, grid),
+                            f, g, bound, factor, n_directions, grid,
+                            base_tol, max_refinements)
 
 
 def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
@@ -155,27 +164,14 @@ def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
     The constant is calibrated to functions bounded by 1 on their box, so
     the slab ceiling is fixed at 1; normalize first when needed.
     """
-    if f.domain != g.domain:
-        raise ParameterError("functions must share a domain")
+    _require_common_domain(f, g)
     if max(_grid_abs_max(f), _grid_abs_max(g)) > 1.0 + 1e-12:
         raise ParameterError("functions must be bounded by 1; normalize first")
     factor = 1.0 + 20.0 * f.domain.dim
-
-    refinements = 0
-    while True:
-        lhs = lp_distance(f, g, 1.0, grid)
-        ell = hausdorff_epigraph(f, g, 1.0, n_directions, grid)
-        rhs = factor * ell.value
-        bias = _hausdorff_bias(f, g, 1.0, n_directions)
-        tol = base_tol + lhs.error_estimate \
-            + factor * (ell.error_estimate + bias)
-        ok = lhs.value <= rhs + tol
-        if ok or refinements >= max_refinements:
-            return LemmaReport("l1_vs_hausdorff", lhs.value, rhs, tol,
-                               rhs + tol - lhs.value, refinements, ok)
-        refinements += 1
-        n_directions *= 2
-        grid = GridSpec(2 * grid.n - 1, grid.rule)
+    return _refine_until_ok("l1_vs_hausdorff",
+                            lambda grid: lp_distance(f, g, 1.0, grid),
+                            f, g, 1.0, factor, n_directions, grid,
+                            base_tol, max_refinements)
 
 
 def check_pointwise_gap(f: ConvexFunction, g: ConvexFunction, bound: float,
@@ -215,7 +211,7 @@ def gradient_mass(f: ConvexFunction, rho: float,
     w = f.domain.widths
     inner = Rect(tuple(lo + rho * wi for lo, wi in zip(f.domain.lo, w)),
                  tuple(hi - rho * wi for hi, wi in zip(f.domain.hi, w)))
-    pts, wts = quadrature_grid(inner, GridSpec(grid.n, "midpoint"))
+    pts, wts = quadrature_grid(inner, grid)
     return float(wts @ np.abs(f.subgradients(pts)).sum(axis=1))
 
 
@@ -311,8 +307,7 @@ class ScalingIdentityReport:
 def scaling_identity_report(f: ConvexFunction, g: ConvexFunction, p: float,
                             bound: float,
                             grid: GridSpec = GridSpec(101)) -> ScalingIdentityReport:
-    if f.domain != g.domain:
-        raise ParameterError("functions must share a domain")
+    _require_common_domain(f, g)
     if not f.domain.is_cube():
         raise ParameterError("the identity needs a cube domain")
     if not bound > 0:

@@ -82,6 +82,20 @@ def test_pack_refuses_a_certificate_over_the_memory_budget(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("eta, dim", [("1e-400", "1"), ("1e-20", "1"),
+                                      ("1e-12", "2")])
+def test_pack_refuses_a_system_over_the_cell_cap(tmp_path, capsys, eta, dim):
+    # 1e-400 was a ZeroDivisionError in the first guess for k; the others
+    # would build 10^10 interval starts or check 4.4e11 caps
+    t0 = time.perf_counter()
+    rc = main(["pack", "--eta", eta, "--dim", dim, "--out-dir", str(tmp_path)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 2
+    assert "eta too small" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("bad, message", [
     (["--grid-n", "1"], "need n >= 2"),
     (["--cap-samples", "3"], "need samples >= 4"),
@@ -175,6 +189,42 @@ def test_lemmas_refuses_zero_pairs(tmp_path, capsys):
     assert rc == 2
     assert "need pairs >= 1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--directions", "need directions <= 100000"),
+    ("--pieces", "pieces on the 17^1 bound grid"),
+])
+def test_lemmas_refuses_sizes_that_would_exhaust_memory(tmp_path, capsys,
+                                                       flag, message):
+    # a billion directions or pieces asked for arrays of many GB
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rc = main(["lemmas", "--dim", "1", flag, "1000000000",
+                   "--out-dir", str(tmp_path)])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 8 * 2**20
+    assert not any(tmp_path.iterdir())
+
+
+def test_bounds_at_an_eps_near_the_float_floor(tmp_path):
+    # the packing side needs k ~ 1e148 intervals per axis here: finding k
+    # once took a step per unit of the float guess's error, and k^3 cells
+    # overflow the float log count
+    t0 = time.perf_counter()
+    rc = main(["bounds", "--eps", "1e-300", "--p", "1", "--dim", "3",
+               "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
+    assert obj["log_lower"] == "inf"
 
 
 def test_bounds_artifacts(tmp_path):

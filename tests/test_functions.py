@@ -18,9 +18,7 @@ from convexcover import (
     Rect,
     Rescaled,
     SeparableQuadratic,
-    coordinate_lipschitz_estimate,
     function_from_json,
-    lipschitz_budget,
     make_random_convex,
     rescale_to_unit,
     tensor_points,
@@ -74,8 +72,9 @@ def test_tensor_points_size_guard():
 
 def test_lipschitz_vector():
     v = LipschitzVector((1.5, math.inf, 2.0))
-    assert v.finite_sum() == 3.5
+    assert v.gamma == (1.5, math.inf, 2.0)
     assert v.sum_squares() == math.inf
+    assert LipschitzVector((1.5, 2.0)).sum_squares() == 6.25
     with pytest.raises(ParameterError):
         LipschitzVector((1.0, 0.0))
     with pytest.raises(ParameterError):
@@ -319,35 +318,42 @@ def test_make_random_convex_validation():
 
 def test_lipschitz_budget_per_form():
     r = unit_rect(2)
-    assert lipschitz_budget(Affine(r, (2.0, -3.0), 0.0)).gamma == (2.0, 3.0)
+    assert Affine(r, (2.0, -3.0), 0.0).lipschitz_budget().gamma == (2.0, 3.0)
     ma = MaxAffine(r, (Affine(r, (1.0, 0.5), 0.0), Affine(r, (-2.0, 0.25), 0.0)))
-    assert lipschitz_budget(ma).gamma == (2.0, 0.5)
+    assert ma.lipschitz_budget().gamma == (2.0, 0.5)
     sq = SeparableQuadratic(Rect((-1.0, 0.0), (1.0, 2.0)))
-    assert lipschitz_budget(sq).gamma == (1.0, 2.0)
+    assert sq.lipschitz_budget().gamma == (1.0, 2.0)
     h = Hinge(r, 0.25, axis=1)
-    assert lipschitz_budget(h).gamma == (1e-300, 4.0)
+    assert h.lipschitz_budget().gamma == (1e-300, 4.0)
     mw = MaxWith(r, (ma, Affine(r, (0.0, 4.0), 0.0)))
-    assert lipschitz_budget(mw).gamma == (2.0, 4.0)
+    assert mw.lipschitz_budget().gamma == (2.0, 4.0)
+    # a single part, and a nested maximum, recurse through the same method
+    assert MaxWith(r, (h,)).lipschitz_budget().gamma == (1e-300, 4.0)
+    assert MaxWith(r, (mw, h)).lipschitz_budget().gamma == (2.0, 4.0)
 
 
 def test_lipschitz_budget_rescaled_applies_the_chain_rule():
     base = SeparableQuadratic(Rect((0.0, 0.0), (2.0, 2.0)))
     g = Rescaled(unit_rect(2), base, 3.0)
-    assert lipschitz_budget(g).gamma == (12.0, 12.0)
+    assert g.lipschitz_budget().gamma == (12.0, 12.0)
+    # a flat axis keeps its floor through the rescaling
+    flat = Rescaled(unit_rect(2), Hinge(unit_rect(2), 0.5), 0.25)
+    assert flat.lipschitz_budget().gamma == (0.5, 1e-300)
 
 
 def test_lipschitz_budget_rejects_unknown_form():
     with pytest.raises(ParameterError):
-        lipschitz_budget(ConvexFunction(unit_rect(1)))
+        ConvexFunction(unit_rect(1)).lipschitz_budget()
 
 
-def test_coordinate_lipschitz_estimate_stays_within_budget():
+def test_lipschitz_budget_dominates_grid_difference_quotients():
     f = make_random_convex(2, 0.9, 5, seed=3)
-    est = coordinate_lipschitz_estimate(f)
-    bud = lipschitz_budget(f)
+    n = 33
+    h = 1.0 / (n - 1)
+    vals = f.values(tensor_points([np.linspace(0.0, 1.0, n)] * 2))
+    vals = vals.reshape(n, n)
+    est = [float(np.abs(np.diff(vals, axis=i)).max()) / h for i in range(2)]
+    bud = f.lipschitz_budget().gamma
     # equality up to quotient rounding when a grid edge hits the steep piece
-    assert all(e <= b * (1.0 + 1e-12) for e, b in zip(est.gamma, bud.gamma))
-    aff = Affine(unit_rect(1), (1.5,), 0.0)
-    assert coordinate_lipschitz_estimate(aff).gamma == (1.5,)
-    with pytest.raises(ParameterError):
-        coordinate_lipschitz_estimate(aff, n=1)
+    assert all(e <= b * (1.0 + 1e-12) for e, b in zip(est, bud))
+    assert Affine(unit_rect(1), (1.5,), 0.0).lipschitz_budget().gamma == (1.5,)

@@ -8,17 +8,12 @@ import pytest
 
 from convexcover import (
     Affine,
-    EpigraphSupportQuery,
     GridSpec,
     Hinge,
-    LpMetric,
     ParameterError,
     Rect,
-    SupGridMetric,
     direction_covering_radius,
     direction_set,
-    epigraph_support,
-    greedy_packing,
     hausdorff_epigraph,
     lp_distance,
     make_random_convex,
@@ -35,17 +30,13 @@ from convexcover import metrics
 
 def test_grid_spec_validation_and_refinement():
     assert GridSpec(5).refined() == GridSpec(9)
-    assert GridSpec(5, "trapezoid").refined().rule == "trapezoid"
     with pytest.raises(ParameterError):
         GridSpec(1)
-    with pytest.raises(ParameterError):
-        GridSpec(5, "simpson")
 
 
-@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
-def test_quadrature_weights_sum_to_volume(rule):
+def test_quadrature_weights_sum_to_volume():
     rect = Rect((0.0, -1.0), (2.0, 3.0))
-    pts, w = quadrature_grid(rect, GridSpec(7, rule))
+    pts, w = quadrature_grid(rect, GridSpec(7))
     assert pts.shape == (49, 2)
     assert math.isclose(float(w.sum()), 8.0, rel_tol=1e-13)
 
@@ -54,12 +45,6 @@ def test_midpoint_nodes_are_cell_centers():
     pts, w = quadrature_grid(unit_rect(1), GridSpec(4))
     assert pts[:, 0].tolist() == [0.125, 0.375, 0.625, 0.875]
     assert w.tolist() == [0.25] * 4
-
-
-def test_trapezoid_halves_the_endpoints():
-    pts, w = quadrature_grid(unit_rect(1), GridSpec(5, "trapezoid"))
-    assert pts[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert w.tolist() == [0.125, 0.25, 0.25, 0.25, 0.125]
 
 
 def test_vertex_grid_pins_endpoints():
@@ -79,7 +64,6 @@ def test_lp_distance_linear_integrand_is_exact():
     rep = lp_distance(f, g, 1.0, GridSpec(16))
     assert math.isclose(rep.value, 0.5, rel_tol=1e-14)
     assert rep.error_estimate < 1e-14
-    assert rep.metric == LpMetric(1.0)
 
 
 def test_lp_distance_quadratic_case():
@@ -119,7 +103,6 @@ def test_sup_grid_distance_hits_the_endpoint():
     rep = sup_grid_distance(f, g, GridSpec(11))
     assert rep.value == 1.0
     assert rep.error_estimate == 0.0
-    assert rep.metric == SupGridMetric()
 
 
 def test_sup_grid_distance_converges_from_below():
@@ -134,17 +117,11 @@ def test_sup_grid_distance_converges_from_below():
 # -- epigraph support and Hausdorff ------------------------------------------
 
 
-def test_support_query_requires_unit_norm():
-    EpigraphSupportQuery((0.6, 0.8), 1.0)
-    with pytest.raises(ParameterError):
-        EpigraphSupportQuery((1.0, 1.0), 1.0)
-    with pytest.raises(ParameterError):
-        EpigraphSupportQuery((1.0,), 1.0)
-
-
 def test_epigraph_support_of_the_unit_square():
     # f = 0 with ceiling 1 makes the slab the unit square in R^2
     f = Affine(unit_rect(1), (0.0,), 0.0)
+    pts = vertex_grid(f.domain, GridSpec().n)
+    vals = f.values(pts)[None, :]
     cases = [
         ((0.0, 1.0), 1.0),
         ((0.0, -1.0), 0.0),
@@ -153,14 +130,11 @@ def test_epigraph_support_of_the_unit_square():
         ((math.sqrt(0.5), math.sqrt(0.5)), math.sqrt(2.0)),
     ]
     for direction, expected in cases:
-        got = epigraph_support(f, EpigraphSupportQuery(direction, 1.0))
-        assert math.isclose(got, expected, rel_tol=0.0, abs_tol=1e-12)
-
-
-def test_epigraph_support_dimension_check():
-    f = Affine(unit_rect(2), (0.0, 0.0), 0.0)
-    with pytest.raises(ParameterError):
-        epigraph_support(f, EpigraphSupportQuery((0.0, 1.0), 1.0))
+        u = np.array([direction])
+        got = metrics._support_batch(pts, vals, 1.0, u)
+        assert got.shape == (1, 1)
+        assert math.isclose(float(got[0, 0]), expected, rel_tol=0.0,
+                            abs_tol=1e-12)
 
 
 def test_direction_set_properties():
@@ -314,22 +288,3 @@ def test_refined_c08_sized_call_keeps_its_transients_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-# -- greedy packing ----------------------------------------------------------
-
-
-def test_greedy_packing_scans_in_order():
-    r = unit_rect(1)
-    family = [Affine(r, (0.0,), c) for c in (0.0, 0.3, 0.5, 0.9)]
-    chosen = greedy_packing(family, 0.35, SupGridMetric(), GridSpec(5))
-    assert chosen == [0, 2, 3]
-    with pytest.raises(ParameterError):
-        greedy_packing(family, 0.0, SupGridMetric())
-
-
-def test_greedy_packing_with_lp_metric():
-    r = unit_rect(1)
-    family = [Affine(r, (0.0,), c) for c in (0.0, 0.05, 0.2)]
-    chosen = greedy_packing(family, 0.1, LpMetric(1.0), GridSpec(8))
-    assert chosen == [0, 2]

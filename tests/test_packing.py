@@ -34,6 +34,7 @@ from convexcover.metrics import vertex_grid
 from convexcover.packing import (
     CERT_VALUE_BUDGET,
     SPAN_LIMIT,
+    SYSTEM_CELL_CAP,
     hamming,
     require_certificate_budget,
 )
@@ -69,6 +70,27 @@ def test_interval_count_boundary_is_exact():
     assert max_eta(2) == pytest.approx(4.0 / 9.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("k", [7, 2**20, 10**200], ids=["7", "2^20", "10^200"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_interval_count_is_exact_at_tiny_eta(d, k):
+    # k intervals fit exactly when eta <= 4 / (k (2 + sqrt(d-1)))^2. s_lo and
+    # s_hi bracket sqrt(d-1) to far more bits than k has, so an eta on or
+    # just under that edge gives k and one just over it gives k - 1
+    bits = 8 * k.bit_length()
+    s_lo = Fraction(math.isqrt((d - 1) << 2 * bits), 1 << bits)
+    s_hi = s_lo if s_lo * s_lo == d - 1 else s_lo + Fraction(1, 1 << bits)
+    assert interval_count(4 / (k * (2 + s_hi)) ** 2, d) == k
+    over = 4 / (k * (2 + s_lo)) ** 2 * (1 + Fraction(1, 1 << bits))
+    assert interval_count(over, d) == k - 1
+
+
+def test_interval_count_takes_an_eta_below_the_float_range():
+    # float(eta) is 0.0 here, which the first guess for k once divided by
+    assert interval_count(Fraction(1, 10**400), 1) == 10**200
+    assert interval_count(Fraction(1, 10**400), 2) == 2 * 10**200 // 3
+    assert separation_point(Fraction(1, 10**400), 3).log_packing == math.inf
+
+
 def test_interval_count_validation():
     with pytest.raises(ParameterError):
         interval_count(Fraction(1, 25), 0)
@@ -90,6 +112,16 @@ def test_build_interval_system_stays_inside_the_cube():
     assert 0.999 < last <= SPAN_LIMIT < 1.0
     for a, b in zip(sys1.starts, sys1.starts[1:]):
         assert b >= a + sys1.length - 1e-15
+
+
+def test_build_interval_system_refuses_more_cells_than_its_cap():
+    # eta = (2 / (3 k))^2 gives exactly k intervals per axis at d = 2
+    assert SYSTEM_CELL_CAP == 256**2
+    assert build_interval_system(Fraction(2, 3 * 256) ** 2, 2).n_cells == 256**2
+    with pytest.raises(ParameterError, match="eta too small"):
+        build_interval_system(Fraction(2, 3 * 257) ** 2, 2)
+    with pytest.raises(ParameterError, match="eta too small"):
+        build_interval_system(Fraction(1, 10**400), 1)
 
 
 def test_build_interval_system_without_scaling():

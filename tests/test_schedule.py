@@ -11,7 +11,6 @@ from convexcover import (
     cover_accounting,
     log_radius_closed_form,
     schedule_checks,
-    schedule_from_eta,
 )
 
 LOG2 = math.log(2.0)
@@ -74,16 +73,6 @@ def test_build_schedule_validation():
         build_schedule(1.0, -math.inf)
     with pytest.raises(ParameterError):
         build_schedule(0.9, -96.0 * LOG2)
-
-
-def test_schedule_from_eta_matches_the_log_form():
-    a = schedule_from_eta(1.0, 2.0**-96)
-    b = build_schedule(1.0, math.log(2.0**-96))
-    assert a.log_levels == b.log_levels
-    with pytest.raises(ParameterError):
-        schedule_from_eta(1.0, 1.0)
-    with pytest.raises(ParameterError):
-        schedule_from_eta(1.0, 0.0)
 
 
 def test_radius_closed_form_matches_the_definition():
