@@ -22,7 +22,6 @@ from .functions import (
     Rect,
     Rescaled,
     SeparableQuadratic,
-    function_from_json,
     make_random_convex,
     rescale_to_unit,
     tensor_points,
@@ -64,11 +63,9 @@ from .packing import (
     verify_cap_properties,
 )
 from .schedule import (
-    Breakpoints,
     CoverAccounting,
     Schedule,
     ScheduleChecks,
-    breakpoints,
     build_schedule,
     cover_accounting,
     log_radius_closed_form,
@@ -79,7 +76,6 @@ from .verify import (
     LemmaReport,
     ScalingIdentityReport,
     check_l1_bound,
-    check_pointwise_gap,
     check_sup_bound,
     entropy_bounds,
     gradient_mass,
@@ -95,8 +91,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine", "ConvexFunction", "DomainError", "Hinge", "LipschitzVector",
     "MaxAffine", "MaxWith", "ParameterError", "Rect", "Rescaled",
-    "SeparableQuadratic", "function_from_json", "make_random_convex",
-    "rescale_to_unit", "tensor_points", "unit_rect",
+    "SeparableQuadratic", "make_random_convex", "rescale_to_unit",
+    "tensor_points", "unit_rect",
     "DistanceReport", "GridSpec", "direction_covering_radius",
     "direction_set", "hausdorff_epigraph", "lp_distance", "quadrature_grid",
     "sup_grid_distance", "vertex_grid",
@@ -107,11 +103,10 @@ __all__ = [
     "greedy_binary_code", "interval_count", "max_eta", "packing_certificate",
     "perturbed_function", "separation_curve", "separation_point",
     "separation_scale", "verify_cap_properties",
-    "Breakpoints", "CoverAccounting", "Schedule", "ScheduleChecks",
-    "breakpoints", "build_schedule", "cover_accounting",
-    "log_radius_closed_form", "schedule_checks",
+    "CoverAccounting", "Schedule", "ScheduleChecks", "build_schedule",
+    "cover_accounting", "log_radius_closed_form", "schedule_checks",
     "EntropyBounds", "LemmaReport", "ScalingIdentityReport", "check_l1_bound",
-    "check_pointwise_gap", "check_sup_bound", "entropy_bounds",
-    "gradient_mass", "hinge_family", "hinge_hausdorff_closed_form",
-    "hinge_lp_closed_form", "scaling_identity_report", "slice_gradient_mass",
+    "check_sup_bound", "entropy_bounds", "gradient_mass", "hinge_family",
+    "hinge_hausdorff_closed_form", "hinge_lp_closed_form",
+    "scaling_identity_report", "slice_gradient_mass",
 ]

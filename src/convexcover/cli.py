@@ -84,9 +84,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _require_seed(seed: int) -> None:
+    # numpy seeds its generators from nonnegative integers only
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
+
+
 def cmd_pack(args) -> int:
     # Everything is computed before the first write, so an input that
     # raises leaves no partial artifact set behind.
+    _require_seed(args.seed)
     out = _out_dir(args)
     eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
@@ -120,6 +127,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    # as in cmd_pack, nothing is written until everything is computed
     out = _out_dir(args)
     if args.log2_eta is not None:
         log_eta = args.log2_eta * LOG2
@@ -132,7 +140,8 @@ def cmd_schedule(args) -> int:
         except (OverflowError, ValueError):  # float(eta) is inf or 0.0
             raise ParameterError("eta is outside the float range") from None
     sched = build_schedule(args.p, log_eta)
-    _write_json(out / "schedule.json", sched.to_json())
+    checks = schedule_checks(sched, dims=tuple(args.dims))
+    acct = cover_accounting(sched, args.dim, args.gamma_sum, args.scale)
 
     rows = []
     for m in range(1, sched.depth + 2):
@@ -140,12 +149,10 @@ def cmd_schedule(args) -> int:
         weight = repr(sched.log_weights[m - 1]) if m <= sched.depth else ""
         radius = repr(sched.log_radii[m - 1]) if m <= sched.depth else ""
         rows.append([str(m), level, weight, radius])
+    _write_json(out / "schedule.json", sched.to_json())
     _write_csv(out / "schedule.csv",
                ["m", "log_level", "log_weight", "log_radius"], rows)
-
-    checks = schedule_checks(sched, dims=tuple(args.dims))
     _write_json(out / "schedule_checks.json", checks.to_json())
-    acct = cover_accounting(sched, args.dim, args.gamma_sum, args.scale)
     _write_json(out / "cover_accounting.json", acct.to_json())
     print(f"depth {sched.depth} schedule; checks ok={checks.ok}; "
           f"log cover count <= {acct.entropy_bound:.6g}")
@@ -153,6 +160,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    _require_seed(args.seed)
     if args.pairs < 1:
         raise ParameterError("need pairs >= 1")
     if args.directions > MAX_DIRECTIONS:

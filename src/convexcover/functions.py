@@ -80,11 +80,6 @@ class Rect:
         return {"lo": [_fstr(v) for v in self.lo],
                 "hi": [_fstr(v) for v in self.hi]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Rect":
-        return Rect(tuple(float(s) for s in obj["lo"]),
-                    tuple(float(s) for s in obj["hi"]))
-
 
 def unit_rect(d: int) -> Rect:
     return Rect((0.0,) * d, (1.0,) * d)
@@ -167,10 +162,6 @@ class ConvexFunction:
         if not (np.all(pts > lo) and np.all(pts < hi)):
             raise DomainError("subgradients need strictly interior points")
         return self._subgradients(pts)
-
-    def subgradient(self, x) -> tuple[float, ...]:
-        pts = np.asarray(x, dtype=float).reshape(1, -1)
-        return tuple(float(v) for v in self.subgradients(pts)[0])
 
     def max_parts(self) -> tuple["ConvexFunction", ...]:
         """The functions whose pointwise maximum this one is."""
@@ -455,32 +446,6 @@ def stacked_values(functions, points) -> np.ndarray:
     return out
 
 
-def function_from_json(obj: dict) -> ConvexFunction:
-    """Inverse of ConvexFunction.to_json; exact for every coefficient."""
-    domain = Rect.from_json(obj["domain"])
-    form = obj["form"]
-    kind = form["kind"]
-    if kind == "affine":
-        return Affine(domain, tuple(float(s) for s in form["coeffs"]),
-                      float(form["intercept"]))
-    if kind == "max_affine":
-        pieces = tuple(Affine(domain, tuple(float(s) for s in p["coeffs"]),
-                              float(p["intercept"])) for p in form["pieces"])
-        bound = form.get("bound_on_grid")
-        return MaxAffine(domain, pieces,
-                         float(bound) if bound is not None else None)
-    if kind == "separable_quadratic":
-        return SeparableQuadratic(domain)
-    if kind == "hinge":
-        return Hinge(domain, float(form["alpha"]), int(form["axis"]))
-    if kind == "max_with":
-        return MaxWith(domain, tuple(function_from_json(p) for p in form["parts"]))
-    if kind == "rescaled":
-        return Rescaled(domain, function_from_json(form["base"]),
-                        float(form["scale"]))
-    raise ParameterError(f"unknown form kind {kind!r}")
-
-
 def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:
     """Normalize f on its box to a function on [0,1]^d with values / bound.
 
@@ -506,8 +471,9 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
     """
     if pieces < 1:
         raise ParameterError("need at least one piece")
-    if not bound > 0:
-        raise ParameterError("bound must be positive")
+    # numpy draws from [-2 bound, 2 bound] and needs its width finite
+    if not (bound > 0 and math.isfinite(4.0 * bound)):
+        raise ParameterError("bound must be positive, with 4 * bound finite")
     rect = rect if rect is not None else unit_rect(d)
     if rect.dim != d:
         raise ParameterError("rect dimension mismatch")

@@ -82,6 +82,8 @@ def interval_count(eta, d: int) -> int:
     """
     if not 1 <= d <= 8:
         raise ParameterError("dimension must be in 1..8")
+    if isinstance(eta, float) and not math.isfinite(eta):
+        raise ParameterError("eta must be finite")
     e = Fraction(eta)
     if e <= 0:
         raise ParameterError("eta must be positive")
@@ -277,14 +279,6 @@ class CodeSearchResult:
     def shortfall(self) -> int:
         return max(0, self.target_size - len(self.words))
 
-    def verify(self) -> bool:
-        """Exhaustive pairwise recheck of the distance promise."""
-        ws = self.words
-        if any(not 0 <= w < (1 << self.length) for w in ws):
-            return False
-        return all(hamming(ws[i], ws[j]) >= self.min_distance
-                   for i in range(len(ws)) for j in range(i + 1, len(ws)))
-
     def to_json(self) -> dict:
         return {"words": list(self.words), "length": self.length,
                 "min_distance": self.min_distance,
@@ -342,11 +336,6 @@ class PackingFamily:
     @property
     def zeta(self) -> float:
         return cell_gap(self.system.eta, self.system.dim)
-
-    @property
-    def log_size_target(self) -> float:
-        # log of ceil(exp(n/8)) is at least this
-        return self.system.n_cells / 8.0
 
     def to_json(self) -> dict:
         return {"system": self.system.to_json(), "code": self.code.to_json(),
@@ -526,13 +515,13 @@ def separation_point(eta, d: int) -> SeparationPoint:
     return SeparationPoint(ef, d, k, n, separation_scale(d) * ef, log_packing)
 
 
-def separation_curve(eta, d: int, steps: int = 5,
-                     ratio: int = 4) -> tuple[SeparationPoint, ...]:
-    """Points at eta, eta/ratio, ..., eta/ratio^(steps-1), exact in eta."""
-    if steps < 1 or ratio < 2:
-        raise ParameterError("need steps >= 1 and ratio >= 2")
+def separation_curve(eta, d: int,
+                     steps: int = 5) -> tuple[SeparationPoint, ...]:
+    """Points at eta, eta/4, ..., eta/4^(steps-1), exact in eta."""
+    if steps < 1:
+        raise ParameterError("need steps >= 1")
     e = Fraction(eta)
-    return tuple(separation_point(e / ratio**m, d) for m in range(steps))
+    return tuple(separation_point(e / 4**m, d) for m in range(steps))
 
 
 # -- exact verification of the cap properties -----------------------------

@@ -53,19 +53,6 @@ def _check_p(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class Breakpoints:
-    """The edge level for sharpness p: log u = -2 (p+1)^2 (p+2) log 2."""
-
-    p: float
-    log_edge: float
-
-
-def breakpoints(p: float) -> Breakpoints:
-    p = _check_p(p)
-    return Breakpoints(p, -2.0 * (p + 1.0) ** 2 * (p + 2.0) * LOG2)
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Levels, weights, and radii of one refinement chain.
 
@@ -109,7 +96,7 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     log_eta = float(log_eta)
     if not (math.isfinite(log_eta) and log_eta < 0.0):
         raise ParameterError("need finite log_eta < 0")
-    edge = breakpoints(p).log_edge
+    edge = -2.0 * (p + 1.0) ** 2 * (p + 2.0) * LOG2  # log u
     r = (p + 1.0) / (p + 2.0)
 
     def log_delta(m: int) -> float:
@@ -181,19 +168,21 @@ class ScheduleChecks:
                 "ok": self.ok}
 
 
-def schedule_checks(sched: Schedule, dims: tuple[int, ...] = (1, 2, 3),
-                    identity_tol: float = 1e-9,
-                    closed_form_tol: float = 1e-12) -> ScheduleChecks:
+def schedule_checks(sched: Schedule,
+                    dims: tuple[int, ...] = (1, 2, 3)) -> ScheduleChecks:
     """Every inequality the construction relies on, checked at once.
 
     chain: levels strictly increase, the last crosses the edge and the
         one before stays below it.
-    identity: delta_m * alpha_m^(p+1) = eta^(p+1) in log space.
+    identity: delta_m * alpha_m^(p+1) = eta^(p+1) in log space, within 1e-9.
     ratio: consecutive radii at least double (slack 1e-12 in logs).
-    closed form: defining radii match log_radius_closed_form.
+    closed form: defining radii match log_radius_closed_form within 1e-12.
     s1: delta_1 + sum alpha_m^p (delta_{m+1} - delta_m) <= (7/3) eta^p.
-    squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1).
+    squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1) for
+        each d in dims, which must lie in 1..8.
     """
+    if not all(1 <= d <= 8 for d in dims):
+        raise ParameterError("dims must be in 1..8")
     p = sched.p
     a = sched.depth
     lv, wt, rd = sched.log_levels, sched.log_weights, sched.log_radii
@@ -205,7 +194,7 @@ def schedule_checks(sched: Schedule, dims: tuple[int, ...] = (1, 2, 3),
     target = (p + 1.0) * sched.log_eta
     identity_residual = max(abs(lv[m] + (p + 1.0) * wt[m] - target)
                             for m in range(a))
-    identity_ok = identity_residual <= identity_tol
+    identity_ok = identity_residual <= 1e-9
 
     if a >= 2:
         min_log_ratio = min(rd[m] - rd[m - 1] for m in range(1, a))
@@ -216,7 +205,7 @@ def schedule_checks(sched: Schedule, dims: tuple[int, ...] = (1, 2, 3),
     closed_form_gap = max(
         abs(rd[m - 1] - log_radius_closed_form(p, sched.log_eta, m))
         for m in range(1, a + 1))
-    closed_form_ok = closed_form_gap <= closed_form_tol
+    closed_form_ok = closed_form_gap <= 1e-12
 
     log_s1 = lv[0]
     for m in range(a):

@@ -5,10 +5,9 @@ distances and the Hausdorff distance of their epigraph slabs: the sup
 distance of two functions with per-axis slope budgets G is at most
 sqrt(1 + sum G_j^2) times the slab Hausdorff distance, and for functions
 bounded by 1 the L1 distance is at most (1 + 20 d) times it. Second,
-facts those comparisons lean on: at interior points |f - g| is at most
-the slab distance times (1 + slope(f) + slope(g)), the integral of the
-slope magnitude over the ((rho, 1-rho)) inner box is at most 8 d, and
-each one-dimensional slice integrates to at most 4. Third, closed forms
+facts those comparisons lean on: the integral of the slope magnitude
+over the ((rho, 1-rho)) inner box is at most 8 d, and each
+one-dimensional slice integrates to at most 4. Third, closed forms
 for ramp functions and the normalization identity for rescaled pairs.
 
 Every estimator involved converges from below, so each check carries a
@@ -106,11 +105,13 @@ def _hausdorff_bias(f: ConvexFunction, g: ConvexFunction, bound: float,
 
 
 def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
-                     grid, base_tol, max_refinements) -> LemmaReport:
+                     grid) -> LemmaReport:
     """distance(grid) <= factor * slab Hausdorff distance, refined on failure.
 
     Both sides converge from below, so the tolerance carries their
-    refinement gaps plus the Hausdorff side's direction-sampling bias.
+    refinement gaps plus the Hausdorff side's direction-sampling bias, on
+    top of an absolute 1e-9. A failing check is refined at most twice,
+    doubling the directions and the grid each time.
     """
     refinements = 0
     while True:
@@ -121,10 +122,10 @@ def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
         else:
             rhs = factor * ell.value
             bias = _hausdorff_bias(f, g, bound, n_directions)
-            tol = base_tol + lhs.error_estimate \
+            tol = 1e-9 + lhs.error_estimate \
                 + factor * (ell.error_estimate + bias)
         ok = lhs.value <= rhs + tol
-        if ok or refinements >= max_refinements:
+        if ok or refinements >= 2:
             return LemmaReport(name, lhs.value, rhs, tol,
                                rhs + tol - lhs.value, refinements, ok)
         refinements += 1
@@ -133,32 +134,25 @@ def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
 
 
 def check_sup_bound(f: ConvexFunction, g: ConvexFunction, bound: float,
-                    gammas: LipschitzVector | None = None,
-                    n_directions: int = 2000, grid: GridSpec = GridSpec(201),
-                    base_tol: float = 1e-9,
-                    max_refinements: int = 2) -> LemmaReport:
+                    n_directions: int = 2000,
+                    grid: GridSpec = GridSpec(201)) -> LemmaReport:
     """sup |f - g| <= sqrt(1 + sum gamma_j^2) * slab Hausdorff distance.
 
-    bound must dominate both functions (the slabs are cut at it); gammas
-    must be valid upper bounds on the per-axis slopes and default to the
-    form-derived budgets.
+    bound must dominate both functions (the slabs are cut at it); gamma_j
+    is the larger of the two forms' own Lipschitz budgets on axis j.
     """
     _require_common_domain(f, g)
     if bound < max(_grid_max(f), _grid_max(g)):
         raise ParameterError("bound must dominate both functions")
-    if gammas is None:
-        gammas = _combined_budget(f, g)
-    factor = math.sqrt(1.0 + gammas.sum_squares())
+    factor = math.sqrt(1.0 + _combined_budget(f, g).sum_squares())
     return _refine_until_ok("sup_vs_hausdorff",
                             lambda grid: sup_grid_distance(f, g, grid),
-                            f, g, bound, factor, n_directions, grid,
-                            base_tol, max_refinements)
+                            f, g, bound, factor, n_directions, grid)
 
 
 def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
-                   n_directions: int = 2000, grid: GridSpec = GridSpec(201),
-                   base_tol: float = 1e-9,
-                   max_refinements: int = 2) -> LemmaReport:
+                   n_directions: int = 2000,
+                   grid: GridSpec = GridSpec(201)) -> LemmaReport:
     """L1 distance <= (1 + 20 d) * slab Hausdorff distance, for |f|,|g| <= 1.
 
     The constant is calibrated to functions bounded by 1 on their box, so
@@ -170,33 +164,7 @@ def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
     factor = 1.0 + 20.0 * f.domain.dim
     return _refine_until_ok("l1_vs_hausdorff",
                             lambda grid: lp_distance(f, g, 1.0, grid),
-                            f, g, 1.0, factor, n_directions, grid,
-                            base_tol, max_refinements)
-
-
-def check_pointwise_gap(f: ConvexFunction, g: ConvexFunction, bound: float,
-                        points, n_directions: int = 2000,
-                        grid: GridSpec = GridSpec(201),
-                        base_tol: float = 1e-9) -> LemmaReport:
-    """|f - g| <= rho * (1 + slope_f + slope_g) at interior points.
-
-    rho is the slab Hausdorff distance (estimate plus its refinement
-    gap and sampling bias) and slope is the l1 norm of a subgradient.
-    Reports the worst point.
-    """
-    pts = np.asarray(points, dtype=float)
-    ell = hausdorff_epigraph(f, g, bound, n_directions, grid)
-    rho = ell.value + ell.error_estimate \
-        + _hausdorff_bias(f, g, bound, n_directions)
-    gaps = np.abs(f.values(pts) - g.values(pts))
-    slopes = (np.abs(f.subgradients(pts)).sum(axis=1)
-              + np.abs(g.subgradients(pts)).sum(axis=1))
-    rhs_all = rho * (1.0 + slopes)
-    worst = int(np.argmax(gaps - rhs_all))
-    lhs, rhs = float(gaps[worst]), float(rhs_all[worst])
-    ok = lhs <= rhs + base_tol
-    return LemmaReport("pointwise_gap", lhs, rhs, base_tol,
-                       rhs + base_tol - lhs, 0, ok)
+                            f, g, 1.0, factor, n_directions, grid)
 
 
 def gradient_mass(f: ConvexFunction, rho: float,
@@ -370,6 +338,8 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
         raise ParameterError("bounds are stated for cube domains")
     if not (eps > 0 and bound > 0):
         raise ParameterError("eps and bound must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ParameterError("scale must be positive and finite")
     if not p >= 1.0:
         raise ParameterError("need p >= 1")
     d = rect.dim
@@ -379,7 +349,14 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
     gsum = 0.0 if gammas is None else sum(v * side / bound
                                           for v in gammas.gamma)
 
-    eta_lp = eps / (bound * side ** (d / p))
+    try:
+        eta_lp = eps / (bound * side ** (d / p))
+    except (OverflowError, ZeroDivisionError):  # the divisor left the floats
+        raise ParameterError("bound * side^(d/p) is outside the float "
+                             "range") from None
+    eta_pack = eta_lp / separation_scale(d)
+    if not math.isfinite(eta_pack):
+        raise ParameterError("eps / (bound * side^(d/p)) is too large")
     log_upper = None
     if 0.0 < eta_lp < 1.0:
         try:
@@ -389,7 +366,6 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
             log_upper = None
 
     log_lower = None
-    eta_pack = eta_lp / separation_scale(d)
     try:
         log_lower = separation_point(eta_pack, d).log_packing
     except ParameterError:

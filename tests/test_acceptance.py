@@ -17,7 +17,6 @@ from convexcover import (
     GridSpec,
     Hinge,
     Rect,
-    breakpoints,
     build_interval_system,
     build_packing_family,
     build_schedule,
@@ -44,6 +43,7 @@ from convexcover import (
     verify_cap_properties,
 )
 from convexcover.cli import main as cli_main
+from convexcover.packing import hamming
 
 LOG2 = math.log(2.0)
 
@@ -121,7 +121,11 @@ def test_c04_code_search_hits_its_targets(capsys):
             res = greedy_binary_code(n, code_min_distance(n), code_target(n))
             assert res.shortfall == 0, f"n={n} short by {res.shortfall}"
             assert res.samples_used <= 10**6
-            assert res.verify(), f"n={n} verify failed"
+            ws = res.words
+            assert all(0 <= w < 1 << n for w in ws), f"n={n} word too long"
+            assert all(hamming(ws[i], ws[j]) >= res.min_distance
+                       for i in range(len(ws))
+                       for j in range(i + 1, len(ws))), f"n={n} pair too close"
         res25 = greedy_binary_code(25, code_min_distance(25), code_target(25))
         assert len(res25.words) >= 23 and res25.min_distance >= 7
     except AssertionError as exc:
@@ -153,7 +157,7 @@ def test_c05_schedule_checks_table(capsys):
 
 
 def test_c06_edge_level_is_bitwise_exact(capsys):
-    ok = breakpoints(1.0).log_edge == -24.0 * math.log(2.0)
+    ok = build_schedule(1.0, -96.0 * LOG2).log_edge == -24.0 * math.log(2.0)
     _report(capsys, "C06 edge level exactness: "
                     + ("pass (log u == -24 log 2 bitwise at p=1)"
                        if ok else "FAIL"))

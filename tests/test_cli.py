@@ -101,6 +101,7 @@ def test_pack_refuses_a_system_over_the_cell_cap(tmp_path, capsys, eta, dim):
     (["--cap-samples", "3"], "need samples >= 4"),
     (["--curve-steps", "0"], "need steps >= 1"),
     (["--max-samples", "0"], "max_samples must be >= 1"),
+    (["--seed", "-1"], "seed must be >= 0"),
 ])
 def test_pack_refuses_invalid_input_before_writing(tmp_path, capsys, bad,
                                                    message):
@@ -169,6 +170,34 @@ def test_schedule_rejects_an_out_of_range_eta(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schedule", "--dims", "0"], "dims must be in 1..8"),
+    (["schedule", "--dims", "2000"], "dims must be in 1..8"),
+    (["schedule", "--dims", "-1"], "dims must be in 1..8"),
+    (["schedule", "--dim", "0"], "dimension must be in 1..8"),
+    (["bounds", "--eps", "inf"], "is too large"),
+    (["bounds", "--eps", "1e308"], "is too large"),
+    (["bounds", "--eps", "1e300", "--dim", "3", "--side", "1e-200"],
+     "bound * side^(d/p) is outside the float range"),
+    (["bounds", "--scale", "0", "--gamma", "1"], "scale must be positive"),
+    (["bounds", "--scale", "0"], "scale must be positive"),
+    (["bounds", "--scale", "-1"], "scale must be positive"),
+    (["lemmas", "--bound", "inf"], "bound must be positive"),
+    (["lemmas", "--seed", "-1"], "seed must be >= 0"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv,
+                                               message):
+    # one valid query per command, with one input made invalid; later
+    # flags override the defaults given first
+    base = {"schedule": ["--p", "1", "--log2-eta", "-96"],
+            "bounds": ["--eps", "1e-8", "--p", "1", "--dim", "1"],
+            "lemmas": ["--dim", "1", "--pairs", "1"]}[argv[0]]
+    rc = main([argv[0], *base, *argv[1:], "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_lemmas_runs_one_pair(tmp_path):

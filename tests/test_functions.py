@@ -18,13 +18,17 @@ from convexcover import (
     Rect,
     Rescaled,
     SeparableQuadratic,
-    function_from_json,
     make_random_convex,
     rescale_to_unit,
     tensor_points,
     unit_rect,
 )
 from convexcover.functions import stacked_values
+
+
+def _grad(f, x):
+    # the subgradient at one point, as a tuple of floats
+    return tuple(f.subgradients([x])[0].tolist())
 
 
 # -- boxes and grids --------------------------------------------------------
@@ -53,9 +57,11 @@ def test_rect_rejects_bad_boxes(lo, hi):
 
 
 def test_rect_json_round_trip_is_exact():
+    # to_json writes each float so that float() reads back its exact value
     r = Rect((0.1, -1.0 / 3.0), (2.7, 11.0 / 7.0))
-    back = Rect.from_json(json.loads(json.dumps(r.to_json())))
-    assert back == r
+    obj = json.loads(json.dumps(r.to_json()))
+    assert tuple(float(s) for s in obj["lo"]) == r.lo
+    assert tuple(float(s) for s in obj["hi"]) == r.hi
 
 
 def test_tensor_points_row_major():
@@ -87,7 +93,7 @@ def test_lipschitz_vector():
 def test_affine_evaluation_and_subgradient():
     f = Affine(unit_rect(2), (2.0, -1.0), 0.5)
     assert f.value((0.25, 0.5)) == 2.0 * 0.25 - 0.5 + 0.5
-    assert f.subgradient((0.5, 0.5)) == (2.0, -1.0)
+    assert _grad(f, (0.5, 0.5)) == (2.0, -1.0)
     vals = f.values([[0.0, 0.0], [1.0, 1.0]])
     assert vals.tolist() == [0.5, 1.5]
 
@@ -103,7 +109,7 @@ def test_affine_validation():
     with pytest.raises(DomainError):
         f.value((1.5,))
     with pytest.raises(DomainError):
-        f.subgradient((1.0,))  # boundary is not strictly interior
+        _grad(f, (1.0,))  # boundary is not strictly interior
 
 
 def test_max_affine_matches_manual_max():
@@ -118,7 +124,7 @@ def test_max_affine_tie_breaks_to_first_piece():
     r = unit_rect(1)
     f = MaxAffine(r, (Affine(r, (1.0,), 0.0), Affine(r, (-1.0,), 1.0)))
     assert f.value((0.5,)) == 0.5
-    assert f.subgradient((0.5,)) == (1.0,)
+    assert _grad(f, (0.5,)) == (1.0,)
 
 
 def test_max_affine_validation():
@@ -133,7 +139,7 @@ def test_max_affine_validation():
 def test_separable_quadratic():
     f = SeparableQuadratic(Rect((-1.0, -1.0), (1.0, 1.0)))
     assert f.value((0.5, -0.5)) == 0.25
-    assert f.subgradient((0.5, -0.5)) == (0.5, -0.5)
+    assert _grad(f, (0.5, -0.5)) == (0.5, -0.5)
 
 
 def test_hinge_values_and_kink():
@@ -141,9 +147,9 @@ def test_hinge_values_and_kink():
     assert f.value((0.0,)) == 1.0
     assert f.value((0.125,)) == 0.5
     assert f.value((0.5,)) == 0.0
-    assert f.subgradient((0.125,)) == (-4.0,)
+    assert _grad(f, (0.125,)) == (-4.0,)
     # the zero piece wins the tie exactly at the kink
-    assert f.subgradient((0.25,)) == (0.0,)
+    assert _grad(f, (0.25,)) == (0.0,)
 
 
 def test_hinge_validation():
@@ -167,7 +173,7 @@ def test_max_with_mixed_parts():
 def test_max_with_tie_breaks_to_first_part():
     r = unit_rect(1)
     f = MaxWith(r, (Affine(r, (0.5,), 0.0), Affine(r, (-0.5,), 0.5)))
-    assert f.subgradient((0.5,)) == (0.5,)
+    assert _grad(f, (0.5,)) == (0.5,)
 
 
 def test_rescaled_view():
@@ -175,7 +181,7 @@ def test_rescaled_view():
     g = Rescaled(unit_rect(2), base, 3.0)
     # g(x) = 3 * |2x|^2 / 2 = 6 |x|^2
     assert g.value((0.5, 0.25)) == 1.875
-    assert g.subgradient((0.5, 0.25)) == (6.0, 3.0)
+    assert _grad(g, (0.5, 0.25)) == (6.0, 3.0)
     with pytest.raises(ParameterError):
         Rescaled(unit_rect(2), base, 0.0)
     with pytest.raises(ParameterError):
@@ -257,41 +263,6 @@ def test_stacked_values_keep_the_domain_and_shape_checks():
         stacked_values(fs + [SeparableQuadratic(unit_rect(1))], inside_both)
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def _sample_forms():
-    r1, r2 = unit_rect(1), Rect((0.0, -1.0), (1.0, 1.0))
-    affine = Affine(r2, (0.1, -1.0 / 3.0), 0.7)
-    return [
-        affine,
-        MaxAffine(r2, (affine, Affine(r2, (0.0, 0.2), -0.1)), 0.9),
-        SeparableQuadratic(r2),
-        Hinge(r1, 2.0**-7),
-        MaxWith(r2, (affine, SeparableQuadratic(r2))),
-        Rescaled(r1, Hinge(Rect((0.0,), (4.0,)), 0.5), 1.0 / 3.0),
-    ]
-
-
-@pytest.mark.parametrize("f", _sample_forms(),
-                         ids=lambda f: type(f).__name__)
-def test_json_round_trip_preserves_values_exactly(f):
-    back = function_from_json(json.loads(json.dumps(f.to_json())))
-    assert type(back) is type(f)
-    assert back.domain == f.domain
-    rng = np.random.default_rng(7)
-    lo = np.asarray(f.domain.lo)
-    hi = np.asarray(f.domain.hi)
-    pts = lo + rng.random((50, f.domain.dim)) * (hi - lo)
-    assert np.array_equal(back.values(pts), f.values(pts))
-
-
-def test_from_json_rejects_unknown_kind():
-    obj = {"domain": unit_rect(1).to_json(), "form": {"kind": "cubic"}}
-    with pytest.raises(ParameterError):
-        function_from_json(obj)
-
-
 # -- random generation and slope budgets ------------------------------------
 
 
@@ -312,6 +283,9 @@ def test_make_random_convex_validation():
         make_random_convex(1, 0.9, 0, seed=0)
     with pytest.raises(ParameterError):
         make_random_convex(1, 0.0, 3, seed=0)
+    for bound in (math.inf, 1e308):  # numpy cannot draw from +-2e308
+        with pytest.raises(ParameterError):
+            make_random_convex(1, bound, 3, seed=0)
     with pytest.raises(ParameterError):
         make_random_convex(2, 0.9, 3, seed=0, rect=unit_rect(1))
 

@@ -6,7 +6,6 @@ import pytest
 
 from convexcover import (
     ParameterError,
-    breakpoints,
     build_schedule,
     cover_accounting,
     log_radius_closed_form,
@@ -20,16 +19,8 @@ LOG2 = math.log(2.0)
 
 
 def test_edge_levels_are_exact_binary_powers():
-    assert breakpoints(1.0).log_edge == -24.0 * LOG2
-    assert breakpoints(2.0).log_edge == -72.0 * LOG2
-    assert breakpoints(3.0).log_edge == -160.0 * LOG2
-
-
-def test_breakpoints_validation():
-    with pytest.raises(ParameterError):
-        breakpoints(0.5)
-    with pytest.raises(ParameterError):
-        breakpoints(math.inf)
+    for p, log2_edge in ((1.0, -24.0), (2.0, -72.0), (3.0, -160.0)):
+        assert build_schedule(p, -200.0 * LOG2).log_edge == log2_edge * LOG2
 
 
 # -- building the chain ----------------------------------------------------------
@@ -73,6 +64,8 @@ def test_build_schedule_validation():
         build_schedule(1.0, -math.inf)
     with pytest.raises(ParameterError):
         build_schedule(0.9, -96.0 * LOG2)
+    with pytest.raises(ParameterError):
+        build_schedule(math.inf, -96.0 * LOG2)
 
 
 def test_radius_closed_form_matches_the_definition():

@@ -12,7 +12,6 @@ from convexcover import (
     ParameterError,
     Rect,
     check_l1_bound,
-    check_pointwise_gap,
     check_sup_bound,
     entropy_bounds,
     gradient_mass,
@@ -49,18 +48,21 @@ def test_sup_bound_on_a_random_pair():
 
 
 def test_sup_bound_with_explicit_budgets():
+    # an affine form states its budget exactly: its own slope
     r = unit_rect(1)
     f = Affine(r, (0.5,), -0.25)
     g = Affine(r, (0.0,), 0.0)
-    rep = check_sup_bound(f, g, 1.0, gammas=LipschitzVector((0.5,)),
-                          n_directions=64, grid=GridSpec(65))
+    assert f.lipschitz_budget() == LipschitzVector((0.5,))
+    rep = check_sup_bound(f, g, 1.0, n_directions=64, grid=GridSpec(65))
     assert rep.ok
 
 
 def test_sup_bound_with_infinite_budget_is_vacuous():
-    f, g = _random_pair(1, seed=102)
-    rep = check_sup_bound(f, g, 1.0, gammas=LipschitzVector((math.inf,)),
-                          n_directions=16, grid=GridSpec(17))
+    # a ramp of slope 1e200 gives sqrt(1 + 1e400) = inf as the factor
+    r = unit_rect(1)
+    f = Hinge(r, 1e-200)
+    g = Affine(r, (0.0,), 0.0)
+    rep = check_sup_bound(f, g, 1.0, n_directions=16, grid=GridSpec(17))
     assert rep.ok
     assert math.isinf(rep.rhs)
 
@@ -99,15 +101,6 @@ def test_l1_bound_requires_normalized_inputs():
     g = Affine(r, (0.0,), 0.0)
     with pytest.raises(ParameterError):
         check_l1_bound(f, g)
-
-
-def test_pointwise_gap_at_interior_points():
-    f, g = _random_pair(1, seed=300)
-    pts = [[0.2], [0.5], [0.8]]
-    rep = check_pointwise_gap(f, g, 1.0, pts, n_directions=256,
-                              grid=GridSpec(101))
-    assert rep.ok
-    assert rep.name == "pointwise_gap"
 
 
 # -- slope-mass facts ----------------------------------------------------------
@@ -274,3 +267,6 @@ def test_entropy_bounds_validation():
         entropy_bounds(0.1, 1.0, Rect((0.0, 0.0), (1.0, 2.0)), 1.0)
     with pytest.raises(ParameterError):
         entropy_bounds(0.1, 1.0, unit_rect(2), 1.0, LipschitzVector((1.0,)))
+    for scale in (0.0, math.inf):
+        with pytest.raises(ParameterError):
+            entropy_bounds(0.1, 1.0, unit_rect(1), 1.0, scale=scale)
