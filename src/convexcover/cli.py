@@ -19,10 +19,10 @@ are sorted, and all randomness is seeded.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .functions import (
@@ -69,8 +69,75 @@ def _parse_eta(text: str) -> Fraction:
                              f"got {text!r}") from None
 
 
+def _json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    obj is an acyclic tree of dicts with str keys, lists, tuples, str,
+    int, float, bool and None, as every artifact is. A dict or list that
+    appears more than once in the tree (the same object, not an equal one:
+    a family's shared caps) is encoded once per indent level and its text
+    spliced in wherever it recurs. Only those repeated objects enter the
+    memo, so it holds the text of the shared parts and nothing else.
+    """
+    seen: set[int] = set()
+    repeated: set[int] = set()
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, (dict, list, tuple)):
+            if id(o) in seen:
+                repeated.add(id(o))
+                continue
+            seen.add(id(o))
+            stack.extend(o.values() if isinstance(o, dict) else o)
+    memo: dict[tuple[int, int], str] = {}
+
+    def encode(o, level: int) -> str:
+        if isinstance(o, str):
+            return _quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if math.isinf(o):
+                return "Infinity" if o > 0 else "-Infinity"
+            return float.__repr__(o)
+        if not isinstance(o, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            "is not JSON serializable")
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        key = (id(o), level)
+        if key in memo:
+            return memo[key]
+        sep = "\n" + "  " * (level + 1)
+        if isinstance(o, dict):
+            # a key that is not a str raises TypeError in _quote
+            body = (_quote(k) + ": " + encode(v, level + 1)
+                    for k, v in sorted(o.items()))
+            text = "{" + sep + ("," + sep).join(body) + sep[:-2] + "}"
+        else:
+            body = (encode(v, level + 1) for v in o)
+            text = "[" + sep + ("," + sep).join(body) + sep[:-2] + "]"
+        if id(o) in repeated:
+            memo[key] = text
+        return text
+
+    return encode(obj, 0)
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # the bytes of json.dumps(obj, indent=2, sort_keys=True), with each
+    # object a family shares (f0 and its caps) encoded once, not once per
+    # function that holds it; see _json_text for the contract
+    path.write_text(_json_text(obj) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -165,6 +232,13 @@ def cmd_lemmas(args) -> int:
         raise ParameterError("need pairs >= 1")
     if args.directions > MAX_DIRECTIONS:
         raise ParameterError(f"need directions <= {MAX_DIRECTIONS}")
+    # the sup check's slab ceiling is 1 and the L1 check needs |f| <= 1:
+    # a larger bound is refused here, not by a check on a fixed ceiling
+    if not 0.0 < args.bound <= 1.0:
+        raise ParameterError(f"--bound must be positive and at most 1, "
+                             f"got {args.bound!r}")
+    if not 0.0 < args.rho < 0.5:
+        raise ParameterError("need 0 < rho < 0.5")
     out = _out_dir(args)
     grid = GridSpec(args.grid_n)
     reports = []
@@ -258,8 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
     le.add_argument("--pieces", type=int, default=6)
     le.add_argument("--seed", type=int, default=0)
     le.add_argument("--bound", type=float, default=0.9,
-                    help="value bound for the random pairs; keep below 1 "
-                         "so off-grid dips stay inside the lemma's range")
+                    help="value bound for the random pairs, at most 1; keep "
+                         "below 1 so off-grid dips stay inside the lemma's "
+                         "range")
     le.add_argument("--rho", type=float, default=0.05)
     le.add_argument("--grid-n", type=int, default=201)
     le.add_argument("--directions", type=int, default=1000)

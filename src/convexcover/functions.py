@@ -185,6 +185,16 @@ class ConvexFunction:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        """The form as a JSON object, built once per instance.
+
+        Every call returns the same dict, and a MaxWith holds its parts'
+        own dicts, so a part shared by many functions is one object in
+        their JSON. Callers must not mutate it.
+        """
+        return self._json
+
+    @cached_property
+    def _json(self) -> dict:
         return {"domain": self.domain.to_json(), "form": self._form_json()}
 
     def _form_json(self) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -49,6 +50,10 @@ SYSTEM_CELL_CAP = 2**16
 SPAN_LIMIT = 1.0 - 2.0**-30
 
 _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
+
+# Samples per rng.integers call of the cap checks: bounds their draw arrays
+# at a few MB whatever samples is.
+DRAW_BLOCK = 2**14
 
 # Largest certificate value matrix, in bytes, that pack may ask for: at the
 # default grids only the 64-cell systems at d = 2 and d = 3 exceed it.
@@ -135,6 +140,21 @@ class IntervalSystem:
             idx //= self.k
         return tuple(reversed(out))
 
+    @cached_property
+    def base(self) -> SeparableQuadratic:
+        """The base paraboloid f0, one instance for the whole system."""
+        return base_paraboloid(self.dim)
+
+    @cached_property
+    def caps(self) -> tuple[Affine, ...]:
+        """The affine cap of every cell, by linear cell index, built once.
+
+        Every family member and every cap check takes its caps from here,
+        so a cap is one object wherever it appears.
+        """
+        return tuple(cap_function(self, self.cell_from_index(i))
+                     for i in range(self.n_cells))
+
     def cell_bounds(self, cell: tuple[int, ...]) -> tuple[tuple[float, ...],
                                                           tuple[float, ...]]:
         if len(cell) != self.dim or not all(0 <= i < self.k for i in cell):
@@ -197,15 +217,17 @@ def cap_function(system: IntervalSystem, cell: tuple[int, ...]) -> Affine:
 
 
 def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
-    """max(f0, caps of the cells whose bit is set in word)."""
+    """max(f0, caps of the cells whose bit is set in word).
+
+    The parts are the system's own base and cap objects, shared by every
+    function built on the system.
+    """
     if not 0 <= word < (1 << system.n_cells):
         raise ParameterError("word out of range for this system")
-    base = base_paraboloid(system.dim)
-    caps = [cap_function(system, system.cell_from_index(i))
-            for i in range(system.n_cells) if (word >> i) & 1]
+    caps = [cap for i, cap in enumerate(system.caps) if (word >> i) & 1]
     if not caps:
-        return base
-    return MaxWith(unit_rect(system.dim), (base, *caps))
+        return system.base
+    return MaxWith(unit_rect(system.dim), (system.base, *caps))
 
 
 def cell_gap(eta, d: int) -> float:
@@ -432,7 +454,7 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     Uses midpoint quadrature on the unit cube. The value matrix comes from
     stacked_values, which evaluates each part the family's functions share
     (f0 and every cap) once. Pairs are scanned in blocks of at most 16
-    rows, and only one block of differences is alive at a time. tol must
+    rows, into one buffer of differences allocated once. tol must
     be finite and nonnegative: a NaN or infinite tol could never fail.
     """
     if not (math.isfinite(tol) and tol >= 0):
@@ -453,15 +475,15 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     min_l1 = math.inf
     min_ham: int | None = None
     block = 16
+    # one block of pair differences, reused by every block of every row
+    buf = np.empty((min(block, m), len(pts)))
     for i in range(m - 1):
         hams = np.array([hamming(words[i], words[j]) for j in range(i + 1, m)])
         for s in range(i + 1, m, block):
             rows = vals[s:s + block]
-            diff = np.subtract(rows, vals[i])
+            diff = np.subtract(rows, vals[i], out=buf[:len(rows)])
             np.abs(diff, out=diff)
             l1 = diff @ w
-            # free this block before the next subtraction allocates one
-            del diff
             req = hams[s - i - 1:s - i - 1 + len(rows)] * zeta
             margin = l1 - req
             pairs += len(rows)
@@ -573,7 +595,13 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     cleared every comparison is one integer comparison, decided without
     rounding. Sampled points are strictly interior to their cells; the
     samples budget is split across the point-sampled properties, and the
-    corner check covers every cell once.
+    corner check covers every cell once. The caps are the system's own.
+
+    All draws of a property come from one rng.integers call with per-draw
+    bound arrays (one call per DRAW_BLOCK samples beyond that, to bound
+    memory). numpy draws each element of such a call as a scalar call with
+    its bounds would, so the points checked are those of one scalar call
+    per draw, in the same order: a cell index, then each coordinate.
     """
     if samples < 4:
         raise ParameterError("need samples >= 4")
@@ -582,7 +610,7 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     n = system.n_cells
     failures: list[str] = []
     cells = [system.cell_from_index(idx) for idx in range(n)]
-    caps = [cap_function(system, cell) for cell in cells]
+    caps = system.caps
     ends = [system.interval(i) for i in range(system.k)]
     exact = [*ends, *((*cap.coeffs, cap.intercept) for cap in caps)]
     scale = max(x.as_integer_ratio()[1] for xs in exact for x in xs)  # 2^E
@@ -599,9 +627,15 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     lo = [scaled(u) * ticks for u, _ in ends]
     width = [scaled(v) - scaled(u) for u, v in ends]
 
-    def sample(cell: tuple[int, ...]) -> list[int]:
-        # numerators over D of a strictly interior point of the cell
-        return [lo[i] + int(rng.integers(1, ticks)) * width[i] for i in cell]
+    def draws(count: int, lows: list[int], highs: list[int]):
+        # count rows of draws in [lows, highs), one row per sampled check
+        for start in range(0, count, DRAW_BLOCK):
+            size = (min(DRAW_BLOCK, count - start), len(lows))
+            yield from rng.integers(lows, highs, size=size).tolist()
+
+    def point(cell: tuple[int, ...], a: list[int]) -> list[int]:
+        # numerators over D of the interior point a/ticks of the cell
+        return [lo[i] + ai * width[i] for i, ai in zip(cell, a)]
 
     def cap_num(idx: int, x) -> int:
         # 2^E D cap(x), for x given by its numerators over D
@@ -620,29 +654,29 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     n_above = samples // 4
     n_below = samples - n_affine - n_above if n >= 2 else 0
 
-    for _ in range(n_affine):
-        idx = int(rng.integers(0, n))
-        x = sample(cells[idx])
-        y = [int(rng.integers(0, ticks)) * scale for _ in range(d)]
+    # a cell, an interior point of it, and a point anywhere in the cube
+    for idx, *a in draws(n_affine, [0] + [1] * d + [0] * d,
+                         [n] + [ticks] * (2 * d)):
+        x = point(cells[idx], a[:d])
+        y = [b * scale for b in a[d:]]
         # 2^E D 2 cap((x + y) / 2): the midpoint's numerators are x + y
         # over 2D
-        twice_mid = cap_num(idx, [a + b for a, b in zip(x, y)]) + lin[idx][1]
+        twice_mid = cap_num(idx, [u + v for u, v in zip(x, y)]) + lin[idx][1]
         if cap_num(idx, x) + cap_num(idx, y) != twice_mid:
             failures.append(f"cell {idx}: midpoint identity broken")
 
     # cap(x) < f0(x) = sum X_j^2 / (d D^2) iff d 10^6 cap_num(x) < sum X_j^2
-    for _ in range(n_above):
-        idx = int(rng.integers(0, n))
-        x = sample(cells[idx])
+    for idx, *a in draws(n_above, [0] + [1] * d, [n] + [ticks] * d):
+        x = point(cells[idx], a)
         if d * ticks * cap_num(idx, x) < sum(v * v for v in x):
             failures.append(f"cell {idx}: cap below base inside own cell")
 
-    for _ in range(n_below):
-        idx = int(rng.integers(0, n))
-        other = int(rng.integers(0, n - 1))
+    # a cap, another cell, and an interior point of that cell
+    for idx, other, *a in draws(n_below, [0, 0] + [1] * d,
+                                [n, n - 1] + [ticks] * d):
         if other >= idx:
             other += 1
-        x = sample(cells[other])
+        x = point(cells[other], a)
         if d * ticks * cap_num(idx, x) > sum(v * v for v in x):
             failures.append(f"cell {idx}: cap above base in cell {other}")
 

@@ -336,8 +336,11 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
     """
     if not rect.is_cube():
         raise ParameterError("bounds are stated for cube domains")
-    if not (eps > 0 and bound > 0):
-        raise ParameterError("eps and bound must be positive")
+    if not eps > 0:
+        raise ParameterError("eps must be positive")
+    # an infinite bound would normalize every level to 0, out of range
+    if not (math.isfinite(bound) and bound > 0):
+        raise ParameterError("bound must be positive and finite")
     if not (math.isfinite(scale) and scale > 0):
         raise ParameterError("scale must be positive and finite")
     if not p >= 1.0:

@@ -6,8 +6,11 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexcover.cli import main
+from convexcover import cli
+from convexcover.cli import _json_text, main
 
 
 def _digest(root):
@@ -184,13 +187,23 @@ def test_schedule_rejects_an_out_of_range_eta(tmp_path, capsys):
     (["bounds", "--scale", "0", "--gamma", "1"], "scale must be positive"),
     (["bounds", "--scale", "0"], "scale must be positive"),
     (["bounds", "--scale", "-1"], "scale must be positive"),
+    (["bounds", "--bound", "inf"], "bound must be positive and finite"),
     (["lemmas", "--bound", "inf"], "bound must be positive"),
+    (["lemmas", "--bound", "2"], "--bound must be positive and at most 1"),
+    (["lemmas", "--bound", "0"], "--bound must be positive and at most 1"),
+    (["lemmas", "--rho", "0.7"], "need 0 < rho < 0.5"),
+    (["lemmas", "--rho", "0"], "need 0 < rho < 0.5"),
     (["lemmas", "--seed", "-1"], "seed must be >= 0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv,
-                                               message):
+def test_invalid_input_exits_2_before_writing(tmp_path, capsys, monkeypatch,
+                                               argv, message):
     # one valid query per command, with one input made invalid; later
-    # flags override the defaults given first
+    # flags override the defaults given first. lemmas must refuse before
+    # it draws its first pair.
+    def no_pair(*args, **kwargs):
+        raise AssertionError("drew a pair before refusing the input")
+
+    monkeypatch.setattr(cli, "make_random_convex", no_pair)
     base = {"schedule": ["--p", "1", "--log2-eta", "-96"],
             "bounds": ["--eps", "1e-8", "--p", "1", "--dim", "1"],
             "lemmas": ["--dim", "1", "--pairs", "1"]}[argv[0]]
@@ -271,3 +284,51 @@ def test_missing_required_arguments_exit_via_argparse(tmp_path):
         main(["pack", "--dim", "1", "--out-dir", str(tmp_path)])
     with pytest.raises(SystemExit):
         main(["schedule", "--p", "1", "--out-dir", str(tmp_path)])
+
+
+# -- the artifact encoder ---------------------------------------------------
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text())
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def _shared_trees(draw):
+    # each node may reuse any earlier node, itself possibly built from
+    # reused nodes, so one object recurs at several places and levels
+    pool = [draw(_TREES)]
+    for _ in range(draw(st.integers(0, 8))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=5))
+        kids = [pool[i] for i in picks] + draw(st.lists(_TREES, max_size=2))
+        shape = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if shape == "dict":
+            keys = draw(st.lists(st.text(max_size=6), min_size=len(kids),
+                                 max_size=len(kids), unique=True))
+            pool.append(dict(zip(keys, kids)))
+        else:
+            pool.append(kids if shape == "list" else tuple(kids))
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_trees())
+def test_json_text_equals_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_text_on_fixed_cases():
+    shared = {"b": [1, 2.5, "\u00e9\n\"x\""], "a": {}}
+    deep = [shared, [shared, {"z": shared, "y": []}], (shared,)]
+    for obj in (deep, shared, [], {}, "\ud83d\ude00", 10**30, -0.0,
+                math.inf, -math.inf, math.nan, True, None,
+                {"k": [math.nan, None, False]}):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    for bad in ({1: "int key"}, [object()]):
+        with pytest.raises(TypeError):
+            _json_text(bad)

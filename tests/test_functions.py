@@ -225,6 +225,19 @@ def test_max_parts_flatten_nested_maxima():
     assert nested.max_parts() == (quad, hinge, piece, hinge, max_affine)
 
 
+def test_to_json_twice_serializes_the_same():
+    # each form builds its JSON once and hands the same dict to every
+    # caller; a second call, or an equal form built afresh, reads the same
+    _, forms = _mixed_forms()
+    _, fresh = _mixed_forms()
+    for f, g in zip(forms, fresh):
+        text = json.dumps(f.to_json(), sort_keys=True)
+        assert json.dumps(f.to_json(), sort_keys=True) == text
+        assert json.dumps(g.to_json(), sort_keys=True) == text
+    nested = forms[4]
+    assert nested.to_json()["form"]["parts"][1] is nested.parts[1].to_json()
+
+
 def test_stacked_values_match_each_function_bit_for_bit(monkeypatch):
     r, forms = _mixed_forms()
     hinge_calls = []

@@ -415,6 +415,27 @@ def test_build_packing_family_small():
     assert fam.zeta == cell_gap(Fraction(1, 25), 1)
 
 
+def test_family_members_hold_the_systems_own_caps():
+    # 278 functions hold 6,269 cap references, all to the 45 caps built
+    # once on the system; their JSON holds each cap's one dict
+    fam = build_packing_family(Fraction(1, 2025), 1)
+    system = fam.system
+    assert len(system.caps) == system.n_cells == 45
+    for i, cap in enumerate(system.caps):
+        assert cap == cap_function(system, system.cell_from_index(i))
+    refs = 0
+    for word, f in zip(fam.code.words, fam.functions):
+        base, *caps = f.max_parts()
+        assert base is system.base
+        want = [c for i, c in enumerate(system.caps) if word >> i & 1]
+        assert len(caps) == len(want)
+        assert all(a is b for a, b in zip(caps, want))
+        parts = f.to_json()["form"]["parts"]
+        assert all(p is c.to_json() for p, c in zip(parts, f.max_parts()))
+        refs += len(caps)
+    assert refs == 6269
+
+
 def test_build_packing_family_respects_the_cell_cap():
     with pytest.raises(ParameterError):
         build_packing_family(Fraction(1, 400), 2)  # 13^2 = 169 cells

@@ -270,3 +270,7 @@ def test_entropy_bounds_validation():
     for scale in (0.0, math.inf):
         with pytest.raises(ParameterError):
             entropy_bounds(0.1, 1.0, unit_rect(1), 1.0, scale=scale)
+    # an infinite bound normalizes every level to 0: all bounds None
+    for bound in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            entropy_bounds(0.1, 1.0, unit_rect(1), bound)
