@@ -475,8 +475,8 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     min_l1 = math.inf
     min_ham: int | None = None
     block = 16
-    # one block of pair differences, reused by every block of every row
-    buf = np.empty((min(block, m), len(pts)))
+    # the largest block of pair differences, reused by every block
+    buf = np.empty_like(vals[1:1 + block])
     for i in range(m - 1):
         hams = np.array([hamming(words[i], words[j]) for j in range(i + 1, m)])
         for s in range(i + 1, m, block):
