@@ -167,12 +167,14 @@ def cmd_pack(args) -> int:
     capped = system.n_cells > CELL_CAP
     if not capped:
         require_certificate_budget(system, args.grid_n)
+        family = build_packing_family(eta, args.dim, seed=args.seed,
+                                      max_samples=args.max_samples)
+        # an equal system that already holds the caps the family shares
+        system = family.system
     report = verify_cap_properties(system, samples=args.cap_samples,
                                    seed=args.seed)
     curve = separation_curve(eta, args.dim, steps=args.curve_steps)
     if not capped:
-        family = build_packing_family(eta, args.dim, seed=args.seed,
-                                      max_samples=args.max_samples)
         cert = packing_certificate(family, grid_n=args.grid_n, tol=args.tol)
 
     _write_json(out / "interval_system.json", system.to_json())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcover import cli
+from convexcover import cli, packing
 from convexcover.cli import _json_text, main
 
 
@@ -52,6 +52,21 @@ def test_pack_reruns_are_byte_identical(tmp_path):
         assert main(["pack", "--eta", "1/25", "--dim", "1", "--grid-n", "301",
                      "--out-dir", str(out)]) == 0
     assert _digest(a) == _digest(b)
+
+
+def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
+    # the 278 functions and the cap checks share the 45 caps of one system
+    built = []
+    real = packing.cap_function
+
+    def counting(system, cell):
+        built.append(cell)
+        return real(system, cell)
+
+    monkeypatch.setattr(packing, "cap_function", counting)
+    assert main(["pack", "--eta", "1/2025", "--dim", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert sorted(built) == [(i,) for i in range(45)]
 
 
 def test_pack_over_the_cell_cap_still_reports(tmp_path):
