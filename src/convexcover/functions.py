@@ -431,12 +431,20 @@ def stacked_values(functions, points) -> np.ndarray:
     """Values of m functions at N points as an (m, N) array.
 
     Row i equals functions[i].values(points) bit for bit, with the same
-    shape and domain checks: max is exact, so a running maximum over the
-    parts gives the bits of MaxWith's stacked maximum (only the sign of a
-    zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max).
-    Parts are collected over all functions by max_parts and keyed on the
-    frozen form, so a part that several functions share (equal under ==)
-    is evaluated once and folded into each of their rows.
+    shape and domain checks. Parts are collected over all functions by
+    max_parts and keyed on the frozen form, so a part that several
+    functions share (equal under ==) is evaluated once.
+
+    A part that every function holds (f0 in a packing family) is the
+    floor: it is evaluated once and copied into every row. Each other part
+    is folded into all of its rows in one call, but only at the nodes
+    where its value is strictly above the floor's; elsewhere max cannot
+    change a bit, since row >= floor >= part. With no floor the fold
+    covers every node, over rows of -inf. max is exact, so each row holds
+    the bits of MaxWith's stacked maximum, with two caveats: the sign of
+    a zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max,
+    and a NaN in a part that is not the floor is dropped where a floor
+    exists (NaN > floor is false), where numpy's max would return it.
     """
     pts = np.asarray(points, dtype=float)
     rows: dict[ConvexFunction, list[int]] = {}
@@ -445,14 +453,29 @@ def stacked_values(functions, points) -> np.ndarray:
         _require_shape(pts, f.domain.dim)
         domains.add(f.domain)
         for part in f.max_parts():
-            rows.setdefault(part, []).append(i)
+            idx = rows.setdefault(part, [])
+            # each row once, so a part that every function holds has m
+            if not idx or idx[-1] != i:
+                idx.append(i)
     for domain in domains:
         _require_within(pts, domain)
-    out = np.full((len(functions), len(pts)), -np.inf)
+    m = len(functions)
+    floor = next((p for p, idx in rows.items() if len(idx) == m), None)
+    if floor is None:
+        out = np.full((m, len(pts)), -np.inf)
+    else:
+        floor_vals = floor._values(pts)
+        out = np.broadcast_to(floor_vals, (m, len(pts))).copy()
     for part, idx in rows.items():
+        if part is floor:
+            continue
         vals = part._values(pts)
-        for i in idx:
-            np.maximum(out[i], vals, out=out[i])
+        if floor is None:
+            at = idx
+        else:
+            cols = np.flatnonzero(vals > floor_vals)
+            at, vals = np.ix_(idx, cols), vals[cols]
+        out[at] = np.maximum(out[at], vals)
     return out
 
 

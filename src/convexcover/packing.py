@@ -282,6 +282,15 @@ def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
+# set bits of each byte value: numpy before 2.0 has no bitwise_count
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a 1-D uint64 array."""
+    return _BYTE_BITS[words.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class CodeSearchResult:
     """Outcome of the randomized greedy code search.
@@ -321,20 +330,23 @@ def greedy_binary_code(length: int, min_distance: int, target: int,
     if min_distance < 1 or target < 1 or max_samples < 1:
         raise ParameterError("min_distance, target, max_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    mask = (1 << length) - 1
-    words: list[int] = []
+    mask = np.uint64((1 << length) - 1)
+    # each sample keeps at most one word
+    kept = np.empty(min(target, max_samples), dtype=np.uint64)
+    n = 0
     samples = 0
-    while len(words) < target and samples < max_samples:
+    while n < target and samples < max_samples:
         block = min(4096, max_samples - samples)
         draws = rng.integers(0, 1 << 32, size=(block, 2), dtype=np.uint64)
-        for a, b in draws:
+        for w in ((draws[:, 0] << np.uint64(32)) | draws[:, 1]) & mask:
             samples += 1
-            w = ((int(a) << 32) | int(b)) & mask
-            if all(hamming(w, v) >= min_distance for v in words):
-                words.append(w)
-                if len(words) == target:
+            if (_popcounts(kept[:n] ^ w) >= min_distance).all():
+                kept[n] = w
+                n += 1
+                if n == target:
                     break
-    return CodeSearchResult(tuple(words), length, min_distance, target, samples)
+    return CodeSearchResult(tuple(map(int, kept[:n])), length, min_distance,
+                            target, samples)
 
 
 # -- families and their certificate ---------------------------------------
@@ -394,9 +406,9 @@ def require_certificate_budget(system: IntervalSystem,
     packing_certificate holds one float64 row of grid_n^d quadrature values
     per function, and the code search returns at most code_target(n_cells)
     functions. Its peak is that value matrix, plus one block of at most 16
-    rows of pair differences, plus the quadrature grid. Checked before the
-    family is built, so an oversized input fails at once instead of
-    exhausting memory.
+    rows of pair differences, plus the quadrature grid, plus 32 bytes per
+    pair (142 MB at the largest code). Checked before the family is built,
+    so an oversized input fails at once instead of exhausting memory.
     """
     d = system.dim
     need = code_target(system.n_cells) * _cert_grid_n(d, grid_n) ** d * 8
@@ -453,9 +465,12 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
 
     Uses midpoint quadrature on the unit cube. The value matrix comes from
     stacked_values, which evaluates each part the family's functions share
-    (f0 and every cap) once. Pairs are scanned in blocks of at most 16
-    rows, into one buffer of differences allocated once. tol must
-    be finite and nonnegative: a NaN or infinite tol could never fail.
+    (f0 and every cap) once. Row i is paired with rows i+1.. in blocks of
+    at most 16 rows, through one buffer of differences allocated once;
+    each block's L1 values go into one vector over all pairs, beside the
+    pairs' Hamming distances, popcounts of the XORed words. The failures
+    and the minima are taken once, over those vectors. tol must be finite
+    and nonnegative: a NaN or infinite tol could never fail.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError("tol must be finite and >= 0")
@@ -467,42 +482,37 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
 
     zeta = family.zeta
     eps = family.eps
-    words = family.code.words
+    words = np.array(family.code.words, dtype=np.uint64)
     m = len(words)
-    failures = 0
-    pairs = 0
-    min_margin = math.inf
-    min_l1 = math.inf
-    min_ham: int | None = None
+    pairs = m * (m - 1) // 2
+    # pair (i, j), i < j, in row-major order of the upper triangle
+    hams = np.empty(pairs, dtype=np.int64)
+    l1 = np.empty(pairs)
     block = 16
     # the largest block of pair differences, reused by every block
     buf = np.empty_like(vals[1:1 + block])
+    pos = 0
     for i in range(m - 1):
-        hams = np.array([hamming(words[i], words[j]) for j in range(i + 1, m)])
+        hams[pos:pos + m - 1 - i] = _popcounts(words[i + 1:] ^ words[i])
         for s in range(i + 1, m, block):
             rows = vals[s:s + block]
             diff = np.subtract(rows, vals[i], out=buf[:len(rows)])
             np.abs(diff, out=diff)
-            l1 = diff @ w
-            req = hams[s - i - 1:s - i - 1 + len(rows)] * zeta
-            margin = l1 - req
-            pairs += len(rows)
-            failures += int((margin < -tol).sum())
-            min_margin = min(min_margin, float(margin.min()))
-            min_l1 = min(min_l1, float(l1.min()))
-        h = int(hams.min())
-        min_ham = h if min_ham is None else min(min_ham, h)
+            l1[pos:pos + len(rows)] = diff @ w
+            pos += len(rows)
+    margin = l1 - hams * zeta
+    failures = int((margin < -tol).sum())
     floor = family.code.min_distance * zeta
     eps_consistent = floor >= eps
     ok = failures == 0 and family.code.shortfall == 0 and eps_consistent
     return PackingCertificate(
         eta=system.eta, dim=d, k=system.k, n_cells=system.n_cells,
         code_size=m, shortfall=family.code.shortfall,
-        min_hamming=min_ham if min_ham is not None else 0,
+        min_hamming=int(hams.min()) if pairs else 0,
         zeta=zeta, eps=eps, separation_floor=floor, grid_n=grid_n, tol=tol,
         pairs_checked=pairs, failures=failures,
-        min_margin=min_margin if pairs else math.inf,
-        min_l1=min_l1 if pairs else math.inf,
+        min_margin=float(margin.min()) if pairs else math.inf,
+        min_l1=float(l1.min()) if pairs else math.inf,
         eps_consistent=eps_consistent, ok=ok)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from convexcover import (
     CapPropertyReport,
     IntervalSystem,
+    PackingCertificate,
     ParameterError,
     SeparableQuadratic,
     build_interval_system,
@@ -29,12 +31,13 @@ from convexcover import (
     separation_scale,
     verify_cap_properties,
 )
-from convexcover.functions import Affine, stacked_values, unit_rect
-from convexcover.metrics import vertex_grid
+from convexcover.functions import Affine, MaxWith, stacked_values, unit_rect
+from convexcover.metrics import GridSpec, quadrature_grid, vertex_grid
 from convexcover.packing import (
     CERT_VALUE_BUDGET,
     SPAN_LIMIT,
     SYSTEM_CELL_CAP,
+    _popcounts,
     hamming,
     require_certificate_budget,
 )
@@ -389,6 +392,63 @@ def test_greedy_code_reports_a_shortfall_instead_of_raising():
     assert _all_pairs_apart(res)
 
 
+def test_popcounts_match_bit_count():
+    rng = np.random.default_rng(5)
+    words = [0, 1, (1 << 63), (1 << 64) - 1,
+             *(int(v) for v in rng.integers(0, 1 << 63, 200, dtype=np.uint64)),
+             *((1 << 64) - 1 - int(v)
+               for v in rng.integers(0, 1 << 63, 200, dtype=np.uint64))]
+    got = _popcounts(np.array(words, dtype=np.uint64))
+    assert got.tolist() == [w.bit_count() for w in words]
+    assert _popcounts(np.array([], dtype=np.uint64)).shape == (0,)
+
+
+def _reference_code(length, min_distance, target, seed=0, max_samples=10**6):
+    # the code search one draw and one Python hamming call at a time
+    rng = np.random.default_rng(seed)
+    mask = (1 << length) - 1
+    words: list[int] = []
+    samples = 0
+    while len(words) < target and samples < max_samples:
+        block = min(4096, max_samples - samples)
+        draws = rng.integers(0, 1 << 32, size=(block, 2), dtype=np.uint64)
+        for a, b in draws:
+            samples += 1
+            w = ((int(a) << 32) | int(b)) & mask
+            if all(hamming(w, v) >= min_distance for v in words):
+                words.append(w)
+                if len(words) == target:
+                    break
+    return tuple(words), samples
+
+
+@pytest.mark.parametrize("length,min_distance,target,max_samples", [
+    (1, 1, 2, 10**6),
+    (45, code_min_distance(45), code_target(45), 10**6),
+    (63, 16, 200, 10**6),
+    (64, 16, 200, 10**6),
+    # shortfalls: the budget ends first, in the first block and in the
+    # second (blocks hold 4096 draws)
+    (1, 1, 3, 50),
+    (45, code_min_distance(45), code_target(45), 100),
+    (20, 8, 10**3, 5000),
+])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_greedy_code_matches_the_scalar_search(length, min_distance, target,
+                                               max_samples, seed):
+    res = greedy_binary_code(length, min_distance, target, seed=seed,
+                             max_samples=max_samples)
+    words, samples = _reference_code(length, min_distance, target, seed,
+                                     max_samples)
+    assert res.words == words
+    assert res.samples_used == samples
+    assert all(type(w) is int for w in res.words)
+    if length == 64:
+        assert any(w >> 63 for w in words)  # the top bit of a uint64
+    if max_samples < 10**6:
+        assert res.shortfall > 0 and samples == max_samples
+
+
 def test_greedy_code_validation():
     with pytest.raises(ParameterError):
         greedy_binary_code(0, 1, 1)
@@ -468,6 +528,70 @@ def test_packing_certificate_on_a_small_family():
     assert {"eta", "min_margin", "ok", "pairs_checked"} <= keys
 
 
+def _reference_certificate(family, grid_n, tol=1e-6):
+    # the certificate one row and one block at a time, with Python hamming
+    # calls and running minima
+    system = family.system
+    d = system.dim
+    pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n))
+    vals = np.stack([f.values(pts) for f in family.functions])
+    zeta, eps, words = family.zeta, family.eps, family.code.words
+    m = len(words)
+    failures = pairs = 0
+    min_margin = min_l1 = math.inf
+    min_ham = None
+    block = 16
+    for i in range(m - 1):
+        hams = np.array([hamming(words[i], words[j]) for j in range(i + 1, m)])
+        for s in range(i + 1, m, block):
+            rows = vals[s:s + block]
+            l1 = np.abs(rows - vals[i]) @ w
+            margin = l1 - hams[s - i - 1:s - i - 1 + len(rows)] * zeta
+            pairs += len(rows)
+            failures += int((margin < -tol).sum())
+            min_margin = min(min_margin, float(margin.min()))
+            min_l1 = min(min_l1, float(l1.min()))
+        h = int(hams.min())
+        min_ham = h if min_ham is None else min(min_ham, h)
+    floor = family.code.min_distance * zeta
+    eps_consistent = floor >= eps
+    return PackingCertificate(
+        eta=system.eta, dim=d, k=system.k, n_cells=system.n_cells,
+        code_size=m, shortfall=family.code.shortfall,
+        min_hamming=min_ham if min_ham is not None else 0,
+        zeta=zeta, eps=eps, separation_floor=floor, grid_n=grid_n, tol=tol,
+        pairs_checked=pairs, failures=failures, min_margin=min_margin,
+        min_l1=min_l1, eps_consistent=eps_consistent,
+        ok=failures == 0 and family.code.shortfall == 0 and eps_consistent)
+
+
+def _first(fam, m):
+    # the family of the first m words
+    return replace(fam, code=replace(fam.code, words=fam.code.words[:m]),
+                   functions=fam.functions[:m])
+
+
+def test_certificate_equals_the_pair_by_pair_reference():
+    # 16-row blocks: m = 17 and 18 put one and two rows in a second block
+    one = build_packing_family(Fraction(1, 1225), 1, max_samples=1)
+    assert len(one.functions) == 1
+    fams = [one, build_packing_family(Fraction(1, 25), 1)]
+    wide = build_packing_family(Fraction(1, 1225), 1)
+    fams += [_first(wide, 17), _first(wide, 18), wide]
+    assert [len(f.functions) for f in fams] == [1, 2, 17, 18, 80]
+    for fam in fams:
+        want = _reference_certificate(fam, 2001).to_json()
+        assert packing_certificate(fam).to_json() == want
+        # at tol 0 the failure count reads the sign of every margin: the
+        # SPAN_LIMIT shrink leaves 1556 of the 3160 at 80 functions below 0
+        want = _reference_certificate(fam, 2001, tol=0.0).to_json()
+        assert packing_certificate(fam, tol=0.0).to_json() == want
+    assert want["failures"] == 1556
+    fam = build_packing_family(Fraction(1, 36), 2)
+    want = _reference_certificate(fam, 60).to_json()
+    assert packing_certificate(fam, grid_n=60).to_json() == want
+
+
 def test_certificate_catches_an_unseparated_family():
     fam = build_packing_family(Fraction(1, 25), 1)
     # duplicate one function: its Hamming floor is positive, its L1 is 0
@@ -476,27 +600,67 @@ def test_certificate_catches_an_unseparated_family():
     cert = packing_certificate(doctored)
     assert cert.failures == 1
     assert not cert.ok
+    assert cert.to_json() == _reference_certificate(doctored, 2001).to_json()
     # a NaN or infinite tol would let this family pass
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ParameterError):
             packing_certificate(doctored, tol=tol)
 
 
+def _near_cell_ends(system, n=201):
+    # n nodes across one cell length, centred on each interval endpoint
+    ends = sorted({e for i in range(system.k) for e in system.interval(i)})
+    off = np.linspace(-system.length, system.length, n)
+    return np.clip(np.add.outer(ends, off).ravel(), 0.0, 1.0)[:, None]
+
+
+def _assert_rows_match(fs, pts):
+    vals = stacked_values(fs, pts)
+    assert vals.shape == (len(fs), len(pts))
+    for f, row in zip(fs, vals):
+        assert row.tobytes() == f.values(pts).tobytes()
+
+
 @pytest.mark.parametrize("eta,d,n", [
     (Fraction(1, 100), 1, 2001),
+    (Fraction(1, 2025), 1, 2001),
     (Fraction(1, 36), 2, 97),
     (Fraction(1, 36), 3, 25),
 ])
 def test_stacked_family_values_match_each_function(eta, d, n):
     fam = build_packing_family(eta, d)
+    f0 = perturbed_function(fam.system, 0)
     # word 0 is f0 alone; the vertex grid reaches the cube's faces
-    fs = (perturbed_function(fam.system, 0),) + fam.functions
     pts = vertex_grid(unit_rect(d), n)
-    vals = stacked_values(fs, pts)
-    assert vals.shape == (len(fs), len(pts))
-    for f, row in zip(fs, vals):
-        assert row.tobytes() == f.values(pts).tobytes()
+    _assert_rows_match((f0,) + fam.functions, pts)
+    _assert_rows_match((f0,), pts)
     assert stacked_values((), pts).shape == (0, len(pts))
+
+
+def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
+    # at d=1 the gap is 0, and near a cell's ends its neighbours' caps rise
+    # up to an ulp above f0: those nodes must be folded in, not skipped
+    fam = build_packing_family(Fraction(1, 2025), 1)
+    system = fam.system
+    pts = _near_cell_ends(system)
+    f0 = system.base.values(pts)
+    above = 0
+    for i, cap in enumerate(system.caps):
+        lo, hi = system.interval(i)
+        outside = (pts[:, 0] < lo) | (pts[:, 0] > hi)
+        above += int((cap.values(pts)[outside] > f0[outside]).sum())
+    assert above > 0
+    _assert_rows_match(fam.functions, pts)
+
+
+def test_stacked_values_without_a_shared_part_fold_every_node():
+    # no part is held by every function, so no floor is taken
+    system = build_interval_system(Fraction(1, 100), 1)
+    base, caps = system.base, system.caps
+    fs = (caps[0], MaxWith(unit_rect(1), (base, caps[1])),
+          MaxWith(unit_rect(1), (caps[2], caps[3], caps[2])), base)
+    for pts in (vertex_grid(unit_rect(1), 2001), _near_cell_ends(system)):
+        _assert_rows_match(fs, pts)
 
 
 def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
