@@ -436,15 +436,13 @@ def stacked_values(functions, points) -> np.ndarray:
     functions share (equal under ==) is evaluated once.
 
     A part that every function holds (f0 in a packing family) is the
-    floor: it is evaluated once and copied into every row. Each other part
-    is folded into all of its rows in one call, but only at the nodes
-    where its value is strictly above the floor's; elsewhere max cannot
-    change a bit, since row >= floor >= part. With no floor the fold
-    covers every node, over rows of -inf. max is exact, so each row holds
-    the bits of MaxWith's stacked maximum, with two caveats: the sign of
-    a zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max,
-    and a NaN in a part that is not the floor is dropped where a floor
-    exists (NaN > floor is false), where numpy's max would return it.
+    floor: it is evaluated once and copied into every row; with no such
+    part the floor is -inf. Each other part is folded into all of its rows
+    in one call, at the nodes where its value is not <= the floor's (so a
+    NaN is folded too); elsewhere max cannot change a bit, since
+    row >= floor >= part. max is exact, so each row holds the bits of
+    MaxWith's stacked maximum; only the sign of a zero at a tie of 0.0
+    with -0.0 is unspecified, as in numpy's max.
     """
     pts = np.asarray(points, dtype=float)
     rows: dict[ConvexFunction, list[int]] = {}
@@ -461,20 +459,17 @@ def stacked_values(functions, points) -> np.ndarray:
         _require_within(pts, domain)
     m = len(functions)
     floor = next((p for p, idx in rows.items() if len(idx) == m), None)
-    if floor is None:
-        out = np.full((m, len(pts)), -np.inf)
-    else:
-        floor_vals = floor._values(pts)
-        out = np.broadcast_to(floor_vals, (m, len(pts))).copy()
+    floor_vals = (np.full(len(pts), -np.inf) if floor is None
+                  else floor._values(pts))
+    out = np.broadcast_to(floor_vals, (m, len(pts))).copy()
     for part, idx in rows.items():
         if part is floor:
             continue
         vals = part._values(pts)
-        if floor is None:
-            at = idx
-        else:
-            cols = np.flatnonzero(vals > floor_vals)
-            at, vals = np.ix_(idx, cols), vals[cols]
+        cols = np.flatnonzero(~(vals <= floor_vals))
+        # keep only the folded nodes: the next part's row is not allocated
+        # beside this one
+        at, vals = np.ix_(idx, cols), vals[cols]
         out[at] = np.maximum(out[at], vals)
     return out
 

@@ -330,23 +330,20 @@ def greedy_binary_code(length: int, min_distance: int, target: int,
     if min_distance < 1 or target < 1 or max_samples < 1:
         raise ParameterError("min_distance, target, max_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    mask = np.uint64((1 << length) - 1)
-    # each sample keeps at most one word
-    kept = np.empty(min(target, max_samples), dtype=np.uint64)
-    n = 0
+    mask = (1 << length) - 1
+    words: list[int] = []
     samples = 0
-    while n < target and samples < max_samples:
+    while len(words) < target and samples < max_samples:
         block = min(4096, max_samples - samples)
         draws = rng.integers(0, 1 << 32, size=(block, 2), dtype=np.uint64)
-        for w in ((draws[:, 0] << np.uint64(32)) | draws[:, 1]) & mask:
+        for a, b in draws:
             samples += 1
-            if (_popcounts(kept[:n] ^ w) >= min_distance).all():
-                kept[n] = w
-                n += 1
-                if n == target:
+            w = ((int(a) << 32) | int(b)) & mask
+            if all(hamming(w, v) >= min_distance for v in words):
+                words.append(w)
+                if len(words) == target:
                     break
-    return CodeSearchResult(tuple(map(int, kept[:n])), length, min_distance,
-                            target, samples)
+    return CodeSearchResult(tuple(words), length, min_distance, target, samples)
 
 
 # -- families and their certificate ---------------------------------------
@@ -406,9 +403,9 @@ def require_certificate_budget(system: IntervalSystem,
     packing_certificate holds one float64 row of grid_n^d quadrature values
     per function, and the code search returns at most code_target(n_cells)
     functions. Its peak is that value matrix, plus one block of at most 16
-    rows of pair differences, plus the quadrature grid, plus 32 bytes per
-    pair (142 MB at the largest code). Checked before the family is built,
-    so an oversized input fails at once instead of exhausting memory.
+    rows of pair differences, plus the quadrature grid. Checked before the
+    family is built, so an oversized input fails at once instead of
+    exhausting memory.
     """
     d = system.dim
     need = code_target(system.n_cells) * _cert_grid_n(d, grid_n) ** d * 8
@@ -467,10 +464,10 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     stacked_values, which evaluates each part the family's functions share
     (f0 and every cap) once. Row i is paired with rows i+1.. in blocks of
     at most 16 rows, through one buffer of differences allocated once;
-    each block's L1 values go into one vector over all pairs, beside the
-    pairs' Hamming distances, popcounts of the XORed words. The failures
-    and the minima are taken once, over those vectors. tol must be finite
-    and nonnegative: a NaN or infinite tol could never fail.
+    the blocks' L1 values fill one buffer of row i's pairs, whose Hamming
+    distances are popcounts of the XORed words, and the failures and the
+    minima are updated once per row. tol must be finite and nonnegative:
+    a NaN or infinite tol could never fail.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError("tol must be finite and >= 0")
@@ -485,34 +482,36 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     words = np.array(family.code.words, dtype=np.uint64)
     m = len(words)
     pairs = m * (m - 1) // 2
-    # pair (i, j), i < j, in row-major order of the upper triangle
-    hams = np.empty(pairs, dtype=np.int64)
-    l1 = np.empty(pairs)
+    failures = 0
+    min_margin = min_l1 = min_ham = math.inf
     block = 16
     # the largest block of pair differences, reused by every block
     buf = np.empty_like(vals[1:1 + block])
-    pos = 0
+    # one row's L1 values, sized for row 0 and reused by every row
+    l1_buf = np.empty(max(m - 1, 0))
     for i in range(m - 1):
-        hams[pos:pos + m - 1 - i] = _popcounts(words[i + 1:] ^ words[i])
+        l1 = l1_buf[:m - 1 - i]
         for s in range(i + 1, m, block):
             rows = vals[s:s + block]
             diff = np.subtract(rows, vals[i], out=buf[:len(rows)])
             np.abs(diff, out=diff)
-            l1[pos:pos + len(rows)] = diff @ w
-            pos += len(rows)
-    margin = l1 - hams * zeta
-    failures = int((margin < -tol).sum())
+            l1[s - i - 1:s - i - 1 + len(rows)] = diff @ w
+        hams = _popcounts(words[i + 1:] ^ words[i])
+        margin = l1 - hams * zeta
+        failures += int((margin < -tol).sum())
+        min_margin = min(min_margin, float(margin.min()))
+        min_l1 = min(min_l1, float(l1.min()))
+        min_ham = min(min_ham, int(hams.min()))
     floor = family.code.min_distance * zeta
     eps_consistent = floor >= eps
     ok = failures == 0 and family.code.shortfall == 0 and eps_consistent
     return PackingCertificate(
         eta=system.eta, dim=d, k=system.k, n_cells=system.n_cells,
         code_size=m, shortfall=family.code.shortfall,
-        min_hamming=int(hams.min()) if pairs else 0,
+        min_hamming=min_ham if pairs else 0,
         zeta=zeta, eps=eps, separation_floor=floor, grid_n=grid_n, tol=tol,
         pairs_checked=pairs, failures=failures,
-        min_margin=float(margin.min()) if pairs else math.inf,
-        min_l1=float(l1.min()) if pairs else math.inf,
+        min_margin=min_margin, min_l1=min_l1,
         eps_consistent=eps_consistent, ok=ok)
 
 

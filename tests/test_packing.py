@@ -403,52 +403,6 @@ def test_popcounts_match_bit_count():
     assert _popcounts(np.array([], dtype=np.uint64)).shape == (0,)
 
 
-def _reference_code(length, min_distance, target, seed=0, max_samples=10**6):
-    # the code search one draw and one Python hamming call at a time
-    rng = np.random.default_rng(seed)
-    mask = (1 << length) - 1
-    words: list[int] = []
-    samples = 0
-    while len(words) < target and samples < max_samples:
-        block = min(4096, max_samples - samples)
-        draws = rng.integers(0, 1 << 32, size=(block, 2), dtype=np.uint64)
-        for a, b in draws:
-            samples += 1
-            w = ((int(a) << 32) | int(b)) & mask
-            if all(hamming(w, v) >= min_distance for v in words):
-                words.append(w)
-                if len(words) == target:
-                    break
-    return tuple(words), samples
-
-
-@pytest.mark.parametrize("length,min_distance,target,max_samples", [
-    (1, 1, 2, 10**6),
-    (45, code_min_distance(45), code_target(45), 10**6),
-    (63, 16, 200, 10**6),
-    (64, 16, 200, 10**6),
-    # shortfalls: the budget ends first, in the first block and in the
-    # second (blocks hold 4096 draws)
-    (1, 1, 3, 50),
-    (45, code_min_distance(45), code_target(45), 100),
-    (20, 8, 10**3, 5000),
-])
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_greedy_code_matches_the_scalar_search(length, min_distance, target,
-                                               max_samples, seed):
-    res = greedy_binary_code(length, min_distance, target, seed=seed,
-                             max_samples=max_samples)
-    words, samples = _reference_code(length, min_distance, target, seed,
-                                     max_samples)
-    assert res.words == words
-    assert res.samples_used == samples
-    assert all(type(w) is int for w in res.words)
-    if length == 64:
-        assert any(w >> 63 for w in words)  # the top bit of a uint64
-    if max_samples < 10**6:
-        assert res.shortfall > 0 and samples == max_samples
-
-
 def test_greedy_code_validation():
     with pytest.raises(ParameterError):
         greedy_binary_code(0, 1, 1)
@@ -654,13 +608,32 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
 
 
 def test_stacked_values_without_a_shared_part_fold_every_node():
-    # no part is held by every function, so no floor is taken
+    # no part is held by every function, so the floor is -inf
     system = build_interval_system(Fraction(1, 100), 1)
     base, caps = system.base, system.caps
     fs = (caps[0], MaxWith(unit_rect(1), (base, caps[1])),
           MaxWith(unit_rect(1), (caps[2], caps[3], caps[2])), base)
     for pts in (vertex_grid(unit_rect(1), 2001), _near_cell_ends(system)):
         _assert_rows_match(fs, pts)
+
+
+def test_stacked_values_keep_a_nan_of_any_part(monkeypatch):
+    # a NaN in f0 or in a cap must reach the row, as it does in max
+    fam = build_packing_family(Fraction(1, 100), 1)
+    system = fam.system
+    pts = vertex_grid(unit_rect(1), 2001)
+    nan_at = {system.base: 7, system.caps[1]: 1000}
+    for cls in (Affine, SeparableQuadratic):
+        def wrapper(self, p, values=cls._values):
+            v = values(self, p)
+            if self in nan_at:
+                v[nan_at[self]] = math.nan
+            return v
+        monkeypatch.setattr(cls, "_values", wrapper)
+    vals = stacked_values(fam.functions, pts)
+    assert np.isnan(vals[:, 7]).all()
+    assert np.isnan(vals[:, 1000]).sum() >= 1
+    _assert_rows_match(fam.functions, pts)
 
 
 def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
