@@ -26,11 +26,15 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .functions import (
+    BOUND_GRID_AXIS,
+    MAX_DIM,
+    MAX_GRID_POINTS,
     DomainError,
     LipschitzVector,
     ParameterError,
     Rect,
     make_random_convex,
+    require_bound_grid,
 )
 from .metrics import GridSpec
 from .packing import (
@@ -53,6 +57,9 @@ from .verify import (
 # Most directions lemmas accepts: the checks' refinements and error
 # estimates build at most 8x this many, a few tens of MB.
 MAX_DIRECTIONS = 10**5
+
+# Largest matrix of piece values, in bytes, that lemmas may ask for.
+LEMMA_VALUE_BUDGET = 2 * 10**9
 
 
 def _parse_eta(text: str) -> Fraction:
@@ -228,6 +235,31 @@ def cmd_schedule(args) -> int:
     return 0 if checks.ok else 1
 
 
+def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:
+    """Refuse pieces whose values on the checks' largest grid exceed the budget.
+
+    A random function evaluates all of its pieces at once, as one nodes x
+    pieces matrix of float64. The grids the checks can reach have 17 (the
+    bound grid), 33 (the slab-height grids), 101 (gradient_mass) and n,
+    2n - 1, 4n - 3 and 8n - 7 nodes per axis: the sup and L1 checks refine
+    at most twice, and each estimate is redone at 2n - 1. A grid past
+    MAX_GRID_POINTS is refused before it is evaluated, so it does not count.
+    """
+    require_bound_grid(dim, pieces)
+    if not 1 <= dim <= MAX_DIM:
+        return  # make_random_convex refuses the dimension
+    n = grid.n
+    sides = (BOUND_GRID_AXIS, 33, 101, n, 2 * n - 1, 4 * n - 3, 8 * n - 7)
+    nodes = max((s**dim for s in sides if s**dim <= MAX_GRID_POINTS),
+                default=0)
+    need = pieces * nodes * 8
+    if need > LEMMA_VALUE_BUDGET:
+        raise ParameterError(
+            f"{pieces} pieces would need {need / 1e9:.1f} GB of values on a "
+            f"grid of {nodes} nodes, over the {LEMMA_VALUE_BUDGET / 1e9:g} GB "
+            f"budget; pass fewer --pieces or a smaller --grid-n")
+
+
 def cmd_lemmas(args) -> int:
     _require_seed(args.seed)
     if args.pairs < 1:
@@ -241,8 +273,9 @@ def cmd_lemmas(args) -> int:
                              f"got {args.bound!r}")
     if not 0.0 < args.rho < 0.5:
         raise ParameterError("need 0 < rho < 0.5")
-    out = _out_dir(args)
     grid = GridSpec(args.grid_n)
+    _require_lemma_budget(args.dim, args.pieces, grid)
+    out = _out_dir(args)
     reports = []
     all_ok = True
     for i in range(args.pairs):

@@ -10,15 +10,20 @@ and returns an (N,) array; the scalar helpers wrap the batch path.
 
 Each form names the parts whose pointwise maximum it is (`max_parts`):
 itself, or for MaxWith its parts' parts. `stacked_values` evaluates many
-functions at once and evaluates a part shared between them only once;
-max is exact, so every row equals that function's own values bit for bit.
+functions at once on a tensor grid, given by its axes. A part shared
+between them is evaluated once, and a part that every function holds is
+the floor. Each other part is evaluated only on the sub-box of the grid
+outside which it is proven to round to at most the floor (an affine cap
+over the paraboloid f0 rises above it only on a ball), and the whole
+grid otherwise. max is exact, so every row equals that function's own
+values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -90,11 +95,17 @@ def _vertex_axes(rect: Rect, n: int) -> list[np.ndarray]:
     return [np.linspace(a, b, n) for a, b in zip(rect.lo, rect.hi)]
 
 
-def tensor_points(axes: list[np.ndarray]) -> np.ndarray:
-    """Row-major tensor grid as an (N, d) array."""
+def grid_size(axes) -> int:
+    """Nodes of the tensor grid on these axes, refused past MAX_GRID_POINTS."""
     total = math.prod(len(a) for a in axes)
     if total > MAX_GRID_POINTS:
         raise ParameterError(f"grid of {total} points exceeds {MAX_GRID_POINTS}")
+    return total
+
+
+def tensor_points(axes: list[np.ndarray]) -> np.ndarray:
+    """Row-major tensor grid as an (N, d) array."""
+    grid_size(axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -128,11 +139,12 @@ def _require_shape(pts: np.ndarray, dim: int) -> None:
         raise ParameterError(f"expected an (N, {dim}) array")
 
 
-def _require_within(pts: np.ndarray, domain: Rect) -> None:
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
-    if not (np.all(pts >= lo) and np.all(pts <= hi)):
-        raise DomainError("point outside the function's domain")
+def _require_within(columns, domain: Rect) -> None:
+    # one coordinate array per axis: the columns of a point array, or the
+    # axes of a tensor grid; a NaN fails both comparisons
+    for col, lo, hi in zip(columns, domain.lo, domain.hi):
+        if not (np.all(col >= lo) and np.all(col <= hi)):
+            raise DomainError("point outside the function's domain")
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ class ConvexFunction:
     def values(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         _require_shape(pts, self.domain.dim)
-        _require_within(pts, self.domain)
+        _require_within(pts.T, self.domain)
         return self._values(pts)
 
     def value(self, x) -> float:
@@ -178,6 +190,19 @@ class ConvexFunction:
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _grid_values(self, axes: list[np.ndarray]) -> np.ndarray:
+        """_values at tensor_points(axes), the same bits, shape (N,)."""
+        return self._values(tensor_points(axes))
+
+    def _rise_box(self, floor: "ConvexFunction | None"):
+        """Per-axis (lo, hi) bounds outside which fl(self) <= fl(floor).
+
+        At every point of the domain with some coordinate outside its
+        bounds, this form's computed value is at most the floor's. None
+        stands for no such box: the whole domain.
+        """
+        return None
 
     def _subgradients(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -226,6 +251,44 @@ class Affine(ConvexFunction):
 
     def _subgradients(self, pts):
         return np.broadcast_to(self._coeff_arr, pts.shape).copy()
+
+    def _rise_box(self, floor):
+        if not (isinstance(floor, SeparableQuadratic)
+                and floor.domain == self.domain):
+            return None
+        # Over f0(x) = |x|^2 / d, with p = d c / 2 and rho^2 = |p|^2 + d b,
+        #   cap(x) - f0(x) = (rho^2 - |x - p|^2) / d    exactly.
+        # Let u = 2^-53 and |x_j| <= M_j on the domain. pts @ c + b, summed
+        # in any order, with or without FMA, is within
+        # gamma_{d+1} (sum |c_j| M_j + |b|) of cap(x); f0's d squares, d - 1
+        # sums and one division are within gamma_{d+1} sum M_j^2 / d of
+        # f0(x); gamma_n = n u / (1 - n u) < 2 n u, so tau below bounds both
+        # errors together. Where |x - p|^2 > rho^2 + d tau, cap - f0 < -tau
+        # exactly, hence fl(cap) < fl(f0).
+        # The half-width h_j covers that ball with margin: err bounds the
+        # rounding of rho^2, the factor 1 + 2^-20 the few-ulp rounding of
+        # the sum under the root, of the root and of r, and 2^-40 (|p_j| + r)
+        # that of p_j and of p_j -+ h_j. So a node below lo_j or above hi_j
+        # on some axis has |x_j - p_j| > sqrt(rho^2 + d tau) exactly.
+        # Overflow anywhere makes r non-finite: then there is no box. The
+        # bounds are relative, so they assume no intermediate is subnormal.
+        d = self.domain.dim
+        u = 2.0**-53
+        c, b = self.coeffs, self.intercept
+        reach = [max(abs(a), abs(z)) for a, z in zip(self.domain.lo,
+                                                      self.domain.hi)]
+        tau = 2 * (d + 1) * u * (sum(abs(cj) * mj for cj, mj in zip(c, reach))
+                                 + abs(b) + sum(mj * mj for mj in reach) / d)
+        p = [d * cj / 2.0 for cj in c]
+        psq = sum(pj * pj for pj in p)
+        rho2 = psq + d * b
+        err = 4 * (d + 4) * u * (psq + d * abs(b))
+        r = math.sqrt(max(rho2, 0.0) + err + d * tau) * (1.0 + 2.0**-20)
+        if not math.isfinite(r):
+            return None
+        halves = [r + 2.0**-40 * (abs(pj) + r) for pj in p]
+        return (tuple(pj - h for pj, h in zip(p, halves)),
+                tuple(pj + h for pj, h in zip(p, halves)))
 
     def lipschitz_budget(self):
         return _budget(abs(c) for c in self.coeffs)
@@ -292,7 +355,18 @@ class SeparableQuadratic(ConvexFunction):
     """x -> (x_1^2 + ... + x_d^2) / d."""
 
     def _values(self, pts):
-        return np.square(pts).sum(axis=1) / self.domain.dim
+        # columns summed left to right, as _grid_values sums its axes
+        sq = np.square(pts)
+        total = sq[:, 0].copy()
+        for col in sq.T[1:]:
+            total += col
+        return total / self.domain.dim
+
+    def _grid_values(self, axes):
+        # per-axis squares, added by broadcasting from the first axis on:
+        # O(n) squares instead of O(N d)
+        total = reduce(np.add.outer, [np.square(a) for a in axes])
+        return total.ravel() / self.domain.dim
 
     def _subgradients(self, pts):
         return 2.0 * pts / self.domain.dim
@@ -427,51 +501,90 @@ class Rescaled(ConvexFunction):
                 "base": self.base.to_json()}
 
 
-def stacked_values(functions, points) -> np.ndarray:
-    """Values of m functions at N points as an (m, N) array.
+def stacked_values(functions, axes) -> np.ndarray:
+    """Values of m functions on the tensor grid of axes, as an (m, N) array.
 
-    Row i equals functions[i].values(points) bit for bit, with the same
-    shape and domain checks. Parts are collected over all functions by
-    max_parts and keyed on the frozen form, so a part that several
-    functions share (equal under ==) is evaluated once.
+    axes holds one increasing 1-D array per dimension; column k is node k
+    of tensor_points(axes). Row i equals
+    functions[i].values(tensor_points(axes)) bit for bit. The shape and
+    domain checks are made on the axes, in O(n) rather than O(N d), and the
+    node array is never built.
 
-    A part that every function holds (f0 in a packing family) is the
-    floor: it is evaluated once and copied into every row; with no such
-    part the floor is -inf. Each other part is folded into all of its rows
-    in one call, at the nodes where its value is not <= the floor's (so a
-    NaN is folded too); elsewhere max cannot change a bit, since
-    row >= floor >= part. max is exact, so each row holds the bits of
-    MaxWith's stacked maximum; only the sign of a zero at a tie of 0.0
-    with -0.0 is unspecified, as in numpy's max.
+    Parts are collected over all functions by max_parts, grouped first by
+    object identity and then by the frozen form, so a part that several
+    functions share (equal under ==) is evaluated once. A part that every
+    function holds (f0 in a packing family) is the floor: it is evaluated
+    once and copied into every row; with no such part the floor is -inf.
+    Each other part is evaluated only on the sub-box of the grid given by
+    its _rise_box over the floor (the whole grid when there is none),
+    outside which its computed value is proven to be at most the floor's,
+    so max cannot change a bit there. It is then folded into all of its
+    rows at once: a gather of those rows over the box, a max and a scatter.
+    max is exact, so each row holds the bits of MaxWith's stacked maximum,
+    a NaN of the floor or of a part inside its box included; only the sign
+    of a zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max.
+    A part is not evaluated outside its box at all.
     """
-    pts = np.asarray(points, dtype=float)
-    rows: dict[ConvexFunction, list[int]] = {}
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    if any(a.ndim != 1 for a in axes):
+        raise ParameterError("each axis must be a 1-D array")
+    shape = tuple(len(a) for a in axes)
+    n = grid_size(axes)
+    by_id: dict[int, tuple[ConvexFunction, list[int]]] = {}
     domains = set()
     for i, f in enumerate(functions):
-        _require_shape(pts, f.domain.dim)
+        if len(axes) != f.domain.dim:
+            raise ParameterError(f"expected {f.domain.dim} axes")
         domains.add(f.domain)
         for part in f.max_parts():
-            idx = rows.setdefault(part, [])
+            # keyed on id first: a frozen dataclass hashes all its fields
+            # on every call
+            entry = by_id.get(id(part))
+            if entry is None:
+                entry = by_id[id(part)] = (part, [])
+            idx = entry[1]
             # each row once, so a part that every function holds has m
             if not idx or idx[-1] != i:
                 idx.append(i)
     for domain in domains:
-        _require_within(pts, domain)
+        _require_within(axes, domain)
+    if not all(np.all(a[1:] >= a[:-1]) for a in axes):
+        raise ParameterError("each axis must be increasing")
+    rows: dict[ConvexFunction, list[int]] = {}
+    for part, idx in by_id.values():
+        # equal parts built as separate objects share one evaluation
+        have = rows.setdefault(part, idx)
+        if have is not idx:
+            rows[part] = sorted(set(have) | set(idx))
     m = len(functions)
     floor = next((p for p, idx in rows.items() if len(idx) == m), None)
-    floor_vals = (np.full(len(pts), -np.inf) if floor is None
-                  else floor._values(pts))
-    out = np.broadcast_to(floor_vals, (m, len(pts))).copy()
+    whole = ((-math.inf,) * len(axes), (math.inf,) * len(axes))
+    out = np.empty((m, *shape))
+    out[...] = (-np.inf if floor is None
+                else floor._grid_values(axes).reshape(shape))
     for part, idx in rows.items():
         if part is floor:
             continue
-        vals = part._values(pts)
-        cols = np.flatnonzero(~(vals <= floor_vals))
-        # keep only the folded nodes: the next part's row is not allocated
-        # beside this one
-        at, vals = np.ix_(idx, cols), vals[cols]
+        # no box is the whole grid, through the same code
+        lows, highs = part._rise_box(floor) or whole
+        spans = [slice(int(np.searchsorted(a, lo, "left")),
+                       int(np.searchsorted(a, hi, "right")))
+                 for a, lo, hi in zip(axes, lows, highs)]
+        count = math.prod(max(0, s.stop - s.start) for s in spans)
+        if count == 0:
+            continue
+        if count == 1 and n > 1:
+            # pts @ c on one row takes another path than on two or more,
+            # which rounds differently: widen the box to two nodes
+            j = next(j for j, a in enumerate(axes) if len(a) > 1)
+            s = spans[j]
+            spans[j] = (slice(s.start, s.stop + 1) if s.stop < shape[j]
+                        else slice(s.start - 1, s.stop))
+        sub = [a[s] for a, s in zip(axes, spans)]
+        vals = part._grid_values(sub).reshape([len(a) for a in sub])
+        at = (idx, *spans)
         out[at] = np.maximum(out[at], vals)
-    return out
+    return out.reshape(m, n)
 
 
 def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:
@@ -486,6 +599,17 @@ def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:
     if f.domain == unit_rect(d) and bound == 1.0:
         return f
     return Rescaled(unit_rect(d), f, 1.0 / bound)
+
+
+def require_bound_grid(d: int, pieces: int) -> None:
+    """Refuse pieces whose draws exceed MAX_GRID_POINTS bound-grid values.
+
+    make_random_convex evaluates each draw on the 17^d bound grid as one
+    17^d x pieces matrix.
+    """
+    if BOUND_GRID_AXIS**d * pieces > MAX_GRID_POINTS:
+        raise ParameterError(f"{pieces} pieces on the {BOUND_GRID_AXIS}^{d} "
+                             f"bound grid exceed {MAX_GRID_POINTS} values")
 
 
 def make_random_convex(d: int, bound: float, pieces: int, seed: int,
@@ -505,10 +629,7 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
     rect = rect if rect is not None else unit_rect(d)
     if rect.dim != d:
         raise ParameterError("rect dimension mismatch")
-    # the draw's values on the bound grid form a 17^d x pieces matrix
-    if BOUND_GRID_AXIS**d * pieces > MAX_GRID_POINTS:
-        raise ParameterError(f"{pieces} pieces on the {BOUND_GRID_AXIS}^{d} "
-                             f"bound grid exceed {MAX_GRID_POINTS} values")
+    require_bound_grid(d, pieces)
     grid = tensor_points(_vertex_axes(rect, BOUND_GRID_AXIS))
     rng = np.random.default_rng(seed)
     for _ in range(1000):

@@ -26,6 +26,7 @@ from .functions import (
     ConvexFunction,
     ParameterError,
     Rect,
+    grid_size,
     tensor_points,
     _vertex_axes,
 )
@@ -58,16 +59,27 @@ class DistanceReport:
     error_estimate: float
 
 
-def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (N, d) and weights (N,) of the tensor-product midpoint rule."""
+def quadrature_axes(rect: Rect,
+                    spec: GridSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-axis nodes and the (N,) weights of the tensor-product midpoint rule.
+
+    Weight k belongs to node k of tensor_points(axes). The grid is refused
+    past MAX_GRID_POINTS before the weights are built.
+    """
     nodes, weights = [], []
     for lo, hi in zip(rect.lo, rect.hi):
         h = (hi - lo) / spec.n
         nodes.append(lo + (np.arange(spec.n) + 0.5) * h)
         weights.append(np.full(spec.n, h))
-    pts = tensor_points(nodes)
+    grid_size(nodes)
     w = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), weights)
-    return pts, w
+    return nodes, w
+
+
+def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, d) and weights (N,) of the tensor-product midpoint rule."""
+    nodes, w = quadrature_axes(rect, spec)
+    return tensor_points(nodes), w
 
 
 def vertex_grid(rect: Rect, n: int) -> np.ndarray:

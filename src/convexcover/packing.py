@@ -35,7 +35,7 @@ from .functions import (
     tensor_points,
     unit_rect,
 )
-from .metrics import GridSpec, quadrature_grid
+from .metrics import GridSpec, quadrature_axes
 
 # Families larger than this in cells are refused; the code search over
 # 2^n words stops being practical and ints no longer fit two rng draws.
@@ -403,9 +403,9 @@ def require_certificate_budget(system: IntervalSystem,
     packing_certificate holds one float64 row of grid_n^d quadrature values
     per function, and the code search returns at most code_target(n_cells)
     functions. Its peak is that value matrix, plus one block of at most 16
-    rows of pair differences, plus the quadrature grid. Checked before the
-    family is built, so an oversized input fails at once instead of
-    exhausting memory.
+    rows of pair differences, plus the grid_n^d quadrature weights; it
+    never builds the (N, d) node array. Checked before the family is built,
+    so an oversized input fails at once instead of exhausting memory.
     """
     d = system.dim
     need = code_target(system.n_cells) * _cert_grid_n(d, grid_n) ** d * 8
@@ -460,9 +460,11 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
                         tol: float = 1e-6) -> PackingCertificate:
     """Check every pairwise L1 distance against its Hamming floor.
 
-    Uses midpoint quadrature on the unit cube. The value matrix comes from
-    stacked_values, which evaluates each part the family's functions share
-    (f0 and every cap) once. Row i is paired with rows i+1.. in blocks of
+    Uses midpoint quadrature on the unit cube, given by its per-axis nodes
+    and its weights; the (N, d) node array is never built. The value
+    matrix comes from stacked_values on those axes, which evaluates f0
+    once and each cap the functions share once, on the sub-box of the grid
+    where it can rise above f0. Row i is paired with rows i+1.. in blocks of
     at most 16 rows, through one buffer of differences allocated once;
     the blocks' L1 values fill one buffer of row i's pairs, whose Hamming
     distances are popcounts of the XORed words, and the failures and the
@@ -474,8 +476,8 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     system = family.system
     d = system.dim
     grid_n = _cert_grid_n(d, grid_n)
-    pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n))
-    vals = stacked_values(family.functions, pts)
+    axes, w = quadrature_axes(unit_rect(d), GridSpec(grid_n))
+    vals = stacked_values(family.functions, axes)
 
     zeta = family.zeta
     eps = family.eps

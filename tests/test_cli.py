@@ -271,6 +271,40 @@ def test_lemmas_refuses_sizes_that_would_exhaust_memory(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, refused", [
+    # 1601^2 nodes after two refinements: 615 GB at 30000 pieces, and
+    # 97 pieces are 1.99 GB, 98 are 2.01 GB
+    (["--dim", "2", "--pieces", "30000"], True),
+    (["--dim", "2", "--pieces", "98"], True),
+    (["--dim", "2", "--pieces", "97"], False),
+    # the checks' grids are only 8n - 7 = 793 nodes wide at --grid-n 100
+    (["--dim", "2", "--pieces", "397", "--grid-n", "100"], False),
+    (["--dim", "2", "--pieces", "398", "--grid-n", "100"], True),
+    # at d = 3 every refined grid is past MAX_GRID_POINTS, so 201^3 is
+    # the largest that is built: 1.95 GB at 30 pieces, 2.01 GB at 31
+    (["--dim", "3", "--pieces", "31"], True),
+    (["--dim", "3", "--pieces", "30"], False),
+])
+def test_lemmas_refuse_piece_values_over_the_memory_budget(
+        tmp_path, capsys, monkeypatch, argv, refused):
+    class Drew(Exception):
+        pass
+
+    def first_pair(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(cli, "make_random_convex", first_pair)
+    out = tmp_path / "out"
+    if not refused:
+        with pytest.raises(Drew):
+            main(["lemmas", *argv, "--out-dir", str(out)])
+        return
+    rc = main(["lemmas", *argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert "over the 2 GB budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_at_an_eps_near_the_float_floor(tmp_path):
     # the packing side needs k ~ 1e148 intervals per axis here: finding k
     # once took a step per unit of the float guess's error, and k^3 cells

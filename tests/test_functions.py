@@ -249,11 +249,15 @@ def test_stacked_values_match_each_function_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(Hinge, "_values", counted)
     rng = np.random.default_rng(11)
-    pts = np.asarray(r.lo) + rng.random((257, 2)) * np.asarray(r.widths)
-    pts = np.vstack([pts, [r.lo, r.hi, (0.75, 0.0)]])  # box corners, kink
-    vals = stacked_values(forms, pts.tolist())
+    # random sorted axes plus the box corners and the hinge kink x = 0.75
+    axes = [np.sort(np.concatenate([lo + rng.random(n) * (hi - lo), extra]))
+            for lo, hi, n, extra in zip(r.lo, r.hi, (23, 19),
+                                        ([r.lo[0], r.hi[0], 0.75],
+                                         [r.lo[1], r.hi[1]]))]
+    vals = stacked_values(forms, [a.tolist() for a in axes])
     # four equal hinges in three functions: one evaluation
     assert len(hinge_calls) == 1
+    pts = tensor_points(axes)
     assert vals.shape == (len(forms), len(pts))
     for f, row in zip(forms, vals):
         assert row.tobytes() == f.values(pts).tobytes()
@@ -263,17 +267,53 @@ def test_stacked_values_keep_the_domain_and_shape_checks():
     unit = unit_rect(2)
     small = Rect((0.0, 0.0), (0.5, 1.0))
     fs = [SeparableQuadratic(unit), Hinge(small, 0.25)]
-    inside_both = np.array([[0.25, 0.5], [0.5, 1.0]])
-    assert stacked_values(fs, inside_both).shape == (2, 2)
+    inside_both = [np.array([0.25, 0.5]), np.array([0.5, 1.0])]
+    assert stacked_values(fs, inside_both).shape == (2, 4)
     # inside the first function's domain, outside the second's
     with pytest.raises(DomainError):
-        stacked_values(fs, np.array([[0.25, 0.5], [0.75, 0.5]]))
+        stacked_values(fs, [np.array([0.25, 0.75]), np.array([0.5])])
     with pytest.raises(DomainError):
-        stacked_values(fs[:1], np.array([[0.25, -1e-12]]))
+        stacked_values(fs[:1], [np.array([0.25]), np.array([-1e-12])])
+    with pytest.raises(DomainError):
+        stacked_values(fs[:1], [np.array([0.25, math.nan]), np.array([0.5])])
     with pytest.raises(ParameterError):
-        stacked_values(fs, np.array([0.25, 0.5]))
+        stacked_values(fs, [np.array([0.25, 0.5])])  # one axis for d = 2
+    with pytest.raises(ParameterError):
+        stacked_values(fs, [np.array([[0.25, 0.5]]), np.array([0.5])])
+    with pytest.raises(ParameterError):
+        stacked_values(fs, [np.array([0.5, 0.25]), np.array([0.5])])
     with pytest.raises(ParameterError):
         stacked_values(fs + [SeparableQuadratic(unit_rect(1))], inside_both)
+    with pytest.raises(ParameterError):
+        stacked_values(fs[:1], [np.zeros(4000)] * 2)  # 1.6e7 nodes
+    assert stacked_values((), inside_both).shape == (0, 4)
+
+
+def test_values_refuse_a_nan_coordinate():
+    f = SeparableQuadratic(unit_rect(2))
+    for pts in ([[math.nan, 0.5]], [[0.5, 0.5], [0.5, math.nan]]):
+        with pytest.raises(DomainError):
+            f.values(pts)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_separable_quadratic_grid_values_equal_its_point_values(d):
+    # the floor on a tensor grid adds per-axis squares from the first axis
+    # on, as the point path adds its columns; below d = 8 that is also the
+    # order of numpy's sum over a row
+    r = Rect((-1.0,) * d, (2.0,) * d)
+    rng = np.random.default_rng(d)
+    n = {1: 4001, 2: 301, 3: 41, 4: 17, 5: 9, 6: 7, 7: 5, 8: 5}[d]
+    axes = [np.sort(np.concatenate([-1.0 + 3.0 * rng.random(n - 2),
+                                    [-1.0, 2.0]])) for _ in range(d)]
+    f = SeparableQuadratic(r)
+    pts = tensor_points(axes)
+    grid = f._grid_values(axes)
+    assert grid.tobytes() == f.values(pts).tobytes()
+    row = stacked_values([f], axes)[0]
+    assert row.tobytes() == grid.tobytes()
+    if d < 8:
+        assert grid.tobytes() == (np.square(pts).sum(axis=1) / d).tobytes()
 
 
 # -- random generation and slope budgets ------------------------------------

@@ -31,7 +31,14 @@ from convexcover import (
     separation_scale,
     verify_cap_properties,
 )
-from convexcover.functions import Affine, MaxWith, stacked_values, unit_rect
+from convexcover.functions import (
+    Affine,
+    ConvexFunction,
+    MaxWith,
+    stacked_values,
+    tensor_points,
+    unit_rect,
+)
 from convexcover.metrics import GridSpec, quadrature_grid, vertex_grid
 from convexcover.packing import (
     CERT_VALUE_BUDGET,
@@ -562,14 +569,16 @@ def test_certificate_catches_an_unseparated_family():
 
 
 def _near_cell_ends(system, n=201):
-    # n nodes across one cell length, centred on each interval endpoint
+    # one axis of n nodes across one cell length, centred on each interval
+    # endpoint; the ranges overlap, so they are merged into one sorted axis
     ends = sorted({e for i in range(system.k) for e in system.interval(i)})
     off = np.linspace(-system.length, system.length, n)
-    return np.clip(np.add.outer(ends, off).ravel(), 0.0, 1.0)[:, None]
+    return np.unique(np.clip(np.add.outer(ends, off).ravel(), 0.0, 1.0))
 
 
-def _assert_rows_match(fs, pts):
-    vals = stacked_values(fs, pts)
+def _assert_rows_match(fs, axes):
+    vals = stacked_values(fs, axes)
+    pts = tensor_points(axes)
     assert vals.shape == (len(fs), len(pts))
     for f, row in zip(fs, vals):
         assert row.tobytes() == f.values(pts).tobytes()
@@ -585,55 +594,180 @@ def test_stacked_family_values_match_each_function(eta, d, n):
     fam = build_packing_family(eta, d)
     f0 = perturbed_function(fam.system, 0)
     # word 0 is f0 alone; the vertex grid reaches the cube's faces
-    pts = vertex_grid(unit_rect(d), n)
-    _assert_rows_match((f0,) + fam.functions, pts)
-    _assert_rows_match((f0,), pts)
-    assert stacked_values((), pts).shape == (0, len(pts))
+    axes = [np.linspace(0.0, 1.0, n)] * d
+    _assert_rows_match((f0,) + fam.functions, axes)
+    _assert_rows_match((f0,), axes)
+    assert stacked_values((), axes).shape == (0, n**d)
 
 
 def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
     # at d=1 the gap is 0, and near a cell's ends its neighbours' caps rise
-    # up to an ulp above f0: those nodes must be folded in, not skipped
+    # up to an ulp above f0: those nodes lie in the caps' boxes and must be
+    # folded in
     fam = build_packing_family(Fraction(1, 2025), 1)
     system = fam.system
-    pts = _near_cell_ends(system)
+    axis = _near_cell_ends(system)
+    pts = axis[:, None]
     f0 = system.base.values(pts)
     above = 0
     for i, cap in enumerate(system.caps):
         lo, hi = system.interval(i)
-        outside = (pts[:, 0] < lo) | (pts[:, 0] > hi)
+        outside = (axis < lo) | (axis > hi)
         above += int((cap.values(pts)[outside] > f0[outside]).sum())
     assert above > 0
-    _assert_rows_match(fam.functions, pts)
+    _assert_rows_match(fam.functions, [axis])
+
+
+def _admissible_max_eta(d):
+    # max_eta(d) itself, or the float below it where rounding put it past
+    # the exact edge
+    eta = max_eta(d)
+    try:
+        interval_count(eta, d)
+    except ParameterError:
+        eta = math.nextafter(eta, 0.0)
+    return eta
+
+
+_BOX_SYSTEMS = [
+    # max_eta(1) = 1 and the d=1 systems at eta = 1/k^2 span [0, 1]
+    # exactly, so SPAN_LIMIT shrinks them
+    *((_admissible_max_eta(d), d) for d in range(1, 5)),
+    (Fraction(1, 25), 1), (Fraction(1, 2025), 1),
+    (Fraction(1, 36), 2), (Fraction(1, 100), 2),
+    (Fraction(1, 25), 3), (Fraction(1, 36), 4),
+]
+
+
+@pytest.mark.parametrize("eta,d", _BOX_SYSTEMS)
+def test_caps_round_to_at_most_f0_outside_their_boxes(eta, d):
+    system = build_interval_system(eta, d)
+    if d == 1:
+        assert system.length < math.sqrt(system.eta)  # shrunk
+    f0 = system.base
+    # a vertex grid with every cell end on it, plus nodes near the ends
+    near, n = {1: (201, 2001), 2: (21, 201), 3: (5, 41), 4: (3, 13)}[d]
+    ends = [e for i in range(system.k) for e in system.interval(i)]
+    axis = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), ends,
+                                     _near_cell_ends(system, near)]))
+    pts = tensor_points([axis] * d)
+    base = f0.values(pts)
+    folded = 0
+    for cap in system.caps:
+        lo, hi = cap._rise_box(f0)
+        outside = ((pts < lo) | (pts > hi)).any(axis=1)
+        assert outside.any() or system.k == 1
+        vals, floor = cap.values(pts)[outside], base[outside]
+        assert np.all(vals <= floor)
+        assert np.maximum(floor, vals).tobytes() == floor.tobytes()
+        folded += int((cap.values(pts) > base).sum())
+    assert folded > 0
+    words = [w for w in (1, (1 << system.n_cells) - 1, 0b101)
+                 if w < 1 << system.n_cells]
+    fs = [perturbed_function(system, w) for w in words]
+    _assert_rows_match(fs, [axis] * d)
+
+
+def test_a_box_with_one_grid_node_matches_the_full_grid():
+    # the box of the first cap holds one node of this grid, and that of
+    # the last cap one, the last node of each axis; each box is widened to
+    # two nodes, up and down, since a one-row product rounds otherwise
+    system = build_interval_system(Fraction(1, 36), 2)
+    f0 = system.base
+    first, last = system.caps[0], system.caps[-1]
+    (lo0, hi0), (lo1, hi1) = first._rise_box(f0), last._rise_box(f0)
+    assert lo0[0] < 0.0 < hi0[0] < lo1[0]
+
+    def node(cap, lo, hi):
+        # near the box centre, a node where the one-row product rounds
+        # otherwise than the two-row one, if this BLAS has such a node
+        steps = (np.array(hi) - np.array(lo)) / 1024.0
+        mid = (np.array(lo) + np.array(hi)) / 2.0
+        for k in range(64):
+            x = mid + steps * np.array([k, 3 * k + 1])
+            if cap.value(x) != cap.values([x, x])[0]:
+                return x
+        return mid
+
+    x0, x1 = node(first, lo0, hi0), node(last, lo1, hi1)
+    axes = [np.array([x0[j], hi0[j] + 0.05, 0.5, lo1[j] - 0.05, x1[j]])
+            for j in range(2)]
+    for cap in (first, last):
+        lows, highs = cap._rise_box(f0)
+        inside = [int(((a >= l) & (a <= h)).sum())
+                  for a, l, h in zip(axes, lows, highs)]
+        assert inside == [1, 1]
+    fs = [perturbed_function(system, 1), perturbed_function(system, 1 << 15),
+          perturbed_function(system, 1 | 1 << 15)]
+    _assert_rows_match(fs, axes)
+    vals = stacked_values(fs, axes)
+    # at each box's node the cap rises above f0
+    assert vals[0, 0] > f0.value(x0)
+    assert vals[1, -1] > f0.value(x1)
 
 
 def test_stacked_values_without_a_shared_part_fold_every_node():
-    # no part is held by every function, so the floor is -inf
+    # no part is held by every function, so the floor is -inf and every
+    # part's box is the whole grid
     system = build_interval_system(Fraction(1, 100), 1)
     base, caps = system.base, system.caps
     fs = (caps[0], MaxWith(unit_rect(1), (base, caps[1])),
           MaxWith(unit_rect(1), (caps[2], caps[3], caps[2])), base)
-    for pts in (vertex_grid(unit_rect(1), 2001), _near_cell_ends(system)):
-        _assert_rows_match(fs, pts)
+    for axis in (np.linspace(0.0, 1.0, 2001), _near_cell_ends(system)):
+        _assert_rows_match(fs, [axis])
 
 
 def test_stacked_values_keep_a_nan_of_any_part(monkeypatch):
-    # a NaN in f0 or in a cap must reach the row, as it does in max
-    fam = build_packing_family(Fraction(1, 100), 1)
-    system = fam.system
-    pts = vertex_grid(unit_rect(1), 2001)
-    nan_at = {system.base: 7, system.caps[1]: 1000}
+    # a NaN in f0 at any node, in a cap inside its box, or in a part that
+    # has no box (here an affine piece whose rho^2 overflows) must reach
+    # every row that holds it, as it does in max
+    system = build_interval_system(Fraction(1, 36), 2)
+    base, caps = system.base, system.caps
+    steep = Affine(unit_rect(2), (1e300, 0.0), -1e300)
+    assert steep._rise_box(base) is None
+    r = unit_rect(2)
+    fs = (MaxWith(r, (base, caps[0])), MaxWith(r, (base, caps[5], steep)),
+          MaxWith(r, (base, caps[0], caps[5])), base)
+    axis = np.linspace(0.0, 1.0, 61)
+    axes = [axis, axis]
+    lo, hi = system.interval(0)
+    mid = (lo + hi) / 2.0
+    far = axis[-1]
+    # node (0, 0) for f0, the first cell's centre row for its cap, and the
+    # far corner, outside every cap's box, for the steep piece
+    centre = axis[np.argmin(np.abs(axis - mid))]
+    nan_at = {base: (0.0, 0.0), caps[0]: (centre, centre), steep: (far, far)}
+    lows, highs = caps[0]._rise_box(base)
+    assert all(l <= centre <= h for l, h in zip(lows, highs))
+    for cap in caps:
+        assert not all(l <= far <= h for l, h in zip(*cap._rise_box(base)))
+
+    def poisoned(self, pts, values):
+        v = values(self, pts)
+        if self in nan_at:
+            v[(pts == nan_at[self]).all(axis=1)] = math.nan
+        return v
+
     for cls in (Affine, SeparableQuadratic):
-        def wrapper(self, p, values=cls._values):
-            v = values(self, p)
-            if self in nan_at:
-                v[nan_at[self]] = math.nan
-            return v
+        def wrapper(self, pts, values=cls._values):
+            return poisoned(self, pts, values)
         monkeypatch.setattr(cls, "_values", wrapper)
-    vals = stacked_values(fam.functions, pts)
-    assert np.isnan(vals[:, 7]).all()
-    assert np.isnan(vals[:, 1000]).sum() >= 1
-    _assert_rows_match(fam.functions, pts)
+
+    def grid_wrapper(self, axes, grid_values=SeparableQuadratic._grid_values):
+        return poisoned(self, tensor_points(axes), lambda f, _:
+                        grid_values(f, axes))
+    monkeypatch.setattr(SeparableQuadratic, "_grid_values", grid_wrapper)
+
+    vals = stacked_values(fs, axes)
+    pts = tensor_points(axes)
+    at = {key: int(np.flatnonzero((pts == node).all(axis=1))[0])
+          for key, node in nan_at.items()}
+    assert np.isnan(vals[:, at[base]]).all()
+    assert np.isnan(vals[:, at[caps[0]]]).tolist() == [True, False, True,
+                                                       False]
+    assert np.isnan(vals[:, at[steep]]).tolist() == [False, True, False,
+                                                     False]
+    _assert_rows_match(fs, axes)
 
 
 def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
@@ -641,16 +775,16 @@ def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
     calls = []
 
     def counted(values):
-        def wrapper(self, pts):
+        def wrapper(self, axes):
             calls.append(self)
-            return values(self, pts)
+            return values(self, axes)
         return wrapper
 
-    for cls in (Affine, SeparableQuadratic):
-        monkeypatch.setattr(cls, "_values", counted(cls._values))
-    stacked_values(fam.functions, vertex_grid(unit_rect(2), 11))
-    # f0 plus one cap per cell that some word selects; the caps of each
-    # function are built afresh, so only equal forms can be shared
+    for cls in (ConvexFunction, SeparableQuadratic):
+        monkeypatch.setattr(cls, "_grid_values", counted(cls._grid_values))
+    stacked_values(fam.functions, [np.linspace(0.0, 1.0, 11)] * 2)
+    # f0 plus one cap per cell that some word selects; equal forms built
+    # as separate objects would be shared too
     used = 0
     for w in fam.code.words:
         used |= w
@@ -661,7 +795,7 @@ def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
 
 def test_certificate_peak_memory_is_one_block_over_its_values():
     # 8 functions x 600^2 nodes: a 23 MB value matrix, one 7-row block of
-    # differences (20 MB) and the 8.6 MB grid
+    # differences (20 MB) and the 2.9 MB weights; no node array
     fam = build_packing_family(Fraction(1, 36), 2)
     tracemalloc.start()
     try:
