@@ -236,22 +236,25 @@ def cmd_schedule(args) -> int:
 
 
 def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:
-    """Refuse pieces whose values on the checks' largest grid exceed the budget.
+    """Refuse grids past MAX_GRID_POINTS and pieces past the value budget.
 
-    A random function evaluates all of its pieces at once, as one nodes x
-    pieces matrix of float64. The grids the checks can reach have 17 (the
-    bound grid), 33 (the slab-height grids), 101 (gradient_mass) and n,
-    2n - 1, 4n - 3 and 8n - 7 nodes per axis: the sup and L1 checks refine
-    at most twice, and each estimate is redone at 2n - 1. A grid past
-    MAX_GRID_POINTS is refused before it is evaluated, so it does not count.
+    Every pair builds grids of 17 (the bound grid), 33 (the slab heights),
+    101 (gradient_mass), n and 2n - 1 nodes per axis. A failing check
+    refines at most twice, to 4n - 3 and 8n - 7; such a grid past
+    MAX_GRID_POINTS is refused when it is built, so the budget skips it. A
+    random function evaluates all of its pieces at once, as one
+    nodes x pieces float64 matrix.
     """
     require_bound_grid(dim, pieces)
     if not 1 <= dim <= MAX_DIM:
         return  # make_random_convex refuses the dimension
     n = grid.n
-    sides = (BOUND_GRID_AXIS, 33, 101, n, 2 * n - 1, 4 * n - 3, 8 * n - 7)
-    nodes = max((s**dim for s in sides if s**dim <= MAX_GRID_POINTS),
-                default=0)
+    side = max(BOUND_GRID_AXIS, 33, 101, 2 * n - 1)
+    if side**dim > MAX_GRID_POINTS:
+        raise ParameterError(f"every pair builds a grid of {side}^{dim} "
+                             f"nodes, over {MAX_GRID_POINTS}")
+    nodes = max(s**dim for s in (side, 4 * n - 3, 8 * n - 7)
+                if s**dim <= MAX_GRID_POINTS)
     need = pieces * nodes * 8
     if need > LEMMA_VALUE_BUDGET:
         raise ParameterError(

@@ -22,7 +22,7 @@ values bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
 import numpy as np
@@ -47,6 +47,26 @@ class DomainError(ValueError):
 def _fstr(x: float) -> str:
     # repr of a float round-trips exactly through float()
     return repr(float(x))
+
+
+def _json_value(v):
+    if isinstance(v, float):
+        return _fstr(v)
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    return v  # str, int, bool or None
+
+
+def _report_json(obj, *properties: str) -> dict:
+    """A report dataclass as a JSON object: its fields, then the properties.
+
+    Floats go through _fstr, tuples and lists become lists, and a value with
+    its own to_json is written as that; str, int, bool and None pass as is.
+    """
+    names = [f.name for f in fields(obj)] + list(properties)
+    return {name: _json_value(getattr(obj, name)) for name in names}
 
 
 @dataclass(frozen=True)
@@ -82,8 +102,7 @@ class Rect:
         return all(x == w[0] for x in w)
 
     def to_json(self) -> dict:
-        return {"lo": [_fstr(v) for v in self.lo],
-                "hi": [_fstr(v) for v in self.hi]}
+        return _report_json(self)
 
 
 def unit_rect(d: int) -> Rect:
@@ -139,12 +158,16 @@ def _require_shape(pts: np.ndarray, dim: int) -> None:
         raise ParameterError(f"expected an (N, {dim}) array")
 
 
-def _require_within(columns, domain: Rect) -> None:
+def _require_within(columns, domain: Rect, strict: bool = False) -> None:
     # one coordinate array per axis: the columns of a point array, or the
-    # axes of a tensor grid; a NaN fails both comparisons
+    # axes of a tensor grid; a NaN fails both comparisons. strict asks for
+    # the open box.
+    above, below = ((np.greater, np.less) if strict
+                    else (np.greater_equal, np.less_equal))
     for col, lo, hi in zip(columns, domain.lo, domain.hi):
-        if not (np.all(col >= lo) and np.all(col <= hi)):
-            raise DomainError("point outside the function's domain")
+        if not (np.all(above(col, lo)) and np.all(below(col, hi))):
+            raise DomainError("point outside the function's "
+                              + ("open domain" if strict else "domain"))
 
 
 @dataclass(frozen=True)
@@ -169,10 +192,7 @@ class ConvexFunction:
         """One subgradient per row; points must be strictly interior."""
         pts = np.asarray(points, dtype=float)
         _require_shape(pts, self.domain.dim)
-        lo = np.asarray(self.domain.lo)
-        hi = np.asarray(self.domain.hi)
-        if not (np.all(pts > lo) and np.all(pts < hi)):
-            raise DomainError("subgradients need strictly interior points")
+        _require_within(pts.T, self.domain, strict=True)
         return self._subgradients(pts)
 
     def max_parts(self) -> tuple["ConvexFunction", ...]:

@@ -130,15 +130,15 @@ def sup_grid_distance(f: ConvexFunction, g: ConvexFunction,
     return DistanceReport(value, abs(fine - value))
 
 
-def _support_batch(pts: np.ndarray, vals: np.ndarray, bound: float,
+def _support_batch(pts: np.ndarray, vals: np.ndarray,
                    dirs: np.ndarray) -> np.ndarray:
-    """Support values of {(x, t) : f_j(x) <= t <= bound} for each direction row.
+    """Support values of the epigraph slabs of f_j for each direction row.
 
-    vals holds one row of grid values per function, shape (k, N); the
-    result has shape (k, len(dirs)). For a direction with nonnegative last
-    component the maximizing t is the ceiling; otherwise it is f(x). The x
-    part is maximized over the grid, so each value is exact in t and
-    grid-limited in x.
+    Every direction must point down (last component < 0), so the
+    maximizing t is f(x) whatever the slab's ceiling. vals holds one row of
+    grid values per function, shape (k, N); the result has shape
+    (k, len(dirs)). The x part is maximized over the grid, so each value
+    is exact in t and grid-limited in x.
 
     The grid is swept in tiles of at most _TILE_ENTRIES node-by-direction
     entries (directions are split too when there are more than that). Each
@@ -155,16 +155,16 @@ def _support_batch(pts: np.ndarray, vals: np.ndarray, bound: float,
     for s in range(0, len(dirs), step):
         u = dirs[s:s + step]
         ux = u[:, :d].T
-        neg = np.minimum(u[:, d], 0.0)
-        best = np.full((len(vals), len(u)), -np.inf)
+        down = u[:, d].copy()  # contiguous for the tile products
+        best = out[:, s:s + step]
+        best[...] = -np.inf
         for r in range(0, len(pts), rows):
             spatial = pts[r:r + rows] @ ux
             tile = lifted[:len(spatial), :len(u)]
             for v, b in zip(vals[:, r:r + rows], best):
-                np.multiply(v[:, None], neg, out=tile)
+                np.multiply(v[:, None], down, out=tile)
                 tile += spatial
                 np.maximum(b, tile.max(axis=0), out=b)
-        out[:, s:s + step] = best + np.maximum(u[:, d], 0.0) * bound
     return out
 
 
@@ -212,7 +212,7 @@ def direction_covering_radius(ambient: int, count: int) -> float:
     return 6.0 * count ** (-1.0 / (ambient - 1.0))
 
 
-def _hausdorff_value(f, g, bound, dirs, n) -> float:
+def _hausdorff_value(f, g, dirs, n) -> float:
     # a direction with last component >= 0 is maximized at the shared
     # ceiling, where both slabs give the same number: its gap is exactly 0
     down = dirs[dirs[:, -1] < 0.0]
@@ -220,7 +220,7 @@ def _hausdorff_value(f, g, bound, dirs, n) -> float:
         return 0.0
     pts = vertex_grid(f.domain, n)
     vals = np.stack([f.values(pts), g.values(pts)])
-    sf, sg = _support_batch(pts, vals, bound, down)
+    sf, sg = _support_batch(pts, vals, down)
     return float(np.abs(sf - sg).max())
 
 
@@ -234,7 +234,8 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction, bound: float,
     directions and grid refine. Directions whose last component is >= 0
     are left out of the sweep: both slabs reach them at the common ceiling
     with the same grid points, so their gap is exactly 0 and cannot raise
-    the maximum (a signed zero is lost to the absolute value). The error
+    the maximum (a signed zero is lost to the absolute value). So the
+    value does not depend on the bound, an infinite one included. The error
     estimate doubles the direction count and refines the support grid; it
     does not cover the systematic sampling bias, which is at most twice
     the slab circumradius times direction_covering_radius of the set.
@@ -243,7 +244,7 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction, bound: float,
     if n_directions < 2 * (d + 1):
         raise ParameterError(f"need at least {2 * (d + 1)} directions")
     dirs = direction_set(d + 1, n_directions)
-    value = _hausdorff_value(f, g, bound, dirs, grid.n)
-    fine = _hausdorff_value(f, g, bound, direction_set(d + 1, 2 * n_directions),
+    value = _hausdorff_value(f, g, dirs, grid.n)
+    fine = _hausdorff_value(f, g, direction_set(d + 1, 2 * n_directions),
                             2 * grid.n - 1)
     return DistanceReport(value, abs(fine - value))

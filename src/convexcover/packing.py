@@ -30,7 +30,8 @@ from .functions import (
     MaxWith,
     ParameterError,
     SeparableQuadratic,
-    _fstr,
+    _report_json,
+    grid_size,
     stacked_values,
     tensor_points,
     unit_rect,
@@ -163,9 +164,7 @@ class IntervalSystem:
         return lo, tuple(v + self.length for v in lo)
 
     def to_json(self) -> dict:
-        return {"eta": _fstr(self.eta), "dim": self.dim, "k": self.k,
-                "length": _fstr(self.length), "gap": _fstr(self.gap),
-                "starts": [_fstr(v) for v in self.starts]}
+        return _report_json(self)
 
 
 def build_interval_system(eta, d: int) -> IntervalSystem:
@@ -311,11 +310,7 @@ class CodeSearchResult:
         return max(0, self.target_size - len(self.words))
 
     def to_json(self) -> dict:
-        return {"words": list(self.words), "length": self.length,
-                "min_distance": self.min_distance,
-                "target_size": self.target_size,
-                "samples_used": self.samples_used,
-                "shortfall": self.shortfall}
+        return _report_json(self, "shortfall")
 
 
 def greedy_binary_code(length: int, min_distance: int, target: int,
@@ -369,9 +364,7 @@ class PackingFamily:
         return cell_gap(self.system.eta, self.system.dim)
 
     def to_json(self) -> dict:
-        return {"system": self.system.to_json(), "code": self.code.to_json(),
-                "eps": _fstr(self.eps), "zeta": _fstr(self.zeta),
-                "functions": [f.to_json() for f in self.functions]}
+        return _report_json(self, "eps", "zeta")
 
 
 def build_packing_family(eta, d: int, seed: int = 0,
@@ -398,17 +391,19 @@ def _cert_grid_n(d: int, grid_n: int | None) -> int:
 
 def require_certificate_budget(system: IntervalSystem,
                                grid_n: int | None = None) -> None:
-    """Refuse a system whose certificate values would exceed the budget.
+    """Refuse a system whose certificate grid or values would be too large.
 
-    packing_certificate holds one float64 row of grid_n^d quadrature values
-    per function, and the code search returns at most code_target(n_cells)
+    packing_certificate refuses a grid_n^d quadrature grid past
+    MAX_GRID_POINTS. It holds one float64 row of grid_n^d values per
+    function, and the code search returns at most code_target(n_cells)
     functions. Its peak is that value matrix, plus one block of at most 16
     rows of pair differences, plus the grid_n^d quadrature weights; it
     never builds the (N, d) node array. Checked before the family is built,
     so an oversized input fails at once instead of exhausting memory.
     """
     d = system.dim
-    need = code_target(system.n_cells) * _cert_grid_n(d, grid_n) ** d * 8
+    nodes = grid_size((range(_cert_grid_n(d, grid_n)),) * d)
+    need = code_target(system.n_cells) * nodes * 8
     if need > CERT_VALUE_BUDGET:
         raise ParameterError(
             f"the certificate would need {need / 1e9:.1f} GB of values, over "
@@ -444,16 +439,7 @@ class PackingCertificate:
     ok: bool
 
     def to_json(self) -> dict:
-        return {"eta": _fstr(self.eta), "dim": self.dim, "k": self.k,
-                "n_cells": self.n_cells, "code_size": self.code_size,
-                "shortfall": self.shortfall, "min_hamming": self.min_hamming,
-                "zeta": _fstr(self.zeta), "eps": _fstr(self.eps),
-                "separation_floor": _fstr(self.separation_floor),
-                "grid_n": self.grid_n, "tol": _fstr(self.tol),
-                "pairs_checked": self.pairs_checked, "failures": self.failures,
-                "min_margin": _fstr(self.min_margin),
-                "min_l1": _fstr(self.min_l1),
-                "eps_consistent": self.eps_consistent, "ok": self.ok}
+        return _report_json(self)
 
 
 def packing_certificate(family: PackingFamily, grid_n: int | None = None,
@@ -511,7 +497,8 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
         eta=system.eta, dim=d, k=system.k, n_cells=system.n_cells,
         code_size=m, shortfall=family.code.shortfall,
         min_hamming=min_ham if pairs else 0,
-        zeta=zeta, eps=eps, separation_floor=floor, grid_n=grid_n, tol=tol,
+        zeta=zeta, eps=eps, separation_floor=floor, grid_n=grid_n,
+        tol=float(tol),
         pairs_checked=pairs, failures=failures,
         min_margin=min_margin, min_l1=min_l1,
         eps_consistent=eps_consistent, ok=ok)
@@ -530,11 +517,6 @@ class SeparationPoint:
     n_cells: int
     eps: float
     log_packing: float
-
-    def to_json(self) -> dict:
-        return {"eta": _fstr(self.eta), "dim": self.dim, "k": self.k,
-                "n_cells": self.n_cells, "eps": _fstr(self.eps),
-                "log_packing": _fstr(self.log_packing)}
 
 
 def separation_point(eta, d: int) -> SeparationPoint:
@@ -588,11 +570,7 @@ class CapPropertyReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {"affine_checks": self.affine_checks,
-                "corner_checks": self.corner_checks,
-                "above_checks": self.above_checks,
-                "below_checks": self.below_checks,
-                "failures": list(self.failures), "ok": self.ok}
+        return _report_json(self, "ok")
 
 
 def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,

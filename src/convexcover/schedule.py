@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .functions import ParameterError, _fstr
+from .functions import ParameterError, _report_json
 
 LOG2 = math.log(2.0)
 
@@ -71,11 +71,7 @@ class Schedule:
     log_radii: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {"p": _fstr(self.p), "log_eta": _fstr(self.log_eta),
-                "depth": self.depth, "log_edge": _fstr(self.log_edge),
-                "log_levels": [_fstr(v) for v in self.log_levels],
-                "log_weights": [_fstr(v) for v in self.log_weights],
-                "log_radii": [_fstr(v) for v in self.log_radii]}
+        return _report_json(self)
 
 
 def log_radius_closed_form(p: float, log_eta: float, m: int) -> float:
@@ -150,22 +146,7 @@ class ScheduleChecks:
     ok: bool
 
     def to_json(self) -> dict:
-        return {"chain_ok": self.chain_ok, "edge_ok": self.edge_ok,
-                "weights_monotone": self.weights_monotone,
-                "identity_residual": _fstr(self.identity_residual),
-                "identity_ok": self.identity_ok,
-                "min_log_ratio": _fstr(self.min_log_ratio),
-                "ratio_ok": self.ratio_ok,
-                "closed_form_gap": _fstr(self.closed_form_gap),
-                "closed_form_ok": self.closed_form_ok,
-                "log_s1": _fstr(self.log_s1),
-                "log_s1_bound": _fstr(self.log_s1_bound),
-                "s1_ok": self.s1_ok,
-                "zeta_square_sum": _fstr(self.zeta_square_sum),
-                "zeta_square_ok": self.zeta_square_ok,
-                "dim_sums": [[d, _fstr(s), _fstr(b), ok]
-                             for d, s, b, ok in self.dim_sums],
-                "ok": self.ok}
+        return _report_json(self)
 
 
 def schedule_checks(sched: Schedule,
@@ -258,12 +239,7 @@ class CoverAccounting:
     entropy_bound: float
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "gamma_sum": _fstr(self.gamma_sum),
-                "scale": _fstr(self.scale),
-                "log_coverage_radius": _fstr(self.log_coverage_radius),
-                "coverage_radius": _fstr(self.coverage_radius),
-                "log_entropy_bound": _fstr(self.log_entropy_bound),
-                "entropy_bound": _fstr(self.entropy_bound)}
+        return _report_json(self)
 
 
 def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
@@ -291,5 +267,5 @@ def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
         bound = math.exp(log_bound)
     except OverflowError:
         bound = math.inf
-    return CoverAccounting(d, gamma_sum, scale, log_cover,
+    return CoverAccounting(d, float(gamma_sum), float(scale), log_cover,
                            math.exp(log_cover), log_bound, bound)

@@ -33,7 +33,7 @@ from .functions import (
     LipschitzVector,
     ParameterError,
     Rect,
-    _fstr,
+    _report_json,
     rescale_to_unit,
     unit_rect,
 )
@@ -68,10 +68,7 @@ class LemmaReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {"name": self.name, "lhs": _fstr(self.lhs),
-                "rhs": _fstr(self.rhs), "tolerance": _fstr(self.tolerance),
-                "slack": _fstr(self.slack), "refinements": self.refinements,
-                "ok": self.ok}
+        return _report_json(self)
 
 
 def _grid_max(f: ConvexFunction, n: int = 33) -> float:
@@ -266,11 +263,6 @@ class ScalingIdentityReport:
     rhs: float
     difference: float
 
-    def to_json(self) -> dict:
-        return {"p": _fstr(self.p), "bound": _fstr(self.bound),
-                "side": _fstr(self.side), "lhs": _fstr(self.lhs),
-                "rhs": _fstr(self.rhs), "difference": _fstr(self.difference)}
-
 
 def scaling_identity_report(f: ConvexFunction, g: ConvexFunction, p: float,
                             bound: float,
@@ -316,12 +308,7 @@ class EntropyBounds:
     log_lipschitz_upper: float | None
 
     def to_json(self) -> dict:
-        def opt(v):
-            return None if v is None else _fstr(v)
-        return {"eps": _fstr(self.eps), "p": _fstr(self.p), "dim": self.dim,
-                "log_upper": opt(self.log_upper),
-                "log_lower": opt(self.log_lower),
-                "log_lipschitz_upper": opt(self.log_lipschitz_upper)}
+        return _report_json(self)
 
 
 def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
@@ -386,4 +373,5 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
                 log_lip = math.exp(log_val)
             except OverflowError:
                 log_lip = math.inf
-    return EntropyBounds(eps, p, d, log_upper, log_lower, log_lip)
+    return EntropyBounds(float(eps), float(p), d, log_upper, log_lower,
+                         log_lip)

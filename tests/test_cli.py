@@ -100,6 +100,23 @@ def test_pack_refuses_a_certificate_over_the_memory_budget(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+def test_pack_refuses_a_certificate_grid_past_max_grid_points(
+        tmp_path, capsys, monkeypatch):
+    # 2 functions x 40^5 nodes x 8 B is under the 2 GB budget, but no
+    # 40^5 grid is ever built
+    def build(*args, **kwargs):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(cli, "build_packing_family", build)
+    t0 = time.perf_counter()
+    rc = main(["pack", "--eta", "1/4", "--dim", "5",
+               "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert "exceeds 10000000" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("eta, dim", [("1e-400", "1"), ("1e-20", "1"),
                                       ("1e-12", "2")])
 def test_pack_refuses_a_system_over_the_cell_cap(tmp_path, capsys, eta, dim):
@@ -280,10 +297,13 @@ def test_lemmas_refuses_sizes_that_would_exhaust_memory(tmp_path, capsys,
     # the checks' grids are only 8n - 7 = 793 nodes wide at --grid-n 100
     (["--dim", "2", "--pieces", "397", "--grid-n", "100"], False),
     (["--dim", "2", "--pieces", "398", "--grid-n", "100"], True),
-    # at d = 3 every refined grid is past MAX_GRID_POINTS, so 201^3 is
-    # the largest that is built: 1.95 GB at 30 pieces, 2.01 GB at 31
-    (["--dim", "3", "--pieces", "31"], True),
-    (["--dim", "3", "--pieces", "30"], False),
+    # at d = 3 and --grid-n 101 both refined grids are past
+    # MAX_GRID_POINTS, so 201^3 is the largest that is built: 1.95 GB at
+    # 30 pieces, 2.01 GB at 31
+    (["--dim", "3", "--pieces", "31", "--grid-n", "101"], True),
+    (["--dim", "3", "--pieces", "30", "--grid-n", "101"], False),
+    # the largest grid at d = 3: 2 * 108 - 1 = 215 and 215^3 = 9.94e6 nodes
+    (["--dim", "3", "--grid-n", "108"], False),
 ])
 def test_lemmas_refuse_piece_values_over_the_memory_budget(
         tmp_path, capsys, monkeypatch, argv, refused):
@@ -302,6 +322,29 @@ def test_lemmas_refuse_piece_values_over_the_memory_budget(
     rc = main(["lemmas", *argv, "--out-dir", str(out)])
     assert rc == 2
     assert "over the 2 GB budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # gradient_mass always builds 101^4 nodes
+    ["--dim", "4", "--pairs", "1", "--grid-n", "5", "--directions", "200"],
+    ["--dim", "5", "--pieces", "1"],
+    # the default --grid-n 201 estimates every distance on 401^3 nodes
+    ["--dim", "3"],
+    ["--dim", "3", "--grid-n", "109"],  # 217^3
+])
+def test_lemmas_refuse_a_grid_past_max_grid_points(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    def first_pair(*args, **kwargs):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(cli, "make_random_convex", first_pair)
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    rc = main(["lemmas", *argv, "--out-dir", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert "over 10000000" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -294,6 +294,8 @@ def test_values_refuse_a_nan_coordinate():
     for pts in ([[math.nan, 0.5]], [[0.5, 0.5], [0.5, math.nan]]):
         with pytest.raises(DomainError):
             f.values(pts)
+        with pytest.raises(DomainError):
+            f.subgradients(pts)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -118,20 +118,19 @@ def test_sup_grid_distance_converges_from_below():
 
 
 def test_epigraph_support_of_the_unit_square():
-    # f = 0 with ceiling 1 makes the slab the unit square in R^2
+    # f = 0 with ceiling 1 makes the slab the unit square in R^2; the
+    # kernel takes the downward directions, which reach its floor
     f = Affine(unit_rect(1), (0.0,), 0.0)
     pts = vertex_grid(f.domain, GridSpec().n)
     vals = f.values(pts)[None, :]
     cases = [
-        ((0.0, 1.0), 1.0),
         ((0.0, -1.0), 0.0),
-        ((1.0, 0.0), 1.0),
-        ((-1.0, 0.0), 0.0),
-        ((math.sqrt(0.5), math.sqrt(0.5)), math.sqrt(2.0)),
+        ((math.sqrt(0.5), -math.sqrt(0.5)), math.sqrt(0.5)),
+        ((-math.sqrt(0.5), -math.sqrt(0.5)), 0.0),
     ]
     for direction, expected in cases:
         u = np.array([direction])
-        got = metrics._support_batch(pts, vals, 1.0, u)
+        got = metrics._support_batch(pts, vals, u)
         assert got.shape == (1, 1)
         assert math.isclose(float(got[0, 0]), expected, rel_tol=0.0,
                             abs_tol=1e-12)
@@ -195,6 +194,16 @@ def test_hausdorff_epigraph_converges_from_below():
     assert coarse <= fine + 1e-15
 
 
+def test_hausdorff_epigraph_does_not_depend_on_a_ceiling_above_both():
+    # only downward directions are swept, and they never reach the
+    # ceiling; an infinite one once gave 0 * inf = NaN
+    f, g = _random_pair(2, 90)
+    want = hausdorff_epigraph(f, g, 1.0, 200, GridSpec(21))
+    assert want.value > 0.0
+    for bound in (5.0, math.inf):
+        assert hausdorff_epigraph(f, g, bound, 200, GridSpec(21)) == want
+
+
 def test_hausdorff_epigraph_needs_enough_directions():
     f = Affine(unit_rect(1), (0.0,), 0.0)
     with pytest.raises(ParameterError):
@@ -230,14 +239,14 @@ def test_hausdorff_value_matches_the_naive_formula_bit_for_bit(d, n, count):
     dirs = direction_set(d + 1, count)
     for seed in range(0, 8, 2):
         f, g = _random_pair(d, 300 + seed)
-        assert metrics._hausdorff_value(f, g, 1.0, dirs, n) == \
+        assert metrics._hausdorff_value(f, g, dirs, n) == \
             _naive_hausdorff(f, g, 1.0, dirs, n)
 
 
 def _assert_kernel_matches(f, g, n, dirs, bound=1.0):
     pts = vertex_grid(f.domain, n)
     vals = np.stack([f.values(pts), g.values(pts)])
-    both = metrics._support_batch(pts, vals, bound, dirs)
+    both = metrics._support_batch(pts, vals, dirs)
     assert both.shape == (2, len(dirs))
     for row, v in zip(both, vals):
         assert np.array_equal(row, _naive_support(pts, v, bound, dirs))
@@ -250,7 +259,7 @@ def test_support_kernel_is_exact_across_node_tile_boundaries():
     rows = metrics._TILE_ENTRIES // len(dirs)
     for n in (rows - 1, rows, rows + 1):
         _assert_kernel_matches(f, g, n, dirs, bound=0.9)
-        assert metrics._hausdorff_value(f, g, 0.9, dirs, n) == \
+        assert metrics._hausdorff_value(f, g, dirs, n) == \
             _naive_hausdorff(f, g, 0.9, dirs, n)
 
 
@@ -258,7 +267,11 @@ def test_support_kernel_is_exact_across_direction_tile_boundaries():
     f, g = _random_pair(2, 50)
     for count in (metrics._TILE_ENTRIES - 1, metrics._TILE_ENTRIES,
                   metrics._TILE_ENTRIES + 1):
-        _assert_kernel_matches(f, g, 3, direction_set(3, count))
+        # the second half of a spiral of 2 * count directions points down
+        dirs = direction_set(3, 2 * count)
+        dirs = dirs[dirs[:, 2] < 0.0]
+        assert len(dirs) == count
+        _assert_kernel_matches(f, g, 3, dirs)
 
 
 def test_only_ceiling_directions_are_skipped():
@@ -266,12 +279,12 @@ def test_only_ceiling_directions_are_skipped():
     dirs = direction_set(3, 400)
     up = dirs[dirs[:, 2] >= 0.0]
     assert len(up) == 200
-    assert metrics._hausdorff_value(f, g, 1.0, up, 31) == 0.0
+    assert metrics._hausdorff_value(f, g, up, 31) == 0.0
     assert _naive_hausdorff(f, g, 1.0, up, 31) == 0.0
     # one direction just below the horizontal still carries a gap
     tilt = 1e-6
     dirs = np.vstack([up, [[math.sqrt(1.0 - tilt * tilt), 0.0, -tilt]]])
-    got = metrics._hausdorff_value(f, g, 1.0, dirs, 31)
+    got = metrics._hausdorff_value(f, g, dirs, 31)
     assert got > 0.0
     assert got == _naive_hausdorff(f, g, 1.0, dirs, 31)
 
@@ -283,7 +296,7 @@ def test_refined_c08_sized_call_keeps_its_transients_small():
     dirs = direction_set(3, 2000)
     tracemalloc.start()
     try:
-        metrics._hausdorff_value(f, g, 1.0, dirs, 301)
+        metrics._hausdorff_value(f, g, dirs, 301)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -475,6 +475,17 @@ def test_certificate_budget_counts_the_largest_family():
     assert 91 * 600**2 * 8 < CERT_VALUE_BUDGET < 2981 * 600**2 * 8
 
 
+def test_certificate_budget_refuses_a_grid_past_max_grid_points():
+    # one cell, two functions: 2 x 40^5 x 8 B = 1.6 GB is under the
+    # budget, but the default 40^5 grid is never built
+    d5 = build_interval_system(Fraction(1, 4), 5)
+    with pytest.raises(ParameterError, match="exceeds"):
+        require_certificate_budget(d5)
+    require_certificate_budget(d5, grid_n=25)
+    with pytest.raises(ParameterError, match="exceeds"):
+        require_certificate_budget(d5, grid_n=26)
+
+
 def test_packing_certificate_on_a_small_family():
     fam = build_packing_family(Fraction(1, 25), 1)
     cert = packing_certificate(fam)

@@ -1,6 +1,7 @@
 """Inequality checks, ramp closed forms, and the assembled bounds."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +12,11 @@ from convexcover import (
     LipschitzVector,
     ParameterError,
     Rect,
+    build_packing_family,
+    build_schedule,
     check_l1_bound,
     check_sup_bound,
+    cover_accounting,
     entropy_bounds,
     gradient_mass,
     hinge_family,
@@ -20,6 +24,7 @@ from convexcover import (
     hinge_lp_closed_form,
     lp_distance,
     make_random_convex,
+    packing_certificate,
     scaling_identity_report,
     slice_gradient_mass,
     unit_rect,
@@ -274,3 +279,15 @@ def test_entropy_bounds_validation():
     for bound in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             entropy_bounds(0.1, 1.0, unit_rect(1), bound)
+
+
+def test_reports_write_int_inputs_as_floats():
+    # a report writes each float field with repr(float), so a float
+    # parameter given as an int is stored as a float, as the CLI's are
+    fam = build_packing_family(Fraction(1, 25), 1)
+    assert packing_certificate(fam, tol=0).to_json()["tol"] == "0.0"
+    eb = entropy_bounds(1, 1, Rect((0.0,), (4.0,)), 1).to_json()
+    assert (eb["eps"], eb["p"]) == ("1.0", "1.0")
+    assert entropy_bounds(1e-3, 1, unit_rect(1), 1).to_json()["p"] == "1.0"
+    acct = cover_accounting(build_schedule(1, -100.0), 1, 0, 1).to_json()
+    assert (acct["gamma_sum"], acct["scale"]) == ("0.0", "1.0")
