@@ -11,9 +11,12 @@ Four subcommands mirror the library's main flows:
             seeded random pairs
   bounds    write the assembled cover and packing bounds for one query
 
-Every output is a file in --out-dir. Reruns with the same arguments
-produce byte-identical files: floats are serialized with repr, JSON keys
-are sorted, and all randomness is seeded.
+Every output is a file in --out-dir. A cmd_* function touches no file: it
+returns (files, summary, ok), files mapping each artifact name to its JSON
+tree or CSV text, and main renders them all before it creates --out-dir,
+so a run that is refused or raises leaves nothing behind. Reruns with
+the same arguments produce byte-identical files: floats are serialized
+with repr, JSON keys are sorted, and all randomness is seeded.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ MAX_DIRECTIONS = 10**5
 
 # Largest matrix of piece values, in bytes, that lemmas may ask for.
 LEMMA_VALUE_BUDGET = 2 * 10**9
+
+# Most points pack's curve sweeps. Each step doubles k, and at d = 8 the
+# cell count passes the 4300 digits str(int) formats before step 1800.
+MAX_CURVE_STEPS = 1000
 
 
 def _parse_eta(text: str) -> Fraction:
@@ -140,22 +147,8 @@ def _json_text(obj) -> str:
     return encode(obj, 0)
 
 
-def _write_json(path: Path, obj) -> None:
-    # the bytes of json.dumps(obj, indent=2, sort_keys=True), with each
-    # object a family shares (f0 and its caps) encoded once, not once per
-    # function that holds it; see _json_text for the contract
-    path.write_text(_json_text(obj) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
 
 
 def _require_seed(seed: int) -> None:
@@ -164,11 +157,10 @@ def _require_seed(seed: int) -> None:
         raise ParameterError("seed must be >= 0")
 
 
-def cmd_pack(args) -> int:
-    # Everything is computed before the first write, so an input that
-    # raises leaves no partial artifact set behind.
+def cmd_pack(args) -> tuple[dict, str, bool]:
     _require_seed(args.seed)
-    out = _out_dir(args)
+    if args.curve_steps > MAX_CURVE_STEPS:
+        raise ParameterError(f"need steps <= {MAX_CURVE_STEPS}")
     eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
     capped = system.n_cells > CELL_CAP
@@ -181,30 +173,25 @@ def cmd_pack(args) -> int:
     report = verify_cap_properties(system, samples=args.cap_samples,
                                    seed=args.seed)
     curve = separation_curve(eta, args.dim, steps=args.curve_steps)
-    if not capped:
-        cert = packing_certificate(family, grid_n=args.grid_n, tol=args.tol)
-
-    _write_json(out / "interval_system.json", system.to_json())
-    _write_json(out / "cap_report.json", report.to_json())
-    _write_csv(out / "lower_bound_curve.csv",
-               ["eta", "k", "n_cells", "eps", "log_packing"],
-               [[repr(pt.eta), str(pt.k), str(pt.n_cells), repr(pt.eps),
-                 repr(pt.log_packing)] for pt in curve])
+    files = {"interval_system.json": system.to_json(),
+             "cap_report.json": report.to_json(),
+             "lower_bound_curve.csv": _csv_text(
+                 ["eta", "k", "n_cells", "eps", "log_packing"],
+                 [[repr(pt.eta), str(pt.k), str(pt.n_cells), repr(pt.eps),
+                   repr(pt.log_packing)] for pt in curve])}
     if capped:
-        print(f"{system.n_cells} cells exceeds the {CELL_CAP}-cell cap; "
-              "wrote system, cap report, and curve only")
-        return 0 if report.ok else 1
+        return (files, f"{system.n_cells} cells exceeds the {CELL_CAP}-cell "
+                       "cap; wrote system, cap report, and curve only",
+                report.ok)
+    cert = packing_certificate(family, grid_n=args.grid_n, tol=args.tol)
+    files["family.json"] = family.to_json()
+    files["packing_certificate.json"] = cert.to_json()
+    return (files, f"family of {len(family.functions)} functions on "
+                   f"{system.n_cells} cells; certificate ok={cert.ok}, "
+                   f"cap report ok={report.ok}", cert.ok and report.ok)
 
-    _write_json(out / "family.json", family.to_json())
-    _write_json(out / "packing_certificate.json", cert.to_json())
-    print(f"family of {len(family.functions)} functions on {system.n_cells} "
-          f"cells; certificate ok={cert.ok}, cap report ok={report.ok}")
-    return 0 if (cert.ok and report.ok) else 1
 
-
-def cmd_schedule(args) -> int:
-    # as in cmd_pack, nothing is written until everything is computed
-    out = _out_dir(args)
+def cmd_schedule(args) -> tuple[dict, str, bool]:
     if args.log2_eta is not None:
         log_eta = args.log2_eta * LOG2
     else:
@@ -225,14 +212,13 @@ def cmd_schedule(args) -> int:
         weight = repr(sched.log_weights[m - 1]) if m <= sched.depth else ""
         radius = repr(sched.log_radii[m - 1]) if m <= sched.depth else ""
         rows.append([str(m), level, weight, radius])
-    _write_json(out / "schedule.json", sched.to_json())
-    _write_csv(out / "schedule.csv",
-               ["m", "log_level", "log_weight", "log_radius"], rows)
-    _write_json(out / "schedule_checks.json", checks.to_json())
-    _write_json(out / "cover_accounting.json", acct.to_json())
-    print(f"depth {sched.depth} schedule; checks ok={checks.ok}; "
-          f"log cover count <= {acct.entropy_bound:.6g}")
-    return 0 if checks.ok else 1
+    files = {"schedule.json": sched.to_json(),
+             "schedule.csv": _csv_text(
+                 ["m", "log_level", "log_weight", "log_radius"], rows),
+             "schedule_checks.json": checks.to_json(),
+             "cover_accounting.json": acct.to_json()}
+    return (files, f"depth {sched.depth} schedule; checks ok={checks.ok}; "
+                   f"log cover count <= {acct.entropy_bound:.6g}", checks.ok)
 
 
 def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:
@@ -263,12 +249,14 @@ def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:
             f"budget; pass fewer --pieces or a smaller --grid-n")
 
 
-def cmd_lemmas(args) -> int:
+def cmd_lemmas(args) -> tuple[dict, str, bool]:
     _require_seed(args.seed)
     if args.pairs < 1:
         raise ParameterError("need pairs >= 1")
     if args.directions > MAX_DIRECTIONS:
         raise ParameterError(f"need directions <= {MAX_DIRECTIONS}")
+    if args.directions < 2 * (args.dim + 1):  # as hausdorff_epigraph says
+        raise ParameterError(f"need at least {2 * (args.dim + 1)} directions")
     # the sup check's slab ceiling is 1 and the L1 check needs |f| <= 1:
     # a larger bound is refused here, not by a check on a fixed ceiling
     if not 0.0 < args.bound <= 1.0:
@@ -278,7 +266,6 @@ def cmd_lemmas(args) -> int:
         raise ParameterError("need 0 < rho < 0.5")
     grid = GridSpec(args.grid_n)
     _require_lemma_budget(args.dim, args.pieces, grid)
-    out = _out_dir(args)
     reports = []
     all_ok = True
     for i in range(args.pairs):
@@ -286,7 +273,7 @@ def cmd_lemmas(args) -> int:
                                args.seed + 2 * i)
         g = make_random_convex(args.dim, args.bound, args.pieces,
                                args.seed + 2 * i + 1)
-        sup_rep = check_sup_bound(f, g, 1.0, n_directions=args.directions,
+        sup_rep = check_sup_bound(f, g, n_directions=args.directions,
                                   grid=grid)
         l1_rep = check_l1_bound(f, g, n_directions=args.directions, grid=grid)
         masses = [gradient_mass(h, args.rho) for h in (f, g)]
@@ -298,31 +285,29 @@ def cmd_lemmas(args) -> int:
                         "slope_masses": [repr(mv) for mv in masses],
                         "slope_mass_cap": repr(mass_cap),
                         "slope_mass_ok": mass_ok})
-    _write_json(out / "lemma_reports.json",
-                {"dim": args.dim, "pairs": args.pairs, "seed": args.seed,
-                 "bound": repr(args.bound), "all_ok": all_ok,
-                 "reports": reports})
-    print(f"{args.pairs} pairs at d={args.dim}: all_ok={all_ok}")
-    return 0 if all_ok else 1
+    files = {"lemma_reports.json": {
+        "dim": args.dim, "pairs": args.pairs, "seed": args.seed,
+        "bound": repr(args.bound), "all_ok": all_ok, "reports": reports}}
+    return (files, f"{args.pairs} pairs at d={args.dim}: all_ok={all_ok}",
+            all_ok)
 
 
-def cmd_bounds(args) -> int:
-    out = _out_dir(args)
+def cmd_bounds(args) -> tuple[dict, str, bool]:
     d = args.dim
     rect = Rect((args.origin,) * d, (args.origin + args.side,) * d)
     gammas = LipschitzVector(tuple(args.gamma)) if args.gamma else None
     eb = entropy_bounds(args.eps, args.p, rect, args.bound, gammas,
                         args.scale)
-    _write_json(out / "entropy_bounds.json", eb.to_json())
 
     def show(v, missing="out of range"):
         return missing if v is None else f"{v:.6g}"
 
     lip_missing = "n/a" if gammas is None else "out of range"
-    print(f"eps={args.eps:g} p={args.p:g} d={d}: "
-          f"log upper {show(eb.log_upper)}, log lower {show(eb.log_lower)}, "
-          f"sup-distance upper {show(eb.log_lipschitz_upper, lip_missing)}")
-    return 0
+    return ({"entropy_bounds.json": eb.to_json()},
+            f"eps={args.eps:g} p={args.p:g} d={d}: "
+            f"log upper {show(eb.log_upper)}, log lower {show(eb.log_lower)}, "
+            f"sup-distance upper {show(eb.log_lipschitz_upper, lip_missing)}",
+            True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -398,10 +383,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files, summary, ok = args.func(args)
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    texts = {name: body if isinstance(body, str) else _json_text(body) + "\n"
+             for name, body in files.items()}
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    print(summary)
+    return 0 if ok else 1
 
 
 def run() -> None:

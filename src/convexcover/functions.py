@@ -328,7 +328,6 @@ class MaxAffine(ConvexFunction):
     """
 
     pieces: tuple[Affine, ...]
-    bound_on_grid: float | None = None  # recorded by make_random_convex
 
     def __post_init__(self):
         if not self.pieces:
@@ -362,12 +361,9 @@ class MaxAffine(ConvexFunction):
                        for j in range(self.domain.dim))
 
     def _form_json(self):
-        form = {"kind": "max_affine",
+        return {"kind": "max_affine",
                 "pieces": [{"coeffs": [_fstr(v) for v in p.coeffs],
                             "intercept": _fstr(p.intercept)} for p in self.pieces]}
-        if self.bound_on_grid is not None:
-            form["bound_on_grid"] = _fstr(self.bound_on_grid)
-        return form
 
 
 @dataclass(frozen=True)
@@ -637,9 +633,8 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
     """Random max-affine function with |f| <= bound on a vertex check grid.
 
     Pieces are drawn from a seeded generator, then uniformly scaled so the
-    max of |f| over a 17-per-axis grid fits inside [-bound, bound]. The
-    grid max is recorded on the result as bound_on_grid. Re-samples up to
-    1000 times if a scaled draw still fails the grid check.
+    max of |f| over a 17-per-axis grid fits inside [-bound, bound]. Re-samples
+    up to 1000 times if a scaled draw still fails the grid check.
     """
     if pieces < 1:
         raise ParameterError("need at least one piece")
@@ -666,5 +661,5 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
         if m <= bound:
             made = tuple(Affine(rect, tuple(c), float(b))
                          for c, b in zip(coeffs, icepts))
-            return MaxAffine(rect, made, bound_on_grid=m)
+            return MaxAffine(rect, made)
     raise ParameterError("could not fit a random draw inside the bound")

@@ -10,8 +10,8 @@ recomputation.
 The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
 them, and the Hausdorff value passes it only the directions that point
-down: every other direction is maximized at the shared ceiling, where the
-two supports agree exactly. Neither shortcut changes a bit of the result.
+down: the two supports agree exactly in every other direction. Neither
+shortcut changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def direction_covering_radius(ambient: int, count: int) -> float:
 
 
 def _hausdorff_value(f, g, dirs, n) -> float:
-    # a direction with last component >= 0 is maximized at the shared
-    # ceiling, where both slabs give the same number: its gap is exactly 0
+    # a direction with last component >= 0 is maximized on the slabs'
+    # common top face, where both give the same number: its gap is exactly 0
     down = dirs[dirs[:, -1] < 0.0]
     if not len(down):
         return 0.0
@@ -224,21 +224,20 @@ def _hausdorff_value(f, g, dirs, n) -> float:
     return float(np.abs(sf - sg).max())
 
 
-def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction, bound: float,
+def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction,
                        n_directions: int,
                        grid: GridSpec = GridSpec()) -> DistanceReport:
-    """Hausdorff distance between the two epigraph slabs under the bound.
+    """Hausdorff distance between the two functions' epigraph slabs.
 
     Computed as the largest absolute support-function gap over the sampled
     directions, so the value converges to the true distance from below as
-    directions and grid refine. Directions whose last component is >= 0
-    are left out of the sweep: both slabs reach them at the common ceiling
-    with the same grid points, so their gap is exactly 0 and cannot raise
-    the maximum (a signed zero is lost to the absolute value). So the
-    value does not depend on the bound, an infinite one included. The error
-    estimate doubles the direction count and refines the support grid; it
-    does not cover the systematic sampling bias, which is at most twice
-    the slab circumradius times direction_covering_radius of the set.
+    directions and grid refine. Only directions whose last component is
+    < 0 are swept: both slabs reach every other one on their common top
+    face with the same grid points, so its gap is exactly 0 and cannot
+    raise the maximum (a signed zero is lost to the absolute value). The
+    error estimate doubles the direction count and refines the support
+    grid; it does not cover the systematic sampling bias, which is at most
+    twice the slab circumradius times direction_covering_radius of the set.
     """
     d = _require_common_domain(f, g).dim
     if n_directions < 2 * (d + 1):

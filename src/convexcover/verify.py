@@ -50,6 +50,10 @@ from .metrics import (
 from .packing import separation_point, separation_scale
 from .schedule import build_schedule, cover_accounting
 
+# Height at which both checks cut the epigraphs into slabs: the sup check
+# needs it above both functions, the L1 check |f|, |g| at most it.
+SLAB_CEILING = 1.0
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -86,7 +90,7 @@ def _combined_budget(f: ConvexFunction, g: ConvexFunction) -> LipschitzVector:
     return LipschitzVector(tuple(max(a, b) for a, b in zip(gf, gg)))
 
 
-def _hausdorff_bias(f: ConvexFunction, g: ConvexFunction, bound: float,
+def _hausdorff_bias(f: ConvexFunction, g: ConvexFunction,
                     n_directions: int) -> float:
     """Bound on how far the sampled Hausdorff estimate sits below the truth.
 
@@ -96,12 +100,12 @@ def _hausdorff_bias(f: ConvexFunction, g: ConvexFunction, bound: float,
     """
     dom = f.domain
     spat = sum(max(a * a, b * b) for a, b in zip(dom.lo, dom.hi))
-    height = max(abs(bound), _grid_abs_max(f), _grid_abs_max(g))
+    height = max(SLAB_CEILING, _grid_abs_max(f), _grid_abs_max(g))
     radius = math.sqrt(spat + height * height)
     return 2.0 * radius * direction_covering_radius(dom.dim + 1, n_directions)
 
 
-def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
+def _refine_until_ok(name, distance, f, g, factor, n_directions,
                      grid) -> LemmaReport:
     """distance(grid) <= factor * slab Hausdorff distance, refined on failure.
 
@@ -113,12 +117,12 @@ def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
     refinements = 0
     while True:
         lhs = distance(grid)
-        ell = hausdorff_epigraph(f, g, bound, n_directions, grid)
+        ell = hausdorff_epigraph(f, g, n_directions, grid)
         if math.isinf(factor):
             rhs, tol = math.inf, math.inf
         else:
             rhs = factor * ell.value
-            bias = _hausdorff_bias(f, g, bound, n_directions)
+            bias = _hausdorff_bias(f, g, n_directions)
             tol = 1e-9 + lhs.error_estimate \
                 + factor * (ell.error_estimate + bias)
         ok = lhs.value <= rhs + tol
@@ -130,21 +134,21 @@ def _refine_until_ok(name, distance, f, g, bound, factor, n_directions,
         grid = grid.refined()
 
 
-def check_sup_bound(f: ConvexFunction, g: ConvexFunction, bound: float,
+def check_sup_bound(f: ConvexFunction, g: ConvexFunction,
                     n_directions: int = 2000,
                     grid: GridSpec = GridSpec(201)) -> LemmaReport:
     """sup |f - g| <= sqrt(1 + sum gamma_j^2) * slab Hausdorff distance.
 
-    bound must dominate both functions (the slabs are cut at it); gamma_j
-    is the larger of the two forms' own Lipschitz budgets on axis j.
+    SLAB_CEILING must dominate both functions (the slabs are cut at it);
+    gamma_j is the larger of the two forms' own Lipschitz budgets on axis j.
     """
     _require_common_domain(f, g)
-    if bound < max(_grid_max(f), _grid_max(g)):
-        raise ParameterError("bound must dominate both functions")
+    if SLAB_CEILING < max(_grid_max(f), _grid_max(g)):
+        raise ParameterError("the slab ceiling must dominate both functions")
     factor = math.sqrt(1.0 + _combined_budget(f, g).sum_squares())
     return _refine_until_ok("sup_vs_hausdorff",
                             lambda grid: sup_grid_distance(f, g, grid),
-                            f, g, bound, factor, n_directions, grid)
+                            f, g, factor, n_directions, grid)
 
 
 def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
@@ -152,16 +156,16 @@ def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
                    grid: GridSpec = GridSpec(201)) -> LemmaReport:
     """L1 distance <= (1 + 20 d) * slab Hausdorff distance, for |f|,|g| <= 1.
 
-    The constant is calibrated to functions bounded by 1 on their box, so
-    the slab ceiling is fixed at 1; normalize first when needed.
+    The constant is calibrated to functions bounded by SLAB_CEILING on
+    their box; normalize first when needed.
     """
     _require_common_domain(f, g)
-    if max(_grid_abs_max(f), _grid_abs_max(g)) > 1.0 + 1e-12:
+    if max(_grid_abs_max(f), _grid_abs_max(g)) > SLAB_CEILING + 1e-12:
         raise ParameterError("functions must be bounded by 1; normalize first")
     factor = 1.0 + 20.0 * f.domain.dim
     return _refine_until_ok("l1_vs_hausdorff",
                             lambda grid: lp_distance(f, g, 1.0, grid),
-                            f, g, 1.0, factor, n_directions, grid)
+                            f, g, factor, n_directions, grid)
 
 
 def gradient_mass(f: ConvexFunction, rho: float,

@@ -179,10 +179,10 @@ def test_c07_hinge_closed_forms(capsys):
                 want = hinge_lp_closed_form(alpha, p)
                 worst_lp = max(worst_lp, abs(got - want))
                 if p == 2.0:
-                    measured_h = hausdorff_epigraph(f, zero, 1.0, 2048,
+                    measured_h = hausdorff_epigraph(f, zero, 2048,
                                                     GridSpec(1601)).value
                     ratios.append(got / measured_h)
-            got_h = hausdorff_epigraph(f, zero, 1.0, 2048,
+            got_h = hausdorff_epigraph(f, zero, 2048,
                                        GridSpec(1601)).value
             worst_h = max(worst_h, abs(got_h - hinge_hausdorff_closed_form(alpha)))
         assert worst_lp <= 1e-4, f"Lp deviation {worst_lp:.3e}"
@@ -203,7 +203,7 @@ def _pair_battery(d, n_pairs, seed0, n_directions, grid_n):
     for i in range(n_pairs):
         f = make_random_convex(d, 0.9, 6, seed0 + 2 * i)
         g = make_random_convex(d, 0.9, 6, seed0 + 2 * i + 1)
-        sup_rep = check_sup_bound(f, g, 1.0, n_directions=n_directions,
+        sup_rep = check_sup_bound(f, g, n_directions=n_directions,
                                   grid=grid)
         assert sup_rep.ok, f"sup bound failed at d={d} pair {i}"
         l1_rep = check_l1_bound(f, g, n_directions=n_directions, grid=grid)

@@ -172,6 +172,43 @@ def test_an_eta_that_is_not_a_positive_number_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("query", [["--eta", "1/25", "--dim", "1"],
+                                   ["--eta", "0.1", "--dim", "8"]],
+                         ids=["d1", "d8"])
+def test_pack_caps_the_curve_steps(tmp_path, capsys, query):
+    # at d = 8 the cell count of step 2000 has more digits than str(int)
+    # formats; every accepted step count must format
+    cap = cli.MAX_CURVE_STEPS
+    ok_dir, refused_dir = tmp_path / "ok", tmp_path / "refused"
+    assert main(["pack", *query, "--grid-n", "5", "--curve-steps", str(cap),
+                 "--out-dir", str(ok_dir)]) == 0
+    curve = (ok_dir / "lower_bound_curve.csv").read_text().splitlines()
+    assert len(curve) == cap + 1
+    capsys.readouterr()
+    rc = main(["pack", *query, "--grid-n", "5", "--curve-steps",
+               str(cap + 1), "--out-dir", str(refused_dir)])
+    assert rc == 2
+    assert f"need steps <= {cap}" in capsys.readouterr().err
+    assert not refused_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # once wrote two files, then raised formatting the curve's k
+    ["pack", "--eta", "1/25", "--dim", "1", "--curve-steps", "15000"],
+    ["pack", "--eta", "nan", "--dim", "1"],
+    ["schedule", "--p", "1", "--log2-eta", "-96", "--dims", "0"],
+    ["lemmas", "--dim", "1", "--pieces", "0"],
+    ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "0"],
+], ids=["pack-curve-steps", "pack-eta", "schedule-dims", "lemmas-pieces",
+        "bounds-dim"])
+def test_a_refused_run_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "new" / "out"
+    rc = main([*argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
 def test_schedule_artifacts(tmp_path):
     rc = main(["schedule", "--p", "1", "--log2-eta", "-96",
                "--out-dir", str(tmp_path)])
@@ -226,6 +263,7 @@ def test_schedule_rejects_an_out_of_range_eta(tmp_path, capsys):
     (["lemmas", "--rho", "0.7"], "need 0 < rho < 0.5"),
     (["lemmas", "--rho", "0"], "need 0 < rho < 0.5"),
     (["lemmas", "--seed", "-1"], "seed must be >= 0"),
+    (["lemmas", "--directions", "3"], "need at least 4 directions"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_invalid_input_exits_2_before_writing(tmp_path, capsys, monkeypatch,
                                                argv, message):

@@ -326,7 +326,6 @@ def test_make_random_convex_is_seeded_and_bounded():
     g = make_random_convex(2, 0.9, 6, seed=11)
     assert f.to_json() == g.to_json()
     assert len(f.pieces) == 6
-    assert f.bound_on_grid is not None and f.bound_on_grid <= 0.9
     axes = [np.linspace(0.0, 1.0, 17)] * 2
     vals = f.values(tensor_points(axes))
     assert float(np.abs(vals).max()) <= 0.9

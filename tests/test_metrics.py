@@ -179,35 +179,25 @@ def test_hausdorff_epigraph_of_shifted_slabs():
     r = unit_rect(1)
     f = Affine(r, (0.0,), 0.0)
     g = Affine(r, (0.0,), 0.25)
-    rep = hausdorff_epigraph(f, g, 1.0, 8, GridSpec(11))
+    rep = hausdorff_epigraph(f, g, 8, GridSpec(11))
     assert abs(rep.value - 0.25) < 1e-12
     assert rep.error_estimate < 1e-12
-    assert hausdorff_epigraph(f, f, 1.0, 8).value == 0.0
+    assert hausdorff_epigraph(f, f, 8).value == 0.0
 
 
 def test_hausdorff_epigraph_converges_from_below():
     r = unit_rect(1)
     f = Hinge(r, 0.5)
     g = Affine(r, (0.25,), 0.0)
-    coarse = hausdorff_epigraph(f, g, 1.0, 4, GridSpec(11)).value
-    fine = hausdorff_epigraph(f, g, 1.0, 256, GridSpec(201)).value
+    coarse = hausdorff_epigraph(f, g, 4, GridSpec(11)).value
+    fine = hausdorff_epigraph(f, g, 256, GridSpec(201)).value
     assert coarse <= fine + 1e-15
-
-
-def test_hausdorff_epigraph_does_not_depend_on_a_ceiling_above_both():
-    # only downward directions are swept, and they never reach the
-    # ceiling; an infinite one once gave 0 * inf = NaN
-    f, g = _random_pair(2, 90)
-    want = hausdorff_epigraph(f, g, 1.0, 200, GridSpec(21))
-    assert want.value > 0.0
-    for bound in (5.0, math.inf):
-        assert hausdorff_epigraph(f, g, bound, 200, GridSpec(21)) == want
 
 
 def test_hausdorff_epigraph_needs_enough_directions():
     f = Affine(unit_rect(1), (0.0,), 0.0)
     with pytest.raises(ParameterError):
-        hausdorff_epigraph(f, f, 1.0, 3)
+        hausdorff_epigraph(f, f, 3)
 
 
 # -- the support kernel against the untiled formula --------------------------

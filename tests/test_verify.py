@@ -45,7 +45,7 @@ def _random_pair(d, seed, bound=0.9, pieces=6):
 
 def test_sup_bound_on_a_random_pair():
     f, g = _random_pair(1, seed=100)
-    rep = check_sup_bound(f, g, 1.0, n_directions=1024, grid=GridSpec(501))
+    rep = check_sup_bound(f, g, n_directions=1024, grid=GridSpec(501))
     assert rep.ok
     assert rep.name == "sup_vs_hausdorff"
     assert rep.slack >= 0.0
@@ -58,7 +58,7 @@ def test_sup_bound_with_explicit_budgets():
     f = Affine(r, (0.5,), -0.25)
     g = Affine(r, (0.0,), 0.0)
     assert f.lipschitz_budget() == LipschitzVector((0.5,))
-    rep = check_sup_bound(f, g, 1.0, n_directions=64, grid=GridSpec(65))
+    rep = check_sup_bound(f, g, n_directions=64, grid=GridSpec(65))
     assert rep.ok
 
 
@@ -67,27 +67,29 @@ def test_sup_bound_with_infinite_budget_is_vacuous():
     r = unit_rect(1)
     f = Hinge(r, 1e-200)
     g = Affine(r, (0.0,), 0.0)
-    rep = check_sup_bound(f, g, 1.0, n_directions=16, grid=GridSpec(17))
+    rep = check_sup_bound(f, g, n_directions=16, grid=GridSpec(17))
     assert rep.ok
     assert math.isinf(rep.rhs)
 
 
 def test_sup_bound_requires_a_dominating_bound():
     f, g = _random_pair(1, seed=104)
-    with pytest.raises(ParameterError):
-        check_sup_bound(f, g, -2.0)
+    # the slabs are cut at height 1, so a function rising above it is refused
+    above = Affine(unit_rect(1), (1.0,), 0.5)
+    with pytest.raises(ParameterError, match="must dominate"):
+        check_sup_bound(f, above)
     other = make_random_convex(2, 0.9, 4, seed=0)
     with pytest.raises(ParameterError):
-        check_sup_bound(f, other, 1.0)
+        check_sup_bound(f, other)
 
 
 def test_sup_bound_tolerance_carries_the_sampling_bias():
     # the Hausdorff side samples directions, so its one-sided bias must
     # appear in the tolerance and shrink as the direction count grows
     f, g = _random_pair(1, seed=106)
-    coarse = check_sup_bound(f, g, 1.0, n_directions=64, grid=GridSpec(501))
-    fine = check_sup_bound(f, g, 1.0, n_directions=1024, grid=GridSpec(501))
-    bias = _hausdorff_bias(f, g, 1.0, 64)
+    coarse = check_sup_bound(f, g, n_directions=64, grid=GridSpec(501))
+    fine = check_sup_bound(f, g, n_directions=1024, grid=GridSpec(501))
+    bias = _hausdorff_bias(f, g, 64)
     assert coarse.tolerance >= bias
     assert fine.tolerance < coarse.tolerance
 
