@@ -11,14 +11,18 @@ The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
 them, and the Hausdorff value passes it only the directions that point
 down: the two supports agree exactly in every other direction. Neither
-shortcut changes a bit of the result.
+shortcut changes a bit of the result. Each (pair, directions, grid)
+value is swept once per process while it stays among the few latest,
+which a small cache keeps: the sup and L1 checks of one pair share it,
+and so does the next refinement round of either, which asks again for
+the previous round's fine value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -31,10 +35,16 @@ from .functions import (
     _vertex_axes,
 )
 
-# Entries of one node-by-direction tile of the support kernel. Its two
-# float64 working arrays (the shared spatial product and one function's
-# lifted values) take 512 KB together, so they stay in a core's L2 cache.
+# Entries of one node-by-direction tile of the support kernel. Its three
+# float64 working arrays (the shared spatial product, one function's
+# lifted values and the directions' last components repeated on every
+# row) take 768 KB together, so they stay in a server core's L2 cache.
 _TILE_ENTRIES = 1 << 15
+
+# Hausdorff values kept by _hausdorff_at. One lemma pair asks for at most
+# four distinct (directions, grid) resolutions, over both checks and two
+# refinements, so this holds one pair's values with room to spare.
+_HAUSDORFF_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -146,25 +156,40 @@ def _support_batch(pts: np.ndarray, vals: np.ndarray,
     k functions, and each function keeps a running maximum over the tiles.
     Every entry is the same rounded sum as in an untiled sweep and a
     maximum is exact in any order, so tiling leaves every bit unchanged.
+    Its working arrays are allocated once per call, next to the result,
+    and every tile is written into them: the tile loop allocates nothing.
+    The lifted values are v copied along each row times the repeated last
+    components, the same product as v[:, None] * last, without the
+    iterator buffers a broadcasting multiply allocates on every call.
     """
     d = pts.shape[1]
     out = np.empty((len(vals), len(dirs)))
     step = min(max(1, len(dirs)), _TILE_ENTRIES)
     rows = max(1, _TILE_ENTRIES // step)
-    lifted = np.empty((min(rows, len(pts)), step))
+    height = min(rows, len(pts))
+    products, lifted, downs = np.empty((3, height * step))
+    peaks = np.empty(step)
     for s in range(0, len(dirs), step):
         u = dirs[s:s + step]
         ux = u[:, :d].T
-        down = u[:, d].copy()  # contiguous for the tile products
+        # C-contiguous (height, len(u)) views: a product lands in the
+        # layout of a fresh one, and the multiply pairs equal shapes
+        spatial_rows, lifted_rows, down = (
+            b[:height * len(u)].reshape(height, len(u))
+            for b in (products, lifted, downs))
+        down[...] = u[:, d]
+        peak = peaks[:len(u)]
         best = out[:, s:s + step]
         best[...] = -np.inf
         for r in range(0, len(pts), rows):
-            spatial = pts[r:r + rows] @ ux
-            tile = lifted[:len(spatial), :len(u)]
+            block = pts[r:r + rows]
+            spatial = np.matmul(block, ux, out=spatial_rows[:len(block)])
+            tile = lifted_rows[:len(block)]
             for v, b in zip(vals[:, r:r + rows], best):
-                np.multiply(v[:, None], down, out=tile)
+                tile[...] = v[:, None]
+                tile *= down[:len(block)]
                 tile += spatial
-                np.maximum(b, tile.max(axis=0), out=b)
+                np.maximum(b, np.max(tile, axis=0, out=peak), out=b)
     return out
 
 
@@ -224,6 +249,14 @@ def _hausdorff_value(f, g, dirs, n) -> float:
     return float(np.abs(sf - sg).max())
 
 
+@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+def _hausdorff_at(f, g, count, n) -> float:
+    # Every form is a frozen dataclass of floats and tuples, so equal keys
+    # are value-equal functions, and _hausdorff_value is deterministic: a
+    # hit returns the bits a fresh sweep would.
+    return _hausdorff_value(f, g, direction_set(f.domain.dim + 1, count), n)
+
+
 def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction,
                        n_directions: int,
                        grid: GridSpec = GridSpec()) -> DistanceReport:
@@ -238,12 +271,15 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction,
     error estimate doubles the direction count and refines the support
     grid; it does not cover the systematic sampling bias, which is at most
     twice the slab circumradius times direction_covering_radius of the set.
+
+    Each (f, g, directions, grid) value is swept once per process and then
+    served from a cache of the _HAUSDORFF_CACHE_SIZE latest, so a second
+    check of the same pair, or a refinement that asks again for the
+    previous fine value, sweeps nothing.
     """
     d = _require_common_domain(f, g).dim
     if n_directions < 2 * (d + 1):
         raise ParameterError(f"need at least {2 * (d + 1)} directions")
-    dirs = direction_set(d + 1, n_directions)
-    value = _hausdorff_value(f, g, dirs, grid.n)
-    fine = _hausdorff_value(f, g, direction_set(d + 1, 2 * n_directions),
-                            2 * grid.n - 1)
+    value = _hausdorff_at(f, g, n_directions, grid.n)
+    fine = _hausdorff_at(f, g, 2 * n_directions, 2 * grid.n - 1)
     return DistanceReport(value, abs(fine - value))

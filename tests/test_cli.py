@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcover import cli, packing
+from convexcover import cli, metrics, packing
 from convexcover.cli import _json_text, main
 
 
@@ -292,6 +292,24 @@ def test_lemmas_runs_one_pair(tmp_path):
     assert len(report["reports"]) == 1
     pair = report["reports"][0]
     assert pair["sup"]["ok"] and pair["l1"]["ok"] and pair["slope_mass_ok"]
+
+
+def test_lemmas_reruns_in_one_process_are_byte_identical(tmp_path):
+    # the second run is served every Hausdorff value from the cache the
+    # first one filled; the third sweeps them afresh
+    argv = ["lemmas", "--dim", "2", "--pairs", "3", "--grid-n", "51",
+            "--directions", "200"]
+    cache = metrics._hausdorff_at
+    texts = []
+    for run in "abc":
+        if run != "b":
+            cache.cache_clear()
+        misses = cache.cache_info().misses
+        out = tmp_path / run
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        texts.append((out / "lemma_reports.json").read_bytes())
+        assert (cache.cache_info().misses == misses) == (run == "b")
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_lemmas_refuses_zero_pairs(tmp_path, capsys):

@@ -10,8 +10,14 @@ from convexcover import (
     Affine,
     GridSpec,
     Hinge,
+    MaxAffine,
+    MaxWith,
     ParameterError,
     Rect,
+    Rescaled,
+    SeparableQuadratic,
+    check_l1_bound,
+    check_sup_bound,
     direction_covering_radius,
     direction_set,
     hausdorff_epigraph,
@@ -291,3 +297,152 @@ def test_refined_c08_sized_call_keeps_its_transients_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_support_kernel_allocates_nothing_per_tile():
+    # The kernel views vals in every tile and for every function. A view
+    # of this subclass logs how far traced memory rose, since the last
+    # view, above what is held now: a fresh product (256 KB) or a
+    # broadcasting ufunc's iterator buffers (128 KB) would show.
+    rises = []
+
+    class Probe(np.ndarray):
+        def __array_finalize__(self, obj):
+            if tracemalloc.is_tracing():
+                current, peak = tracemalloc.get_traced_memory()
+                rises.append(peak - current)
+                tracemalloc.reset_peak()
+
+    f, g = _random_pair(2, 90)
+    dirs = direction_set(3, 500)
+    dirs = dirs[dirs[:, 2] < 0.0]
+    pts = vertex_grid(f.domain, 101)
+    vals = np.stack([f.values(pts), g.values(pts)]).view(Probe)
+    tracemalloc.start()
+    try:
+        got = metrics._support_batch(pts, vals, dirs)
+    finally:
+        tracemalloc.stop()
+    tiles = -(-len(pts) // (metrics._TILE_ENTRIES // len(dirs)))
+    assert tiles == 78 and len(rises) > 2 * tiles
+    assert max(rises) < 4096
+    assert np.array_equal(got, metrics._support_batch(pts, vals.view(np.ndarray),
+                                                       dirs))
+
+
+# -- one sweep per (pair, directions, grid) ----------------------------------
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Support-kernel calls, counted from an empty Hausdorff cache."""
+    calls = []
+    kernel = metrics._support_batch
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(metrics, "_support_batch", counted)
+    metrics._hausdorff_at.cache_clear()
+    yield calls
+    metrics._hausdorff_at.cache_clear()
+
+
+def test_the_sup_and_l1_checks_of_one_pair_share_their_sweeps(sweeps):
+    f, g = _random_pair(1, 100)
+    grid = GridSpec(101)
+    sup = check_sup_bound(f, g, n_directions=64, grid=grid)
+    assert len(sweeps) == 2  # the coarse and the fine value
+    l1 = check_l1_bound(f, g, n_directions=64, grid=grid)
+    assert sup.refinements == l1.refinements == 0
+    assert len(sweeps) == 2
+
+
+def test_a_refinement_reuses_the_previous_fine_value(sweeps):
+    f, g = _random_pair(2, 110)
+    grid = GridSpec(21)
+    hausdorff_epigraph(f, g, 40, grid)
+    refined = hausdorff_epigraph(f, g, 80, grid.refined())
+    assert len(sweeps) == 3
+    metrics._hausdorff_at.cache_clear()
+    assert hausdorff_epigraph(f, g, 80, grid.refined()) == refined
+
+
+def test_a_cache_hit_equals_a_fresh_sweep_and_the_naive_formula(sweeps):
+    f, g = _random_pair(2, 120)
+    count, n = 60, 25
+    first = hausdorff_epigraph(f, g, count, GridSpec(n))
+    again = hausdorff_epigraph(f, g, count, GridSpec(n))
+    assert len(sweeps) == 2
+    metrics._hausdorff_at.cache_clear()
+    fresh = hausdorff_epigraph(f, g, count, GridSpec(n))
+    assert len(sweeps) == 4
+    assert first == again == fresh
+    coarse = _naive_hausdorff(f, g, 1.0, direction_set(3, count), n)
+    fine = _naive_hausdorff(f, g, 1.0, direction_set(3, 2 * count), 2 * n - 1)
+    assert first.value == coarse
+    assert first.error_estimate == abs(fine - coarse)
+
+
+def test_different_pairs_never_share_an_entry(sweeps):
+    f, g = _random_pair(2, 130)
+    h = make_random_convex(2, 0.9, 6, 132)
+    grid = GridSpec(21)
+    for a, b in ((f, g), (f, h), (h, g), (g, f)):
+        before = len(sweeps)
+        rep = hausdorff_epigraph(a, b, 40, grid)
+        assert len(sweeps) == before + 2
+        assert rep.value == _naive_hausdorff(a, b, 1.0, direction_set(3, 40),
+                                             grid.n)
+    # a separately built copy of a pair is the same key
+    copy = make_random_convex(2, 0.9, 6, 130)
+    assert copy is not f
+    hausdorff_epigraph(copy, g, 40, grid)
+    assert len(sweeps) == 8
+
+
+# -- the cache key: forms compare and hash by value ---------------------------
+
+
+def _every_form(zero=0.0):
+    # one of each form in functions.py, built afresh on every call; zero
+    # sets the sign of the zero coefficients and intercepts
+    r = unit_rect(2)
+    a = Affine(r, (zero, 0.5), zero)
+    b = Affine(r, (-0.5, zero), 0.25)
+    quad = SeparableQuadratic(r)
+    base = Hinge(Rect((0.0, 0.0), (2.0, 2.0)), 0.5, axis=1)
+    return (a, MaxAffine(r, (a, b)), quad, Hinge(r, 0.3, axis=1),
+            MaxWith(r, (quad, a, b)), Rescaled(r, base, 0.5))
+
+
+def test_every_form_hashes_and_equal_copies_are_equal_keys():
+    forms, copies = _every_form(), _every_form()
+    assert [type(f).__name__ for f in forms] == [
+        "Affine", "MaxAffine", "SeparableQuadratic", "Hinge", "MaxWith",
+        "Rescaled"]
+    for form, copy in zip(forms, copies):
+        assert copy is not form
+        assert copy == form and hash(copy) == hash(form)
+    assert len(set(forms)) == len(forms)
+
+
+def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(sweeps):
+    # +0.0 == -0.0 and they hash alike, so one is served the other's
+    # cached value; the sweep must give both the same float
+    plus, minus = _every_form(0.0), _every_form(-0.0)
+    assert math.copysign(1.0, minus[0].intercept) == -1.0
+    assert math.copysign(1.0, minus[0].coeffs[0]) == -1.0
+    other = make_random_convex(2, 0.9, 6, 140)
+    dirs = direction_set(3, 64)
+    for p, m in zip(plus, minus):
+        assert p == m and hash(p) == hash(m)
+        for pair_p, pair_m in (((p, other), (m, other)),
+                               ((other, p), (other, m))):
+            assert metrics._hausdorff_value(*pair_p, dirs, 21).hex() == \
+                metrics._hausdorff_value(*pair_m, dirs, 21).hex()
+    before = len(sweeps)
+    from_minus = hausdorff_epigraph(minus[1], other, 32, GridSpec(21))
+    assert hausdorff_epigraph(plus[1], other, 32, GridSpec(21)) == from_minus
+    assert len(sweeps) == before + 2
