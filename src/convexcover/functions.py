@@ -129,6 +129,22 @@ def tensor_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _running_max(columns) -> np.ndarray:
+    """Pointwise maximum of equal-length 1-D arrays, folded left to right.
+
+    Bit for bit the max(axis=1) of the arrays stacked as columns, since a
+    maximum is exact, NaN included; only the sign of a zero at a tie of
+    0.0 with -0.0 is unspecified, as in numpy's max. Pass the columns of a
+    (N, k) product as product.T: the fold reads its strided columns in
+    place, where numpy's reduction along a short last axis is slow.
+    """
+    columns = iter(columns)
+    out = np.array(next(columns), dtype=float)
+    for col in columns:
+        np.maximum(out, col, out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class LipschitzVector:
     """Per-axis Lipschitz budgets; math.inf marks an unconstrained axis."""
@@ -348,7 +364,9 @@ class MaxAffine(ConvexFunction):
         return pts @ c.T + b
 
     def _values(self, pts):
-        return self._piece_values(pts).max(axis=1)
+        # one product: a partial column block of pts @ c.T can round
+        # differently from the whole, so only the maximum is folded
+        return _running_max(self._piece_values(pts).T)
 
     def _subgradients(self, pts):
         c, _ = self._stacked
@@ -448,14 +466,11 @@ class MaxWith(ConvexFunction):
     def max_parts(self):
         return tuple(q for p in self.parts for q in p.max_parts())
 
-    def _part_values(self, pts):
-        return np.stack([p._values(pts) for p in self.parts], axis=1)
-
     def _values(self, pts):
-        return self._part_values(pts).max(axis=1)
+        return _running_max(p._values(pts) for p in self.parts)
 
     def _subgradients(self, pts):
-        vals = self._part_values(pts)
+        vals = np.stack([p._values(pts) for p in self.parts], axis=1)
         active = np.argmax(vals, axis=1)
         grads = np.stack([p._subgradients(pts) for p in self.parts], axis=1)
         return grads[np.arange(len(pts)), active]
@@ -536,7 +551,7 @@ def stacked_values(functions, axes) -> np.ndarray:
     outside which its computed value is proven to be at most the floor's,
     so max cannot change a bit there. It is then folded into all of its
     rows at once: a gather of those rows over the box, a max and a scatter.
-    max is exact, so each row holds the bits of MaxWith's stacked maximum,
+    max is exact, so each row holds the bits of MaxWith's running maximum,
     a NaN of the floor or of a part inside its box included; only the sign
     of a zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max.
     A part is not evaluated outside its box at all.
@@ -650,14 +665,12 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
     for _ in range(1000):
         coeffs = rng.uniform(-2.0 * bound, 2.0 * bound, size=(pieces, d))
         icepts = rng.uniform(-bound, bound, size=pieces)
-        vals = grid @ coeffs.T + icepts
-        m = float(np.abs(vals.max(axis=1)).max())
+        m = float(np.abs(_running_max((grid @ coeffs.T + icepts).T)).max())
         if m > bound:
             t = bound / m * (1.0 - 2.0**-40)
             coeffs *= t
             icepts *= t
-            vals = grid @ coeffs.T + icepts
-            m = float(np.abs(vals.max(axis=1)).max())
+            m = float(np.abs(_running_max((grid @ coeffs.T + icepts).T)).max())
         if m <= bound:
             made = tuple(Affine(rect, tuple(c), float(b))
                          for c, b in zip(coeffs, icepts))

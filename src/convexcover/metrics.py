@@ -7,6 +7,10 @@ directions. Every estimator here converges from below as its resolution
 grows, and each report carries an error estimate from a doubled-resolution
 recomputation.
 
+A function's values on a vertex grid are evaluated once per (form, grid)
+while they stay among the few latest, and shared by the sup distance, the
+Hausdorff sweep and the slab-ceiling checks of verify.
+
 The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
 them, and the Hausdorff value passes it only the directions that point
@@ -41,9 +45,11 @@ from .functions import (
 # row) take 768 KB together, so they stay in a server core's L2 cache.
 _TILE_ENTRIES = 1 << 15
 
-# Hausdorff values kept by _hausdorff_at. One lemma pair asks for at most
-# four distinct (directions, grid) resolutions, over both checks and two
-# refinements, so this holds one pair's values with room to spare.
+# Entries kept by each of the caches _hausdorff_at and _vertex_values. One
+# lemma pair asks for at most four distinct (directions, grid) Hausdorff
+# resolutions, over both checks and two refinements, and evaluates its two
+# functions on the vertex grids of 33, n and 2n - 1 nodes per axis, so
+# this holds one pair's values, and the pairs after it push them out.
 _HAUSDORFF_CACHE_SIZE = 8
 
 
@@ -99,6 +105,21 @@ def vertex_grid(rect: Rect, n: int) -> np.ndarray:
     return tensor_points(_vertex_axes(rect, n))
 
 
+@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+def _vertex_values(f: ConvexFunction, n: int) -> np.ndarray:
+    """f on vertex_grid(f.domain, n), evaluated once per (form, grid).
+
+    The sup distance, the Hausdorff sweep and the slab-ceiling checks of
+    verify all read these values, so a pair's functions are evaluated once
+    on each grid while it stays among the _HAUSDORFF_CACHE_SIZE latest.
+    Forms are frozen dataclasses, so a hit returns the bits a fresh
+    evaluation would. Every caller gets the same array: it is read-only.
+    """
+    vals = f.values(vertex_grid(f.domain, n))
+    vals.flags.writeable = False
+    return vals
+
+
 def _require_common_domain(f: ConvexFunction, g: ConvexFunction) -> Rect:
     if f.domain != g.domain:
         raise ParameterError("functions must share a domain")
@@ -123,8 +144,7 @@ def lp_distance(f: ConvexFunction, g: ConvexFunction, p: float,
 
 
 def _sup_value(f, g, n) -> float:
-    pts = vertex_grid(f.domain, n)
-    return float(np.abs(f.values(pts) - g.values(pts)).max())
+    return float(np.abs(_vertex_values(f, n) - _vertex_values(g, n)).max())
 
 
 def sup_grid_distance(f: ConvexFunction, g: ConvexFunction,
@@ -244,7 +264,7 @@ def _hausdorff_value(f, g, dirs, n) -> float:
     if not len(down):
         return 0.0
     pts = vertex_grid(f.domain, n)
-    vals = np.stack([f.values(pts), g.values(pts)])
+    vals = np.stack([_vertex_values(f, n), _vertex_values(g, n)])
     sf, sg = _support_batch(pts, vals, down)
     return float(np.abs(sf - sg).max())
 

@@ -40,12 +40,12 @@ from .functions import (
 from .metrics import (
     GridSpec,
     _require_common_domain,
+    _vertex_values,
     direction_covering_radius,
     hausdorff_epigraph,
     lp_distance,
     quadrature_grid,
     sup_grid_distance,
-    vertex_grid,
 )
 from .packing import separation_point, separation_scale
 from .schedule import build_schedule, cover_accounting
@@ -76,13 +76,11 @@ class LemmaReport:
 
 
 def _grid_max(f: ConvexFunction, n: int = 33) -> float:
-    pts = vertex_grid(f.domain, n)
-    return float(f.values(pts).max())
+    return float(_vertex_values(f, n).max())
 
 
 def _grid_abs_max(f: ConvexFunction, n: int = 33) -> float:
-    pts = vertex_grid(f.domain, n)
-    return float(np.abs(f.values(pts)).max())
+    return float(np.abs(_vertex_values(f, n)).max())
 
 
 def _combined_budget(f: ConvexFunction, g: ConvexFunction) -> LipschitzVector:

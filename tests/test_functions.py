@@ -318,6 +318,72 @@ def test_separable_quadratic_grid_values_equal_its_point_values(d):
         assert grid.tobytes() == (np.square(pts).sum(axis=1) / d).tobytes()
 
 
+# -- the running-max fold ----------------------------------------------------
+
+
+def _fold_cases():
+    # (d, vertex nodes per axis): at most 15625 nodes, so 257 pieces stay
+    # a small matrix
+    nodes = {1: 65, 2: 33, 3: 9, 4: 9, 5: 5, 6: 5, 7: 3, 8: 3}
+    return [(d, nodes[d], k) for d in nodes for k in (1, 2, 6, 64, 257)]
+
+
+def _fold_forms(d, n, k):
+    """Two MaxAffine forms of k pieces on the unit cube, and their points.
+
+    The first has small dyadic pieces, exact on the dyadic vertex grid, so
+    many pieces tie there, and its last piece repeats the one that is
+    largest at the first node. The second has random float pieces.
+    """
+    r = unit_rect(d)
+    rng = np.random.default_rng(1000 * d + k)
+    grid = tensor_points([np.linspace(0.0, 1.0, n)] * d)
+    pts = np.concatenate([grid, rng.random((200, d))])
+    coarse = np.concatenate([rng.integers(-4, 5, (k, d)) / 4.0,
+                             rng.integers(-8, 9, (k, 1)) / 8.0], axis=1)
+    if k > 1:
+        top = np.argmax(coarse[:-1, :d] @ grid[0] + coarse[:-1, d])
+        coarse[-1] = coarse[top]
+    fine = rng.uniform(-2.0, 2.0, (k, d + 1))
+    forms = [MaxAffine(r, tuple(Affine(r, tuple(row[:d]), row[d])
+                                for row in rows)) for rows in (coarse, fine)]
+    return forms, pts
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("d, n, k", _fold_cases())
+def test_the_fold_equals_the_stacked_max_bit_for_bit(d, n, k):
+    forms, pts = _fold_forms(d, n, k)
+    interior = np.all((pts > 0.0) & (pts < 1.0), axis=1)
+    ties = 0
+    for f in forms:
+        pieces = f._piece_values(pts)
+        folded = f.values(pts)
+        assert np.array_equal(_bits(folded), _bits(pieces.max(axis=1)))
+        maximal = pieces == folded[:, None]
+        ties += int(np.count_nonzero(maximal.sum(axis=1) > 1))
+        # the first maximal piece is the active one, and it gives the
+        # folded value
+        first = np.argmax(maximal, axis=1)
+        rows = np.arange(len(pts))
+        assert np.array_equal(_bits(pieces[rows, first]), _bits(folded))
+        coeffs = np.array([p.coeffs for p in f.pieces])
+        assert np.array_equal(f.subgradients(pts[interior]),
+                              coeffs[first[interior]])
+        # the same pieces as the parts of a MaxWith
+        g = MaxWith(f.domain, f.pieces)
+        parts = np.stack([p.values(pts) for p in g.parts], axis=1)
+        g_folded = g.values(pts)
+        assert np.array_equal(_bits(g_folded), _bits(parts.max(axis=1)))
+        g_first = np.argmax(parts == g_folded[:, None], axis=1)
+        assert np.array_equal(g.subgradients(pts[interior]),
+                              coeffs[g_first[interior]])
+    assert (ties > 0) == (k > 1)
+
+
 # -- random generation and slope budgets ------------------------------------
 
 

@@ -28,7 +28,8 @@ from convexcover import (
     unit_rect,
     vertex_grid,
 )
-from convexcover import metrics
+from convexcover import ConvexFunction, metrics
+from convexcover.cli import main
 
 
 # -- grids -------------------------------------------------------------------
@@ -333,9 +334,14 @@ def test_support_kernel_allocates_nothing_per_tile():
 # -- one sweep per (pair, directions, grid) ----------------------------------
 
 
+def _clear_caches():
+    metrics._hausdorff_at.cache_clear()
+    metrics._vertex_values.cache_clear()
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Support-kernel calls, counted from an empty Hausdorff cache."""
+    """Support-kernel calls, counted from empty Hausdorff and value caches."""
     calls = []
     kernel = metrics._support_batch
 
@@ -344,9 +350,9 @@ def sweeps(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(metrics, "_support_batch", counted)
-    metrics._hausdorff_at.cache_clear()
+    _clear_caches()
     yield calls
-    metrics._hausdorff_at.cache_clear()
+    _clear_caches()
 
 
 def test_the_sup_and_l1_checks_of_one_pair_share_their_sweeps(sweeps):
@@ -440,9 +446,85 @@ def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(sweeps):
         assert p == m and hash(p) == hash(m)
         for pair_p, pair_m in (((p, other), (m, other)),
                                ((other, p), (other, m))):
-            assert metrics._hausdorff_value(*pair_p, dirs, 21).hex() == \
-                metrics._hausdorff_value(*pair_m, dirs, 21).hex()
+            # each side evaluates its own form: equal keys share values
+            values = []
+            for pair in (pair_p, pair_m):
+                metrics._vertex_values.cache_clear()
+                values.append((metrics._hausdorff_value(*pair, dirs, 21),
+                               metrics._sup_value(*pair, 21)))
+            assert [v.hex() for v in values[0]] == \
+                [v.hex() for v in values[1]]
     before = len(sweeps)
     from_minus = hausdorff_epigraph(minus[1], other, 32, GridSpec(21))
     assert hausdorff_epigraph(plus[1], other, 32, GridSpec(21)) == from_minus
     assert len(sweeps) == before + 2
+
+
+# -- one evaluation per (form, vertex grid) -----------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """(form, nodes, first coordinate) of every ConvexFunction.values call.
+
+    The first coordinate tells a vertex grid (0) from the midpoint
+    quadrature grid of the same size. Both caches start and end empty.
+    """
+    calls = []
+    values = ConvexFunction.values
+
+    def counted(self, points):
+        pts = np.asarray(points, dtype=float)
+        calls.append((self, len(pts), float(pts[0, 0])))
+        return values(self, points)
+
+    monkeypatch.setattr(ConvexFunction, "values", counted)
+    _clear_caches()
+    yield calls
+    _clear_caches()
+
+
+def test_a_pair_evaluates_each_function_once_per_grid(evaluations):
+    f, g = _random_pair(2, 150)
+    sup = check_sup_bound(f, g)
+    l1 = check_l1_bound(f, g)
+    assert sup.refinements == l1.refinements == 0
+    # per function: the 33-node ceiling grid, the vertex grids of 201 and
+    # 401 nodes, and the quadrature grids of as many midpoints
+    assert len(evaluations) == 10
+    assert len(set(evaluations)) == 10
+    assert sorted(n for h, n, _ in evaluations if h is f) == \
+        [33**2, 201**2, 201**2, 401**2, 401**2]
+
+
+def test_a_cached_vertex_grid_refuses_writes(evaluations):
+    f = make_random_convex(2, 0.9, 6, 160)
+    vals = metrics._vertex_values(f, 9)
+    assert metrics._vertex_values(f, 9) is vals
+    assert len(evaluations) == 1
+    assert vals.tobytes() == f.values(vertex_grid(f.domain, 9)).tobytes()
+    with pytest.raises(ValueError):
+        vals[0] = 2.0
+    with pytest.raises(ValueError):
+        np.abs(vals, out=vals)
+
+
+def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, evaluations):
+    # sixteen pairs in one run score the hits and misses of the sixteen
+    # pairs run alone: no pair is served another pair's values
+    argv = ["lemmas", "--dim", "1", "--grid-n", "21", "--directions", "16"]
+    cache = metrics._vertex_values
+    alone = [0, 0]
+    for i in range(16):
+        _clear_caches()
+        assert main([*argv, "--pairs", "1", "--seed", str(2 * i),
+                     "--out-dir", str(tmp_path / f"alone{i}")]) == 0
+        info = cache.cache_info()
+        alone[0] += info.hits
+        alone[1] += info.misses
+    _clear_caches()
+    assert main([*argv, "--pairs", "16", "--seed", "0",
+                 "--out-dir", str(tmp_path / "all")]) == 0
+    info = cache.cache_info()
+    assert [info.hits, info.misses] == alone
+    assert info.hits > 0 and info.currsize <= info.maxsize == 8
