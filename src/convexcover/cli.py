@@ -32,6 +32,7 @@ from .functions import (
     BOUND_GRID_AXIS,
     MAX_DIM,
     MAX_GRID_POINTS,
+    MAX_VALUE_BYTES,
     DomainError,
     LipschitzVector,
     ParameterError,
@@ -60,9 +61,6 @@ from .verify import (
 # Most directions lemmas accepts: the checks' refinements and error
 # estimates build at most 8x this many, a few tens of MB.
 MAX_DIRECTIONS = 10**5
-
-# Largest matrix of piece values, in bytes, that lemmas may ask for.
-LEMMA_VALUE_BUDGET = 2 * 10**9
 
 # Most points pack's curve sweeps. Each step doubles k, and at d = 8 the
 # cell count passes the 4300 digits str(int) formats before step 1800.
@@ -242,10 +240,10 @@ def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:
     nodes = max(s**dim for s in (side, 4 * n - 3, 8 * n - 7)
                 if s**dim <= MAX_GRID_POINTS)
     need = pieces * nodes * 8
-    if need > LEMMA_VALUE_BUDGET:
+    if need > MAX_VALUE_BYTES:
         raise ParameterError(
             f"{pieces} pieces would need {need / 1e9:.1f} GB of values on a "
-            f"grid of {nodes} nodes, over the {LEMMA_VALUE_BUDGET / 1e9:g} GB "
+            f"grid of {nodes} nodes, over the {MAX_VALUE_BYTES / 1e9:g} GB "
             f"budget; pass fewer --pieces or a smaller --grid-n")
 
 

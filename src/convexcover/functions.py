@@ -7,16 +7,6 @@ safe to share between threads; evaluation never mutates state.
 
 Coordinates are 64-bit floats. Batch evaluation takes an (N, d) array
 and returns an (N,) array; the scalar helpers wrap the batch path.
-
-Each form names the parts whose pointwise maximum it is (`max_parts`):
-itself, or for MaxWith its parts' parts. `stacked_values` evaluates many
-functions at once on a tensor grid, given by its axes. A part shared
-between them is evaluated once, and a part that every function holds is
-the floor. Each other part is evaluated only on the sub-box of the grid
-outside which it is proven to round to at most the floor (an affine cap
-over the paraboloid f0 rises above it only on a ball), and the whole
-grid otherwise. max is exact, so every row equals that function's own
-values bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +24,10 @@ BOUND_GRID_AXIS = 17
 
 # Guard for tensor grids materialized in memory.
 MAX_GRID_POINTS = 10**7
+
+# Largest float64 value matrix, in bytes, that pack's certificate or a
+# lemmas function's pieces may ask for.
+MAX_VALUE_BYTES = 2 * 10**9
 
 
 class ParameterError(ValueError):
@@ -174,13 +168,12 @@ def _require_shape(pts: np.ndarray, dim: int) -> None:
         raise ParameterError(f"expected an (N, {dim}) array")
 
 
-def _require_within(columns, domain: Rect, strict: bool = False) -> None:
-    # one coordinate array per axis: the columns of a point array, or the
-    # axes of a tensor grid; a NaN fails both comparisons. strict asks for
-    # the open box.
+def _require_within(pts: np.ndarray, domain: Rect, strict=False) -> None:
+    # column by column; a NaN fails both comparisons. strict asks for the
+    # open box.
     above, below = ((np.greater, np.less) if strict
                     else (np.greater_equal, np.less_equal))
-    for col, lo, hi in zip(columns, domain.lo, domain.hi):
+    for col, lo, hi in zip(pts.T, domain.lo, domain.hi):
         if not (np.all(above(col, lo)) and np.all(below(col, hi))):
             raise DomainError("point outside the function's "
                               + ("open domain" if strict else "domain"))
@@ -197,7 +190,7 @@ class ConvexFunction:
     def values(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         _require_shape(pts, self.domain.dim)
-        _require_within(pts.T, self.domain)
+        _require_within(pts, self.domain)
         return self._values(pts)
 
     def value(self, x) -> float:
@@ -208,12 +201,8 @@ class ConvexFunction:
         """One subgradient per row; points must be strictly interior."""
         pts = np.asarray(points, dtype=float)
         _require_shape(pts, self.domain.dim)
-        _require_within(pts.T, self.domain, strict=True)
+        _require_within(pts, self.domain, strict=True)
         return self._subgradients(pts)
-
-    def max_parts(self) -> tuple["ConvexFunction", ...]:
-        """The functions whose pointwise maximum this one is."""
-        return (self,)
 
     def lipschitz_budget(self) -> LipschitzVector:
         """Valid per-axis Lipschitz upper bounds, read off the form.
@@ -226,19 +215,6 @@ class ConvexFunction:
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _grid_values(self, axes: list[np.ndarray]) -> np.ndarray:
-        """_values at tensor_points(axes), the same bits, shape (N,)."""
-        return self._values(tensor_points(axes))
-
-    def _rise_box(self, floor: "ConvexFunction | None"):
-        """Per-axis (lo, hi) bounds outside which fl(self) <= fl(floor).
-
-        At every point of the domain with some coordinate outside its
-        bounds, this form's computed value is at most the floor's. None
-        stands for no such box: the whole domain.
-        """
-        return None
 
     def _subgradients(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -287,44 +263,6 @@ class Affine(ConvexFunction):
 
     def _subgradients(self, pts):
         return np.broadcast_to(self._coeff_arr, pts.shape).copy()
-
-    def _rise_box(self, floor):
-        if not (isinstance(floor, SeparableQuadratic)
-                and floor.domain == self.domain):
-            return None
-        # Over f0(x) = |x|^2 / d, with p = d c / 2 and rho^2 = |p|^2 + d b,
-        #   cap(x) - f0(x) = (rho^2 - |x - p|^2) / d    exactly.
-        # Let u = 2^-53 and |x_j| <= M_j on the domain. pts @ c + b, summed
-        # in any order, with or without FMA, is within
-        # gamma_{d+1} (sum |c_j| M_j + |b|) of cap(x); f0's d squares, d - 1
-        # sums and one division are within gamma_{d+1} sum M_j^2 / d of
-        # f0(x); gamma_n = n u / (1 - n u) < 2 n u, so tau below bounds both
-        # errors together. Where |x - p|^2 > rho^2 + d tau, cap - f0 < -tau
-        # exactly, hence fl(cap) < fl(f0).
-        # The half-width h_j covers that ball with margin: err bounds the
-        # rounding of rho^2, the factor 1 + 2^-20 the few-ulp rounding of
-        # the sum under the root, of the root and of r, and 2^-40 (|p_j| + r)
-        # that of p_j and of p_j -+ h_j. So a node below lo_j or above hi_j
-        # on some axis has |x_j - p_j| > sqrt(rho^2 + d tau) exactly.
-        # Overflow anywhere makes r non-finite: then there is no box. The
-        # bounds are relative, so they assume no intermediate is subnormal.
-        d = self.domain.dim
-        u = 2.0**-53
-        c, b = self.coeffs, self.intercept
-        reach = [max(abs(a), abs(z)) for a, z in zip(self.domain.lo,
-                                                      self.domain.hi)]
-        tau = 2 * (d + 1) * u * (sum(abs(cj) * mj for cj, mj in zip(c, reach))
-                                 + abs(b) + sum(mj * mj for mj in reach) / d)
-        p = [d * cj / 2.0 for cj in c]
-        psq = sum(pj * pj for pj in p)
-        rho2 = psq + d * b
-        err = 4 * (d + 4) * u * (psq + d * abs(b))
-        r = math.sqrt(max(rho2, 0.0) + err + d * tau) * (1.0 + 2.0**-20)
-        if not math.isfinite(r):
-            return None
-        halves = [r + 2.0**-40 * (abs(pj) + r) for pj in p]
-        return (tuple(pj - h for pj, h in zip(p, halves)),
-                tuple(pj + h for pj, h in zip(p, halves)))
 
     def lipschitz_budget(self):
         return _budget(abs(c) for c in self.coeffs)
@@ -397,8 +335,8 @@ class SeparableQuadratic(ConvexFunction):
         return total / self.domain.dim
 
     def _grid_values(self, axes):
-        # per-axis squares, added by broadcasting from the first axis on:
-        # O(n) squares instead of O(N d)
+        # _values at tensor_points(axes), the same bits: per-axis squares,
+        # added by broadcasting from the first axis on, O(n) not O(N d)
         total = reduce(np.add.outer, [np.square(a) for a in axes])
         return total.ravel() / self.domain.dim
 
@@ -462,9 +400,6 @@ class MaxWith(ConvexFunction):
         for p in self.parts:
             if p.domain != self.domain:
                 raise ParameterError("parts must share the outer domain")
-
-    def max_parts(self):
-        return tuple(q for p in self.parts for q in p.max_parts())
 
     def _values(self, pts):
         return _running_max(p._values(pts) for p in self.parts)
@@ -530,92 +465,6 @@ class Rescaled(ConvexFunction):
     def _form_json(self):
         return {"kind": "rescaled", "scale": _fstr(self.scale),
                 "base": self.base.to_json()}
-
-
-def stacked_values(functions, axes) -> np.ndarray:
-    """Values of m functions on the tensor grid of axes, as an (m, N) array.
-
-    axes holds one increasing 1-D array per dimension; column k is node k
-    of tensor_points(axes). Row i equals
-    functions[i].values(tensor_points(axes)) bit for bit. The shape and
-    domain checks are made on the axes, in O(n) rather than O(N d), and the
-    node array is never built.
-
-    Parts are collected over all functions by max_parts, grouped first by
-    object identity and then by the frozen form, so a part that several
-    functions share (equal under ==) is evaluated once. A part that every
-    function holds (f0 in a packing family) is the floor: it is evaluated
-    once and copied into every row; with no such part the floor is -inf.
-    Each other part is evaluated only on the sub-box of the grid given by
-    its _rise_box over the floor (the whole grid when there is none),
-    outside which its computed value is proven to be at most the floor's,
-    so max cannot change a bit there. It is then folded into all of its
-    rows at once: a gather of those rows over the box, a max and a scatter.
-    max is exact, so each row holds the bits of MaxWith's running maximum,
-    a NaN of the floor or of a part inside its box included; only the sign
-    of a zero at a tie of 0.0 with -0.0 is unspecified, as in numpy's max.
-    A part is not evaluated outside its box at all.
-    """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    if any(a.ndim != 1 for a in axes):
-        raise ParameterError("each axis must be a 1-D array")
-    shape = tuple(len(a) for a in axes)
-    n = grid_size(axes)
-    by_id: dict[int, tuple[ConvexFunction, list[int]]] = {}
-    domains = set()
-    for i, f in enumerate(functions):
-        if len(axes) != f.domain.dim:
-            raise ParameterError(f"expected {f.domain.dim} axes")
-        domains.add(f.domain)
-        for part in f.max_parts():
-            # keyed on id first: a frozen dataclass hashes all its fields
-            # on every call
-            entry = by_id.get(id(part))
-            if entry is None:
-                entry = by_id[id(part)] = (part, [])
-            idx = entry[1]
-            # each row once, so a part that every function holds has m
-            if not idx or idx[-1] != i:
-                idx.append(i)
-    for domain in domains:
-        _require_within(axes, domain)
-    if not all(np.all(a[1:] >= a[:-1]) for a in axes):
-        raise ParameterError("each axis must be increasing")
-    rows: dict[ConvexFunction, list[int]] = {}
-    for part, idx in by_id.values():
-        # equal parts built as separate objects share one evaluation
-        have = rows.setdefault(part, idx)
-        if have is not idx:
-            rows[part] = sorted(set(have) | set(idx))
-    m = len(functions)
-    floor = next((p for p, idx in rows.items() if len(idx) == m), None)
-    whole = ((-math.inf,) * len(axes), (math.inf,) * len(axes))
-    out = np.empty((m, *shape))
-    out[...] = (-np.inf if floor is None
-                else floor._grid_values(axes).reshape(shape))
-    for part, idx in rows.items():
-        if part is floor:
-            continue
-        # no box is the whole grid, through the same code
-        lows, highs = part._rise_box(floor) or whole
-        spans = [slice(int(np.searchsorted(a, lo, "left")),
-                       int(np.searchsorted(a, hi, "right")))
-                 for a, lo, hi in zip(axes, lows, highs)]
-        count = math.prod(max(0, s.stop - s.start) for s in spans)
-        if count == 0:
-            continue
-        if count == 1 and n > 1:
-            # pts @ c on one row takes another path than on two or more,
-            # which rounds differently: widen the box to two nodes
-            j = next(j for j, a in enumerate(axes) if len(a) > 1)
-            s = spans[j]
-            spans[j] = (slice(s.start, s.stop + 1) if s.stop < shape[j]
-                        else slice(s.start - 1, s.stop))
-        sub = [a[s] for a, s in zip(axes, spans)]
-        vals = part._grid_values(sub).reshape([len(a) for a in sub])
-        at = (idx, *spans)
-        out[at] = np.maximum(out[at], vals)
-    return out.reshape(m, n)
 
 
 def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:

@@ -25,6 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import (
+    MAX_VALUE_BYTES,
     Affine,
     ConvexFunction,
     MaxWith,
@@ -32,7 +33,6 @@ from .functions import (
     SeparableQuadratic,
     _report_json,
     grid_size,
-    stacked_values,
     tensor_points,
     unit_rect,
 )
@@ -55,10 +55,6 @@ _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
 # Samples per rng.integers call of the cap checks: bounds their draw arrays
 # at a few MB whatever samples is.
 DRAW_BLOCK = 2**14
-
-# Largest certificate value matrix, in bytes, that pack may ask for: at the
-# default grids only the 64-cell systems at d = 2 and d = 3 exceed it.
-CERT_VALUE_BUDGET = 2 * 10**9
 
 
 def _sum_sqrt_le(p: Fraction, q: Fraction, b: Fraction) -> bool:
@@ -394,20 +390,82 @@ def require_certificate_budget(system: IntervalSystem,
     """Refuse a system whose certificate grid or values would be too large.
 
     packing_certificate refuses a grid_n^d quadrature grid past
-    MAX_GRID_POINTS. It holds one float64 row of grid_n^d values per
-    function, and the code search returns at most code_target(n_cells)
-    functions. Its peak is that value matrix, plus one block of at most 16
-    rows of pair differences, plus the grid_n^d quadrature weights; it
-    never builds the (N, d) node array. Checked before the family is built,
-    so an oversized input fails at once instead of exhausting memory.
+    MAX_GRID_POINTS. Its peak is one float64 row of grid_n^d values for
+    each of at most code_target(n_cells) functions, one block of at most
+    16 rows of pair differences and the grid_n^d weights; it never builds
+    the (N, d) node array. Values past MAX_VALUE_BYTES (at the default
+    grids, 64 cells at d = 2 or 3) are refused before the family is built.
     """
     d = system.dim
     nodes = grid_size((range(_cert_grid_n(d, grid_n)),) * d)
     need = code_target(system.n_cells) * nodes * 8
-    if need > CERT_VALUE_BUDGET:
+    if need > MAX_VALUE_BYTES:
         raise ParameterError(
             f"the certificate would need {need / 1e9:.1f} GB of values, over "
-            f"the {CERT_VALUE_BUDGET / 1e9:g} GB budget; pass a smaller grid_n")
+            f"the {MAX_VALUE_BYTES / 1e9:g} GB budget; pass a smaller grid_n")
+
+
+def _cap_box(cap: Affine) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-axis (lo, hi) outside which the cap's values round to <= f0's."""
+    # Over f0(x) = |x|^2 / d, with p = d c / 2 and rho^2 = |p|^2 + d b,
+    #   cap(x) - f0(x) = (rho^2 - |x - p|^2) / d    exactly.
+    # Let u = 2^-53; |x_j| <= 1 on the unit cube. pts @ c + b, summed in
+    # any order, with or without FMA, is within gamma_{d+1} (sum |c_j| + |b|)
+    # of cap(x); f0's d squares, d - 1 sums and one division are within
+    # gamma_{d+1} of f0(x); gamma_n = n u / (1 - n u) < 2 n u, so tau below
+    # bounds both errors together. Where |x - p|^2 > rho^2 + d tau,
+    # cap - f0 < -tau exactly, hence fl(cap) < fl(f0).
+    # The half-width h_j covers that ball with margin: err bounds the
+    # rounding of rho^2, the factor 1 + 2^-20 the few-ulp rounding of
+    # the sum under the root, of the root and of r, and 2^-40 (|p_j| + r)
+    # that of p_j and of p_j -+ h_j. So a node below lo_j or above hi_j
+    # on some axis has |x_j - p_j| > sqrt(rho^2 + d tau) exactly.
+    # A cap's coefficients lie in [0, 2/d] and its intercept in [-1, 0], so
+    # nothing overflows. The bounds are relative, so they assume no
+    # intermediate is subnormal.
+    d = cap.domain.dim
+    u = 2.0**-53
+    c, b = cap.coeffs, cap.intercept
+    tau = 2 * (d + 1) * u * (sum(abs(cj) for cj in c) + abs(b) + 1.0)
+    p = [d * cj / 2.0 for cj in c]
+    psq = sum(pj * pj for pj in p)
+    rho2 = psq + d * b
+    err = 4 * (d + 4) * u * (psq + d * abs(b))
+    r = math.sqrt(max(rho2, 0.0) + err + d * tau) * (1.0 + 2.0**-20)
+    halves = [r + 2.0**-40 * (abs(pj) + r) for pj in p]
+    return (tuple(pj - h for pj, h in zip(p, halves)),
+            tuple(pj + h for pj, h in zip(p, halves)))
+
+
+def _family_values(system: IntervalSystem, words, axes) -> np.ndarray:
+    """Row i: perturbed_function(system, words[i]) on the axes' tensor grid.
+
+    Bit for bit its values, since max is exact: f0 from per-axis squares,
+    then each cap on its _cap_box only, folded into its words' rows by one
+    gather, max and scatter. axes are increasing and inside [0, 1].
+    """
+    shape = tuple(len(a) for a in axes)
+    n = math.prod(shape)
+    out = np.empty((len(words), *shape))
+    out[...] = system.base._grid_values(axes).reshape(shape)
+    for i, cap in enumerate(system.caps):
+        rows = [r for r, w in enumerate(words) if w >> i & 1]
+        if not rows:
+            continue
+        spans = [slice(int(np.searchsorted(a, lo, "left")),
+                       int(np.searchsorted(a, hi, "right")))
+                 for a, lo, hi in zip(axes, *_cap_box(cap))]
+        if n > 1 and math.prod(s.stop - s.start for s in spans) == 1:
+            # pts @ c on one row takes another path than on two or more,
+            # which rounds differently: widen the box to two nodes
+            j = next(j for j, a in enumerate(axes) if len(a) > 1)
+            start = min(spans[j].start, shape[j] - 2)
+            spans[j] = slice(start, start + 2)
+        sub = [a[s] for a, s in zip(axes, spans)]
+        vals = cap._values(tensor_points(sub)).reshape([len(a) for a in sub])
+        at = (rows, *spans)
+        out[at] = np.maximum(out[at], vals)
+    return out.reshape(len(words), n)
 
 
 @dataclass(frozen=True)
@@ -448,14 +506,13 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
 
     Uses midpoint quadrature on the unit cube, given by its per-axis nodes
     and its weights; the (N, d) node array is never built. The value
-    matrix comes from stacked_values on those axes, which evaluates f0
-    once and each cap the functions share once, on the sub-box of the grid
-    where it can rise above f0. Row i is paired with rows i+1.. in blocks of
-    at most 16 rows, through one buffer of differences allocated once;
-    the blocks' L1 values fill one buffer of row i's pairs, whose Hamming
-    distances are popcounts of the XORed words, and the failures and the
-    minima are updated once per row. tol must be finite and nonnegative:
-    a NaN or infinite tol could never fail.
+    matrix is folded by _family_values from the system and the codewords;
+    family.functions, those words' functions, is not read. Row i is paired
+    with rows i+1.. in blocks of at most 16 rows, through one buffer of
+    differences allocated once; the blocks' L1 values fill one buffer of
+    row i's pairs, whose Hamming distances are popcounts of the XORed
+    words, and the failures and the minima are updated once per row. tol
+    must be finite and nonnegative: a NaN or infinite tol could never fail.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError("tol must be finite and >= 0")
@@ -463,7 +520,7 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
     d = system.dim
     grid_n = _cert_grid_n(d, grid_n)
     axes, w = quadrature_axes(unit_rect(d), GridSpec(grid_n))
-    vals = stacked_values(family.functions, axes)
+    vals = _family_values(system, family.code.words, axes)
 
     zeta = family.zeta
     eps = family.eps

@@ -45,11 +45,22 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _log_edge(p: float) -> float:
+    # log u = -2 (p+1)^2 (p+2) log 2
+    return -2.0 * (p + 1.0) ** 2 * (p + 2.0) * LOG2
+
+
 def _check_p(p: float) -> float:
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ParameterError("need finite p >= 1")
-    return p
+    try:  # -inf from p ~ 4.48e102 on; the square raises from ~ 1.34e154
+        if math.isfinite(_log_edge(p)):
+            return p
+    except OverflowError:
+        pass
+    raise ParameterError(
+        "p too large: the edge's log -2 (p+1)^2 (p+2) log 2 overflows")
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     log_eta = float(log_eta)
     if not (math.isfinite(log_eta) and log_eta < 0.0):
         raise ParameterError("need finite log_eta < 0")
-    edge = -2.0 * (p + 1.0) ** 2 * (p + 2.0) * LOG2  # log u
+    edge = _log_edge(p)
     r = (p + 1.0) / (p + 2.0)
 
     def log_delta(m: int) -> float:

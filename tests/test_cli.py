@@ -199,8 +199,11 @@ def test_pack_caps_the_curve_steps(tmp_path, capsys, query):
     ["schedule", "--p", "1", "--log2-eta", "-96", "--dims", "0"],
     ["lemmas", "--dim", "1", "--pieces", "0"],
     ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "0"],
+    # the edge's log is -inf here, and (p + 1)^2 overflowed at 1e200
+    ["schedule", "--p", "1e120", "--log2-eta", "-96"],
+    ["schedule", "--p", "1e200", "--log2-eta", "-96"],
 ], ids=["pack-curve-steps", "pack-eta", "schedule-dims", "lemmas-pieces",
-        "bounds-dim"])
+        "bounds-dim", "schedule-p-1e120", "schedule-p-1e200"])
 def test_a_refused_run_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "new" / "out"
     rc = main([*argv, "--out-dir", str(out)])
@@ -415,6 +418,17 @@ def test_bounds_at_an_eps_near_the_float_floor(tmp_path):
     assert rc == 0
     obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
     assert obj["log_lower"] == "inf"
+
+
+@pytest.mark.parametrize("p", ["1e120", "1e200"])
+def test_bounds_with_a_p_past_the_schedule_edge_has_no_upper_bound(tmp_path,
+                                                                   p):
+    rc = main(["bounds", "--eps", "1e-8", "--p", p, "--dim", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
+    assert obj["log_upper"] is None
+    assert float(obj["log_lower"]) == pytest.approx(180.375)
 
 
 def test_bounds_artifacts(tmp_path):

@@ -23,7 +23,6 @@ from convexcover import (
     tensor_points,
     unit_rect,
 )
-from convexcover.functions import stacked_values
 
 
 def _grad(f, x):
@@ -199,7 +198,7 @@ def test_rescale_to_unit():
         rescale_to_unit(f, 0.0)
 
 
-# -- stacked evaluation -----------------------------------------------------
+# -- serialization ----------------------------------------------------------
 
 
 def _mixed_forms():
@@ -214,79 +213,20 @@ def _mixed_forms():
     inner = MaxWith(r, (quad, Hinge(r, 0.75, axis=0)))
     nested = MaxWith(r, (inner, Affine(r, (0.3, -0.2), 0.1),
                          MaxWith(r, (Hinge(r, 0.75, axis=0), max_affine))))
-    return r, [max_affine, hinge, rescaled, inner, nested, quad, piece]
-
-
-def test_max_parts_flatten_nested_maxima():
-    _, (max_affine, hinge, rescaled, inner, nested, quad, piece) = _mixed_forms()
-    assert max_affine.max_parts() == (max_affine,)
-    assert rescaled.max_parts() == (rescaled,)
-    assert inner.max_parts() == (quad, hinge)
-    assert nested.max_parts() == (quad, hinge, piece, hinge, max_affine)
+    return [max_affine, hinge, rescaled, inner, nested, quad, piece]
 
 
 def test_to_json_twice_serializes_the_same():
     # each form builds its JSON once and hands the same dict to every
     # caller; a second call, or an equal form built afresh, reads the same
-    _, forms = _mixed_forms()
-    _, fresh = _mixed_forms()
+    forms = _mixed_forms()
+    fresh = _mixed_forms()
     for f, g in zip(forms, fresh):
         text = json.dumps(f.to_json(), sort_keys=True)
         assert json.dumps(f.to_json(), sort_keys=True) == text
         assert json.dumps(g.to_json(), sort_keys=True) == text
     nested = forms[4]
     assert nested.to_json()["form"]["parts"][1] is nested.parts[1].to_json()
-
-
-def test_stacked_values_match_each_function_bit_for_bit(monkeypatch):
-    r, forms = _mixed_forms()
-    hinge_calls = []
-    hinge_values = Hinge._values
-
-    def counted(self, pts):
-        hinge_calls.append(self)
-        return hinge_values(self, pts)
-
-    monkeypatch.setattr(Hinge, "_values", counted)
-    rng = np.random.default_rng(11)
-    # random sorted axes plus the box corners and the hinge kink x = 0.75
-    axes = [np.sort(np.concatenate([lo + rng.random(n) * (hi - lo), extra]))
-            for lo, hi, n, extra in zip(r.lo, r.hi, (23, 19),
-                                        ([r.lo[0], r.hi[0], 0.75],
-                                         [r.lo[1], r.hi[1]]))]
-    vals = stacked_values(forms, [a.tolist() for a in axes])
-    # four equal hinges in three functions: one evaluation
-    assert len(hinge_calls) == 1
-    pts = tensor_points(axes)
-    assert vals.shape == (len(forms), len(pts))
-    for f, row in zip(forms, vals):
-        assert row.tobytes() == f.values(pts).tobytes()
-
-
-def test_stacked_values_keep_the_domain_and_shape_checks():
-    unit = unit_rect(2)
-    small = Rect((0.0, 0.0), (0.5, 1.0))
-    fs = [SeparableQuadratic(unit), Hinge(small, 0.25)]
-    inside_both = [np.array([0.25, 0.5]), np.array([0.5, 1.0])]
-    assert stacked_values(fs, inside_both).shape == (2, 4)
-    # inside the first function's domain, outside the second's
-    with pytest.raises(DomainError):
-        stacked_values(fs, [np.array([0.25, 0.75]), np.array([0.5])])
-    with pytest.raises(DomainError):
-        stacked_values(fs[:1], [np.array([0.25]), np.array([-1e-12])])
-    with pytest.raises(DomainError):
-        stacked_values(fs[:1], [np.array([0.25, math.nan]), np.array([0.5])])
-    with pytest.raises(ParameterError):
-        stacked_values(fs, [np.array([0.25, 0.5])])  # one axis for d = 2
-    with pytest.raises(ParameterError):
-        stacked_values(fs, [np.array([[0.25, 0.5]]), np.array([0.5])])
-    with pytest.raises(ParameterError):
-        stacked_values(fs, [np.array([0.5, 0.25]), np.array([0.5])])
-    with pytest.raises(ParameterError):
-        stacked_values(fs + [SeparableQuadratic(unit_rect(1))], inside_both)
-    with pytest.raises(ParameterError):
-        stacked_values(fs[:1], [np.zeros(4000)] * 2)  # 1.6e7 nodes
-    assert stacked_values((), inside_both).shape == (0, 4)
 
 
 def test_values_refuse_a_nan_coordinate():
@@ -312,8 +252,6 @@ def test_separable_quadratic_grid_values_equal_its_point_values(d):
     pts = tensor_points(axes)
     grid = f._grid_values(axes)
     assert grid.tobytes() == f.values(pts).tobytes()
-    row = stacked_values([f], axes)[0]
-    assert row.tobytes() == grid.tobytes()
     if d < 8:
         assert grid.tobytes() == (np.square(pts).sum(axis=1) / d).tobytes()
 

@@ -32,18 +32,22 @@ from convexcover import (
     verify_cap_properties,
 )
 from convexcover.functions import (
+    MAX_VALUE_BYTES,
     Affine,
-    ConvexFunction,
-    MaxWith,
-    stacked_values,
     tensor_points,
     unit_rect,
 )
-from convexcover.metrics import GridSpec, quadrature_grid, vertex_grid
+from convexcover.metrics import (
+    GridSpec,
+    quadrature_axes,
+    quadrature_grid,
+    vertex_grid,
+)
 from convexcover.packing import (
-    CERT_VALUE_BUDGET,
     SPAN_LIMIT,
     SYSTEM_CELL_CAP,
+    _cap_box,
+    _family_values,
     _popcounts,
     hamming,
     require_certificate_budget,
@@ -446,13 +450,13 @@ def test_family_members_hold_the_systems_own_caps():
         assert cap == cap_function(system, system.cell_from_index(i))
     refs = 0
     for word, f in zip(fam.code.words, fam.functions):
-        base, *caps = f.max_parts()
+        base, *caps = f.parts
         assert base is system.base
         want = [c for i, c in enumerate(system.caps) if word >> i & 1]
         assert len(caps) == len(want)
         assert all(a is b for a, b in zip(caps, want))
         parts = f.to_json()["form"]["parts"]
-        assert all(p is c.to_json() for p, c in zip(parts, f.max_parts()))
+        assert all(p is c.to_json() for p, c in zip(parts, f.parts))
         refs += len(caps)
     assert refs == 6269
 
@@ -472,7 +476,7 @@ def test_certificate_budget_counts_the_largest_family():
         require_certificate_budget(build_interval_system(Fraction(1, 49), 3))
     # 36 cells at d=2 (C01's largest family): 91 x 600^2 x 8 B
     require_certificate_budget(build_interval_system(Fraction(1, 100), 2))
-    assert 91 * 600**2 * 8 < CERT_VALUE_BUDGET < 2981 * 600**2 * 8
+    assert 91 * 600**2 * 8 < MAX_VALUE_BYTES < 2981 * 600**2 * 8
 
 
 def test_certificate_budget_refuses_a_grid_past_max_grid_points():
@@ -566,9 +570,11 @@ def test_certificate_equals_the_pair_by_pair_reference():
 
 def test_certificate_catches_an_unseparated_family():
     fam = build_packing_family(Fraction(1, 25), 1)
-    # duplicate one function: its Hamming floor is positive, its L1 is 0
-    doctored = type(fam)(system=fam.system, code=fam.code,
-                         functions=(fam.functions[0], fam.functions[0]))
+    # every cell of the doctored system is the first: the two words are
+    # far apart, but their functions differ on one cell at most
+    system = replace(fam.system, starts=(0.0,) * fam.system.k)
+    doctored = replace(fam, system=system, functions=tuple(
+        perturbed_function(system, w) for w in fam.code.words))
     cert = packing_certificate(doctored)
     assert cert.failures == 1
     assert not cert.ok
@@ -587,11 +593,12 @@ def _near_cell_ends(system, n=201):
     return np.unique(np.clip(np.add.outer(ends, off).ravel(), 0.0, 1.0))
 
 
-def _assert_rows_match(fs, axes):
-    vals = stacked_values(fs, axes)
+def _assert_rows_match(system, words, axes):
+    vals = _family_values(system, words, axes)
     pts = tensor_points(axes)
-    assert vals.shape == (len(fs), len(pts))
-    for f, row in zip(fs, vals):
+    assert vals.shape == (len(words), len(pts))
+    for w, row in zip(words, vals):
+        f = perturbed_function(system, w)
         assert row.tobytes() == f.values(pts).tobytes()
 
 
@@ -600,15 +607,26 @@ def _assert_rows_match(fs, axes):
     (Fraction(1, 36), 2, 97),
     (Fraction(1, 36), 3, 25),
     (Fraction(1, 2025), 1, 2001),
+    # the benchmark's pack families at their default certificate grids
+    (Fraction(1, 25), 2, 600),
+    (Fraction(1, 36), 2, 600),
+    (Fraction(1, 49), 2, 600),
+    (Fraction(1, 1225), 1, 2001),
+    (Fraction(1, 1600), 1, 2001),
 ])
 def test_stacked_family_values_match_each_function(eta, d, n):
     fam = build_packing_family(eta, d)
-    f0 = perturbed_function(fam.system, 0)
-    # word 0 is f0 alone; the vertex grid reaches the cube's faces
-    axes = [np.linspace(0.0, 1.0, n)] * d
-    _assert_rows_match((f0,) + fam.functions, axes)
-    _assert_rows_match((f0,), axes)
-    assert stacked_values((), axes).shape == (0, n**d)
+    words = fam.code.words
+    # word 0 is f0 alone; the vertex grid reaches the cube's faces, and
+    # the midpoint grid is the certificate's own
+    vertex = [np.linspace(0.0, 1.0, n)] * d
+    midpoint, _ = quadrature_axes(unit_rect(d), GridSpec(n))
+    for axes in (vertex, midpoint):
+        _assert_rows_match(fam.system, (0,) + words, axes)
+        _assert_rows_match(fam.system, (0,), axes)
+        assert _family_values(fam.system, (), axes).shape == (0, n**d)
+    assert [perturbed_function(fam.system, w) for w in words] == list(
+        fam.functions)
 
 
 def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
@@ -626,7 +644,7 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
         outside = (axis < lo) | (axis > hi)
         above += int((cap.values(pts)[outside] > f0[outside]).sum())
     assert above > 0
-    _assert_rows_match(fam.functions, [axis])
+    _assert_rows_match(system, fam.code.words, [axis])
 
 
 def _admissible_max_eta(d):
@@ -665,7 +683,7 @@ def test_caps_round_to_at_most_f0_outside_their_boxes(eta, d):
     base = f0.values(pts)
     folded = 0
     for cap in system.caps:
-        lo, hi = cap._rise_box(f0)
+        lo, hi = _cap_box(cap)
         outside = ((pts < lo) | (pts > hi)).any(axis=1)
         assert outside.any() or system.k == 1
         vals, floor = cap.values(pts)[outside], base[outside]
@@ -675,8 +693,7 @@ def test_caps_round_to_at_most_f0_outside_their_boxes(eta, d):
     assert folded > 0
     words = [w for w in (1, (1 << system.n_cells) - 1, 0b101)
                  if w < 1 << system.n_cells]
-    fs = [perturbed_function(system, w) for w in words]
-    _assert_rows_match(fs, [axis] * d)
+    _assert_rows_match(system, words, [axis] * d)
 
 
 def test_a_box_with_one_grid_node_matches_the_full_grid():
@@ -686,7 +703,7 @@ def test_a_box_with_one_grid_node_matches_the_full_grid():
     system = build_interval_system(Fraction(1, 36), 2)
     f0 = system.base
     first, last = system.caps[0], system.caps[-1]
-    (lo0, hi0), (lo1, hi1) = first._rise_box(f0), last._rise_box(f0)
+    (lo0, hi0), (lo1, hi1) = _cap_box(first), _cap_box(last)
     assert lo0[0] < 0.0 < hi0[0] < lo1[0]
 
     def node(cap, lo, hi):
@@ -704,81 +721,16 @@ def test_a_box_with_one_grid_node_matches_the_full_grid():
     axes = [np.array([x0[j], hi0[j] + 0.05, 0.5, lo1[j] - 0.05, x1[j]])
             for j in range(2)]
     for cap in (first, last):
-        lows, highs = cap._rise_box(f0)
+        lows, highs = _cap_box(cap)
         inside = [int(((a >= l) & (a <= h)).sum())
                   for a, l, h in zip(axes, lows, highs)]
         assert inside == [1, 1]
-    fs = [perturbed_function(system, 1), perturbed_function(system, 1 << 15),
-          perturbed_function(system, 1 | 1 << 15)]
-    _assert_rows_match(fs, axes)
-    vals = stacked_values(fs, axes)
+    words = (1, 1 << 15, 1 | 1 << 15)
+    _assert_rows_match(system, words, axes)
+    vals = _family_values(system, words, axes)
     # at each box's node the cap rises above f0
     assert vals[0, 0] > f0.value(x0)
     assert vals[1, -1] > f0.value(x1)
-
-
-def test_stacked_values_without_a_shared_part_fold_every_node():
-    # no part is held by every function, so the floor is -inf and every
-    # part's box is the whole grid
-    system = build_interval_system(Fraction(1, 100), 1)
-    base, caps = system.base, system.caps
-    fs = (caps[0], MaxWith(unit_rect(1), (base, caps[1])),
-          MaxWith(unit_rect(1), (caps[2], caps[3], caps[2])), base)
-    for axis in (np.linspace(0.0, 1.0, 2001), _near_cell_ends(system)):
-        _assert_rows_match(fs, [axis])
-
-
-def test_stacked_values_keep_a_nan_of_any_part(monkeypatch):
-    # a NaN in f0 at any node, in a cap inside its box, or in a part that
-    # has no box (here an affine piece whose rho^2 overflows) must reach
-    # every row that holds it, as it does in max
-    system = build_interval_system(Fraction(1, 36), 2)
-    base, caps = system.base, system.caps
-    steep = Affine(unit_rect(2), (1e300, 0.0), -1e300)
-    assert steep._rise_box(base) is None
-    r = unit_rect(2)
-    fs = (MaxWith(r, (base, caps[0])), MaxWith(r, (base, caps[5], steep)),
-          MaxWith(r, (base, caps[0], caps[5])), base)
-    axis = np.linspace(0.0, 1.0, 61)
-    axes = [axis, axis]
-    lo, hi = system.interval(0)
-    mid = (lo + hi) / 2.0
-    far = axis[-1]
-    # node (0, 0) for f0, the first cell's centre row for its cap, and the
-    # far corner, outside every cap's box, for the steep piece
-    centre = axis[np.argmin(np.abs(axis - mid))]
-    nan_at = {base: (0.0, 0.0), caps[0]: (centre, centre), steep: (far, far)}
-    lows, highs = caps[0]._rise_box(base)
-    assert all(l <= centre <= h for l, h in zip(lows, highs))
-    for cap in caps:
-        assert not all(l <= far <= h for l, h in zip(*cap._rise_box(base)))
-
-    def poisoned(self, pts, values):
-        v = values(self, pts)
-        if self in nan_at:
-            v[(pts == nan_at[self]).all(axis=1)] = math.nan
-        return v
-
-    for cls in (Affine, SeparableQuadratic):
-        def wrapper(self, pts, values=cls._values):
-            return poisoned(self, pts, values)
-        monkeypatch.setattr(cls, "_values", wrapper)
-
-    def grid_wrapper(self, axes, grid_values=SeparableQuadratic._grid_values):
-        return poisoned(self, tensor_points(axes), lambda f, _:
-                        grid_values(f, axes))
-    monkeypatch.setattr(SeparableQuadratic, "_grid_values", grid_wrapper)
-
-    vals = stacked_values(fs, axes)
-    pts = tensor_points(axes)
-    at = {key: int(np.flatnonzero((pts == node).all(axis=1))[0])
-          for key, node in nan_at.items()}
-    assert np.isnan(vals[:, at[base]]).all()
-    assert np.isnan(vals[:, at[caps[0]]]).tolist() == [True, False, True,
-                                                       False]
-    assert np.isnan(vals[:, at[steep]]).tolist() == [False, True, False,
-                                                     False]
-    _assert_rows_match(fs, axes)
 
 
 def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
@@ -786,20 +738,21 @@ def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
     calls = []
 
     def counted(values):
-        def wrapper(self, axes):
+        def wrapper(self, arg):
             calls.append(self)
-            return values(self, axes)
+            return values(self, arg)
         return wrapper
 
-    for cls in (ConvexFunction, SeparableQuadratic):
-        monkeypatch.setattr(cls, "_grid_values", counted(cls._grid_values))
-    stacked_values(fam.functions, [np.linspace(0.0, 1.0, 11)] * 2)
-    # f0 plus one cap per cell that some word selects; equal forms built
-    # as separate objects would be shared too
+    monkeypatch.setattr(Affine, "_values", counted(Affine._values))
+    monkeypatch.setattr(SeparableQuadratic, "_grid_values",
+                        counted(SeparableQuadratic._grid_values))
+    _family_values(fam.system, fam.code.words,
+                   [np.linspace(0.0, 1.0, 11)] * 2)
+    # f0 plus one cap per cell that some word selects
     used = 0
     for w in fam.code.words:
         used |= w
-    total = sum(len(f.max_parts()) for f in fam.functions)
+    total = sum(len(f.parts) for f in fam.functions)
     assert len(calls) == 1 + used.bit_count() == 17
     assert total == 83
 

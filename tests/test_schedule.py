@@ -68,6 +68,21 @@ def test_build_schedule_validation():
         build_schedule(math.inf, -96.0 * LOG2)
 
 
+def test_a_p_whose_edge_overflows_is_refused():
+    # the edge's log -2 (p+1)^2 (p+2) log 2, computed left to right, is
+    # finite up to about 4.48e102 and -inf past it, and (p + 1)^2
+    # overflows from about 1.34e154 on
+    for p in (4.5e102, 1e120, 1e154, 1e200, 1.7e308):
+        with pytest.raises(ParameterError, match="p too large"):
+            build_schedule(p, -96.0 * LOG2)
+        with pytest.raises(ParameterError, match="p too large"):
+            log_radius_closed_form(p, -96.0 * LOG2, 1)
+    # too large an eta for this p, but an edge that is a float
+    with pytest.raises(ParameterError, match="eta too large"):
+        build_schedule(4.4e102, -96.0 * LOG2)
+    assert math.isfinite(log_radius_closed_form(4.4e102, -96.0 * LOG2, 1))
+
+
 def test_radius_closed_form_matches_the_definition():
     sched = build_schedule(2.0, -96.0 * LOG2)
     for m in range(1, sched.depth + 1):
