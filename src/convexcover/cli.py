@@ -22,6 +22,7 @@ with repr, JSON keys are sorted, and all randomness is seeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -308,7 +309,14 @@ def cmd_bounds(args) -> tuple[dict, str, bool]:
             True)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The four-subcommand parser, built on the first main call only.
+
+    Every parse_args call starts a fresh namespace from the actions'
+    defaults, and none of those defaults is mutable, so one parser serves
+    every call in the process. It is not built at import.
+    """
     parser = argparse.ArgumentParser(
         prog="convexcover",
         description="Separated families, cover schedules, and distance "
@@ -336,10 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
     level = s.add_mutually_exclusive_group(required=True)
     level.add_argument("--eta", help="target level, parsed exactly")
     level.add_argument("--log2-eta", type=float,
-                       help="log2 of the target level, e.g. -96")
+                       help="log2 of the target level, e.g. -96; a negative "
+                            "value in exponent form needs the = form, "
+                            "--log2-eta=-1e41")
     s.add_argument("--dim", type=int, default=1,
                    help="dimension for the cover accounting")
-    s.add_argument("--dims", type=int, nargs="+", default=[1, 2, 3],
+    s.add_argument("--dims", type=int, nargs="+", default=(1, 2, 3),
                    help="dimensions for the radius power-sum checks")
     s.add_argument("--gamma-sum", type=float, default=0.0)
     s.add_argument("--scale", type=float, default=1.0)

@@ -7,9 +7,10 @@ directions. Every estimator here converges from below as its resolution
 grows, and each report carries an error estimate from a doubled-resolution
 recomputation.
 
-A function's values on a vertex grid are evaluated once per (form, grid)
-while they stay among the few latest, and shared by the sup distance, the
-Hausdorff sweep and the slab-ceiling checks of verify.
+A vertex grid's nodes are built once per (box, grid), and a function's
+values on it evaluated once per (form, grid), while they stay among the
+few latest; both are shared by the sup distance, the Hausdorff sweep and
+the slab-ceiling checks of verify.
 
 The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
@@ -45,11 +46,12 @@ from .functions import (
 # row) take 768 KB together, so they stay in a server core's L2 cache.
 _TILE_ENTRIES = 1 << 15
 
-# Entries kept by each of the caches _hausdorff_at and _vertex_values. One
-# lemma pair asks for at most four distinct (directions, grid) Hausdorff
-# resolutions, over both checks and two refinements, and evaluates its two
-# functions on the vertex grids of 33, n and 2n - 1 nodes per axis, so
-# this holds one pair's values, and the pairs after it push them out.
+# Entries kept by each of the caches _hausdorff_at, _vertex_values and
+# _vertex_nodes. One lemma pair asks for at most four distinct (directions,
+# grid) Hausdorff resolutions, over both checks and two refinements, and
+# evaluates its two functions on the vertex grids of 33, n and 2n - 1
+# nodes per axis, so this holds one pair's values and nodes, and the pairs
+# after it push them out.
 _HAUSDORFF_CACHE_SIZE = 8
 
 
@@ -106,6 +108,19 @@ def vertex_grid(rect: Rect, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+def _vertex_nodes(rect: Rect, n: int) -> np.ndarray:
+    """vertex_grid(rect, n), built once per (box, grid) among the latest.
+
+    Both functions of a pair and the support kernel read the same nodes.
+    Rect is frozen, so a hit returns the bits a fresh build would. Every
+    caller gets the same array: it is read-only.
+    """
+    pts = vertex_grid(rect, n)
+    pts.flags.writeable = False
+    return pts
+
+
+@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
 def _vertex_values(f: ConvexFunction, n: int) -> np.ndarray:
     """f on vertex_grid(f.domain, n), evaluated once per (form, grid).
 
@@ -115,7 +130,7 @@ def _vertex_values(f: ConvexFunction, n: int) -> np.ndarray:
     Forms are frozen dataclasses, so a hit returns the bits a fresh
     evaluation would. Every caller gets the same array: it is read-only.
     """
-    vals = f.values(vertex_grid(f.domain, n))
+    vals = f.values(_vertex_nodes(f.domain, n))
     vals.flags.writeable = False
     return vals
 
@@ -263,7 +278,7 @@ def _hausdorff_value(f, g, dirs, n) -> float:
     down = dirs[dirs[:, -1] < 0.0]
     if not len(down):
         return 0.0
-    pts = vertex_grid(f.domain, n)
+    pts = _vertex_nodes(f.domain, n)
     vals = np.stack([_vertex_values(f, n), _vertex_values(g, n)])
     sf, sg = _support_batch(pts, vals, down)
     return float(np.abs(sf - sg).max())

@@ -34,6 +34,12 @@ LOG2 = math.log(2.0)
 # hinge on float rounding.
 EDGE_GUARD = 1e-9
 
+# Deepest schedule built. The depth grows like (p + 2) times the log of
+# p log eta / log u, so a huge p climbs for ever (at p past about 1e16 the
+# ratio (p+1)/(p+2) rounds to 1 and every level is the same). Tests and
+# bounds stay below 20; a CLI run at this depth takes well under a second.
+MAX_SCHEDULE_DEPTH = 10_000
+
 
 def _log_add(a: float, b: float) -> float:
     # log(e^a + e^b) without overflow
@@ -95,9 +101,10 @@ def log_radius_closed_form(p: float, log_eta: float, m: int) -> float:
 def build_schedule(p: float, log_eta: float) -> Schedule:
     """Chain levels until one clears the edge.
 
-    Raises when no level sits below the edge (eta too large for this p)
-    or when any level lands within EDGE_GUARD of the edge, where the
-    depth would be decided by rounding rather than by the parameters.
+    Raises when no level sits below the edge (eta too large for this p),
+    when any level lands within EDGE_GUARD of the edge, where the depth
+    would be decided by rounding rather than by the parameters, or when
+    the depth would pass MAX_SCHEDULE_DEPTH.
     """
     p = _check_p(p)
     log_eta = float(log_eta)
@@ -118,6 +125,10 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
                 "level indistinguishable from the edge; perturb eta")
         if ld >= edge:
             break
+        if m > MAX_SCHEDULE_DEPTH:
+            raise ParameterError(
+                f"schedule deeper than {MAX_SCHEDULE_DEPTH} levels: p={p:g} "
+                f"climbs too slowly from log_eta={log_eta:g} to the edge")
         depth = m
         m += 1
     if depth == 0:

@@ -202,8 +202,11 @@ def test_pack_caps_the_curve_steps(tmp_path, capsys, query):
     # the edge's log is -inf here, and (p + 1)^2 overflowed at 1e200
     ["schedule", "--p", "1e120", "--log2-eta", "-96"],
     ["schedule", "--p", "1e200", "--log2-eta", "-96"],
+    # (p+1)/(p+2) rounds to 1, so the levels never reached the edge
+    ["schedule", "--p", "1e20", "--log2-eta=-1e41"],
 ], ids=["pack-curve-steps", "pack-eta", "schedule-dims", "lemmas-pieces",
-        "bounds-dim", "schedule-p-1e120", "schedule-p-1e200"])
+        "bounds-dim", "schedule-p-1e120", "schedule-p-1e200",
+        "schedule-p-1e20"])
 def test_a_refused_run_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "new" / "out"
     rc = main([*argv, "--out-dir", str(out)])
@@ -238,6 +241,19 @@ def test_schedule_accepts_exact_eta_text(tmp_path):
     assert rc == 0
     sched = json.loads((tmp_path / "schedule.json").read_text())
     assert sched["depth"] == 1
+
+
+def test_a_negative_log2_eta_in_exponent_form_needs_the_equals_form(
+        tmp_path):
+    # argparse reads "-9.6e1" as an option, not as the flag's value
+    with pytest.raises(SystemExit):
+        main(["schedule", "--p", "1", "--log2-eta", "-9.6e1",
+              "--out-dir", str(tmp_path / "spaced")])
+    for name, flag in (("equals", ["--log2-eta=-9.6e1"]),
+                       ("plain", ["--log2-eta", "-96"])):
+        assert main(["schedule", "--p", "1", *flag,
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert _digest(tmp_path / "equals") == _digest(tmp_path / "plain")
 
 
 def test_schedule_rejects_an_out_of_range_eta(tmp_path, capsys):
@@ -420,7 +436,7 @@ def test_bounds_at_an_eps_near_the_float_floor(tmp_path):
     assert obj["log_lower"] == "inf"
 
 
-@pytest.mark.parametrize("p", ["1e120", "1e200"])
+@pytest.mark.parametrize("p", ["1e20", "1e120", "1e200"])
 def test_bounds_with_a_p_past_the_schedule_edge_has_no_upper_bound(tmp_path,
                                                                    p):
     rc = main(["bounds", "--eps", "1e-8", "--p", p, "--dim", "1",
@@ -446,6 +462,52 @@ def test_missing_required_arguments_exit_via_argparse(tmp_path):
         main(["pack", "--dim", "1", "--out-dir", str(tmp_path)])
     with pytest.raises(SystemExit):
         main(["schedule", "--p", "1", "--out-dir", str(tmp_path)])
+
+
+# -- one parser per process --------------------------------------------------
+
+
+_MIXED_ARGVS = (
+    ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "2",
+     "--gamma", "2.0", "--gamma", "0.5"],
+    ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "2"],
+    ["schedule", "--p", "2", "--eta", "1/1099511627776"],
+    # --eta and --log2-eta are mutually exclusive: argparse exits
+    ["schedule", "--p", "1", "--eta", "1/4", "--log2-eta", "-96"],
+    ["schedule", "--p", "1", "--log2-eta", "-96"],
+    ["schedule", "--p", "1", "--log2-eta", "-96", "--dims", "4"],
+    ["schedule", "--p", "1", "--log2-eta", "-96", "--dim", "2"],
+)
+
+
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    runs = {}
+    for order, indices in (("fwd", range(len(_MIXED_ARGVS))),
+                           ("rev", reversed(range(len(_MIXED_ARGVS))))):
+        for i in indices:
+            out = tmp_path / order / str(i)
+            argv = [*_MIXED_ARGVS[i], "--out-dir", str(out)]
+            if i == 3:
+                with pytest.raises(SystemExit):
+                    main(argv)
+                assert not out.exists()
+                continue
+            assert main(argv) == 0
+            runs.setdefault(i, []).append(_digest(out))
+    assert sorted(runs) == [0, 1, 2, 4, 5, 6]
+    for first, second in runs.values():
+        assert first == second
+    # the --gamma list of one call does not reach the next
+    bounds = json.loads(runs[1][0]["entropy_bounds.json"])
+    assert bounds["log_lipschitz_upper"] is None
+    checks = json.loads(runs[4][0]["schedule_checks.json"])
+    assert [row[0] for row in checks["dim_sums"]] == [1, 2, 3]
+    checks = json.loads(runs[5][0]["schedule_checks.json"])
+    assert [row[0] for row in checks["dim_sums"]] == [4]
+    args = cli._build_parser().parse_args(["schedule", "--p", "1",
+                                           "--log2-eta", "-96"])
+    assert args.dims == (1, 2, 3) and args.eta is None
 
 
 # -- the artifact encoder ---------------------------------------------------

@@ -337,6 +337,7 @@ def test_support_kernel_allocates_nothing_per_tile():
 def _clear_caches():
     metrics._hausdorff_at.cache_clear()
     metrics._vertex_values.cache_clear()
+    metrics._vertex_nodes.cache_clear()
 
 
 @pytest.fixture
@@ -507,6 +508,40 @@ def test_a_cached_vertex_grid_refuses_writes(evaluations):
         vals[0] = 2.0
     with pytest.raises(ValueError):
         np.abs(vals, out=vals)
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """(box, nodes per axis) of every vertex_grid call, from empty caches."""
+    calls = []
+    build = metrics.vertex_grid
+
+    def counted(rect, n):
+        calls.append((rect, n))
+        return build(rect, n)
+
+    monkeypatch.setattr(metrics, "vertex_grid", counted)
+    _clear_caches()
+    yield calls
+    _clear_caches()
+
+
+def test_a_pair_builds_each_vertex_grid_once(grids):
+    f, g = _random_pair(2, 170)
+    grid = GridSpec(101)
+    sup = check_sup_bound(f, g, n_directions=500, grid=grid)
+    l1 = check_l1_bound(f, g, n_directions=500, grid=grid)
+    assert sup.refinements == l1.refinements == 0
+    # the 33-node ceiling grid and the vertex grids of n and 2n - 1 nodes,
+    # shared by both functions and the support kernel
+    assert sorted(n for _, n in grids) == [33, 101, 201]
+    assert {rect for rect, _ in grids} == {f.domain}
+    nodes = metrics._vertex_nodes(f.domain, 101)
+    assert metrics._vertex_nodes(f.domain, 101) is nodes
+    assert len(grids) == 3
+    assert nodes.tobytes() == vertex_grid(f.domain, 101).tobytes()
+    with pytest.raises(ValueError):
+        nodes[0, 0] = 2.0
 
 
 def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, evaluations):

@@ -11,6 +11,7 @@ from convexcover import (
     log_radius_closed_form,
     schedule_checks,
 )
+from convexcover.schedule import MAX_SCHEDULE_DEPTH, _log_edge
 
 LOG2 = math.log(2.0)
 
@@ -66,6 +67,21 @@ def test_build_schedule_validation():
         build_schedule(0.9, -96.0 * LOG2)
     with pytest.raises(ParameterError):
         build_schedule(math.inf, -96.0 * LOG2)
+
+
+def test_a_schedule_deeper_than_the_cap_is_refused():
+    # at p = 1000 the depth of the target log eta = log u / (p r^(A - 1/2))
+    # is A, so the cap itself is built and one level more is refused
+    p = 1000.0
+    r = (p + 1.0) / (p + 2.0)
+    log_eta = _log_edge(p) / p / r ** (MAX_SCHEDULE_DEPTH - 0.5)
+    assert build_schedule(p, log_eta).depth == MAX_SCHEDULE_DEPTH
+    with pytest.raises(ParameterError, match="schedule deeper than"):
+        build_schedule(p, log_eta / r)
+    # r rounds to 1.0: every level is the same, below the edge
+    assert (1e20 + 1.0) / (1e20 + 2.0) == 1.0
+    with pytest.raises(ParameterError, match="schedule deeper than"):
+        build_schedule(1e20, -1e41 * LOG2)
 
 
 def test_a_p_whose_edge_overflows_is_refused():
