@@ -216,8 +216,12 @@ def cmd_schedule(args) -> tuple[dict, str, bool]:
                  ["m", "log_level", "log_weight", "log_radius"], rows),
              "schedule_checks.json": checks.to_json(),
              "cover_accounting.json": acct.to_json()}
+    bound = f"{acct.entropy_bound:.6g}"
+    if math.isinf(acct.entropy_bound) and math.isfinite(acct.log_entropy_bound):
+        # the bound on the log count overflowed; its own log did not
+        bound = f"exp({acct.log_entropy_bound:.6g})"
     return (files, f"depth {sched.depth} schedule; checks ok={checks.ok}; "
-                   f"log cover count <= {acct.entropy_bound:.6g}", checks.ok)
+                   f"log cover count <= {bound}", checks.ok)
 
 
 def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:

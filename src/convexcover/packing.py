@@ -43,7 +43,8 @@ from .metrics import GridSpec, quadrature_axes
 CELL_CAP = 64
 
 # Larger interval systems are refused before anything is built: the exact
-# cap checks build every cell's cap, taking 1.3 s and 60 MB at this size.
+# cap checks build every cell's cap, taking 1.1 s (d = 2) to 1.4 s (d = 4)
+# and peaking at 39 to 50 MB (tracemalloc) at this size.
 SYSTEM_CELL_CAP = 2**16
 
 # Keep the last interval this far below 1 so exact-rational checks of the
@@ -52,9 +53,12 @@ SPAN_LIMIT = 1.0 - 2.0**-30
 
 _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
 
-# Samples per rng.integers call of the cap checks: bounds their draw arrays
-# at a few MB whatever samples is.
-DRAW_BLOCK = 2**14
+# Samples per rng.integers call of the cap checks, each block decided at
+# once on object arrays of Python ints: it bounds their memory whatever
+# samples is. At d = 8 a run of full blocks peaked at 7.5 MB (tracemalloc,
+# a one-cell system, 2^16 samples); 2^14 peaked at 27.9 MB. The drawn
+# stream does not depend on it.
+DRAW_BLOCK = 2**12
 
 
 def _sum_sqrt_le(p: Fraction, q: Fraction, b: Fraction) -> bool:
@@ -147,7 +151,8 @@ class IntervalSystem:
         """The affine cap of every cell, by linear cell index, built once.
 
         Every family member and every cap check takes its caps from here,
-        so a cap is one object wherever it appears.
+        so a cap is one object wherever it appears; all of them, and f0,
+        share one unit-cube domain.
         """
         return tuple(cap_function(self, self.cell_from_index(i))
                      for i in range(self.n_cells))
@@ -199,7 +204,7 @@ def base_paraboloid(d: int) -> SeparableQuadratic:
 
 
 def cap_function(system: IntervalSystem, cell: tuple[int, ...]) -> Affine:
-    """The affine cap over one cell.
+    """The affine cap over one cell, on the domain of the system's f0.
 
     Coefficient j is (u_j + v_j)/d and the intercept is -sum(u_j v_j)/d,
     which interpolates the paraboloid's chord on each axis.
@@ -208,7 +213,7 @@ def cap_function(system: IntervalSystem, cell: tuple[int, ...]) -> Affine:
     d = system.dim
     coeffs = tuple((u + v) / d for u, v in zip(lo, hi))
     intercept = -sum(u * v for u, v in zip(lo, hi)) / d
-    return Affine(unit_rect(d), coeffs, intercept)
+    return Affine(system.base.domain, coeffs, intercept)
 
 
 def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
@@ -222,7 +227,7 @@ def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
     caps = [cap for i, cap in enumerate(system.caps) if (word >> i) & 1]
     if not caps:
         return system.base
-    return MaxWith(unit_rect(system.dim), (system.base, *caps))
+    return MaxWith(system.base.domain, (system.base, *caps))
 
 
 def cell_gap(eta, d: int) -> float:
@@ -638,16 +643,17 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     dyadic rational, so one common power of two 2^E scales them all to
     integers. A sampled coordinate u + a/10^6 (v - u) is then X / D with
     X = U 10^6 + a (V - U) and D = 2^E 10^6, and with the denominators
-    cleared every comparison is one integer comparison, decided without
-    rounding. Sampled points are strictly interior to their cells; the
-    samples budget is split across the point-sampled properties, and the
-    corner check covers every cell once. The caps are the system's own.
+    cleared every comparison is one comparison of Python ints, decided
+    without rounding. Sampled points are strictly interior to their cells;
+    the samples budget is split across the point-sampled properties, and
+    the corner check covers every cell once. The caps are the system's own.
 
-    All draws of a property come from one rng.integers call with per-draw
-    bound arrays (one call per DRAW_BLOCK samples beyond that, to bound
-    memory). numpy draws each element of such a call as a scalar call with
-    its bounds would, so the points checked are those of one scalar call
-    per draw, in the same order: a cell index, then each coordinate.
+    A property's draws come from one rng.integers call with per-draw bound
+    arrays per DRAW_BLOCK samples; numpy draws each element as a scalar
+    call with its bounds would, so the points are those of one scalar call
+    per draw, in order: a cell index, then each coordinate. Each block is
+    decided at once, elementwise on dtype=object arrays of Python ints
+    from per-system tables; Python formats only the failures' messages.
     """
     if samples < 4:
         raise ParameterError("need samples >= 4")
@@ -655,7 +661,6 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
     d = system.dim
     n = system.n_cells
     failures: list[str] = []
-    cells = [system.cell_from_index(idx) for idx in range(n)]
     caps = system.caps
     ends = [system.interval(i) for i in range(system.k)]
     exact = [*ends, *((*cap.coeffs, cap.intercept) for cap in caps)]
@@ -667,63 +672,63 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
 
     ticks = 10**6  # a sampled coordinate is u + a/ticks (v - u)
     denom = scale * ticks  # D
-    # per cell: the coefficients times 2^E and the intercept times 2^E D
-    lin = [(tuple(map(scaled, cap.coeffs)), scaled(cap.intercept) * denom)
-           for cap in caps]
-    lo = [scaled(u) * ticks for u, _ in ends]
-    width = [scaled(v) - scaled(u) for u, v in ends]
+    # per cell: coefficients times 2^E, intercept times 2^E D, interval indices
+    coeffs = np.array([[*map(scaled, cap.coeffs)] for cap in caps], dtype=object)
+    icpt = np.array([scaled(cap.intercept) * denom for cap in caps], dtype=object)
+    intervals = np.stack(np.unravel_index(np.arange(n), (system.k,) * d), axis=1)
+    # per interval: start times D and width times 2^E
+    lo = np.array([scaled(u) * ticks for u, _ in ends], dtype=object)
+    width = np.array([scaled(v) - scaled(u) for u, v in ends], dtype=object)
 
     def draws(count: int, lows: list[int], highs: list[int]):
         # count rows of draws in [lows, highs), one row per sampled check
         for start in range(0, count, DRAW_BLOCK):
             size = (min(DRAW_BLOCK, count - start), len(lows))
-            yield from rng.integers(lows, highs, size=size).tolist()
+            yield rng.integers(lows, highs, size=size)
 
-    def point(cell: tuple[int, ...], a: list[int]) -> list[int]:
-        # numerators over D of the interior point a/ticks of the cell
-        return [lo[i] + ai * width[i] for i, ai in zip(cell, a)]
+    def point(cell: np.ndarray, a: np.ndarray) -> np.ndarray:
+        # numerators over D of the interior points a/ticks of the cells
+        return lo[intervals[cell]] + a.astype(object) * width[intervals[cell]]
 
-    def cap_num(idx: int, x) -> int:
-        # 2^E D cap(x), for x given by its numerators over D
-        coeffs, intercept = lin[idx]
-        return intercept + sum(c * v for c, v in zip(coeffs, x))
+    def cap_num(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # 2^E D cap(x), for points x given by their numerators over D
+        return icpt[idx] + (coeffs[idx] * x).sum(axis=1)
 
     # corner: every cell once; the all-ones corner has numerators D
-    one = (denom,) * d
-    for idx in range(n):
-        if any(c < 0 for c in lin[idx][0]):
+    negative = (coeffs < 0).any(axis=1)
+    high = icpt + coeffs.sum(axis=1) * denom > scale * denom
+    for idx in np.flatnonzero(negative | high):
+        if negative[idx]:
             failures.append(f"cell {idx}: negative coefficient")
-        if cap_num(idx, one) > scale * denom:
+        if high[idx]:
             failures.append(f"cell {idx}: corner value above 1")
 
-    n_affine = samples // 4
-    n_above = samples // 4
+    n_affine = n_above = samples // 4
     n_below = samples - n_affine - n_above if n >= 2 else 0
 
     # a cell, an interior point of it, and a point anywhere in the cube
-    for idx, *a in draws(n_affine, [0] + [1] * d + [0] * d,
-                         [n] + [ticks] * (2 * d)):
-        x = point(cells[idx], a[:d])
-        y = [b * scale for b in a[d:]]
-        # 2^E D 2 cap((x + y) / 2): the midpoint's numerators are x + y
-        # over 2D
-        twice_mid = cap_num(idx, [u + v for u, v in zip(x, y)]) + lin[idx][1]
-        if cap_num(idx, x) + cap_num(idx, y) != twice_mid:
-            failures.append(f"cell {idx}: midpoint identity broken")
+    for a in draws(n_affine, [0] + [1] * d + [0] * d, [n] + [ticks] * (2 * d)):
+        idx = a[:, 0]
+        x = point(idx, a[:, 1:d + 1])
+        y = a[:, d + 1:].astype(object) * scale
+        # 2^E D 2 cap((x + y) / 2); the midpoint's numerators over 2D are x + y
+        twice_mid = cap_num(idx, x + y) + icpt[idx]
+        broken = cap_num(idx, x) + cap_num(idx, y) != twice_mid
+        failures += [f"cell {i}: midpoint identity broken" for i in idx[broken]]
 
     # cap(x) < f0(x) = sum X_j^2 / (d D^2) iff d 10^6 cap_num(x) < sum X_j^2
-    for idx, *a in draws(n_above, [0] + [1] * d, [n] + [ticks] * d):
-        x = point(cells[idx], a)
-        if d * ticks * cap_num(idx, x) < sum(v * v for v in x):
-            failures.append(f"cell {idx}: cap below base inside own cell")
+    for a in draws(n_above, [0] + [1] * d, [n] + [ticks] * d):
+        x = point(a[:, 0], a[:, 1:])
+        below = d * ticks * cap_num(a[:, 0], x) < (x * x).sum(axis=1)
+        failures += [f"cell {i}: cap below base inside own cell"
+                     for i in a[below, 0]]
 
     # a cap, another cell, and an interior point of that cell
-    for idx, other, *a in draws(n_below, [0, 0] + [1] * d,
-                                [n, n - 1] + [ticks] * d):
-        if other >= idx:
-            other += 1
-        x = point(cells[other], a)
-        if d * ticks * cap_num(idx, x) > sum(v * v for v in x):
-            failures.append(f"cell {idx}: cap above base in cell {other}")
+    for a in draws(n_below, [0, 0] + [1] * d, [n, n - 1] + [ticks] * d):
+        idx, other = a[:, 0], a[:, 1] + (a[:, 1] >= a[:, 0])
+        x = point(other, a[:, 2:])
+        above = d * ticks * cap_num(idx, x) > (x * x).sum(axis=1)
+        failures += [f"cell {i}: cap above base in cell {j}"
+                     for i, j in zip(idx[above], other[above])]
 
     return CapPropertyReport(n_affine, n, n_above, n_below, tuple(failures))

@@ -177,12 +177,31 @@ def schedule_checks(sched: Schedule,
 
     chain: levels strictly increase, the last crosses the edge and the
         one before stays below it.
-    identity: delta_m * alpha_m^(p+1) = eta^(p+1) in log space, within 1e-9.
+    identity: delta_m * alpha_m^(p+1) = eta^(p+1) in log space, within tol.
     ratio: consecutive radii at least double (slack 1e-12 in logs).
-    closed form: defining radii match log_radius_closed_form within 1e-12.
+    closed form: defining radii match log_radius_closed_form within tol.
     s1: delta_1 + sum alpha_m^p (delta_{m+1} - delta_m) <= (7/3) eta^p.
     squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1) for
         each d in dims, which must lie in 1..8.
+
+    tol = (A + 32) u |(p+1) log_eta|, with depth A and u = 2^-53, bounds
+    the rounding of both residuals, which are 0 in exact arithmetic; a
+    fixed tolerance would fail valid deep schedules, whose terms grow
+    with |log_eta|. Let L = log_eta, B = (p+1)|L| and R_k = fl(r^k) for
+    the float r, taken within relative error k u of r^k (any pow no worse
+    than k - 1 multiplications). The three terms of one identity residual
+    share R_k: the level p R_k L is within 2uB; 1 - p/(p+1) R_k is within
+    4u absolutely, so (p+1) times the weight L (1 - p/(p+1) R_k) is
+    within 7uB; the target is within 2uB, and the two sums add uB, so
+    the residual is at most 12uB. A radius is
+    0.5 (L + lv_{m+1} - lv_m - wt_m); with the R_k taken exactly it is
+    p L (R_m - p/(p+1) R_{m-1}) / 2, and the closed form
+    p L R_m / (2 (p+1)^2) differs from it by p^2 L R_{m-1} / (2 (p+1))
+    times R_m (p+2) / ((p+1) R_{m-1}) - 1, which is at most (m + 1) uB
+    (the relative errors of R_m, R_{m-1} and r). Its terms and sums
+    add at most 8uB of rounding, so the gap is at most
+    (m + 9) uB <= (A + 32) uB. The margin covers the second-order terms
+    dropped here.
     """
     if not all(1 <= d <= 8 for d in dims):
         raise ParameterError("dims must be in 1..8")
@@ -197,7 +216,8 @@ def schedule_checks(sched: Schedule,
     target = (p + 1.0) * sched.log_eta
     identity_residual = max(abs(lv[m] + (p + 1.0) * wt[m] - target)
                             for m in range(a))
-    identity_ok = identity_residual <= 1e-9
+    tol = (a + 32) * 2.0**-53 * abs(target)
+    identity_ok = identity_residual <= tol
 
     if a >= 2:
         min_log_ratio = min(rd[m] - rd[m - 1] for m in range(1, a))
@@ -208,7 +228,7 @@ def schedule_checks(sched: Schedule,
     closed_form_gap = max(
         abs(rd[m - 1] - log_radius_closed_form(p, sched.log_eta, m))
         for m in range(1, a + 1))
-    closed_form_ok = closed_form_gap <= 1e-12
+    closed_form_ok = closed_form_gap <= tol
 
     log_s1 = lv[0]
     for m in range(a):

@@ -235,6 +235,20 @@ def test_schedule_artifacts(tmp_path):
     assert float(acct["entropy_bound"]) > 0.0
 
 
+def test_a_deep_schedule_passes_and_prints_the_log_of_an_overflowed_bound(
+        tmp_path, capsys):
+    # depth 18: the closed-form gap 2.9e-12 once failed an absolute 1e-12
+    rc = main(["schedule", "--p", "1", "--log2-eta=-33333",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    acct = json.loads((tmp_path / "cover_accounting.json").read_text())
+    assert acct["entropy_bound"] == "inf"
+    log_bound = float(acct["log_entropy_bound"])
+    assert capsys.readouterr().out == (
+        f"depth 18 schedule; checks ok=True; "
+        f"log cover count <= exp({log_bound:.6g})\n")
+
+
 def test_schedule_accepts_exact_eta_text(tmp_path):
     rc = main(["schedule", "--p", "2", "--eta", "1/1099511627776",
                "--out-dir", str(tmp_path)])  # 2^-40

@@ -43,6 +43,7 @@ from convexcover.metrics import (
     quadrature_grid,
     vertex_grid,
 )
+from convexcover import packing
 from convexcover.packing import (
     SPAN_LIMIT,
     SYSTEM_CELL_CAP,
@@ -334,6 +335,19 @@ def test_cap_properties_match_the_fraction_reference_on_doctored_systems(name):
     _assert_matches_reference(_DOCTORED[name])
 
 
+def test_cap_properties_match_the_fraction_reference_across_draw_blocks(
+        monkeypatch):
+    # blocks of 3 draws: every property spans many blocks and a last,
+    # partial one, and the failures keep their sample order across them
+    monkeypatch.setattr(packing, "DRAW_BLOCK", 3)
+    for system in (build_interval_system(_BUILT[2], 2),
+                   _DOCTORED["overlapping"]):
+        for samples in (37, 401):
+            want = _reference_cap_properties(system, samples, 3)
+            assert verify_cap_properties(system, samples, 3) == want
+    assert want.failures
+
+
 def test_cap_properties_fail_inside_a_cell_below_rounding():
     report = verify_cap_properties(_DOCTORED["thin"], samples=40, seed=0)
     assert report.above_checks == 10 and report.below_checks == 0
@@ -448,10 +462,11 @@ def test_family_members_hold_the_systems_own_caps():
     assert len(system.caps) == system.n_cells == 45
     for i, cap in enumerate(system.caps):
         assert cap == cap_function(system, system.cell_from_index(i))
+        assert cap.domain is system.base.domain  # one unit cube, not 45
     refs = 0
     for word, f in zip(fam.code.words, fam.functions):
         base, *caps = f.parts
-        assert base is system.base
+        assert base is system.base and f.domain is base.domain
         want = [c for i, c in enumerate(system.caps) if word >> i & 1]
         assert len(caps) == len(want)
         assert all(a is b for a, b in zip(caps, want))

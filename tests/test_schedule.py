@@ -1,6 +1,7 @@
 """Refinement schedules: construction, invariants, and cover accounting."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -124,6 +125,31 @@ def test_schedule_checks_pass_on_a_known_chain():
     for d, total, bound, ok_d in checks.dim_sums:
         assert ok_d and total <= bound
     assert [row[0] for row in checks.dim_sums] == [1, 2, 3]
+
+
+def test_schedule_checks_pass_on_deep_schedules():
+    # depths 18, 627 and 10000: the residuals grow with |(p+1) log_eta|
+    # and once failed absolute tolerances of 1e-9 and 1e-12
+    for p, log2_eta, depth in ((1.0, -33333.0, 18), (100.0, -1e7, 627),
+                               (1000.0, -43550141378.28572, 10_000)):
+        sched = build_schedule(p, log2_eta * LOG2)
+        assert sched.depth == depth
+        checks = schedule_checks(sched)
+        assert checks.ok
+        assert checks.identity_residual > 1e-12
+
+
+def test_schedule_checks_catch_a_shifted_level_far_past_the_bound():
+    sched = build_schedule(100.0, -1e7 * LOG2)
+    # the rounding bound is (A + 32) 2^-53 |(p+1) log_eta|, about 5e-5 here
+    bound = (sched.depth + 32) * 2.0**-53 * abs(101.0 * sched.log_eta)
+    assert 1e-5 < bound < 1e-4
+    for shift in (1e3 * bound, -1e3 * bound):
+        levels = list(sched.log_levels)
+        levels[3] += shift
+        checks = schedule_checks(replace(sched, log_levels=tuple(levels)))
+        assert not checks.identity_ok and not checks.ok
+        assert checks.identity_residual == pytest.approx(abs(shift), rel=1e-3)
 
 
 def test_schedule_checks_json_round_trip_keys():
