@@ -178,9 +178,10 @@ def schedule_checks(sched: Schedule,
     chain: levels strictly increase, the last crosses the edge and the
         one before stays below it.
     identity: delta_m * alpha_m^(p+1) = eta^(p+1) in log space, within tol.
-    ratio: consecutive radii at least double (slack 1e-12 in logs).
+    ratio: consecutive radii at least double, within ratio_slack.
     closed form: defining radii match log_radius_closed_form within tol.
-    s1: delta_1 + sum alpha_m^p (delta_{m+1} - delta_m) <= (7/3) eta^p.
+    s1: delta_1 + sum alpha_m^p (delta_{m+1} - delta_m) <= (7/3) eta^p,
+        within s1_slack.
     squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1) for
         each d in dims, which must lie in 1..8.
 
@@ -202,6 +203,32 @@ def schedule_checks(sched: Schedule,
     add at most 8uB of rounding, so the gap is at most
     (m + 9) uB <= (A + 32) uB. The margin covers the second-order terms
     dropped here.
+
+    The ratio and s1 checks compare quantities that are not 0 in exact
+    arithmetic, so their slacks bound rounding at the scale of what is
+    compared. Write E = |log u| for the edge. A radius
+    0.5 (L + lv_{m+1} - lv_m - wt_m) cancels L against the weight, so its
+    error is absolute: the weight's is at most 2u|L| + (m+2)u|lv_m|/(p+1),
+    the levels' (m+3)u|lv_m|, and the three sums add u(3|L| + 2|lv_m|).
+    Two neighbouring radii thus differ by their exact difference within
+    5u|L| + 3(m+3)u|lv_{m-1}|. The exact difference is t log 2 with
+    t = lv_m / log u >= 1, and |lv_{m-1}| = t E / r <= 1.5 t E; at the
+    last pair t <= 1/r, so ratio_slack = 8u(|L| + (A+2)E) covers it, and
+    a pair with larger t gains more margin than error while the slack is
+    below log 2. The slack reaches log 2 / 2 at |L| = 3.9e14 for a
+    shallow edge, or where (A+2)E passes 3.9e14 (p past about 3000 at
+    the depth cap); past that the check cannot fail.
+    log_s1 and its bound both start from the float p L. The bound adds
+    log(7/3) with one rounding. The term after level m is at most the
+    first term times exp(-|lv_m| / ((p+1)(p+2))) <= 4^-(p+1+k), with
+    k = A-1-m, because |lv_m| >= E r^-k. A log-add of an increment below
+    half an ulp leaves log_s1 unchanged, which only lowers it; a larger
+    one needs 4^-(p+1+k) >= 2^-51 (|pL| >= 8), so at most 24 adds round
+    up, each by at most u|pL|. A term's own error, at most (3m+11)u|pL|, enters
+    scaled by its weight, in all at most (A+4) 4^-p u|pL|. Hence
+    s1_slack = (26 + (A+4) 4^-p) u|pL|, against a margin near log(7/3)
+    (the first term carries all but 4^-(p+1)/0.75 of s1); it reaches
+    log(7/3) / 2 at |pL| = 1.5e14.
     """
     if not all(1 <= d <= 8 for d in dims):
         raise ParameterError("dims must be in 1..8")
@@ -216,14 +243,17 @@ def schedule_checks(sched: Schedule,
     target = (p + 1.0) * sched.log_eta
     identity_residual = max(abs(lv[m] + (p + 1.0) * wt[m] - target)
                             for m in range(a))
-    tol = (a + 32) * 2.0**-53 * abs(target)
+    u = 2.0**-53
+    tol = (a + 32) * u * abs(target)
     identity_ok = identity_residual <= tol
 
     if a >= 2:
         min_log_ratio = min(rd[m] - rd[m - 1] for m in range(1, a))
     else:
         min_log_ratio = math.inf
-    ratio_ok = min_log_ratio >= LOG2 - 1e-12
+    ratio_slack = 8 * u * (abs(sched.log_eta)
+                           + (a + 2) * abs(sched.log_edge))
+    ratio_ok = min_log_ratio >= LOG2 - ratio_slack
 
     closed_form_gap = max(
         abs(rd[m - 1] - log_radius_closed_form(p, sched.log_eta, m))
@@ -235,7 +265,8 @@ def schedule_checks(sched: Schedule,
         log_inc = lv[m + 1] + math.log1p(-math.exp(lv[m] - lv[m + 1]))
         log_s1 = _log_add(log_s1, p * wt[m] + log_inc)
     log_s1_bound = math.log(7.0 / 3.0) + p * sched.log_eta
-    s1_ok = log_s1 <= log_s1_bound + 1e-12
+    s1_slack = (26 + (a + 4) * 4.0**-p) * u * abs(p * sched.log_eta)
+    s1_ok = log_s1 <= log_s1_bound + s1_slack
 
     zeta_square_sum = sum(math.exp(2.0 * v) for v in rd)
     zeta_square_ok = zeta_square_sum <= 4.0 / 3.0

@@ -1,9 +1,13 @@
 """End-to-end runs of the command line entry points."""
 
+import contextlib
+import io
 import json
 import math
+import shutil
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -80,141 +84,6 @@ def test_pack_over_the_cell_cap_still_reports(tmp_path):
     assert system["k"] == 13
 
 
-@pytest.mark.parametrize("eta, dim", [("1/144", "2"), ("1/49", "3")])
-def test_pack_refuses_a_certificate_over_the_memory_budget(tmp_path, capsys,
-                                                           eta, dim):
-    # 2981 functions at 600^2 or 120^3 nodes would need 8.6 GB or 41 GB
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        rc = main(["pack", "--eta", eta, "--dim", dim,
-                   "--out-dir", str(tmp_path)])
-        elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    assert "GB of values" in capsys.readouterr().err
-    assert elapsed < 1.0
-    assert peak < 8 * 2**20
-    assert not any(tmp_path.iterdir())
-
-
-def test_pack_refuses_a_certificate_grid_past_max_grid_points(
-        tmp_path, capsys, monkeypatch):
-    # 2 functions x 40^5 nodes x 8 B is under the 2 GB budget, but no
-    # 40^5 grid is ever built
-    def build(*args, **kwargs):
-        raise AssertionError("the family was built")
-
-    monkeypatch.setattr(cli, "build_packing_family", build)
-    t0 = time.perf_counter()
-    rc = main(["pack", "--eta", "1/4", "--dim", "5",
-               "--out-dir", str(tmp_path)])
-    assert time.perf_counter() - t0 < 1.0
-    assert rc == 2
-    assert "exceeds 10000000" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("eta, dim", [("1e-400", "1"), ("1e-20", "1"),
-                                      ("1e-12", "2")])
-def test_pack_refuses_a_system_over_the_cell_cap(tmp_path, capsys, eta, dim):
-    # 1e-400 was a ZeroDivisionError in the first guess for k; the others
-    # would build 10^10 interval starts or check 4.4e11 caps
-    t0 = time.perf_counter()
-    rc = main(["pack", "--eta", eta, "--dim", dim, "--out-dir", str(tmp_path)])
-    elapsed = time.perf_counter() - t0
-    assert rc == 2
-    assert "eta too small" in capsys.readouterr().err
-    assert elapsed < 1.0
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("bad, message", [
-    (["--grid-n", "1"], "need n >= 2"),
-    (["--cap-samples", "3"], "need samples >= 4"),
-    (["--curve-steps", "0"], "need steps >= 1"),
-    (["--max-samples", "0"], "max_samples must be >= 1"),
-    (["--seed", "-1"], "seed must be >= 0"),
-])
-def test_pack_refuses_invalid_input_before_writing(tmp_path, capsys, bad,
-                                                   message):
-    rc = main(["pack", "--eta", "1/25", "--dim", "2", *bad,
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_pack_refuses_a_tol_that_cannot_fail(tmp_path, capsys, tol):
-    # a NaN or infinite tol would certify any family
-    rc = main(["pack", "--eta", "1/25", "--dim", "1", "--tol", tol,
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "tol must be finite" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv", [
-    ["pack", "--eta", "nan", "--dim", "1"],
-    ["pack", "--eta", "inf", "--dim", "1"],
-    ["pack", "--eta", "1/0", "--dim", "1"],
-    ["schedule", "--p", "1", "--eta", "nan"],
-    ["schedule", "--p", "1", "--eta", "1/0"],
-    ["schedule", "--p", "1", "--eta", "0"],
-], ids=lambda argv: f"{argv[0]}-{argv[argv.index('--eta') + 1]}")
-def test_an_eta_that_is_not_a_positive_number_exits_2(tmp_path, capsys, argv):
-    rc = main([*argv, "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: eta ")
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("query", [["--eta", "1/25", "--dim", "1"],
-                                   ["--eta", "0.1", "--dim", "8"]],
-                         ids=["d1", "d8"])
-def test_pack_caps_the_curve_steps(tmp_path, capsys, query):
-    # at d = 8 the cell count of step 2000 has more digits than str(int)
-    # formats; every accepted step count must format
-    cap = cli.MAX_CURVE_STEPS
-    ok_dir, refused_dir = tmp_path / "ok", tmp_path / "refused"
-    assert main(["pack", *query, "--grid-n", "5", "--curve-steps", str(cap),
-                 "--out-dir", str(ok_dir)]) == 0
-    curve = (ok_dir / "lower_bound_curve.csv").read_text().splitlines()
-    assert len(curve) == cap + 1
-    capsys.readouterr()
-    rc = main(["pack", *query, "--grid-n", "5", "--curve-steps",
-               str(cap + 1), "--out-dir", str(refused_dir)])
-    assert rc == 2
-    assert f"need steps <= {cap}" in capsys.readouterr().err
-    assert not refused_dir.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    # once wrote two files, then raised formatting the curve's k
-    ["pack", "--eta", "1/25", "--dim", "1", "--curve-steps", "15000"],
-    ["pack", "--eta", "nan", "--dim", "1"],
-    ["schedule", "--p", "1", "--log2-eta", "-96", "--dims", "0"],
-    ["lemmas", "--dim", "1", "--pieces", "0"],
-    ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "0"],
-    # the edge's log is -inf here, and (p + 1)^2 overflowed at 1e200
-    ["schedule", "--p", "1e120", "--log2-eta", "-96"],
-    ["schedule", "--p", "1e200", "--log2-eta", "-96"],
-    # (p+1)/(p+2) rounds to 1, so the levels never reached the edge
-    ["schedule", "--p", "1e20", "--log2-eta=-1e41"],
-], ids=["pack-curve-steps", "pack-eta", "schedule-dims", "lemmas-pieces",
-        "bounds-dim", "schedule-p-1e120", "schedule-p-1e200",
-        "schedule-p-1e20"])
-def test_a_refused_run_creates_no_out_dir(tmp_path, capsys, argv):
-    out = tmp_path / "new" / "out"
-    rc = main([*argv, "--out-dir", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "new").exists()
-
-
 def test_schedule_artifacts(tmp_path):
     rc = main(["schedule", "--p", "1", "--log2-eta", "-96",
                "--out-dir", str(tmp_path)])
@@ -270,52 +139,6 @@ def test_a_negative_log2_eta_in_exponent_form_needs_the_equals_form(
     assert _digest(tmp_path / "equals") == _digest(tmp_path / "plain")
 
 
-def test_schedule_rejects_an_out_of_range_eta(tmp_path, capsys):
-    rc = main(["schedule", "--p", "2", "--eta", "0.00390625",
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["schedule", "--dims", "0"], "dims must be in 1..8"),
-    (["schedule", "--dims", "2000"], "dims must be in 1..8"),
-    (["schedule", "--dims", "-1"], "dims must be in 1..8"),
-    (["schedule", "--dim", "0"], "dimension must be in 1..8"),
-    (["bounds", "--eps", "inf"], "is too large"),
-    (["bounds", "--eps", "1e308"], "is too large"),
-    (["bounds", "--eps", "1e300", "--dim", "3", "--side", "1e-200"],
-     "bound * side^(d/p) is outside the float range"),
-    (["bounds", "--scale", "0", "--gamma", "1"], "scale must be positive"),
-    (["bounds", "--scale", "0"], "scale must be positive"),
-    (["bounds", "--scale", "-1"], "scale must be positive"),
-    (["bounds", "--bound", "inf"], "bound must be positive and finite"),
-    (["lemmas", "--bound", "inf"], "bound must be positive"),
-    (["lemmas", "--bound", "2"], "--bound must be positive and at most 1"),
-    (["lemmas", "--bound", "0"], "--bound must be positive and at most 1"),
-    (["lemmas", "--rho", "0.7"], "need 0 < rho < 0.5"),
-    (["lemmas", "--rho", "0"], "need 0 < rho < 0.5"),
-    (["lemmas", "--seed", "-1"], "seed must be >= 0"),
-    (["lemmas", "--directions", "3"], "need at least 4 directions"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_invalid_input_exits_2_before_writing(tmp_path, capsys, monkeypatch,
-                                               argv, message):
-    # one valid query per command, with one input made invalid; later
-    # flags override the defaults given first. lemmas must refuse before
-    # it draws its first pair.
-    def no_pair(*args, **kwargs):
-        raise AssertionError("drew a pair before refusing the input")
-
-    monkeypatch.setattr(cli, "make_random_convex", no_pair)
-    base = {"schedule": ["--p", "1", "--log2-eta", "-96"],
-            "bounds": ["--eps", "1e-8", "--p", "1", "--dim", "1"],
-            "lemmas": ["--dim", "1", "--pairs", "1"]}[argv[0]]
-    rc = main([argv[0], *base, *argv[1:], "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
 def test_lemmas_runs_one_pair(tmp_path):
     rc = main(["lemmas", "--dim", "1", "--pairs", "1", "--grid-n", "201",
                "--directions", "512", "--out-dir", str(tmp_path)])
@@ -343,98 +166,6 @@ def test_lemmas_reruns_in_one_process_are_byte_identical(tmp_path):
         texts.append((out / "lemma_reports.json").read_bytes())
         assert (cache.cache_info().misses == misses) == (run == "b")
     assert texts[0] == texts[1] == texts[2]
-
-
-def test_lemmas_refuses_zero_pairs(tmp_path, capsys):
-    # with no pairs nothing is checked, so all_ok would say nothing
-    rc = main(["lemmas", "--dim", "1", "--pairs", "0",
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "need pairs >= 1" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("flag, message", [
-    ("--directions", "need directions <= 100000"),
-    ("--pieces", "pieces on the 17^1 bound grid"),
-])
-def test_lemmas_refuses_sizes_that_would_exhaust_memory(tmp_path, capsys,
-                                                       flag, message):
-    # a billion directions or pieces asked for arrays of many GB
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        rc = main(["lemmas", "--dim", "1", flag, "1000000000",
-                   "--out-dir", str(tmp_path)])
-        elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert elapsed < 1.0
-    assert peak < 8 * 2**20
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv, refused", [
-    # 1601^2 nodes after two refinements: 615 GB at 30000 pieces, and
-    # 97 pieces are 1.99 GB, 98 are 2.01 GB
-    (["--dim", "2", "--pieces", "30000"], True),
-    (["--dim", "2", "--pieces", "98"], True),
-    (["--dim", "2", "--pieces", "97"], False),
-    # the checks' grids are only 8n - 7 = 793 nodes wide at --grid-n 100
-    (["--dim", "2", "--pieces", "397", "--grid-n", "100"], False),
-    (["--dim", "2", "--pieces", "398", "--grid-n", "100"], True),
-    # at d = 3 and --grid-n 101 both refined grids are past
-    # MAX_GRID_POINTS, so 201^3 is the largest that is built: 1.95 GB at
-    # 30 pieces, 2.01 GB at 31
-    (["--dim", "3", "--pieces", "31", "--grid-n", "101"], True),
-    (["--dim", "3", "--pieces", "30", "--grid-n", "101"], False),
-    # the largest grid at d = 3: 2 * 108 - 1 = 215 and 215^3 = 9.94e6 nodes
-    (["--dim", "3", "--grid-n", "108"], False),
-])
-def test_lemmas_refuse_piece_values_over_the_memory_budget(
-        tmp_path, capsys, monkeypatch, argv, refused):
-    class Drew(Exception):
-        pass
-
-    def first_pair(*args, **kwargs):
-        raise Drew
-
-    monkeypatch.setattr(cli, "make_random_convex", first_pair)
-    out = tmp_path / "out"
-    if not refused:
-        with pytest.raises(Drew):
-            main(["lemmas", *argv, "--out-dir", str(out)])
-        return
-    rc = main(["lemmas", *argv, "--out-dir", str(out)])
-    assert rc == 2
-    assert "over the 2 GB budget" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    # gradient_mass always builds 101^4 nodes
-    ["--dim", "4", "--pairs", "1", "--grid-n", "5", "--directions", "200"],
-    ["--dim", "5", "--pieces", "1"],
-    # the default --grid-n 201 estimates every distance on 401^3 nodes
-    ["--dim", "3"],
-    ["--dim", "3", "--grid-n", "109"],  # 217^3
-])
-def test_lemmas_refuse_a_grid_past_max_grid_points(tmp_path, capsys,
-                                                    monkeypatch, argv):
-    def first_pair(*args, **kwargs):
-        raise AssertionError("a pair was drawn")
-
-    monkeypatch.setattr(cli, "make_random_convex", first_pair)
-    out = tmp_path / "out"
-    t0 = time.perf_counter()
-    rc = main(["lemmas", *argv, "--out-dir", str(out)])
-    assert time.perf_counter() - t0 < 1.0
-    assert rc == 2
-    assert "over 10000000" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_bounds_at_an_eps_near_the_float_floor(tmp_path):
@@ -476,6 +207,128 @@ def test_missing_required_arguments_exit_via_argparse(tmp_path):
         main(["pack", "--dim", "1", "--out-dir", str(tmp_path)])
     with pytest.raises(SystemExit):
         main(["schedule", "--p", "1", "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("query", ["--eta 1/25 --dim 1", "--eta 0.1 --dim 8"],
+                         ids=["d1", "d8"])
+def test_pack_formats_every_curve_step_up_to_the_cap(tmp_path, query):
+    # at d = 8 the cell count of step 2000 has more digits than str(int)
+    # formats; the refusal table refuses one step more
+    cap = cli.MAX_CURVE_STEPS
+    assert main(["pack", *query.split(), "--grid-n", "5", "--curve-steps",
+                 str(cap), "--out-dir", str(tmp_path)]) == 0
+    curve = (tmp_path / "lower_bound_curve.csv").read_text().splitlines()
+    assert len(curve) == cap + 1
+
+
+# -- the refusal table ---------------------------------------------------------
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _assert_refused(rc, err, out):
+    # exit 2, one "error: " line, and not even --out-dir's parent created
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.parent.exists()
+
+
+def _run_row(late, text, argv, tmp_path, capsys, monkeypatch):
+    if not late:
+        monkeypatch.setattr(cli, "make_random_convex", _reached)
+        monkeypatch.setattr(cli, "build_packing_family", _reached)
+    out = tmp_path / "new" / "out"
+    argv = [*argv.split(), "--out-dir", str(out)]
+    if text == "-":  # an accepted edge
+        with pytest.raises(_Reached):
+            main(argv)
+        return
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    _assert_refused(rc, err, out)
+    assert text in err
+    assert elapsed < 1.0 and peak < 8 * 2**20
+
+
+def _table_test(late, rows):
+    if list(rows) == ["-"]:  # the test's only case, reported without an id
+        def test(tmp_path, capsys, monkeypatch):
+            _run_row(late, *rows["-"], tmp_path, capsys, monkeypatch)
+        return test
+
+    @pytest.mark.parametrize("text, argv", list(rows.values()), ids=list(rows))
+    def test(text, argv, tmp_path, capsys, monkeypatch):
+        _run_row(late, text, argv, tmp_path, capsys, monkeypatch)
+    return test
+
+
+def _read_table():
+    tests = {}
+    table = Path(__file__).with_name("refusals.txt").read_text()
+    for line in table.splitlines():
+        if line.startswith("test_"):
+            name, *mark = line.split()
+            rows = {}
+            tests[name] = (mark == ["late"], rows)
+        elif line and not line.startswith("#"):
+            argv, text, case = line.split(" | ")
+            rows[case] = (text, argv)
+    return tests
+
+
+# each group of the table becomes the test of its name, so every case is
+# reported under the id it has always had
+for _name, (_late, _rows) in _read_table().items():
+    globals()[_name] = _table_test(_late, _rows)
+
+
+# -- the schedule sweep --------------------------------------------------------
+
+
+@st.composite
+def _schedule_queries(draw):
+    # p from 1 to 1000 as int or float text, log2 eta down to -2^40 in plain
+    # or exponent form; half the draws move eta so that the last level sits
+    # at most a relative 1e-3 below the edge, where the ratio is tightest
+    p_text = draw(st.integers(1, 1000).map(str)
+                  | st.floats(1.0, 1000.0).map(repr))
+    p, x = float(p_text), draw(st.floats(-2.0**40, -1.0))
+    edge, r = -2.0 * (p + 1.0) ** 2 * (p + 2.0), (p + 1.0) / (p + 2.0)
+    gap = draw(st.none() | st.floats(0.0, 1e-3))
+    if gap is not None and p * x < edge:  # levels in units of log 2
+        depth = math.ceil(math.log(edge / (p * x)) / math.log(r))
+        x = edge * (1.0 + gap) / (p * r ** (depth - 1))
+    text = draw(st.sampled_from([repr, "{:.17e}".format]))(x)
+    return ["schedule", "--p", p_text, f"--log2-eta={text}"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_schedule_queries())
+def test_a_schedule_query_passes_every_check_or_is_refused(tmp_path_factory,
+                                                           argv):
+    out = tmp_path_factory.mktemp("sweep") / "new" / "out"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main([*argv, "--out-dir", str(out)])
+    if rc == 0:
+        checks = json.loads((out / "schedule_checks.json").read_text())
+        assert all(v for k, v in checks.items() if k.endswith("ok"))
+        assert all(row[3] for row in checks["dim_sums"])
+        shutil.rmtree(out.parent.parent)
+    else:
+        _assert_refused(rc, err.getvalue(), out)
 
 
 # -- one parser per process --------------------------------------------------

@@ -128,9 +128,11 @@ def test_schedule_checks_pass_on_a_known_chain():
 
 
 def test_schedule_checks_pass_on_deep_schedules():
-    # depths 18, 627 and 10000: the residuals grow with |(p+1) log_eta|
-    # and once failed absolute tolerances of 1e-9 and 1e-12
+    # depths 18, 627, 3935 and 10000: the residuals grow with
+    # |(p+1) log_eta| and once failed absolute tolerances of 1e-9 and
+    # 1e-12; at depth 3935 min_log_ratio is 1.4e-6 short of log 2
     for p, log2_eta, depth in ((1.0, -33333.0, 18), (100.0, -1e7, 627),
+                               (318.99248989955294, -44150186380.52484, 3935),
                                (1000.0, -43550141378.28572, 10_000)):
         sched = build_schedule(p, log2_eta * LOG2)
         assert sched.depth == depth
@@ -150,6 +152,27 @@ def test_schedule_checks_catch_a_shifted_level_far_past_the_bound():
         checks = schedule_checks(replace(sched, log_levels=tuple(levels)))
         assert not checks.identity_ok and not checks.ok
         assert checks.identity_residual == pytest.approx(abs(shift), rel=1e-3)
+
+
+def test_the_ratio_and_s1_checks_fail_past_their_slacks():
+    sched = build_schedule(318.99248989955294, -44150186380.52484 * LOG2)
+    a, p, log_eta, u = sched.depth, sched.p, sched.log_eta, 2.0**-53
+    ratio_slack = 8 * u * (abs(log_eta) + (a + 2) * abs(sched.log_edge))
+    s1_slack = (26 + (a + 4) * 4.0**-p) * u * abs(p * log_eta)
+    checks = schedule_checks(sched)
+    s1_margin = checks.log_s1_bound - checks.log_s1
+    assert 1e-4 < ratio_slack < 1e-3 and 1e-2 < s1_slack < 0.1 < s1_margin
+    for past, ok in ((2.0, False), (0.5, True)):
+        # the last two radii a factor 2 e^(-past * slack) apart
+        radii = list(sched.log_radii)
+        radii[-1] = radii[-2] + LOG2 - past * ratio_slack
+        checks = schedule_checks(replace(sched, log_radii=tuple(radii)))
+        assert (checks.ratio_ok, checks.ok) == (ok, ok)
+        # the first level, the leading term of s1, raised past its bound
+        levels = list(sched.log_levels)
+        levels[0] += s1_margin + past * s1_slack
+        checks = schedule_checks(replace(sched, log_levels=tuple(levels)))
+        assert (checks.s1_ok, checks.ok) == (ok, ok)
 
 
 def test_schedule_checks_json_round_trip_keys():
