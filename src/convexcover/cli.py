@@ -33,13 +33,11 @@ from .functions import (
     BOUND_GRID_AXIS,
     MAX_DIM,
     MAX_GRID_POINTS,
-    MAX_VALUE_BYTES,
     DomainError,
     LipschitzVector,
     ParameterError,
     Rect,
     make_random_convex,
-    require_bound_grid,
 )
 from .metrics import GridSpec
 from .packing import (
@@ -63,9 +61,8 @@ from .verify import (
 # estimates build at most 8x this many, a few tens of MB.
 MAX_DIRECTIONS = 10**5
 
-# Most points pack's curve sweeps. Each step doubles k, and at d = 8 the
-# cell count passes the 4300 digits str(int) formats before step 1800.
-MAX_CURVE_STEPS = 1000
+# Affine pieces of each random lemmas function.
+LEMMA_PIECES = 6
 
 
 def _parse_eta(text: str) -> Fraction:
@@ -158,20 +155,16 @@ def _require_seed(seed: int) -> None:
 
 def cmd_pack(args) -> tuple[dict, str, bool]:
     _require_seed(args.seed)
-    if args.curve_steps > MAX_CURVE_STEPS:
-        raise ParameterError(f"need steps <= {MAX_CURVE_STEPS}")
     eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
     capped = system.n_cells > CELL_CAP
     if not capped:
         require_certificate_budget(system, args.grid_n)
-        family = build_packing_family(eta, args.dim, seed=args.seed,
-                                      max_samples=args.max_samples)
+        family = build_packing_family(eta, args.dim, seed=args.seed)
         # an equal system that already holds the caps the family shares
         system = family.system
-    report = verify_cap_properties(system, samples=args.cap_samples,
-                                   seed=args.seed)
-    curve = separation_curve(eta, args.dim, steps=args.curve_steps)
+    report = verify_cap_properties(system, seed=args.seed)
+    curve = separation_curve(eta, args.dim)
     files = {"interval_system.json": system.to_json(),
              "cap_report.json": report.to_json(),
              "lower_bound_curve.csv": _csv_text(
@@ -182,7 +175,7 @@ def cmd_pack(args) -> tuple[dict, str, bool]:
         return (files, f"{system.n_cells} cells exceeds the {CELL_CAP}-cell "
                        "cap; wrote system, cap report, and curve only",
                 report.ok)
-    cert = packing_certificate(family, grid_n=args.grid_n, tol=args.tol)
+    cert = packing_certificate(family, grid_n=args.grid_n)
     files["family.json"] = family.to_json()
     files["packing_certificate.json"] = cert.to_json()
     return (files, f"family of {len(family.functions)} functions on "
@@ -224,32 +217,20 @@ def cmd_schedule(args) -> tuple[dict, str, bool]:
                    f"log cover count <= {bound}", checks.ok)
 
 
-def _require_lemma_budget(dim: int, pieces: int, grid: GridSpec) -> None:
-    """Refuse grids past MAX_GRID_POINTS and pieces past the value budget.
+def _require_lemma_grid(dim: int, grid: GridSpec) -> None:
+    """Refuse a dimension, or pairs whose grids would pass MAX_GRID_POINTS.
 
     Every pair builds grids of 17 (the bound grid), 33 (the slab heights),
     101 (gradient_mass), n and 2n - 1 nodes per axis. A failing check
     refines at most twice, to 4n - 3 and 8n - 7; such a grid past
-    MAX_GRID_POINTS is refused when it is built, so the budget skips it. A
-    random function evaluates all of its pieces at once, as one
-    nodes x pieces float64 matrix.
+    MAX_GRID_POINTS is refused when it is built.
     """
-    require_bound_grid(dim, pieces)
     if not 1 <= dim <= MAX_DIM:
-        return  # make_random_convex refuses the dimension
-    n = grid.n
-    side = max(BOUND_GRID_AXIS, 33, 101, 2 * n - 1)
+        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+    side = max(BOUND_GRID_AXIS, 33, 101, 2 * grid.n - 1)
     if side**dim > MAX_GRID_POINTS:
         raise ParameterError(f"every pair builds a grid of {side}^{dim} "
                              f"nodes, over {MAX_GRID_POINTS}")
-    nodes = max(s**dim for s in (side, 4 * n - 3, 8 * n - 7)
-                if s**dim <= MAX_GRID_POINTS)
-    need = pieces * nodes * 8
-    if need > MAX_VALUE_BYTES:
-        raise ParameterError(
-            f"{pieces} pieces would need {need / 1e9:.1f} GB of values on a "
-            f"grid of {nodes} nodes, over the {MAX_VALUE_BYTES / 1e9:g} GB "
-            f"budget; pass fewer --pieces or a smaller --grid-n")
 
 
 def cmd_lemmas(args) -> tuple[dict, str, bool]:
@@ -268,13 +249,13 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
     if not 0.0 < args.rho < 0.5:
         raise ParameterError("need 0 < rho < 0.5")
     grid = GridSpec(args.grid_n)
-    _require_lemma_budget(args.dim, args.pieces, grid)
+    _require_lemma_grid(args.dim, grid)
     reports = []
     all_ok = True
     for i in range(args.pairs):
-        f = make_random_convex(args.dim, args.bound, args.pieces,
+        f = make_random_convex(args.dim, args.bound, LEMMA_PIECES,
                                args.seed + 2 * i)
-        g = make_random_convex(args.dim, args.bound, args.pieces,
+        g = make_random_convex(args.dim, args.bound, LEMMA_PIECES,
                                args.seed + 2 * i + 1)
         sup_rep = check_sup_bound(f, g, n_directions=args.directions,
                                   grid=grid)
@@ -332,14 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="separation level, e.g. 0.01 or 1/400 (parsed exactly)")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-samples", type=int, default=10**6,
-                   help="sample budget for the code search")
-    p.add_argument("--cap-samples", type=int, default=2000,
-                   help="exact-rational property checks to run")
     p.add_argument("--grid-n", type=int, default=None,
                    help="certificate quadrature nodes per axis")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--curve-steps", type=int, default=5)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_pack)
 
@@ -364,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "random pairs")
     le.add_argument("--dim", type=int, required=True)
     le.add_argument("--pairs", type=int, default=3)
-    le.add_argument("--pieces", type=int, default=6)
     le.add_argument("--seed", type=int, default=0)
     le.add_argument("--bound", type=float, default=0.9,
                     help="value bound for the random pairs, at most 1; keep "

@@ -25,10 +25,6 @@ BOUND_GRID_AXIS = 17
 # Guard for tensor grids materialized in memory.
 MAX_GRID_POINTS = 10**7
 
-# Largest float64 value matrix, in bytes, that pack's certificate or a
-# lemmas function's pieces may ask for.
-MAX_VALUE_BYTES = 2 * 10**9
-
 
 class ParameterError(ValueError):
     """Construction or call parameters violate a precondition."""
@@ -481,24 +477,15 @@ def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:
     return Rescaled(unit_rect(d), f, 1.0 / bound)
 
 
-def require_bound_grid(d: int, pieces: int) -> None:
-    """Refuse pieces whose draws exceed MAX_GRID_POINTS bound-grid values.
-
-    make_random_convex evaluates each draw on the 17^d bound grid as one
-    17^d x pieces matrix.
-    """
-    if BOUND_GRID_AXIS**d * pieces > MAX_GRID_POINTS:
-        raise ParameterError(f"{pieces} pieces on the {BOUND_GRID_AXIS}^{d} "
-                             f"bound grid exceed {MAX_GRID_POINTS} values")
-
-
 def make_random_convex(d: int, bound: float, pieces: int, seed: int,
                        rect: Rect | None = None) -> MaxAffine:
     """Random max-affine function with |f| <= bound on a vertex check grid.
 
     Pieces are drawn from a seeded generator, then uniformly scaled so the
     max of |f| over a 17-per-axis grid fits inside [-bound, bound]. Re-samples
-    up to 1000 times if a scaled draw still fails the grid check.
+    up to 1000 times if a scaled draw still fails the grid check. Each draw
+    is evaluated on that grid as one 17^d x pieces matrix, refused past
+    MAX_GRID_POINTS values.
     """
     if pieces < 1:
         raise ParameterError("need at least one piece")
@@ -508,7 +495,9 @@ def make_random_convex(d: int, bound: float, pieces: int, seed: int,
     rect = rect if rect is not None else unit_rect(d)
     if rect.dim != d:
         raise ParameterError("rect dimension mismatch")
-    require_bound_grid(d, pieces)
+    if BOUND_GRID_AXIS**d * pieces > MAX_GRID_POINTS:
+        raise ParameterError(f"{pieces} pieces on the {BOUND_GRID_AXIS}^{d} "
+                             f"bound grid exceed {MAX_GRID_POINTS} values")
     grid = tensor_points(_vertex_axes(rect, BOUND_GRID_AXIS))
     rng = np.random.default_rng(seed)
     for _ in range(1000):

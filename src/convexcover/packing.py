@@ -25,7 +25,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import (
-    MAX_VALUE_BYTES,
     Affine,
     ConvexFunction,
     MaxWith,
@@ -52,6 +51,9 @@ SYSTEM_CELL_CAP = 2**16
 SPAN_LIMIT = 1.0 - 2.0**-30
 
 _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
+
+# Largest float64 value matrix, in bytes, that a certificate may ask for.
+MAX_VALUE_BYTES = 2 * 10**9
 
 # Samples per rng.integers call of the cap checks, each block decided at
 # once on object arrays of Python ints: it bounds their memory whatever
@@ -392,7 +394,7 @@ def _cert_grid_n(d: int, grid_n: int | None) -> int:
 
 def require_certificate_budget(system: IntervalSystem,
                                grid_n: int | None = None) -> None:
-    """Refuse a system whose certificate grid or values would be too large.
+    """Refuse a grid_n below 2, or a certificate grid or values too large.
 
     packing_certificate refuses a grid_n^d quadrature grid past
     MAX_GRID_POINTS. Its peak is one float64 row of grid_n^d values for
@@ -402,7 +404,8 @@ def require_certificate_budget(system: IntervalSystem,
     grids, 64 cells at d = 2 or 3) are refused before the family is built.
     """
     d = system.dim
-    nodes = grid_size((range(_cert_grid_n(d, grid_n)),) * d)
+    n = GridSpec(_cert_grid_n(d, grid_n)).n
+    nodes = grid_size((range(n),) * d)
     need = code_target(system.n_cells) * nodes * 8
     if need > MAX_VALUE_BYTES:
         raise ParameterError(
@@ -635,7 +638,7 @@ class CapPropertyReport:
         return _report_json(self, "ok")
 
 
-def verify_cap_properties(system: IntervalSystem, samples: int = 10_000,
+def verify_cap_properties(system: IntervalSystem, samples: int = 2000,
                           seed: int = 0) -> CapPropertyReport:
     """Exact spot checks of the four cap properties, in integers.
 

@@ -30,10 +30,6 @@ from .functions import ParameterError, _report_json
 
 LOG2 = math.log(2.0)
 
-# Reject eta when a level sits this close to the edge: the depth would
-# hinge on float rounding.
-EDGE_GUARD = 1e-9
-
 # Deepest schedule built. The depth grows like (p + 2) times the log of
 # p log eta / log u, so a huge p climbs for ever (at p past about 1e16 the
 # ratio (p+1)/(p+2) rounds to 1 and every level is the same). Tests and
@@ -102,9 +98,27 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     """Chain levels until one clears the edge.
 
     Raises when no level sits below the edge (eta too large for this p),
-    when any level lands within EDGE_GUARD of the edge, where the depth
-    would be decided by rounding rather than by the parameters, or when
-    the depth would pass MAX_SCHEDULE_DEPTH.
+    when level m lands within (4m + 16) u |log u| of the edge, where the
+    depth would be decided by rounding rather than by the parameters, or
+    when the depth would pass MAX_SCHEDULE_DEPTH.
+
+    With u = 2^-53 and the floats p and L = log_eta taken as exact, the
+    guard bounds the rounding of both sides of the comparison, relative
+    to the exact values. The float r is within 3u of (p+1)/(p+2) (two
+    sums and a quotient), so r^(m-1) is within 3(m-1)u of the exact
+    power before pow rounds, and pow adds at most one ulp, 2u; the
+    products by p and L add 2u. Level m is thus within (3m + 1)u of
+    p ((p+1)/(p+2))^(m-1) L. The edge -2 (p+1)^2 (p+2) log 2 takes a
+    sum, a square (a pow, 2u), a sum, two products and the rounded log 2,
+    so it is within 8u. Where the guard applies, the level is within a
+    relative 5e-12 of the edge (at the depth cap), so their float
+    difference is exact and within (3m + 9)u |edge| of the exact one. A
+    level outside the guard lies on the same side of the exact edge as
+    of the float one; the margin m + 7 covers the second-order terms,
+    below (3mu)^2. A fixed guard would be below one ulp of the edge from
+    p of about 300 on, and refuse only exact ties there. An exact tie,
+    such as the second level at p = 1 and log2 eta = -36, is always
+    refused.
     """
     p = _check_p(p)
     log_eta = float(log_eta)
@@ -112,6 +126,7 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
         raise ParameterError("need finite log_eta < 0")
     edge = _log_edge(p)
     r = (p + 1.0) / (p + 2.0)
+    u = 2.0**-53
 
     def log_delta(m: int) -> float:
         return p * r ** (m - 1) * log_eta
@@ -120,7 +135,7 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     m = 1
     while True:
         ld = log_delta(m)
-        if abs(ld - edge) < EDGE_GUARD:
+        if abs(ld - edge) <= (4 * m + 16) * u * abs(edge):
             raise ParameterError(
                 "level indistinguishable from the edge; perturb eta")
         if ld >= edge:

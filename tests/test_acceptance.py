@@ -321,8 +321,8 @@ def test_c12_cli_runs_are_reproducible(capsys, tmp_path):
         run_twice(["schedule", "--p", "1", "--log2-eta", "-96"], "schedule")
         run_twice(["bounds", "--eps", "9.31322574615478515625e-10",
                    "--p", "1", "--dim", "1", "--gamma", "2.0"], "bounds")
-        over = run_twice(["pack", "--eta", "0.0025", "--dim", "2",
-                          "--cap-samples", "400"], "overcap")
+        over = run_twice(["pack", "--eta", "0.0025", "--dim", "2"],
+                         "overcap")
         assert over == ["cap_report.json", "interval_system.json",
                         "lower_bound_curve.csv"]
     except AssertionError as exc:

@@ -74,8 +74,8 @@ def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
 
 
 def test_pack_over_the_cell_cap_still_reports(tmp_path):
-    rc = main(["pack", "--eta", "0.0025", "--dim", "2", "--cap-samples",
-               "400", "--out-dir", str(tmp_path)])
+    rc = main(["pack", "--eta", "0.0025", "--dim", "2",
+               "--out-dir", str(tmp_path)])
     assert rc == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["cap_report.json", "interval_system.json",
@@ -209,16 +209,21 @@ def test_missing_required_arguments_exit_via_argparse(tmp_path):
         main(["schedule", "--p", "1", "--out-dir", str(tmp_path)])
 
 
-@pytest.mark.parametrize("query", ["--eta 1/25 --dim 1", "--eta 0.1 --dim 8"],
-                         ids=["d1", "d8"])
-def test_pack_formats_every_curve_step_up_to_the_cap(tmp_path, query):
-    # at d = 8 the cell count of step 2000 has more digits than str(int)
-    # formats; the refusal table refuses one step more
-    cap = cli.MAX_CURVE_STEPS
-    assert main(["pack", *query.split(), "--grid-n", "5", "--curve-steps",
-                 str(cap), "--out-dir", str(tmp_path)]) == 0
-    curve = (tmp_path / "lower_bound_curve.csv").read_text().splitlines()
-    assert len(curve) == cap + 1
+@pytest.mark.parametrize("argv", [
+    "pack --eta 1/25 --dim 1 --tol 1",
+    "pack --eta 1/25 --dim 1 --cap-samples 1",
+    "pack --eta 1/25 --dim 1 --max-samples 1",
+    "pack --eta 1/25 --dim 1 --curve-steps 1",
+    "lemmas --dim 1 --pieces 1",
+], ids=["tol", "cap-samples", "max-samples", "curve-steps", "pieces"])
+def test_a_removed_option_exits_2_through_argparse(tmp_path, capsys, argv):
+    out = tmp_path / "new" / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    flag = argv.split()[-2]
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 # -- the refusal table ---------------------------------------------------------
@@ -239,10 +244,9 @@ def _assert_refused(rc, err, out):
     assert not out.parent.exists()
 
 
-def _run_row(late, text, argv, tmp_path, capsys, monkeypatch):
-    if not late:
-        monkeypatch.setattr(cli, "make_random_convex", _reached)
-        monkeypatch.setattr(cli, "build_packing_family", _reached)
+def _run_row(text, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_random_convex", _reached)
+    monkeypatch.setattr(cli, "build_packing_family", _reached)
     out = tmp_path / "new" / "out"
     argv = [*argv.split(), "--out-dir", str(out)]
     if text == "-":  # an accepted edge
@@ -263,15 +267,15 @@ def _run_row(late, text, argv, tmp_path, capsys, monkeypatch):
     assert elapsed < 1.0 and peak < 8 * 2**20
 
 
-def _table_test(late, rows):
+def _table_test(rows):
     if list(rows) == ["-"]:  # the test's only case, reported without an id
         def test(tmp_path, capsys, monkeypatch):
-            _run_row(late, *rows["-"], tmp_path, capsys, monkeypatch)
+            _run_row(*rows["-"], tmp_path, capsys, monkeypatch)
         return test
 
     @pytest.mark.parametrize("text, argv", list(rows.values()), ids=list(rows))
     def test(text, argv, tmp_path, capsys, monkeypatch):
-        _run_row(late, text, argv, tmp_path, capsys, monkeypatch)
+        _run_row(text, argv, tmp_path, capsys, monkeypatch)
     return test
 
 
@@ -280,9 +284,7 @@ def _read_table():
     table = Path(__file__).with_name("refusals.txt").read_text()
     for line in table.splitlines():
         if line.startswith("test_"):
-            name, *mark = line.split()
-            rows = {}
-            tests[name] = (mark == ["late"], rows)
+            tests[line] = rows = {}
         elif line and not line.startswith("#"):
             argv, text, case = line.split(" | ")
             rows[case] = (text, argv)
@@ -291,8 +293,8 @@ def _read_table():
 
 # each group of the table becomes the test of its name, so every case is
 # reported under the id it has always had
-for _name, (_late, _rows) in _read_table().items():
-    globals()[_name] = _table_test(_late, _rows)
+for _name, _rows in _read_table().items():
+    globals()[_name] = _table_test(_rows)
 
 
 # -- the schedule sweep --------------------------------------------------------
@@ -407,7 +409,7 @@ def _shared_trees(draw):
     return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1)))]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(_shared_trees())
 def test_json_text_equals_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)

@@ -32,7 +32,6 @@ from convexcover import (
     verify_cap_properties,
 )
 from convexcover.functions import (
-    MAX_VALUE_BYTES,
     Affine,
     tensor_points,
     unit_rect,
@@ -45,6 +44,7 @@ from convexcover.metrics import (
 )
 from convexcover import packing
 from convexcover.packing import (
+    MAX_VALUE_BYTES,
     SPAN_LIMIT,
     SYSTEM_CELL_CAP,
     _cap_box,
@@ -415,6 +415,8 @@ def test_greedy_code_reports_a_shortfall_instead_of_raising():
     assert res.shortfall == 3
     assert res.samples_used == 100
     assert _all_pairs_apart(res)
+    with pytest.raises(ParameterError, match="max_samples must be >= 1"):
+        greedy_binary_code(2, 2, 5, max_samples=0)
 
 
 def test_popcounts_match_bit_count():
