@@ -155,6 +155,8 @@ def _require_seed(seed: int) -> None:
 
 def cmd_pack(args) -> tuple[dict, str, bool]:
     _require_seed(args.seed)
+    if args.grid_n is not None:
+        GridSpec(args.grid_n)  # refuses a grid_n below 2, capped or not
     eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
     capped = system.n_cells > CELL_CAP

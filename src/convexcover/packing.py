@@ -16,6 +16,7 @@ boundary cases of eta never flip on float rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,17 +64,6 @@ MAX_VALUE_BYTES = 2 * 10**9
 DRAW_BLOCK = 2**12
 
 
-def _sum_sqrt_le(p: Fraction, q: Fraction, b: Fraction) -> bool:
-    # sqrt(p) + sqrt(q) <= b, decided without leaving the rationals:
-    # square once to p + q + 2 sqrt(pq) <= b^2, then square the remainder.
-    if p < 0 or q < 0 or b < 0:
-        raise ParameterError("nonnegative arguments required")
-    rem = b * b - p - q
-    if rem < 0:
-        return False
-    return 4 * p * q <= rem * rem
-
-
 def max_eta(d: int) -> float:
     """Largest admissible eta for dimension d, 4 / (2 + sqrt(d-1))^2."""
     return 4.0 / (2.0 + math.sqrt(d - 1.0)) ** 2
@@ -87,6 +77,12 @@ def interval_count(eta, d: int) -> int:
     first guess for k is formed in fixed-point integers, precise enough to
     be off by at most a few units at any eta, so a tiny eta can neither
     underflow it nor leave a long walk to the exact answer.
+
+    Each k is decided on Python ints, with no Fraction built per step:
+    with eta = a/b, sqrt(4 eta k^2) + sqrt(eta (d-1) k^2) <= 2 times
+    sqrt(b) is sqrt(p) + sqrt(q) <= 2 sqrt(b) for p = 4 a k^2 and
+    q = a (d-1) k^2. Squaring once leaves 2 sqrt(pq) <= rem = 4b - p - q,
+    which holds iff rem >= 0 and 4 p q <= rem^2.
     """
     if not 1 <= d <= 8:
         raise ParameterError("dimension must be in 1..8")
@@ -95,17 +91,20 @@ def interval_count(eta, d: int) -> int:
     e = Fraction(eta)
     if e <= 0:
         raise ParameterError("eta must be positive")
+    a, b = e.numerator, e.denominator
 
     def fits(k: int) -> bool:
-        kk = Fraction(k * k)
-        return _sum_sqrt_le(4 * e * kk, e * (d - 1) * kk, Fraction(2))
+        p = 4 * a * k * k
+        q = a * (d - 1) * k * k
+        rem = 4 * b - p - q
+        return rem >= 0 and 4 * p * q <= rem * rem
 
     if not fits(1):
         raise ParameterError(f"eta must be at most {max_eta(d)} at d={d}")
     # k ~ 2 / ((2 + sqrt(d-1)) sqrt(e)), with root = 2^p / sqrt(e) and
     # s = 2^p sqrt(d-1); p exceeds the bits of k by 64
-    p = (e.denominator.bit_length() - e.numerator.bit_length()) // 2 + 64
-    root = math.isqrt((e.denominator << 2 * p) // e.numerator)
+    p = (b.bit_length() - a.bit_length()) // 2 + 64
+    root = math.isqrt((b << 2 * p) // a)
     s = math.isqrt((d - 1) << 2 * p)
     k = max(1, 2 * root // ((2 << p) + s))
     while not fits(k):
@@ -154,10 +153,20 @@ class IntervalSystem:
 
         Every family member and every cap check takes its caps from here,
         so a cap is one object wherever it appears; all of them, and f0,
-        share one unit-cube domain.
+        share one unit-cube domain. Each cap equals cap_function's, bit
+        for bit: its coefficients and the products in its intercept come
+        from per-interval tables of (u + v)/d and u v, summed and divided
+        in cap_function's order, and itertools.product walks the cells in
+        cell_from_index's row-major order.
         """
-        return tuple(cap_function(self, self.cell_from_index(i))
-                     for i in range(self.n_cells))
+        d = self.dim
+        ends = [self.interval(i) for i in range(self.k)]
+        slope = [(u + v) / d for u, v in ends]
+        prod = [u * v for u, v in ends]
+        domain = self.base.domain
+        return tuple(Affine(domain, tuple(slope[i] for i in cell),
+                            -sum(prod[i] for i in cell) / d)
+                     for cell in itertools.product(range(self.k), repeat=d))
 
     def cell_bounds(self, cell: tuple[int, ...]) -> tuple[tuple[float, ...],
                                                           tuple[float, ...]]:
@@ -284,13 +293,21 @@ def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-# set bits of each byte value: numpy before 2.0 has no bitwise_count
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x0101010101010101))
 
 
 def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a 1-D uint64 array."""
-    return _BYTE_BITS[words.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+    """Set bits of each entry of a uint64 array, same shape.
+
+    numpy before 2.0 has no bitwise_count, so the bits are summed in pairs,
+    nibbles and bytes, and the bytes added by one wrapping multiply.
+    """
+    x = words - ((words >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _H01) >> np.uint64(56)
 
 
 @dataclass(frozen=True)
@@ -321,26 +338,48 @@ def greedy_binary_code(length: int, min_distance: int, target: int,
     """Sample random words, keeping those far from all kept words.
 
     Deterministic for a fixed seed. Stops at the target size or when the
-    sample budget runs out, whichever comes first.
+    sample budget runs out, whichever comes first. Word s is the s-th pair
+    of 32-bit draws, high then low, masked to length bits; it is kept when
+    it is at least min_distance from every word kept before it.
+
+    The draws come in blocks of 4096 and are decided in chunks of 64: one
+    array pass of popcounts finds the candidates far from every word kept
+    before the chunk, and one 64 x 64 matrix the near pairs inside it. A
+    walk in draw order then keeps a far candidate unless it is near one
+    kept earlier in the chunk, which is the one-word-at-a-time rule, so
+    the words and samples_used are those of that rule.
     """
     if not 1 <= length <= CELL_CAP:
         raise ParameterError(f"length must be in 1..{CELL_CAP}")
     if min_distance < 1 or target < 1 or max_samples < 1:
         raise ParameterError("min_distance, target, max_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    mask = (1 << length) - 1
+    mask = np.uint64((1 << length) - 1)
     words: list[int] = []
+    kept = np.empty(0, dtype=np.uint64)
     samples = 0
     while len(words) < target and samples < max_samples:
         block = min(4096, max_samples - samples)
         draws = rng.integers(0, 1 << 32, size=(block, 2), dtype=np.uint64)
-        for a, b in draws:
-            samples += 1
-            w = ((int(a) << 32) | int(b)) & mask
-            if all(hamming(w, v) >= min_distance for v in words):
-                words.append(w)
-                if len(words) == target:
+        cands = ((draws[:, 0] << np.uint64(32)) | draws[:, 1]) & mask
+        for start in range(0, block, 64):
+            chunk = cands[start:start + 64]
+            far = (_popcounts(chunk[:, None] ^ kept) >= min_distance).all(axis=1)
+            near = _popcounts(chunk[:, None] ^ chunk) < min_distance
+            taken: list[int] = []
+            for j in np.flatnonzero(far).tolist():
+                if not far[j]:
+                    continue
+                taken.append(j)
+                if len(words) + len(taken) == target:
                     break
+                far &= ~near[j]  # the later candidates near j are out
+            words += chunk[taken].tolist()
+            kept = np.array(words, dtype=np.uint64)
+            if len(words) == target:
+                samples += taken[-1] + 1
+                break
+            samples += len(chunk)
     return CodeSearchResult(tuple(words), length, min_distance, target, samples)
 
 

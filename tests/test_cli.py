@@ -59,18 +59,35 @@ def test_pack_reruns_are_byte_identical(tmp_path):
 
 
 def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
-    # the 278 functions and the cap checks share the 45 caps of one system
-    built = []
-    real = packing.cap_function
+    # one cap object per cell per run: the 278 functions and the cap checks
+    # share the 45 caps of one system
+    built, runs = [], {}
+    real_affine = packing.Affine
+    real_build, real_verify = cli.build_packing_family, cli.verify_cap_properties
 
-    def counting(system, cell):
-        built.append(cell)
-        return real(system, cell)
+    def counting(*args):
+        built.append(real_affine(*args))
+        return built[-1]
 
-    monkeypatch.setattr(packing, "cap_function", counting)
+    def build(*args, **kw):
+        runs["family"] = real_build(*args, **kw)
+        return runs["family"]
+
+    def verify(system, **kw):
+        runs["checked"] = system
+        return real_verify(system, **kw)
+
+    monkeypatch.setattr(packing, "Affine", counting)
+    monkeypatch.setattr(cli, "build_packing_family", build)
+    monkeypatch.setattr(cli, "verify_cap_properties", verify)
     assert main(["pack", "--eta", "1/2025", "--dim", "1",
                  "--out-dir", str(tmp_path)]) == 0
-    assert sorted(built) == [(i,) for i in range(45)]
+    system = runs["family"].system
+    assert runs["checked"] is system
+    assert len(built) == 45
+    assert all(a is b for a, b in zip(system.caps, built, strict=True))
+    used = {id(c) for f in runs["family"].functions for c in f.parts[1:]}
+    assert len(used) == 45 and used == {id(c) for c in built}
 
 
 def test_pack_over_the_cell_cap_still_reports(tmp_path):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convexcover import (
     CapPropertyReport,
@@ -83,6 +85,36 @@ def test_interval_count_boundary_is_exact():
     with pytest.raises(ParameterError):
         interval_count(Fraction(4, 9) + Fraction(1, 10**9), 2)
     assert max_eta(2) == pytest.approx(4.0 / 9.0, rel=1e-15)
+
+
+def _sum_sqrt_le(p: Fraction, q: Fraction, b: Fraction) -> bool:
+    # sqrt(p) + sqrt(q) <= b, decided without leaving the rationals:
+    # square once to p + q + 2 sqrt(pq) <= b^2, then square the remainder
+    rem = b * b - p - q
+    return rem >= 0 and 4 * p * q <= rem * rem
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(eta=st.fractions(min_value=Fraction(1, 10**30), max_value=1)
+       | st.floats(min_value=1e-300, max_value=1.0),
+       d=st.integers(1, 8))
+@example(eta=Fraction(4, 9), d=2)
+@example(eta=Fraction(1, 10**400), d=1)
+@example(eta=3e-13, d=3)
+def test_interval_count_matches_the_fraction_form(eta, d):
+    # the largest k that fits, by the Fraction form the integer one replaced
+    e = Fraction(eta)
+
+    def fits(k: int) -> bool:
+        kk = Fraction(k * k)
+        return _sum_sqrt_le(4 * e * kk, e * (d - 1) * kk, Fraction(2))
+
+    if not fits(1):
+        with pytest.raises(ParameterError, match="eta must be at most"):
+            interval_count(eta, d)
+        return
+    k = interval_count(eta, d)
+    assert fits(k) and not fits(k + 1)
 
 
 @pytest.mark.parametrize("k", [7, 2**20, 10**200], ids=["7", "2^20", "10^200"])
@@ -178,6 +210,26 @@ def test_cap_interpolates_the_chord_exactly():
     assert cap.value((0.5,)) == 0.25
     assert cap.value((0.75,)) == 0.5625
     assert cap.value((0.625,)) - 0.625**2 == 0.015625
+
+
+@pytest.mark.parametrize("eta, d", [
+    (Fraction(1, 25), 1),     # spans [0, 1] exactly, so shrunk to SPAN_LIMIT
+    (Fraction(1, 2025), 1),
+    (Fraction(1, 100), 2),
+    (Fraction(1, 36), 2),
+    (0.0025, 2),              # 169 cells, over the family's cell cap
+    (Fraction(1, 100), 3),
+    (Fraction(1, 400), 3),
+    (Fraction(1, 100), 4),
+])
+def test_tabled_caps_equal_cap_function_bit_for_bit(eta, d):
+    system = build_interval_system(eta, d)
+    assert len(system.caps) == system.n_cells
+    for i, cap in enumerate(system.caps):
+        want = cap_function(system, system.cell_from_index(i))
+        assert [*map(repr, cap.coeffs)] == [*map(repr, want.coeffs)]
+        assert repr(cap.intercept) == repr(want.intercept)
+        assert cap.domain is system.base.domain
 
 
 def test_perturbed_function_shapes():
@@ -419,6 +471,43 @@ def test_greedy_code_reports_a_shortfall_instead_of_raising():
         greedy_binary_code(2, 2, 5, max_samples=0)
 
 
+def _greedy_code_reference(length, min_distance, target, seed,
+                           max_samples=10**6):
+    # one word at a time: kept when far from every word kept before it
+    rng = np.random.default_rng(seed)
+    mask = (1 << length) - 1
+    words, samples = [], 0
+    while len(words) < target and samples < max_samples:
+        block = min(4096, max_samples - samples)
+        for a, b in rng.integers(0, 1 << 32, size=(block, 2), dtype=np.uint64):
+            samples += 1
+            w = ((int(a) << 32) | int(b)) & mask
+            if all(hamming(w, v) >= min_distance for v in words):
+                words.append(w)
+                if len(words) == target:
+                    break
+    return tuple(words), samples
+
+
+# budgets ending inside a 64-word chunk (100, 130) and inside the second
+# 4096-draw block (4133); unreachable targets (length 1, 2 and 5 at
+# distance 3) spend their whole budget
+@pytest.mark.parametrize("length, min_distance, target, budget", [
+    (1, 1, 2, None), (1, 1, 3, 100), (2, 2, 5, 100),
+    (5, 2, 8, None), (5, 3, 5, 4133), (5, 3, 5, 130),
+    (45, 12, 278, None), (45, 12, 278, 100), (45, 20, 40, 4133),
+    (63, 16, 150, None), (63, 16, 150, 130),
+    (64, 16, 150, None), (64, 1, 70, 100), (64, 30, 20, 4133),
+])
+def test_greedy_code_equals_the_one_word_at_a_time_search(
+        length, min_distance, target, budget):
+    kw = {} if budget is None else {"max_samples": budget}
+    for seed in range(12):
+        res = greedy_binary_code(length, min_distance, target, seed, **kw)
+        want = _greedy_code_reference(length, min_distance, target, seed, **kw)
+        assert (res.words, res.samples_used) == want, seed
+
+
 def test_popcounts_match_bit_count():
     rng = np.random.default_rng(5)
     words = [0, 1, (1 << 63), (1 << 64) - 1,
@@ -428,6 +517,9 @@ def test_popcounts_match_bit_count():
     got = _popcounts(np.array(words, dtype=np.uint64))
     assert got.tolist() == [w.bit_count() for w in words]
     assert _popcounts(np.array([], dtype=np.uint64)).shape == (0,)
+    grid = np.array(words[:12], dtype=np.uint64).reshape(3, 4)
+    assert _popcounts(grid).tolist() == [
+        [w.bit_count() for w in words[i:i + 4]] for i in range(0, 12, 4)]
 
 
 def test_greedy_code_validation():
