@@ -29,32 +29,16 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .functions import (
-    BOUND_GRID_AXIS,
-    MAX_DIM,
-    MAX_GRID_POINTS,
-    DomainError,
-    LipschitzVector,
-    ParameterError,
-    Rect,
-    make_random_convex,
-)
-from .metrics import GridSpec
-from .packing import (
-    CELL_CAP,
-    build_interval_system,
-    build_packing_family,
-    packing_certificate,
-    require_certificate_budget,
-    separation_curve,
-    verify_cap_properties,
-)
-from .schedule import LOG2, build_schedule, cover_accounting, schedule_checks
-from .verify import (
-    check_l1_bound,
-    check_sup_bound,
+# Only the numpy-free layers load with this module, so schedule, bounds,
+# --help and every refusal of theirs start without importing numpy;
+# cmd_pack and cmd_lemmas import the array layers when they run.
+from .core import MAX_DIM, DomainError, LipschitzVector, ParameterError, Rect
+from .schedule import (
+    LOG2,
+    build_schedule,
+    cover_accounting,
     entropy_bounds,
-    gradient_mass,
+    schedule_checks,
 )
 
 # Most directions lemmas accepts: the checks' refinements and error
@@ -154,6 +138,17 @@ def _require_seed(seed: int) -> None:
 
 
 def cmd_pack(args) -> tuple[dict, str, bool]:
+    from .metrics import GridSpec
+    from .packing import (
+        CELL_CAP,
+        build_interval_system,
+        build_packing_family,
+        packing_certificate,
+        require_certificate_budget,
+        separation_curve,
+        verify_cap_properties,
+    )
+
     _require_seed(args.seed)
     if args.grid_n is not None:
         GridSpec(args.grid_n)  # refuses a grid_n below 2, capped or not
@@ -219,7 +214,7 @@ def cmd_schedule(args) -> tuple[dict, str, bool]:
                    f"log cover count <= {bound}", checks.ok)
 
 
-def _require_lemma_grid(dim: int, grid: GridSpec) -> None:
+def _require_lemma_grid(dim: int, grid) -> None:
     """Refuse a dimension, or pairs whose grids would pass MAX_GRID_POINTS.
 
     Every pair builds grids of 17 (the bound grid), 33 (the slab heights),
@@ -227,6 +222,8 @@ def _require_lemma_grid(dim: int, grid: GridSpec) -> None:
     refines at most twice, to 4n - 3 and 8n - 7; such a grid past
     MAX_GRID_POINTS is refused when it is built.
     """
+    from .functions import BOUND_GRID_AXIS, MAX_GRID_POINTS
+
     if not 1 <= dim <= MAX_DIM:
         raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
     side = max(BOUND_GRID_AXIS, 33, 101, 2 * grid.n - 1)
@@ -236,6 +233,10 @@ def _require_lemma_grid(dim: int, grid: GridSpec) -> None:
 
 
 def cmd_lemmas(args) -> tuple[dict, str, bool]:
+    from .functions import make_random_convex
+    from .metrics import GridSpec
+    from .verify import check_l1_bound, check_sup_bound, gradient_mass
+
     _require_seed(args.seed)
     if args.pairs < 1:
         raise ParameterError("need pairs >= 1")

@@ -12,91 +12,25 @@ and returns an (N,) array; the scalar helpers wrap the batch path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-MAX_DIM = 8
+from .core import (
+    DomainError,
+    LipschitzVector,
+    ParameterError,
+    Rect,
+    _fstr,
+    unit_rect,
+)
 
 # Per-axis resolution of the bound-verification grid for random functions.
 BOUND_GRID_AXIS = 17
 
 # Guard for tensor grids materialized in memory.
 MAX_GRID_POINTS = 10**7
-
-
-class ParameterError(ValueError):
-    """Construction or call parameters violate a precondition."""
-
-
-class DomainError(ValueError):
-    """A point lies outside the domain required by the operation."""
-
-
-def _fstr(x: float) -> str:
-    # repr of a float round-trips exactly through float()
-    return repr(float(x))
-
-
-def _json_value(v):
-    if isinstance(v, float):
-        return _fstr(v)
-    if isinstance(v, (tuple, list)):
-        return [_json_value(x) for x in v]
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    return v  # str, int, bool or None
-
-
-def _report_json(obj, *properties: str) -> dict:
-    """A report dataclass as a JSON object: its fields, then the properties.
-
-    Floats go through _fstr, tuples and lists become lists, and a value with
-    its own to_json is written as that; str, int, bool and None pass as is.
-    """
-    names = [f.name for f in fields(obj)] + list(properties)
-    return {name: _json_value(getattr(obj, name)) for name in names}
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned box prod_i [lo_i, hi_i], dimension 1..8."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if len(lo) != len(hi):
-            raise ParameterError("lo and hi must have the same length")
-        if not 1 <= len(lo) <= MAX_DIM:
-            raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
-        for a, b in zip(lo, hi):
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise ParameterError("each axis needs finite lo < hi")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.lo, self.hi))
-
-    def is_cube(self) -> bool:
-        w = self.widths
-        return all(x == w[0] for x in w)
-
-    def to_json(self) -> dict:
-        return _report_json(self)
-
-
-def unit_rect(d: int) -> Rect:
-    return Rect((0.0,) * d, (1.0,) * d)
 
 
 def _vertex_axes(rect: Rect, n: int) -> list[np.ndarray]:
@@ -133,25 +67,6 @@ def _running_max(columns) -> np.ndarray:
     for col in columns:
         np.maximum(out, col, out=out)
     return out
-
-
-@dataclass(frozen=True)
-class LipschitzVector:
-    """Per-axis Lipschitz budgets; math.inf marks an unconstrained axis."""
-
-    gamma: tuple[float, ...]
-
-    def __post_init__(self):
-        g = tuple(float(v) for v in self.gamma)
-        object.__setattr__(self, "gamma", g)
-        if not g:
-            raise ParameterError("gamma must be non-empty")
-        for v in g:
-            if not v > 0:
-                raise ParameterError("gamma entries must be positive (inf allowed)")
-
-    def sum_squares(self) -> float:
-        return sum(v * v for v in self.gamma)
 
 
 def _budget(slopes) -> LipschitzVector:

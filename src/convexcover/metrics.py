@@ -31,14 +31,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .functions import (
-    ConvexFunction,
-    ParameterError,
-    Rect,
-    grid_size,
-    tensor_points,
-    _vertex_axes,
-)
+from .core import ParameterError, Rect
+from .functions import ConvexFunction, _vertex_axes, grid_size, tensor_points
 
 # Entries of one node-by-direction tile of the support kernel. Its three
 # float64 working arrays (the shared spatial product, one function's

@@ -10,8 +10,8 @@ and taking the pointwise max yields one convex function per codeword,
 and the L1 distance between two of them is at least (Hamming distance)
 times the per-cell gap integral eta^(d/2+1)/6.
 
-The interval count k is decided in exact rational arithmetic so that
-boundary cases of eta never flip on float rounding.
+The interval count k, the code's size and distance and the family-size
+accounting are exact and need no arrays, so they live in core.
 """
 
 from __future__ import annotations
@@ -25,16 +25,25 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+# separation_curve is bound here for callers that look it up as
+# packing.separation_curve, as the benchmark's tracer does
+from .core import (
+    ParameterError,
+    _report_json,
+    code_min_distance,
+    code_target,
+    interval_count,
+    separation_curve,
+    separation_scale,
+    unit_rect,
+)
 from .functions import (
     Affine,
     ConvexFunction,
     MaxWith,
-    ParameterError,
     SeparableQuadratic,
-    _report_json,
     grid_size,
     tensor_points,
-    unit_rect,
 )
 from .metrics import GridSpec, quadrature_axes
 
@@ -62,56 +71,6 @@ MAX_VALUE_BYTES = 2 * 10**9
 # a one-cell system, 2^16 samples); 2^14 peaked at 27.9 MB. The drawn
 # stream does not depend on it.
 DRAW_BLOCK = 2**12
-
-
-def max_eta(d: int) -> float:
-    """Largest admissible eta for dimension d, 4 / (2 + sqrt(d-1))^2."""
-    return 4.0 / (2.0 + math.sqrt(d - 1.0)) ** 2
-
-
-def interval_count(eta, d: int) -> int:
-    """Largest k with k * (2 sqrt(eta) + sqrt(eta (d-1))) <= 2, exactly.
-
-    eta may be an int, float, or Fraction; floats are taken at their exact
-    binary value. Raises if no k >= 1 exists (eta above max_eta(d)). The
-    first guess for k is formed in fixed-point integers, precise enough to
-    be off by at most a few units at any eta, so a tiny eta can neither
-    underflow it nor leave a long walk to the exact answer.
-
-    Each k is decided on Python ints, with no Fraction built per step:
-    with eta = a/b, sqrt(4 eta k^2) + sqrt(eta (d-1) k^2) <= 2 times
-    sqrt(b) is sqrt(p) + sqrt(q) <= 2 sqrt(b) for p = 4 a k^2 and
-    q = a (d-1) k^2. Squaring once leaves 2 sqrt(pq) <= rem = 4b - p - q,
-    which holds iff rem >= 0 and 4 p q <= rem^2.
-    """
-    if not 1 <= d <= 8:
-        raise ParameterError("dimension must be in 1..8")
-    if isinstance(eta, float) and not math.isfinite(eta):
-        raise ParameterError("eta must be finite")
-    e = Fraction(eta)
-    if e <= 0:
-        raise ParameterError("eta must be positive")
-    a, b = e.numerator, e.denominator
-
-    def fits(k: int) -> bool:
-        p = 4 * a * k * k
-        q = a * (d - 1) * k * k
-        rem = 4 * b - p - q
-        return rem >= 0 and 4 * p * q <= rem * rem
-
-    if not fits(1):
-        raise ParameterError(f"eta must be at most {max_eta(d)} at d={d}")
-    # k ~ 2 / ((2 + sqrt(d-1)) sqrt(e)), with root = 2^p / sqrt(e) and
-    # s = 2^p sqrt(d-1); p exceeds the bits of k by 64
-    p = (b.bit_length() - a.bit_length()) // 2 + 64
-    root = math.isqrt((b << 2 * p) // a)
-    s = math.isqrt((d - 1) << 2 * p)
-    k = max(1, 2 * root // ((2 << p) + s))
-    while not fits(k):
-        k -= 1
-    while fits(k + 1):
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -275,24 +234,6 @@ def cell_gap_quadrature(system: IntervalSystem, cell: tuple[int, ...],
 # -- binary codes ---------------------------------------------------------
 
 
-def code_target(n: int) -> int:
-    """ceil(exp(n / 8)) words."""
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    return math.ceil(math.exp(n / 8.0))
-
-
-def code_min_distance(n: int) -> int:
-    """ceil(n / 4) bits."""
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    return -(-n // 4)
-
-
-def hamming(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
-
-
 _M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
     0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
     0x0101010101010101))
@@ -384,11 +325,6 @@ def greedy_binary_code(length: int, min_distance: int, target: int,
 
 
 # -- families and their certificate ---------------------------------------
-
-
-def separation_scale(d: int) -> float:
-    """The factor c with separation c * eta: (2 + sqrt(d-1))^(-d) / 24."""
-    return (2.0 + math.sqrt(d - 1.0)) ** -d / 24.0
 
 
 @dataclass(frozen=True)
@@ -606,41 +542,6 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
         pairs_checked=pairs, failures=failures,
         min_margin=min_margin, min_l1=min_l1,
         eps_consistent=eps_consistent, ok=ok)
-
-
-# -- scaling of the family size -------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeparationPoint:
-    """Family-size accounting at one eta: separation eps, log size n/8."""
-
-    eta: float
-    dim: int
-    k: int
-    n_cells: int
-    eps: float
-    log_packing: float
-
-
-def separation_point(eta, d: int) -> SeparationPoint:
-    k = interval_count(eta, d)
-    n = k**d
-    ef = float(Fraction(eta))
-    try:
-        log_packing = n / 8.0
-    except OverflowError:  # more cells than a float can count
-        log_packing = math.inf
-    return SeparationPoint(ef, d, k, n, separation_scale(d) * ef, log_packing)
-
-
-def separation_curve(eta, d: int,
-                     steps: int = 5) -> tuple[SeparationPoint, ...]:
-    """Points at eta, eta/4, ..., eta/4^(steps-1), exact in eta."""
-    if steps < 1:
-        raise ParameterError("need steps >= 1")
-    e = Fraction(eta)
-    return tuple(separation_point(e / 4**m, d) for m in range(steps))
 
 
 # -- exact verification of the cap properties -----------------------------

@@ -19,6 +19,11 @@ a schedule into the log of a covering-count bound.
 
 Levels like eta = 2^-200 underflow as plain floats, so every quantity
 here is a log; exponentiate only at the boundary and accept 0 or inf.
+
+entropy_bounds assembles the headline quantities: upper and lower
+bounds, in log form, on how many functions are needed to cover (or can
+be packed into) the bounded convex functions on a cube at a given
+distance. It needs only this module and core's exact packing counts.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .functions import ParameterError, _report_json
+from .core import (
+    LipschitzVector,
+    ParameterError,
+    Rect,
+    _report_json,
+    separation_point,
+    separation_scale,
+)
 
 LOG2 = math.log(2.0)
 
@@ -357,3 +369,99 @@ def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
         bound = math.inf
     return CoverAccounting(d, float(gamma_sum), float(scale), log_cover,
                            math.exp(log_cover), log_bound, bound)
+
+
+# -- headline bounds -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EntropyBounds:
+    """Bounds on the log cover and packing counts at one distance eps.
+
+    Every field is a bound on a log count, so the three are directly
+    comparable. log_upper caps the log cover count of the bound-B convex
+    functions on the cube in Lp (None when eps is too large for the
+    schedule to start; inf when the cap exceeds float range, in which
+    case cover_accounting still has its log). log_lower is the log size
+    of the constructed packing (None when the required level is
+    inadmissible). log_lipschitz_upper caps the sup-distance cover count
+    of the slope-budgeted subclass (None when no budgets are given; inf
+    when a budget is infinite). All three carry an unspecified absolute
+    factor, exposed as the scale argument.
+    """
+
+    eps: float
+    p: float
+    dim: int
+    log_upper: float | None
+    log_lower: float | None
+    log_lipschitz_upper: float | None
+
+    def to_json(self) -> dict:
+        return _report_json(self)
+
+
+def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
+                   gammas: LipschitzVector | None = None,
+                   scale: float = 1.0) -> EntropyBounds:
+    """Assemble the cover and packing bounds for one (eps, p, cube, bound).
+
+    Everything is first normalized: distances divide by bound * side^(d/p)
+    (by side^0 for the sup-distance bound), slope budgets multiply by
+    side / bound. The lower bound needs only an Lp distance >= L1, so one
+    packing serves every p >= 1.
+    """
+    if not rect.is_cube():
+        raise ParameterError("bounds are stated for cube domains")
+    if not eps > 0:
+        raise ParameterError("eps must be positive")
+    # an infinite bound would normalize every level to 0, out of range
+    if not (math.isfinite(bound) and bound > 0):
+        raise ParameterError("bound must be positive and finite")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ParameterError("scale must be positive and finite")
+    if not p >= 1.0:
+        raise ParameterError("need p >= 1")
+    d = rect.dim
+    side = rect.widths[0]
+    if gammas is not None and len(gammas.gamma) != d:
+        raise ParameterError("gamma length must match the dimension")
+    gsum = 0.0 if gammas is None else sum(v * side / bound
+                                          for v in gammas.gamma)
+
+    try:
+        eta_lp = eps / (bound * side ** (d / p))
+    except (OverflowError, ZeroDivisionError):  # the divisor left the floats
+        raise ParameterError("bound * side^(d/p) is outside the float "
+                             "range") from None
+    eta_pack = eta_lp / separation_scale(d)
+    if not math.isfinite(eta_pack):
+        raise ParameterError("eps / (bound * side^(d/p)) is too large")
+    log_upper = None
+    if 0.0 < eta_lp < 1.0:
+        try:
+            sched = build_schedule(p, math.log(eta_lp))
+            log_upper = cover_accounting(sched, d, gsum, scale).entropy_bound
+        except ParameterError:
+            log_upper = None
+
+    log_lower = None
+    try:
+        log_lower = separation_point(eta_pack, d).log_packing
+    except ParameterError:
+        log_lower = None
+
+    log_lip = None
+    if gammas is not None:
+        eta_sup = eps / bound
+        if math.isinf(gsum):
+            log_lip = math.inf
+        elif 0.0 < eta_sup < 1.0:
+            log_val = (math.log(scale)
+                       + 0.5 * d * (math.log(gsum + 2.0) - math.log(eta_sup)))
+            try:
+                log_lip = math.exp(log_val)
+            except OverflowError:
+                log_lip = math.inf
+    return EntropyBounds(float(eps), float(p), d, log_upper, log_lower,
+                         log_lip)

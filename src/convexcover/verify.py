@@ -13,11 +13,6 @@ for ramp functions and the normalization identity for rescaled pairs.
 Every estimator involved converges from below, so each check carries a
 tolerance assembled from the estimators' own refinement gaps and can
 refine itself a bounded number of times before reporting failure.
-
-entropy_bounds assembles the headline quantities: upper and lower
-bounds, in log form, on how many functions are needed to cover (or can
-be packed into) the bounded convex functions on a cube at a given
-distance.
 """
 
 from __future__ import annotations
@@ -27,16 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (
-    ConvexFunction,
-    Hinge,
-    LipschitzVector,
-    ParameterError,
-    Rect,
-    _report_json,
-    rescale_to_unit,
-    unit_rect,
-)
+from .core import LipschitzVector, ParameterError, Rect, _report_json, unit_rect
+from .functions import ConvexFunction, Hinge, rescale_to_unit
 from .metrics import (
     GridSpec,
     _require_common_domain,
@@ -47,8 +34,9 @@ from .metrics import (
     quadrature_grid,
     sup_grid_distance,
 )
-from .packing import separation_point, separation_scale
-from .schedule import build_schedule, cover_accounting
+# entropy_bounds is bound here for callers that look it up as
+# verify.entropy_bounds, as the benchmark's tracer does
+from .schedule import entropy_bounds
 
 # Height at which both checks cut the epigraphs into slabs: the sup check
 # needs it above both functions, the L1 check |f|, |g| at most it.
@@ -281,99 +269,3 @@ def scaling_identity_report(f: ConvexFunction, g: ConvexFunction, p: float,
     raw = lp_distance(f, g, p, grid).value
     rhs = raw * side ** (-d / p) / bound
     return ScalingIdentityReport(p, bound, side, lhs, rhs, abs(lhs - rhs))
-
-
-# -- headline bounds -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntropyBounds:
-    """Bounds on the log cover and packing counts at one distance eps.
-
-    Every field is a bound on a log count, so the three are directly
-    comparable. log_upper caps the log cover count of the bound-B convex
-    functions on the cube in Lp (None when eps is too large for the
-    schedule to start; inf when the cap exceeds float range, in which
-    case cover_accounting still has its log). log_lower is the log size
-    of the constructed packing (None when the required level is
-    inadmissible). log_lipschitz_upper caps the sup-distance cover count
-    of the slope-budgeted subclass (None when no budgets are given; inf
-    when a budget is infinite). All three carry an unspecified absolute
-    factor, exposed as the scale argument.
-    """
-
-    eps: float
-    p: float
-    dim: int
-    log_upper: float | None
-    log_lower: float | None
-    log_lipschitz_upper: float | None
-
-    def to_json(self) -> dict:
-        return _report_json(self)
-
-
-def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
-                   gammas: LipschitzVector | None = None,
-                   scale: float = 1.0) -> EntropyBounds:
-    """Assemble the cover and packing bounds for one (eps, p, cube, bound).
-
-    Everything is first normalized: distances divide by bound * side^(d/p)
-    (by side^0 for the sup-distance bound), slope budgets multiply by
-    side / bound. The lower bound needs only an Lp distance >= L1, so one
-    packing serves every p >= 1.
-    """
-    if not rect.is_cube():
-        raise ParameterError("bounds are stated for cube domains")
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
-    # an infinite bound would normalize every level to 0, out of range
-    if not (math.isfinite(bound) and bound > 0):
-        raise ParameterError("bound must be positive and finite")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ParameterError("scale must be positive and finite")
-    if not p >= 1.0:
-        raise ParameterError("need p >= 1")
-    d = rect.dim
-    side = rect.widths[0]
-    if gammas is not None and len(gammas.gamma) != d:
-        raise ParameterError("gamma length must match the dimension")
-    gsum = 0.0 if gammas is None else sum(v * side / bound
-                                          for v in gammas.gamma)
-
-    try:
-        eta_lp = eps / (bound * side ** (d / p))
-    except (OverflowError, ZeroDivisionError):  # the divisor left the floats
-        raise ParameterError("bound * side^(d/p) is outside the float "
-                             "range") from None
-    eta_pack = eta_lp / separation_scale(d)
-    if not math.isfinite(eta_pack):
-        raise ParameterError("eps / (bound * side^(d/p)) is too large")
-    log_upper = None
-    if 0.0 < eta_lp < 1.0:
-        try:
-            sched = build_schedule(p, math.log(eta_lp))
-            log_upper = cover_accounting(sched, d, gsum, scale).entropy_bound
-        except ParameterError:
-            log_upper = None
-
-    log_lower = None
-    try:
-        log_lower = separation_point(eta_pack, d).log_packing
-    except ParameterError:
-        log_lower = None
-
-    log_lip = None
-    if gammas is not None:
-        eta_sup = eps / bound
-        if math.isinf(gsum):
-            log_lip = math.inf
-        elif 0.0 < eta_sup < 1.0:
-            log_val = (math.log(scale)
-                       + 0.5 * d * (math.log(gsum + 2.0) - math.log(eta_sup)))
-            try:
-                log_lip = math.exp(log_val)
-            except OverflowError:
-                log_lip = math.inf
-    return EntropyBounds(float(eps), float(p), d, log_upper, log_lower,
-                         log_lip)

@@ -43,7 +43,6 @@ from convexcover import (
     verify_cap_properties,
 )
 from convexcover.cli import main as cli_main
-from convexcover.packing import hamming
 
 LOG2 = math.log(2.0)
 
@@ -123,7 +122,7 @@ def test_c04_code_search_hits_its_targets(capsys):
             assert res.samples_used <= 10**6
             ws = res.words
             assert all(0 <= w < 1 << n for w in ws), f"n={n} word too long"
-            assert all(hamming(ws[i], ws[j]) >= res.min_distance
+            assert all((ws[i] ^ ws[j]).bit_count() >= res.min_distance
                        for i in range(len(ws))
                        for j in range(i + 1, len(ws))), f"n={n} pair too close"
         res25 = greedy_binary_code(25, code_min_distance(25), code_target(25))

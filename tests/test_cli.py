@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcover import cli, metrics, packing
+import convexcover
+from convexcover import cli, core, functions, metrics, packing, schedule, verify
 from convexcover.cli import _json_text, main
 
 
@@ -63,7 +67,8 @@ def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
     # share the 45 caps of one system
     built, runs = [], {}
     real_affine = packing.Affine
-    real_build, real_verify = cli.build_packing_family, cli.verify_cap_properties
+    real_build = packing.build_packing_family
+    real_verify = packing.verify_cap_properties
 
     def counting(*args):
         built.append(real_affine(*args))
@@ -78,8 +83,8 @@ def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
         return real_verify(system, **kw)
 
     monkeypatch.setattr(packing, "Affine", counting)
-    monkeypatch.setattr(cli, "build_packing_family", build)
-    monkeypatch.setattr(cli, "verify_cap_properties", verify)
+    monkeypatch.setattr(packing, "build_packing_family", build)
+    monkeypatch.setattr(packing, "verify_cap_properties", verify)
     assert main(["pack", "--eta", "1/2025", "--dim", "1",
                  "--out-dir", str(tmp_path)]) == 0
     system = runs["family"].system
@@ -262,8 +267,8 @@ def _assert_refused(rc, err, out):
 
 
 def _run_row(text, argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "make_random_convex", _reached)
-    monkeypatch.setattr(cli, "build_packing_family", _reached)
+    monkeypatch.setattr(functions, "make_random_convex", _reached)
+    monkeypatch.setattr(packing, "build_packing_family", _reached)
     out = tmp_path / "new" / "out"
     argv = [*argv.split(), "--out-dir", str(out)]
     if text == "-":  # an accepted edge
@@ -348,6 +353,62 @@ def test_a_schedule_query_passes_every_check_or_is_refused(tmp_path_factory,
         shutil.rmtree(out.parent.parent)
     else:
         _assert_refused(rc, err.getvalue(), out)
+
+
+# -- the bounds sweep ----------------------------------------------------------
+
+# near 0 (subnormals too), near the float limits (with the infinities),
+# small values of either sign, and NaN
+_EDGE_FLOATS = (st.floats(-1e-300, 1e-300)
+                | st.floats(min_value=1e300) | st.floats(max_value=-1e300)
+                | st.floats(-4.0, 4.0) | st.just(math.nan))
+
+# values each flag accepts, drawn half the time so that queries pass too
+_TYPICAL = {"eps": st.floats(1e-12, 0.5), "p": st.floats(1.0, 4.0),
+            "side": st.floats(0.5, 2.0), "origin": st.floats(-2.0, 2.0),
+            "bound": st.floats(0.5, 2.0), "scale": st.floats(0.5, 2.0),
+            "gamma": st.floats(0.0, 4.0)}
+
+
+@st.composite
+def _bounds_queries(draw):
+    # values as repr or in exponent form, all spaced or all in the = form;
+    # a spaced negative in exponent form is an argparse error, also exit 2
+    equals = draw(st.booleans())
+
+    def flag(name):
+        value = draw(_TYPICAL[name] if draw(st.booleans()) else _EDGE_FLOATS)
+        text = draw(st.sampled_from([repr, "{:.17e}".format]))(value)
+        return [f"--{name}={text}"] if equals else [f"--{name}", text]
+
+    argv = ["bounds", "--dim", str(draw(st.integers(0, 9)))]
+    argv += flag("eps") + flag("p")
+    for name in ("side", "origin", "bound", "scale"):
+        if draw(st.booleans()):
+            argv += flag(name)
+    for _ in range(draw(st.integers(0, 3))):
+        argv += flag("gamma")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bounds_queries())
+def test_a_bounds_query_writes_its_bounds_or_is_refused(tmp_path_factory,
+                                                        argv):
+    out = tmp_path_factory.mktemp("bounds") / "new" / "out"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            rc = main([*argv, "--out-dir", str(out)])
+        except SystemExit as exc:  # argparse refused the argument list
+            rc = exc.code
+    if rc == 0:
+        assert (out / "entropy_bounds.json").is_file()
+        shutil.rmtree(out.parent.parent)
+    else:
+        assert rc == 2
+        lines = err.getvalue().splitlines()
+        assert sum("error: " in line for line in lines) == 1, lines
+        assert not out.parent.exists()
 
 
 # -- one parser per process --------------------------------------------------
@@ -442,3 +503,77 @@ def test_json_text_on_fixed_cases():
     for bad in ({1: "int key"}, [object()]):
         with pytest.raises(TypeError):
             _json_text(bad)
+
+
+# -- the import contract -------------------------------------------------------
+
+
+_SRC = str(Path(convexcover.__file__).resolve().parents[1])
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this convexcover."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+
+
+_NUMPY_FREE_RUNS = """
+import contextlib, io, json, sys
+import convexcover.cli as cli
+out, argvs = sys.argv[1], json.loads(sys.argv[2])
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for i, argv in enumerate(argvs):
+        try:
+            codes.append(cli.main([*argv, "--out-dir", f"{out}/{i}"]))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+"""
+
+
+def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
+        tmp_path):
+    refused = [argv.split() for rows in _read_table().values()
+               for _, argv in rows.values()
+               if argv.split()[0] in ("schedule", "bounds")]
+    assert refused
+    argvs = [["schedule", "--p", "1", "--log2-eta", "-96"],
+             ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "1",
+              "--gamma", "2.0"],
+             ["--help"], *refused]
+    run = _fresh_python(_NUMPY_FREE_RUNS, str(tmp_path), json.dumps(argvs))
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0] + [2] * len(refused)
+    assert loaded == []
+
+
+def test_pack_in_a_fresh_process_writes_the_in_process_bytes(tmp_path):
+    argv = ["pack", "--eta", "1/25", "--dim", "1"]
+    _fresh_python("import sys; from convexcover.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))",
+                  *argv, "--out-dir", str(tmp_path / "fresh"))
+    assert main([*argv, "--out-dir", str(tmp_path / "here")]) == 0
+    assert _digest(tmp_path / "fresh") == _digest(tmp_path / "here")
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    names = convexcover.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        obj = getattr(convexcover, name)
+        assert obj.__module__.startswith("convexcover.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    star = {}
+    exec("from convexcover import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    assert all(star[name] is getattr(convexcover, name) for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        convexcover.no_such_name
+    # the benchmark's tracer still finds these where they used to live
+    assert verify.entropy_bounds is schedule.entropy_bounds
+    assert packing.separation_curve is core.separation_curve
