@@ -31,7 +31,8 @@ from pathlib import Path
 
 # Only the numpy-free layers load with this module, so schedule, bounds,
 # --help and every refusal of theirs start without importing numpy;
-# cmd_pack and cmd_lemmas import the array layers when they run.
+# cmd_pack and cmd_lemmas import the array layers only after the checks
+# that need no arrays, so those refusals start without numpy as well.
 from .core import MAX_DIM, DomainError, LipschitzVector, ParameterError, Rect
 from .schedule import (
     LOG2,
@@ -138,7 +139,12 @@ def _require_seed(seed: int) -> None:
 
 
 def cmd_pack(args) -> tuple[dict, str, bool]:
-    from .metrics import GridSpec
+    _require_seed(args.seed)
+    if args.grid_n is not None:
+        from .metrics import GridSpec
+
+        GridSpec(args.grid_n)  # refuses a grid_n below 2, capped or not
+    eta = _parse_eta(args.eta)
     from .packing import (
         CELL_CAP,
         build_interval_system,
@@ -149,10 +155,6 @@ def cmd_pack(args) -> tuple[dict, str, bool]:
         verify_cap_properties,
     )
 
-    _require_seed(args.seed)
-    if args.grid_n is not None:
-        GridSpec(args.grid_n)  # refuses a grid_n below 2, capped or not
-    eta = _parse_eta(args.eta)
     system = build_interval_system(eta, args.dim)
     capped = system.n_cells > CELL_CAP
     if not capped:
@@ -233,10 +235,6 @@ def _require_lemma_grid(dim: int, grid) -> None:
 
 
 def cmd_lemmas(args) -> tuple[dict, str, bool]:
-    from .functions import make_random_convex
-    from .metrics import GridSpec
-    from .verify import check_l1_bound, check_sup_bound, gradient_mass
-
     _require_seed(args.seed)
     if args.pairs < 1:
         raise ParameterError("need pairs >= 1")
@@ -251,6 +249,10 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
                              f"got {args.bound!r}")
     if not 0.0 < args.rho < 0.5:
         raise ParameterError("need 0 < rho < 0.5")
+    from .functions import make_random_convex
+    from .metrics import GridSpec
+    from .verify import check_l1_bound, check_sup_bound, gradient_mass
+
     grid = GridSpec(args.grid_n)
     _require_lemma_grid(args.dim, grid)
     reports = []

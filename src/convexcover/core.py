@@ -10,13 +10,20 @@ needs no arrays: the interval count k per axis, decided in exact
 rational arithmetic so that boundary cases of eta never flip on float
 rounding, the code's target size and minimum distance, and the family
 size and separation at a given eta.
+
+The records here (Rect, LipschitzVector, SeparationPoint), like those of
+schedule, are NamedTuples rather than frozen dataclasses: the dataclasses
+module imports inspect, and the two add several milliseconds to every
+start-up of the CLI. A NamedTuple cannot define __new__ in its body, so
+a record that normalizes or checks its fields subclasses a plain fields
+tuple and does that in its own __new__.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 MAX_DIM = 8
 
@@ -37,35 +44,44 @@ def _fstr(x: float) -> str:
 def _json_value(v):
     if isinstance(v, float):
         return _fstr(v)
+    if hasattr(v, "to_json"):  # before tuple: a NamedTuple record is one
+        return v.to_json()
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
-    if hasattr(v, "to_json"):
-        return v.to_json()
     return v  # str, int, bool or None
 
 
 def _report_json(obj, *properties: str) -> dict:
-    """A report dataclass as a JSON object: its fields, then the properties.
+    """A record as a JSON object: its fields in order, then the properties.
 
-    Floats go through _fstr, tuples and lists become lists, and a value with
-    its own to_json is written as that; str, int, bool and None pass as is.
+    The fields are type(obj).__match_args__, which NamedTuples and
+    dataclasses alike define in field order. Floats go through _fstr, a
+    value with its own to_json is written as that, and tuples and lists
+    become lists; str, int, bool and None pass as is.
     """
-    names = [f.name for f in fields(obj)] + list(properties)
+    names = (*type(obj).__match_args__, *properties)
     return {name: _json_value(getattr(obj, name)) for name in names}
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned box prod_i [lo_i, hi_i], dimension 1..8."""
+def _checked_make(cls, fields):
+    # NamedTuple's _make, and so _replace, skips __new__; this one does not
+    return cls(*fields)
 
+
+class _RectFields(NamedTuple):
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+
+class Rect(_RectFields):
+    """Axis-aligned box prod_i [lo_i, hi_i], dimension 1..8."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, lo, hi):
+        lo = tuple(float(v) for v in lo)
+        hi = tuple(float(v) for v in hi)
         if len(lo) != len(hi):
             raise ParameterError("lo and hi must have the same length")
         if not 1 <= len(lo) <= MAX_DIM:
@@ -73,6 +89,7 @@ class Rect:
         for a, b in zip(lo, hi):
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ParameterError("each axis needs finite lo < hi")
+        return super().__new__(cls, lo, hi)
 
     @property
     def dim(self) -> int:
@@ -94,20 +111,24 @@ def unit_rect(d: int) -> Rect:
     return Rect((0.0,) * d, (1.0,) * d)
 
 
-@dataclass(frozen=True)
-class LipschitzVector:
-    """Per-axis Lipschitz budgets; math.inf marks an unconstrained axis."""
-
+class _LipschitzFields(NamedTuple):
     gamma: tuple[float, ...]
 
-    def __post_init__(self):
-        g = tuple(float(v) for v in self.gamma)
-        object.__setattr__(self, "gamma", g)
+
+class LipschitzVector(_LipschitzFields):
+    """Per-axis Lipschitz budgets; math.inf marks an unconstrained axis."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, gamma):
+        g = tuple(float(v) for v in gamma)
         if not g:
             raise ParameterError("gamma must be non-empty")
         for v in g:
             if not v > 0:
                 raise ParameterError("gamma entries must be positive (inf allowed)")
+        return super().__new__(cls, g)
 
     def sum_squares(self) -> float:
         return sum(v * v for v in self.gamma)
@@ -185,8 +206,7 @@ def separation_scale(d: int) -> float:
     return (2.0 + math.sqrt(d - 1.0)) ** -d / 24.0
 
 
-@dataclass(frozen=True)
-class SeparationPoint:
+class SeparationPoint(NamedTuple):
     """Family-size accounting at one eta: separation eps, log size n/8."""
 
     eta: float

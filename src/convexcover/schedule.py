@@ -20,6 +20,9 @@ a schedule into the log of a covering-count bound.
 Levels like eta = 2^-200 underflow as plain floats, so every quantity
 here is a log; exponentiate only at the boundary and accept 0 or inf.
 
+Schedule and the three reports are NamedTuples, like core's records, so
+the CLI's schedule and bounds paths never import dataclasses (see core).
+
 entropy_bounds assembles the headline quantities: upper and lower
 bounds, in log form, on how many functions are needed to cover (or can
 be packed into) the bounded convex functions on a cube at a given
@@ -29,7 +32,7 @@ distance. It needs only this module and core's exact packing counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     LipschitzVector,
@@ -77,8 +80,7 @@ def _check_p(p: float) -> float:
         "p too large: the edge's log -2 (p+1)^2 (p+2) log 2 overflows")
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Levels, weights, and radii of one refinement chain.
 
     log_levels holds log delta_1 .. log delta_{A+1} (the last one is past
@@ -170,8 +172,7 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     return Schedule(p, log_eta, depth, edge, levels, weights, radii)
 
 
-@dataclass(frozen=True)
-class ScheduleChecks:
+class ScheduleChecks(NamedTuple):
     """Numerical certificate of the schedule's defining inequalities.
 
     dim_sums holds (d, sum of zeta^d, bound 2^d/(2^d - 1), ok) rows.
@@ -315,8 +316,7 @@ def schedule_checks(sched: Schedule,
                           tuple(dim_rows), ok)
 
 
-@dataclass(frozen=True)
-class CoverAccounting:
+class CoverAccounting(NamedTuple):
     """Cover radius and cover-count bound implied by a schedule.
 
     entropy_bound caps the log of the covering count: with u the edge
@@ -374,8 +374,7 @@ def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
 # -- headline bounds -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyBounds:
+class EntropyBounds(NamedTuple):
     """Bounds on the log cover and packing counts at one distance eps.
 
     Every field is a bound on a log count, so the three are directly

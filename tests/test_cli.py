@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry points."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -532,16 +533,25 @@ with contextlib.redirect_stdout(io.StringIO()):
             codes.append(cli.main([*argv, "--out-dir", f"{out}/{i}"]))
         except SystemExit as exc:
             codes.append(exc.code)
-print(json.dumps([codes, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+print(json.dumps([codes, [m for m in ("numpy", "scipy", "dataclasses")
+                          if m in sys.modules]]))
 """
+
+# The refusals that cmd_pack and cmd_lemmas make before they import the
+# array layers, by their message
+_ARRAY_FREE_REFUSALS = ("seed must be >= 0", "need pairs >= 1", "directions",
+                        "bound must be positive", "rho", "eta must be a finite")
 
 
 def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
         tmp_path):
+    # nor dataclasses, and neither do pack's and lemmas' array-free refusals
     refused = [argv.split() for rows in _read_table().values()
-               for _, argv in rows.values()
-               if argv.split()[0] in ("schedule", "bounds")]
-    assert refused
+               for text, argv in rows.values()
+               if argv.split()[0] in ("schedule", "bounds")
+               or text != "-" and any(t in text for t in _ARRAY_FREE_REFUSALS)]
+    assert {argv[0] for argv in refused} == {"schedule", "bounds", "pack",
+                                             "lemmas"}
     argvs = [["schedule", "--p", "1", "--log2-eta", "-96"],
              ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "1",
               "--gamma", "2.0"],
@@ -577,3 +587,22 @@ def test_every_exported_name_is_its_home_modules_object():
     # the benchmark's tracer still finds these where they used to live
     assert verify.entropy_bounds is schedule.entropy_bounds
     assert packing.separation_curve is core.separation_curve
+
+
+def test_every_record_written_by_report_json_names_all_its_fields():
+    # _report_json writes the names in __match_args__; a dataclass with
+    # kw_only fields or match_args=False would drop fields from an artifact
+    records = set()
+    for module in (core, schedule, functions, metrics, packing, verify):
+        for obj in vars(module).values():
+            to_json = getattr(obj, "to_json", None)
+            if (isinstance(obj, type) and to_json is not None
+                    and "_report_json" in to_json.__code__.co_names):
+                records.add(obj)
+    assert {core.Rect, schedule.Schedule, schedule.EntropyBounds,
+            packing.IntervalSystem, packing.PackingFamily,
+            verify.LemmaReport} <= records
+    for cls in records:
+        names = ([f.name for f in dataclasses.fields(cls)]
+                 if dataclasses.is_dataclass(cls) else list(cls._fields))
+        assert list(cls.__match_args__) == names, cls

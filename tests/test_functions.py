@@ -18,6 +18,7 @@ from convexcover import (
     Rect,
     Rescaled,
     SeparableQuadratic,
+    core,
     make_random_convex,
     rescale_to_unit,
     tensor_points,
@@ -84,6 +85,34 @@ def test_lipschitz_vector():
         LipschitzVector((1.0, 0.0))
     with pytest.raises(ParameterError):
         LipschitzVector(())
+
+
+def test_rect_and_lipschitz_vector_take_floats_refuse_and_stay_frozen():
+    r = Rect([0, -1], hi=(2, 3))
+    v = LipschitzVector([1, 2])
+    assert (r.lo, r.hi, v.gamma) == ((0.0, -1.0), (2.0, 3.0), (1.0, 2.0))
+    assert all(type(x) is float for x in (*r.lo, *r.hi, *v.gamma))
+    for lo, hi, message in [((0.0,), (1.0, 2.0), "lo and hi must have"),
+                            ((0.0,) * 9, (1.0,) * 9, "must be in 1..8"),
+                            ((0.0,), (math.nan,), "finite lo < hi")]:
+        with pytest.raises(ParameterError, match=message):
+            Rect(lo, hi)
+    for gamma, message in [((), "must be non-empty"),
+                           ((1.0, -2.0), "entries must be positive"),
+                           ((math.nan,), "entries must be positive")]:
+        with pytest.raises(ParameterError, match=message):
+            LipschitzVector(gamma)
+    for obj, name in [(r, "lo"), (r, "hi"), (r, "extra"), (v, "gamma")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, (5.0,))
+    with pytest.raises(ParameterError, match="finite lo < hi"):
+        r._replace(hi=(2.0, -1.0))
+    with pytest.raises(ParameterError, match="entries must be positive"):
+        v._replace(gamma=(0.0,))
+    assert r._replace(hi=(5, 5)) == Rect((0.0, -1.0), (5.0, 5.0))
+    # a record inside a report is written through its own to_json, not as
+    # the tuple it also is
+    assert core._json_value(r) == {"lo": ["0.0", "-1.0"], "hi": ["2.0", "3.0"]}
 
 
 # -- individual forms -------------------------------------------------------

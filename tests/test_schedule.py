@@ -1,7 +1,6 @@
 """Refinement schedules: construction, invariants, and cover accounting."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -149,7 +148,7 @@ def test_schedule_checks_catch_a_shifted_level_far_past_the_bound():
     for shift in (1e3 * bound, -1e3 * bound):
         levels = list(sched.log_levels)
         levels[3] += shift
-        checks = schedule_checks(replace(sched, log_levels=tuple(levels)))
+        checks = schedule_checks(sched._replace(log_levels=tuple(levels)))
         assert not checks.identity_ok and not checks.ok
         assert checks.identity_residual == pytest.approx(abs(shift), rel=1e-3)
 
@@ -166,12 +165,12 @@ def test_the_ratio_and_s1_checks_fail_past_their_slacks():
         # the last two radii a factor 2 e^(-past * slack) apart
         radii = list(sched.log_radii)
         radii[-1] = radii[-2] + LOG2 - past * ratio_slack
-        checks = schedule_checks(replace(sched, log_radii=tuple(radii)))
+        checks = schedule_checks(sched._replace(log_radii=tuple(radii)))
         assert (checks.ratio_ok, checks.ok) == (ok, ok)
         # the first level, the leading term of s1, raised past its bound
         levels = list(sched.log_levels)
         levels[0] += s1_margin + past * s1_slack
-        checks = schedule_checks(replace(sched, log_levels=tuple(levels)))
+        checks = schedule_checks(sched._replace(log_levels=tuple(levels)))
         assert (checks.s1_ok, checks.ok) == (ok, ok)
 
 
