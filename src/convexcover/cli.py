@@ -33,7 +33,17 @@ from pathlib import Path
 # --help and every refusal of theirs start without importing numpy;
 # cmd_pack and cmd_lemmas import the array layers only after the checks
 # that need no arrays, so those refusals start without numpy as well.
-from .core import MAX_DIM, DomainError, LipschitzVector, ParameterError, Rect
+from .core import (
+    BOUND_GRID_AXIS,
+    MAX_DIM,
+    MAX_GRID_POINTS,
+    DomainError,
+    LipschitzVector,
+    ParameterError,
+    Rect,
+    require_grid_n,
+    system_interval_count,
+)
 from .schedule import (
     LOG2,
     build_schedule,
@@ -141,10 +151,9 @@ def _require_seed(seed: int) -> None:
 def cmd_pack(args) -> tuple[dict, str, bool]:
     _require_seed(args.seed)
     if args.grid_n is not None:
-        from .metrics import GridSpec
-
-        GridSpec(args.grid_n)  # refuses a grid_n below 2, capped or not
+        require_grid_n(args.grid_n)  # capped or not
     eta = _parse_eta(args.eta)
+    system_interval_count(eta, args.dim)  # refuses a dim or eta out of range
     from .packing import (
         CELL_CAP,
         build_interval_system,
@@ -216,19 +225,18 @@ def cmd_schedule(args) -> tuple[dict, str, bool]:
                    f"log cover count <= {bound}", checks.ok)
 
 
-def _require_lemma_grid(dim: int, grid) -> None:
-    """Refuse a dimension, or pairs whose grids would pass MAX_GRID_POINTS.
+def _require_lemma_grid(dim: int, n: int) -> None:
+    """Refuse a grid_n below 2, a dimension, or grids past MAX_GRID_POINTS.
 
     Every pair builds grids of 17 (the bound grid), 33 (the slab heights),
     101 (gradient_mass), n and 2n - 1 nodes per axis. A failing check
     refines at most twice, to 4n - 3 and 8n - 7; such a grid past
     MAX_GRID_POINTS is refused when it is built.
     """
-    from .functions import BOUND_GRID_AXIS, MAX_GRID_POINTS
-
+    require_grid_n(n)
     if not 1 <= dim <= MAX_DIM:
         raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
-    side = max(BOUND_GRID_AXIS, 33, 101, 2 * grid.n - 1)
+    side = max(BOUND_GRID_AXIS, 33, 101, 2 * n - 1)
     if side**dim > MAX_GRID_POINTS:
         raise ParameterError(f"every pair builds a grid of {side}^{dim} "
                              f"nodes, over {MAX_GRID_POINTS}")
@@ -249,12 +257,12 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
                              f"got {args.bound!r}")
     if not 0.0 < args.rho < 0.5:
         raise ParameterError("need 0 < rho < 0.5")
+    _require_lemma_grid(args.dim, args.grid_n)
     from .functions import make_random_convex
     from .metrics import GridSpec
     from .verify import check_l1_bound, check_sup_bound, gradient_mass
 
     grid = GridSpec(args.grid_n)
-    _require_lemma_grid(args.dim, grid)
     reports = []
     all_ok = True
     for i in range(args.pairs):

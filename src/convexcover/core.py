@@ -2,8 +2,9 @@
 
 Everything here runs on Python ints, floats and Fractions. It holds what
 schedule, the assembled bounds and the CLI's refusals of schedule and
-bounds queries need, so those paths never import numpy; functions,
-metrics, packing and verify build on it.
+bounds queries need, and the grid and system-size limits behind the
+refusals of pack and lemmas queries, so those paths never import numpy;
+functions, metrics, packing and verify build on it.
 
 The exact packing counts are the side of packing's construction that
 needs no arrays: the interval count k per axis, decided in exact
@@ -26,6 +27,18 @@ from fractions import Fraction
 from typing import NamedTuple
 
 MAX_DIM = 8
+
+# Guard for tensor grids materialized in memory.
+MAX_GRID_POINTS = 10**7
+
+# Per-axis resolution of the bound-verification grid for random functions.
+BOUND_GRID_AXIS = 17
+
+# Larger interval systems are refused before anything is built: at this
+# size the exact cap checks, intercept table included, take 0.11 s (d = 4)
+# to 0.13 s (d = 2) on a 2-core x86-64 host and peak at 23 to 25 MB
+# (tracemalloc).
+SYSTEM_CELL_CAP = 2**16
 
 
 class ParameterError(ValueError):
@@ -66,6 +79,12 @@ def _report_json(obj, *properties: str) -> dict:
 def _checked_make(cls, fields):
     # NamedTuple's _make, and so _replace, skips __new__; this one does not
     return cls(*fields)
+
+
+def require_grid_n(n: int) -> None:
+    """Refuse a grid of fewer than 2 nodes per axis."""
+    if n < 2:
+        raise ParameterError("need n >= 2")
 
 
 class _RectFields(NamedTuple):
@@ -184,6 +203,15 @@ def interval_count(eta, d: int) -> int:
         k -= 1
     while fits(k + 1):
         k += 1
+    return k
+
+
+def system_interval_count(eta, d: int) -> int:
+    """interval_count(eta, d), refused past SYSTEM_CELL_CAP cells."""
+    k = interval_count(eta, d)
+    if k**d > SYSTEM_CELL_CAP:
+        raise ParameterError(f"eta too small: the system would have more "
+                             f"than {SYSTEM_CELL_CAP} cells at d={d}")
     return k
 
 

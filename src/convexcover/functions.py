@@ -18,6 +18,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
+    BOUND_GRID_AXIS,
+    MAX_GRID_POINTS,
     DomainError,
     LipschitzVector,
     ParameterError,
@@ -25,12 +27,6 @@ from .core import (
     _fstr,
     unit_rect,
 )
-
-# Per-axis resolution of the bound-verification grid for random functions.
-BOUND_GRID_AXIS = 17
-
-# Guard for tensor grids materialized in memory.
-MAX_GRID_POINTS = 10**7
 
 
 def _vertex_axes(rect: Rect, n: int) -> list[np.ndarray]:

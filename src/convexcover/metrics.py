@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import ParameterError, Rect
+from .core import ParameterError, Rect, require_grid_n
 from .functions import ConvexFunction, _vertex_axes, grid_size, tensor_points
 
 # Entries of one node-by-direction tile of the support kernel. Its three
@@ -56,8 +56,7 @@ class GridSpec:
     n: int = 101
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError("need n >= 2")
+        require_grid_n(self.n)
 
     def refined(self) -> "GridSpec":
         return GridSpec(2 * self.n - 1)
@@ -96,8 +95,7 @@ def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
 
 def vertex_grid(rect: Rect, n: int) -> np.ndarray:
     """Inclusive n-per-axis vertex grid; endpoints land exactly on the box."""
-    if n < 2:
-        raise ParameterError("need n >= 2")
+    require_grid_n(n)
     return tensor_points(_vertex_axes(rect, n))
 
 

@@ -28,13 +28,14 @@ from numpy.polynomial.legendre import leggauss
 # separation_curve is bound here for callers that look it up as
 # packing.separation_curve, as the benchmark's tracer does
 from .core import (
+    SYSTEM_CELL_CAP,
     ParameterError,
     _report_json,
     code_min_distance,
     code_target,
-    interval_count,
     separation_curve,
     separation_scale,
+    system_interval_count,
     unit_rect,
 )
 from .functions import (
@@ -50,11 +51,6 @@ from .metrics import GridSpec, quadrature_axes
 # Families larger than this in cells are refused; the code search over
 # 2^n words stops being practical and ints no longer fit two rng draws.
 CELL_CAP = 64
-
-# Larger interval systems are refused before anything is built: the exact
-# cap checks build every cell's cap, taking 1.1 s (d = 2) to 1.4 s (d = 4)
-# and peaking at 39 to 50 MB (tracemalloc) at this size.
-SYSTEM_CELL_CAP = 2**16
 
 # Keep the last interval this far below 1 so exact-rational checks of the
 # cap properties retain margin over coefficient rounding.
@@ -106,26 +102,40 @@ class IntervalSystem:
         """The base paraboloid f0, one instance for the whole system."""
         return base_paraboloid(self.dim)
 
+    @property
+    def slopes(self) -> tuple[float, ...]:
+        """(u + v)/d per interval: a cap's coefficient on an axis in it."""
+        return tuple((u + (u + self.length)) / self.dim for u in self.starts)
+
+    @cached_property
+    def intercepts(self) -> tuple[float, ...]:
+        """Every cell's cap intercept -sum(u_j v_j)/d, by linear cell index.
+
+        The products come from one per-interval table of u v and are
+        summed and divided in cap_function's order, and itertools.product
+        walks the cells in cell_from_index's row-major order, so each
+        equals cap_function's intercept bit for bit.
+        """
+        prod = [u * (u + self.length) for u in self.starts]
+        return tuple(-sum(map(prod.__getitem__, cell)) / self.dim
+                     for cell in itertools.product(range(self.k),
+                                                   repeat=self.dim))
+
     @cached_property
     def caps(self) -> tuple[Affine, ...]:
         """The affine cap of every cell, by linear cell index, built once.
 
-        Every family member and every cap check takes its caps from here,
-        so a cap is one object wherever it appears; all of them, and f0,
-        share one unit-cube domain. Each cap equals cap_function's, bit
-        for bit: its coefficients and the products in its intercept come
-        from per-interval tables of (u + v)/d and u v, summed and divided
-        in cap_function's order, and itertools.product walks the cells in
-        cell_from_index's row-major order.
+        Every family member takes its caps from here, so a cap is one
+        object wherever it appears; all of them, and f0, share one
+        unit-cube domain. Each cap equals cap_function's, bit for bit:
+        its coefficients come from slopes and its intercept from
+        intercepts.
         """
-        d = self.dim
-        ends = [self.interval(i) for i in range(self.k)]
-        slope = [(u + v) / d for u, v in ends]
-        prod = [u * v for u, v in ends]
+        slope = self.slopes
         domain = self.base.domain
-        return tuple(Affine(domain, tuple(slope[i] for i in cell),
-                            -sum(prod[i] for i in cell) / d)
-                     for cell in itertools.product(range(self.k), repeat=d))
+        cells = itertools.product(range(self.k), repeat=self.dim)
+        return tuple(Affine(domain, tuple(slope[i] for i in cell), b)
+                     for cell, b in zip(cells, self.intercepts))
 
     def cell_bounds(self, cell: tuple[int, ...]) -> tuple[tuple[float, ...],
                                                           tuple[float, ...]]:
@@ -146,10 +156,7 @@ def build_interval_system(eta, d: int) -> IntervalSystem:
     then stepped by ulps, so every endpoint sits strictly inside [0, 1).
     Refuses a system of more than SYSTEM_CELL_CAP cells before building it.
     """
-    k = interval_count(eta, d)
-    if k**d > SYSTEM_CELL_CAP:
-        raise ParameterError(f"eta too small: the system would have more "
-                             f"than {SYSTEM_CELL_CAP} cells at d={d}")
+    k = system_interval_count(eta, d)
     ef = float(Fraction(eta))
     sq = math.sqrt(ef)
     gap = 0.5 * math.sqrt(ef * (d - 1))
@@ -557,6 +564,11 @@ class CapPropertyReport:
         at most 1, every cell.
     above_inside: cap >= f0 at sampled interior points of its own cell.
     below_outside: cap <= f0 at sampled points of other cells.
+
+    The three point counts are those of the sampled design, a quarter,
+    a quarter and the rest of the samples budget. When the decision over
+    every lattice point clears the system, nothing is drawn and each
+    counted check is proven to pass; otherwise they are the checks made.
     """
 
     affine_checks: int
@@ -578,18 +590,109 @@ class CapPropertyReport:
         return _report_json(self, "ok")
 
 
+def _dyadic_ints(x: np.ndarray) -> tuple[int, np.ndarray]:
+    """2^E, the least power of two making every x 2^E an integer, and those.
+
+    The integers are Python ints in a dtype=object array. Each finite
+    float is m 2^(e - 53) with m its 53-bit integer mantissa; with t the
+    trailing zero bits of m, it is (m >> t) 2^(e - 53 + t), so its
+    denominator is 2^(53 - e - t) when that exponent is positive.
+    """
+    if not np.isfinite(x).all():
+        raise ParameterError("the system's endpoints must be finite")
+    frac, e = np.frexp(x)
+    m = np.ldexp(frac, 53).astype(np.int64)
+    t = np.where(m == 0, 0, np.frexp((m & -m).astype(float))[1] - 1)
+    den = np.where(m == 0, 0, 53 - e - t)
+    power = max(int(den.max()), 0)
+    return 1 << power, np.left_shift((m >> t).astype(object),
+                                     (power - den).astype(object))
+
+
+def _lattice_clear(d: int, ticks: int, lo: np.ndarray, width: np.ndarray,
+                   slope: np.ndarray, icpt: np.ndarray,
+                   intervals: np.ndarray) -> bool:
+    """Whether no lattice point can fail above_inside or below_outside.
+
+    The lattice is every point a sampled check can draw: on each axis of
+    a cell, X = lo + a W with a in 1..ticks-1, where lo is the axis'
+    interval start times D = 2^E ticks, W its width times 2^E, and X is
+    over D. With K = d ticks, C_i the slope of interval i times 2^E and
+    B_c the intercept of cap c times 2^E D, d ticks (2^E D cap_c) minus
+    sum X_j^2 is
+
+        F_c(X) = K B_c + sum_j g_{i_j}(X_j),
+        g_i(X) = K C_i X - X^2 = P_i^2 - (X - P_i)^2,
+
+    for i_j cap c's interval on axis j, where the vertex P_i = K C_i / 2
+    is an integer (ticks is even). above_inside fails where F < 0 on c's
+    own cell, below_outside where F > 0 on another. So, per interval:
+
+    - gmin[i], the smallest g_i on interval i's lattice, is at a = 1 or
+      a = ticks - 1, the lattice point farther from P_i; a cell is
+      cleared for above_inside when K B_c + sum_j gmin[i_j] >= 0;
+    - own[i], the largest g_i there, is at the lattice point nearest P_i,
+      and oth[i], the largest on intervals i - 1 and i + 1, at the nearer
+      of i + 1's first point and i - 1's last.
+
+    That needs every vertex inside its own interval's lattice span and
+    the spans in order without overlap. Then no interval holds a larger
+    g_i than own[i], nor one other than i a larger one than oth[i], so
+    over the cells other than c, F_c is at most
+    K B_c + sum_j own[i_j] + max_j (oth[i_j] - own[i_j]), the cheapest
+    one-axis switch, and c is cleared for below_outside when that is <= 0.
+
+    A broken guard clears nothing. Every step is elementwise on
+    dtype=object arrays of Python ints: O(k) per interval, O(n d) per cell.
+    """
+    first = lo + width  # a = 1
+    last = lo + (ticks - 1) * width
+    vertex = slope * (d * ticks // 2)
+    if (width < 0).any() or (vertex < first).any() or (vertex > last).any() \
+            or (last[:-1] > first[1:]).any():
+        return False
+    peak = vertex * vertex
+    far = np.maximum(vertex - first, last - vertex)
+    gmin = peak - far * far
+    base = icpt * (d * ticks)
+    if (base + gmin[intervals].sum(axis=1) < 0).any():
+        return False
+    if len(lo) == 1:  # one cell: there is no other cell to stay below f0 on
+        return True
+    # the nearest lattice point of the own interval; a point interval
+    # (width 0) holds its vertex
+    off = (vertex - first) % np.where(width == 0, 1, width)
+    near = np.minimum(off, width - off)
+    own = peak - near * near
+    # the nearest point of the neighbours: i + 1's first, i - 1's last
+    right = first[1:] - vertex[:-1]
+    left = vertex[1:] - last[:-1]
+    step = np.minimum(np.append(right, left[-1]), np.insert(left, 0, right[0]))
+    switch = near * near - step * step  # oth[i] - own[i]
+    top = base + own[intervals].sum(axis=1) + switch[intervals].max(axis=1)
+    return not (top > 0).any()
+
+
 def verify_cap_properties(system: IntervalSystem, samples: int = 2000,
                           seed: int = 0) -> CapPropertyReport:
-    """Exact spot checks of the four cap properties, in integers.
+    """Exact checks of the four cap properties, in integers.
 
     Every cap coefficient, intercept and cell endpoint is a float, hence a
     dyadic rational, so one common power of two 2^E scales them all to
     integers. A sampled coordinate u + a/10^6 (v - u) is then X / D with
     X = U 10^6 + a (V - U) and D = 2^E 10^6, and with the denominators
     cleared every comparison is one comparison of Python ints, decided
-    without rounding. Sampled points are strictly interior to their cells;
-    the samples budget is split across the point-sampled properties, and
-    the corner check covers every cell once. The caps are the system's own.
+    without rounding. The samples budget is split across the
+    point-sampled properties, and the corner check covers every cell once.
+    The tables are per interval (starts, widths, slopes) and per cell (the
+    system's intercepts); no cap object is built.
+
+    Before any draw, _lattice_clear decides above_inside and below_outside
+    over every point the draws could reach. When it clears the system,
+    the report keeps the sampled design's counts, each of those checks
+    proven to pass, with no draw made; the affine identity holds for
+    every affine map, so its checks pass too. Otherwise the points are
+    drawn and checked:
 
     A property's draws come from one rng.integers call with per-draw bound
     arrays per DRAW_BLOCK samples; numpy draws each element as a scalar
@@ -600,28 +703,40 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 2000,
     """
     if samples < 4:
         raise ParameterError("need samples >= 4")
-    rng = np.random.default_rng(seed)
     d = system.dim
     n = system.n_cells
     failures: list[str] = []
-    caps = system.caps
-    ends = [system.interval(i) for i in range(system.k)]
-    exact = [*ends, *((*cap.coeffs, cap.intercept) for cap in caps)]
-    scale = max(x.as_integer_ratio()[1] for xs in exact for x in xs)  # 2^E
-
-    def scaled(x: float) -> int:
-        num, q = x.as_integer_ratio()
-        return num * (scale // q)
-
+    k = system.k
+    starts = np.array(system.starts)
+    scale, ints = _dyadic_ints(np.concatenate(
+        (starts, starts + system.length, system.slopes, system.intercepts)))
     ticks = 10**6  # a sampled coordinate is u + a/ticks (v - u)
     denom = scale * ticks  # D
-    # per cell: coefficients times 2^E, intercept times 2^E D, interval indices
-    coeffs = np.array([[*map(scaled, cap.coeffs)] for cap in caps], dtype=object)
-    icpt = np.array([scaled(cap.intercept) * denom for cap in caps], dtype=object)
-    intervals = np.stack(np.unravel_index(np.arange(n), (system.k,) * d), axis=1)
-    # per interval: start times D and width times 2^E
-    lo = np.array([scaled(u) * ticks for u, _ in ends], dtype=object)
-    width = np.array([scaled(v) - scaled(u) for u, v in ends], dtype=object)
+    # per interval: start times D, width and slope times 2^E
+    lo = ints[:k] * ticks
+    width = ints[k:2 * k] - ints[:k]
+    slope = ints[2 * k:3 * k]
+    # per cell: intercept times 2^E D, interval indices, coefficients
+    icpt = ints[3 * k:] * denom
+    intervals = np.stack(np.unravel_index(np.arange(n), (k,) * d), axis=1)
+    coeffs = slope[intervals]
+
+    # corner: every cell once; the all-ones corner has numerators D
+    negative = (slope < 0)[intervals].any(axis=1)
+    high = icpt + coeffs.sum(axis=1) * denom > scale * denom
+    for idx in np.flatnonzero(negative | high):
+        if negative[idx]:
+            failures.append(f"cell {idx}: negative coefficient")
+        if high[idx]:
+            failures.append(f"cell {idx}: corner value above 1")
+
+    n_affine = n_above = samples // 4
+    n_below = samples - n_affine - n_above if n >= 2 else 0
+    if _lattice_clear(d, ticks, lo, width, slope, icpt, intervals):
+        return CapPropertyReport(n_affine, n, n_above, n_below,
+                                 tuple(failures))
+
+    rng = np.random.default_rng(seed)
 
     def draws(count: int, lows: list[int], highs: list[int]):
         # count rows of draws in [lows, highs), one row per sampled check
@@ -636,18 +751,6 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 2000,
     def cap_num(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         # 2^E D cap(x), for points x given by their numerators over D
         return icpt[idx] + (coeffs[idx] * x).sum(axis=1)
-
-    # corner: every cell once; the all-ones corner has numerators D
-    negative = (coeffs < 0).any(axis=1)
-    high = icpt + coeffs.sum(axis=1) * denom > scale * denom
-    for idx in np.flatnonzero(negative | high):
-        if negative[idx]:
-            failures.append(f"cell {idx}: negative coefficient")
-        if high[idx]:
-            failures.append(f"cell {idx}: corner value above 1")
-
-    n_affine = n_above = samples // 4
-    n_below = samples - n_affine - n_above if n >= 2 else 0
 
     # a cell, an interior point of it, and a point anywhere in the cube
     for a in draws(n_affine, [0] + [1] * d + [0] * d, [n] + [ticks] * (2 * d)):

@@ -1,6 +1,8 @@
 """Interval systems, caps, codes, and the separation certificate."""
 
+import itertools
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -51,6 +53,7 @@ from convexcover.packing import (
     SYSTEM_CELL_CAP,
     _cap_box,
     _family_values,
+    _lattice_clear,
     _popcounts,
     require_certificate_budget,
 )
@@ -223,10 +226,12 @@ def test_cap_interpolates_the_chord_exactly():
 ])
 def test_tabled_caps_equal_cap_function_bit_for_bit(eta, d):
     system = build_interval_system(eta, d)
-    assert len(system.caps) == system.n_cells
+    assert len(system.caps) == len(system.intercepts) == system.n_cells
     for i, cap in enumerate(system.caps):
         want = cap_function(system, system.cell_from_index(i))
         assert [*map(repr, cap.coeffs)] == [*map(repr, want.coeffs)]
+        # the cap checks read the intercept table, not the caps
+        assert repr(system.intercepts[i]) == repr(want.intercept)
         assert repr(cap.intercept) == repr(want.intercept)
         assert cap.domain is system.base.domain
 
@@ -279,6 +284,12 @@ _DOCTORED = {
     # four cells on one dyadic point: every sampled cap equals f0 exactly
     "point": IntervalSystem(eta=0.0, dim=2, k=2, length=0.0, gap=0.0,
                             starts=(0.25, 0.25)),
+    # a gap 3.6 ticks short of L (sqrt(2) - 1) / 2: a cap rises above f0
+    # on a cell beside it only within 3 ticks of their shared edge and
+    # 1,910 of the middle of its own interval, 8,625 of that cell's 10^12
+    # lattice points, where no draw lands
+    "grazing": IntervalSystem(eta=0.0625, dim=2, k=2, length=0.25,
+                              gap=0.0517758, starts=(0.0, 0.3017758)),
 }
 
 
@@ -419,6 +430,144 @@ def test_cap_properties_catch_overlapping_cells():
     assert report.below_checks == 200
     assert 0 < len(report.failures) < 200
     assert all("cap above base in cell" in msg for msg in report.failures)
+
+
+# -- the exact decision over every lattice point ------------------------------
+
+
+def _refuse_draws(seed):
+    raise AssertionError("the cap checks drew samples")
+
+
+# every system the benchmark builds, the CI's 1,764-cell system and _BUILT
+_CLEARED = [(Fraction(1, 25), 1), (Fraction(1, 1225), 1),
+            (Fraction(1, 1600), 1), (Fraction(1, 2025), 1),
+            (Fraction(1, 25), 2), (Fraction(1, 36), 2), (Fraction(1, 49), 2),
+            (0.0025, 2), (Fraction(1, 4096), 2), (_BUILT[3], 3),
+            (_BUILT[4], 4)]
+
+
+@pytest.mark.parametrize("eta, d", _CLEARED)
+def test_the_cap_checks_draw_nothing_on_built_systems(eta, d, monkeypatch):
+    system = build_interval_system(eta, d)
+    want = _reference_cap_properties(system, 2000, 0)
+    monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
+    assert verify_cap_properties(system) == want
+
+
+def test_the_cap_checks_draw_nothing_at_31622_cells(monkeypatch):
+    # the Fraction reference takes too long here; the sampled checks
+    # passed this system before the exact decision ran first
+    system = build_interval_system(1e-9, 1)
+    monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
+    assert verify_cap_properties(system) == CapPropertyReport(
+        500, 31622, 500, 1000, ())
+
+
+@pytest.mark.parametrize("name", ["centered", "point"])
+def test_the_cap_checks_clear_doctored_systems_that_hold(name, monkeypatch):
+    # point: F = 0 at every lattice point, which passes both checks
+    system = _DOCTORED[name]
+    want = _reference_cap_properties(system, 2000, 0)
+    assert want.ok
+    monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
+    assert verify_cap_properties(system) == want
+
+
+def test_the_cap_checks_draw_where_a_lattice_point_fails(monkeypatch):
+    system = _DOCTORED["grazing"]
+    cap = cap_function(system, (0, 0))
+    u, v = (Fraction(x) for x in system.interval(1))
+
+    def excess(a, b):
+        # cap (0, 0) - f0 at lattice point (a, b) of cell (0, 1)
+        x = (Fraction(a, 10**6) * Fraction(system.length),
+             u + Fraction(b, 10**6) * (v - u))
+        return (Fraction(cap.intercept) - sum(t * t for t in x) / 2
+                + sum(Fraction(c) * t for c, t in zip(cap.coeffs, x)))
+
+    rising = [excess(500_000, b) > 0 for b in range(1, 6)]
+    assert rising == [True, True, True, False, False]
+    seeds = []
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: seeds.append(seed) or real_rng(seed))
+    report = verify_cap_properties(system, seed=3)
+    assert seeds == [3] and report.ok
+    assert report == _reference_cap_properties(system, 2000, 3)
+
+
+def _lattice_extremes(d, ticks, lo, width, slope):
+    # per cap c, sum_j g(X_j) = F_c - d ticks B_c at every lattice point,
+    # one at a time: its least value on c's own cell and its largest on
+    # any other (None with one cell); lo and width in lattice units, the
+    # points being X = lo + a width
+    k = len(lo)
+    cells = list(itertools.product(range(k), repeat=d))
+    axes = [[lo[i] + a * width[i] for a in range(1, ticks)] for i in range(k)]
+    out = []
+    for cell in cells:
+        def g(other):
+            return [sum((d * ticks * slope[i] - x) * x
+                        for i, x in zip(cell, xs))
+                    for xs in itertools.product(*(axes[i] for i in other))]
+        out.append((min(g(cell)), max((v for other in cells if other != cell
+                                       for v in g(other)), default=None)))
+    return out
+
+
+def test_the_lattice_decision_is_exact_under_its_guards():
+    # small integer tables on lattices of 1, 3 or 5 points per axis, laid
+    # out as a built system's are, give or take a tick: the cells are
+    # cleared exactly when no lattice point fails, every vertex lies in
+    # its own interval's lattice span and the spans are in order. Most
+    # intercepts sit a tick either side of the edge of what the cap's own
+    # cell or the other cells allow.
+    rand = random.Random(5)
+    counts = {"cleared": 0, "tight": 0, "guarded fails": 0, "unguarded": 0}
+    for _ in range(1500):
+        d = rand.choice((1, 1, 2, 2, 3))
+        k = rand.choice((1, 2, 2, 3) if d < 3 else (1, 2))
+        ticks = rand.choice((2, 4, 6))
+        scale_k = d * ticks
+        # X = lo + a width on the axis, over at + [0, w] in units of
+        # scale_k; slope scale_k / 2 is the vertex, at the middle give or
+        # take a few half units
+        lo, width, slope = [], [], []
+        at = rand.randrange(-20, 20)
+        for _ in range(k):
+            w = rand.choice((0, 1, 2, 3, 5, 8))
+            lo.append(at * scale_k)
+            width.append(w * d)
+            slope.append(2 * at + w + rand.choice((-2, -1, 0, 0, 0, 1, 2)))
+            at += w + rand.choice((-1, 0, 1, w // 4 + 1, w // 2 + 1))
+        icpt = []
+        for low, high in _lattice_extremes(d, ticks, lo, width, slope):
+            edge = rand.choice((-(low // scale_k), -(low // scale_k),
+                                -(high // scale_k) if high is not None else 0,
+                                rand.randrange(-400, 40)))
+            icpt.append(edge + rand.choice((-1, 0, 0, 1)))
+        fails = tight = False
+        for b, (low, high) in zip(icpt, _lattice_extremes(d, ticks, lo, width,
+                                                          slope)):
+            fails |= scale_k * b + low < 0 or (high is not None
+                                               and scale_k * b + high > 0)
+            tight |= scale_k * b + low == 0 or scale_k * b + (high or 1) == 0
+        tables = [np.array(t, dtype=object) for t in (lo, width, slope, icpt)]
+        intervals = np.stack(np.unravel_index(np.arange(k**d), (k,) * d),
+                             axis=1)
+        got = _lattice_clear(d, ticks, *tables, intervals)
+        first = [u + w for u, w in zip(lo, width)]
+        last = [u + (ticks - 1) * w for u, w in zip(lo, width)]
+        guarded = all(f <= s * scale_k // 2 <= t
+                      for f, s, t in zip(first, slope, last)) \
+            and all(t <= f for t, f in zip(last, first[1:]))
+        assert got == (guarded and not fails)
+        counts["guarded fails"] += guarded and fails
+        counts["unguarded"] += not guarded
+        counts["cleared"] += got
+        counts["tight"] += got and tight
+    assert min(counts.values()) > 20, counts
 
 
 # -- binary codes -------------------------------------------------------------
@@ -605,6 +754,19 @@ def test_packing_certificate_on_a_small_family():
     assert cert.eps_consistent
     keys = set(cert.to_json())
     assert {"eta", "min_margin", "ok", "pairs_checked"} <= keys
+
+
+def test_certificate_states_an_eps_past_the_separation_floor():
+    fam = build_packing_family(Fraction(1, 25), 1)
+    # the caps of 1/25, the counts of eta 1/2500: min_distance zeta is
+    # then 0.32 eps
+    system = replace(fam.system, eta=fam.system.eta / 100)
+    doctored = replace(fam, system=system)
+    cert = packing_certificate(doctored)
+    assert cert.separation_floor < cert.eps
+    assert cert.failures == 0 and cert.shortfall == 0
+    assert not cert.eps_consistent and not cert.ok
+    assert packing_certificate(fam).eps_consistent
 
 
 def _reference_certificate(family, grid_n, tol=1e-6):
