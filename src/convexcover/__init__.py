@@ -39,8 +39,8 @@ _HOMES = {
         "CapPropertyReport", "CodeSearchResult", "IntervalSystem",
         "PackingCertificate", "PackingFamily", "build_interval_system",
         "build_packing_family", "cap_function", "cell_gap",
-        "cell_gap_quadrature", "greedy_binary_code", "packing_certificate",
-        "perturbed_function", "verify_cap_properties"], "packing"),
+        "greedy_binary_code", "packing_certificate", "perturbed_function",
+        "verify_cap_properties"], "packing"),
     **dict.fromkeys([
         "CoverAccounting", "EntropyBounds", "Schedule", "ScheduleChecks",
         "build_schedule", "cover_accounting", "entropy_bounds",

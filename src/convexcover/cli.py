@@ -171,7 +171,7 @@ def cmd_pack(args) -> tuple[dict, str, bool]:
         family = build_packing_family(eta, args.dim, seed=args.seed)
         # an equal system that already holds the caps the family shares
         system = family.system
-    report = verify_cap_properties(system, seed=args.seed)
+    report = verify_cap_properties(system)
     curve = separation_curve(eta, args.dim)
     files = {"interval_system.json": system.to_json(),
              "cap_report.json": report.to_json(),

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 # separation_curve is bound here for callers that look it up as
 # packing.separation_curve, as the benchmark's tracer does
@@ -60,13 +59,6 @@ _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
 
 # Largest float64 value matrix, in bytes, that a certificate may ask for.
 MAX_VALUE_BYTES = 2 * 10**9
-
-# Samples per rng.integers call of the cap checks, each block decided at
-# once on object arrays of Python ints: it bounds their memory whatever
-# samples is. At d = 8 a run of full blocks peaked at 7.5 MB (tracemalloc,
-# a one-cell system, 2^16 samples); 2^14 peaked at 27.9 MB. The drawn
-# stream does not depend on it.
-DRAW_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -210,32 +202,6 @@ def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
 def cell_gap(eta, d: int) -> float:
     """Closed form of the per-cell integral of cap - f0: eta^(d/2+1)/6."""
     return float(Fraction(eta)) ** (0.5 * d + 1.0) / 6.0
-
-
-def cell_gap_quadrature(system: IntervalSystem, cell: tuple[int, ...],
-                        n_per_axis: int = 4) -> float:
-    """Gauss-Legendre integral of cap - f0 over the cell.
-
-    The integrand is quadratic, so any n_per_axis >= 2 is exact up to
-    roundoff; the parameter exists to demonstrate stability under
-    refinement.
-    """
-    if n_per_axis < 2:
-        raise ParameterError("need n_per_axis >= 2")
-    lo, hi = system.cell_bounds(cell)
-    xi, wi = leggauss(n_per_axis)
-    axes, wts = [], []
-    for u, v in zip(lo, hi):
-        mid, half = (u + v) / 2.0, (v - u) / 2.0
-        axes.append(mid + half * xi)
-        wts.append(half * wi)
-    pts = tensor_points(axes)
-    w = wts[0]
-    for extra in wts[1:]:
-        w = np.multiply.outer(w, extra).ravel()
-    diff = cap_function(system, cell).values(pts) - \
-        base_paraboloid(system.dim).values(pts)
-    return float(w @ diff)
 
 
 # -- binary codes ---------------------------------------------------------
@@ -562,13 +528,13 @@ class CapPropertyReport:
         in Q for every affine map and cannot fail; cap_report.json counts it.
     corner: coefficients nonnegative and cap value at the all-ones corner
         at most 1, every cell.
-    above_inside: cap >= f0 at sampled interior points of its own cell.
-    below_outside: cap <= f0 at sampled points of other cells.
+    above_inside: cap >= f0 at every lattice point of its own cell.
+    below_outside: cap <= f0 at every lattice point of every other cell.
 
-    The three point counts are those of the sampled design, a quarter,
-    a quarter and the rest of the samples budget. When the decision over
-    every lattice point clears the system, nothing is drawn and each
-    counted check is proven to pass; otherwise they are the checks made.
+    The three point counts are fixed, 500 affine, 500 above and 1000
+    below (none with one cell), and so is the corner count, one per cell.
+    Each is decided over every lattice point, so a report without
+    failures proves every counted check passes.
     """
 
     affine_checks: int
@@ -609,17 +575,16 @@ def _dyadic_ints(x: np.ndarray) -> tuple[int, np.ndarray]:
                                      (power - den).astype(object))
 
 
-def _lattice_clear(d: int, ticks: int, lo: np.ndarray, width: np.ndarray,
-                   slope: np.ndarray, icpt: np.ndarray,
-                   intervals: np.ndarray) -> bool:
-    """Whether no lattice point can fail above_inside or below_outside.
+def _lattice_failures(d: int, ticks: int, lo: np.ndarray, width: np.ndarray,
+                      slope: np.ndarray, icpt: np.ndarray,
+                      intervals: np.ndarray) -> list[str]:
+    """above_inside and below_outside failures, once per failing cap each.
 
-    The lattice is every point a sampled check can draw: on each axis of
-    a cell, X = lo + a W with a in 1..ticks-1, where lo is the axis'
-    interval start times D = 2^E ticks, W its width times 2^E, and X is
-    over D. With K = d ticks, C_i the slope of interval i times 2^E and
-    B_c the intercept of cap c times 2^E D, d ticks (2^E D cap_c) minus
-    sum X_j^2 is
+    The lattice is, on each axis of a cell, X = lo + a W with a in
+    1..ticks-1, where lo is the axis' interval start times D = 2^E ticks,
+    W its width times 2^E, and X is over D. With K = d ticks, C_i the
+    slope of interval i times 2^E and B_c the intercept of cap c times
+    2^E D, d ticks (2^E D cap_c) minus sum X_j^2 is
 
         F_c(X) = K B_c + sum_j g_{i_j}(X_j),
         g_i(X) = K C_i X - X^2 = P_i^2 - (X - P_i)^2,
@@ -629,8 +594,8 @@ def _lattice_clear(d: int, ticks: int, lo: np.ndarray, width: np.ndarray,
     own cell, below_outside where F > 0 on another. So, per interval:
 
     - gmin[i], the smallest g_i on interval i's lattice, is at a = 1 or
-      a = ticks - 1, the lattice point farther from P_i; a cell is
-      cleared for above_inside when K B_c + sum_j gmin[i_j] >= 0;
+      a = ticks - 1, the lattice point farther from P_i; cap c fails
+      above_inside when K B_c + sum_j gmin[i_j] < 0;
     - own[i], the largest g_i there, is at the lattice point nearest P_i,
       and oth[i], the largest on intervals i - 1 and i + 1, at the nearer
       of i + 1's first point and i - 1's last.
@@ -638,71 +603,68 @@ def _lattice_clear(d: int, ticks: int, lo: np.ndarray, width: np.ndarray,
     That needs every vertex inside its own interval's lattice span and
     the spans in order without overlap. Then no interval holds a larger
     g_i than own[i], nor one other than i a larger one than oth[i], so
-    over the cells other than c, F_c is at most
+    over the cells other than c, F_c peaks at
     K B_c + sum_j own[i_j] + max_j (oth[i_j] - own[i_j]), the cheapest
-    one-axis switch, and c is cleared for below_outside when that is <= 0.
+    one-axis switch, and cap c fails below_outside when that is > 0. The
+    message names the cell the switch reaches, which holds that peak.
 
-    A broken guard clears nothing. Every step is elementwise on
-    dtype=object arrays of Python ints: O(k) per interval, O(n d) per cell.
+    A broken guard decides nothing: it is one "undecided" failure. Every
+    step is elementwise on dtype=object arrays of Python ints: O(k) per
+    interval, O(n d) per cell.
     """
     first = lo + width  # a = 1
     last = lo + (ticks - 1) * width
     vertex = slope * (d * ticks // 2)
     if (width < 0).any() or (vertex < first).any() or (vertex > last).any() \
             or (last[:-1] > first[1:]).any():
-        return False
+        return ["undecided: spans out of order or a vertex outside its span"]
     peak = vertex * vertex
     far = np.maximum(vertex - first, last - vertex)
     gmin = peak - far * far
     base = icpt * (d * ticks)
-    if (base + gmin[intervals].sum(axis=1) < 0).any():
-        return False
-    if len(lo) == 1:  # one cell: there is no other cell to stay below f0 on
-        return True
+    failures = [f"cell {c}: cap below base inside own cell" for c in
+                np.flatnonzero(base + gmin[intervals].sum(axis=1) < 0)]
+    k = len(lo)
+    if k == 1:  # one cell: there is no other cell to stay below f0 on
+        return failures
     # the nearest lattice point of the own interval; a point interval
     # (width 0) holds its vertex
     off = (vertex - first) % np.where(width == 0, 1, width)
     near = np.minimum(off, width - off)
     own = peak - near * near
-    # the nearest point of the neighbours: i + 1's first, i - 1's last
+    # the nearest point of the neighbours: i + 1's first, i - 1's last;
+    # the first interval has only i + 1, the last only i - 1
     right = first[1:] - vertex[:-1]
     left = vertex[1:] - last[:-1]
-    step = np.minimum(np.append(right, left[-1]), np.insert(left, 0, right[0]))
-    switch = near * near - step * step  # oth[i] - own[i]
-    top = base + own[intervals].sum(axis=1) + switch[intervals].max(axis=1)
-    return not (top > 0).any()
+    ahead = np.append(right, left[-1])
+    behind = np.insert(left, 0, right[0])
+    toward = np.where(ahead <= behind, 1, -1)
+    toward[-1] = -1
+    step = np.minimum(ahead, behind)
+    switch = (near * near - step * step)[intervals]  # oth[i] - own[i]
+    top = base + own[intervals].sum(axis=1) + switch.max(axis=1)
+    for c in np.flatnonzero(top > 0):
+        j = int(np.argmax(switch[c]))  # the axis of the cheapest switch
+        other = c + toward[intervals[c, j]] * k ** (d - 1 - j)
+        failures.append(f"cell {c}: cap above base in cell {other}")
+    return failures
 
 
-def verify_cap_properties(system: IntervalSystem, samples: int = 2000,
-                          seed: int = 0) -> CapPropertyReport:
+def verify_cap_properties(system: IntervalSystem) -> CapPropertyReport:
     """Exact checks of the four cap properties, in integers.
 
     Every cap coefficient, intercept and cell endpoint is a float, hence a
     dyadic rational, so one common power of two 2^E scales them all to
-    integers. A sampled coordinate u + a/10^6 (v - u) is then X / D with
+    integers. A lattice coordinate u + a/10^6 (v - u) is then X / D with
     X = U 10^6 + a (V - U) and D = 2^E 10^6, and with the denominators
     cleared every comparison is one comparison of Python ints, decided
-    without rounding. The samples budget is split across the
-    point-sampled properties, and the corner check covers every cell once.
-    The tables are per interval (starts, widths, slopes) and per cell (the
-    system's intercepts); no cap object is built.
-
-    Before any draw, _lattice_clear decides above_inside and below_outside
-    over every point the draws could reach. When it clears the system,
-    the report keeps the sampled design's counts, each of those checks
-    proven to pass, with no draw made; the affine identity holds for
-    every affine map, so its checks pass too. Otherwise the points are
-    drawn and checked:
-
-    A property's draws come from one rng.integers call with per-draw bound
-    arrays per DRAW_BLOCK samples; numpy draws each element as a scalar
-    call with its bounds would, so the points are those of one scalar call
-    per draw, in order: a cell index, then each coordinate. Each block is
-    decided at once, elementwise on dtype=object arrays of Python ints
-    from per-system tables; Python formats only the failures' messages.
+    without rounding. The corner check covers every cell once, and
+    _lattice_failures decides above_inside and below_outside over every
+    lattice point of every cell. The tables are per interval (starts,
+    widths, slopes) and per cell (the system's intercepts); no cap object
+    is built. The affine identity holds for every affine map, so its
+    counted checks pass.
     """
-    if samples < 4:
-        raise ParameterError("need samples >= 4")
     d = system.dim
     n = system.n_cells
     failures: list[str] = []
@@ -710,71 +672,25 @@ def verify_cap_properties(system: IntervalSystem, samples: int = 2000,
     starts = np.array(system.starts)
     scale, ints = _dyadic_ints(np.concatenate(
         (starts, starts + system.length, system.slopes, system.intercepts)))
-    ticks = 10**6  # a sampled coordinate is u + a/ticks (v - u)
+    ticks = 10**6  # a lattice coordinate is u + a/ticks (v - u)
     denom = scale * ticks  # D
     # per interval: start times D, width and slope times 2^E
     lo = ints[:k] * ticks
     width = ints[k:2 * k] - ints[:k]
     slope = ints[2 * k:3 * k]
-    # per cell: intercept times 2^E D, interval indices, coefficients
+    # per cell: intercept times 2^E D, interval indices
     icpt = ints[3 * k:] * denom
     intervals = np.stack(np.unravel_index(np.arange(n), (k,) * d), axis=1)
-    coeffs = slope[intervals]
 
     # corner: every cell once; the all-ones corner has numerators D
     negative = (slope < 0)[intervals].any(axis=1)
-    high = icpt + coeffs.sum(axis=1) * denom > scale * denom
+    high = icpt + slope[intervals].sum(axis=1) * denom > scale * denom
     for idx in np.flatnonzero(negative | high):
         if negative[idx]:
             failures.append(f"cell {idx}: negative coefficient")
         if high[idx]:
             failures.append(f"cell {idx}: corner value above 1")
 
-    n_affine = n_above = samples // 4
-    n_below = samples - n_affine - n_above if n >= 2 else 0
-    if _lattice_clear(d, ticks, lo, width, slope, icpt, intervals):
-        return CapPropertyReport(n_affine, n, n_above, n_below,
-                                 tuple(failures))
-
-    rng = np.random.default_rng(seed)
-
-    def draws(count: int, lows: list[int], highs: list[int]):
-        # count rows of draws in [lows, highs), one row per sampled check
-        for start in range(0, count, DRAW_BLOCK):
-            size = (min(DRAW_BLOCK, count - start), len(lows))
-            yield rng.integers(lows, highs, size=size)
-
-    def point(cell: np.ndarray, a: np.ndarray) -> np.ndarray:
-        # numerators over D of the interior points a/ticks of the cells
-        return lo[intervals[cell]] + a.astype(object) * width[intervals[cell]]
-
-    def cap_num(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # 2^E D cap(x), for points x given by their numerators over D
-        return icpt[idx] + (coeffs[idx] * x).sum(axis=1)
-
-    # a cell, an interior point of it, and a point anywhere in the cube
-    for a in draws(n_affine, [0] + [1] * d + [0] * d, [n] + [ticks] * (2 * d)):
-        idx = a[:, 0]
-        x = point(idx, a[:, 1:d + 1])
-        y = a[:, d + 1:].astype(object) * scale
-        # 2^E D 2 cap((x + y) / 2); the midpoint's numerators over 2D are x + y
-        twice_mid = cap_num(idx, x + y) + icpt[idx]
-        broken = cap_num(idx, x) + cap_num(idx, y) != twice_mid
-        failures += [f"cell {i}: midpoint identity broken" for i in idx[broken]]
-
-    # cap(x) < f0(x) = sum X_j^2 / (d D^2) iff d 10^6 cap_num(x) < sum X_j^2
-    for a in draws(n_above, [0] + [1] * d, [n] + [ticks] * d):
-        x = point(a[:, 0], a[:, 1:])
-        below = d * ticks * cap_num(a[:, 0], x) < (x * x).sum(axis=1)
-        failures += [f"cell {i}: cap below base inside own cell"
-                     for i in a[below, 0]]
-
-    # a cap, another cell, and an interior point of that cell
-    for a in draws(n_below, [0, 0] + [1] * d, [n, n - 1] + [ticks] * d):
-        idx, other = a[:, 0], a[:, 1] + (a[:, 1] >= a[:, 0])
-        x = point(other, a[:, 2:])
-        above = d * ticks * cap_num(idx, x) > (x * x).sum(axis=1)
-        failures += [f"cell {i}: cap above base in cell {j}"
-                     for i, j in zip(idx[above], other[above])]
-
-    return CapPropertyReport(n_affine, n, n_above, n_below, tuple(failures))
+    failures += _lattice_failures(d, ticks, lo, width, slope, icpt, intervals)
+    return CapPropertyReport(500, n, 500, 1000 if n >= 2 else 0,
+                             tuple(failures))

@@ -21,7 +21,6 @@ from convexcover import (
     build_packing_family,
     build_schedule,
     cell_gap,
-    cell_gap_quadrature,
     check_l1_bound,
     check_sup_bound,
     code_min_distance,
@@ -84,8 +83,7 @@ def test_c02_cap_properties_exact(capsys):
     total = 0
     try:
         for eta, d in cases:
-            report = verify_cap_properties(build_interval_system(eta, d),
-                                           samples=10_000)
+            report = verify_cap_properties(build_interval_system(eta, d))
             assert report.ok, f"cap property failed at eta={eta} d={d}: " \
                               f"{report.failures[:3]}"
             total += report.total_checks
@@ -96,6 +94,20 @@ def test_c02_cap_properties_exact(capsys):
                     f"({total} exact-rational checks over {len(cases)} systems)")
 
 
+def _exact_cell_gap(system, idx) -> Fraction:
+    # the integral of cap - f0 over cell idx, in Fractions: over a box,
+    # x_j averages (u + v) / 2 and x_j^2 averages (u^2 + u v + v^2) / 3
+    cap = system.caps[idx]
+    lo, hi = system.cell_bounds(system.cell_from_index(idx))
+    mean = Fraction(cap.intercept)
+    volume = Fraction(1)
+    for c, u, v in zip(cap.coeffs, map(Fraction, lo), map(Fraction, hi)):
+        mean += (Fraction(c) * (u + v) / 2
+                 - (u * u + u * v + v * v) / (3 * system.dim))
+        volume *= v - u
+    return mean * volume
+
+
 def test_c03_cell_gap_closed_form(capsys):
     worst = 0.0
     try:
@@ -103,15 +115,14 @@ def test_c03_cell_gap_closed_form(capsys):
             system = build_interval_system(Fraction(1, 25), d)
             closed = cell_gap(Fraction(1, 25), d)
             for idx in (0, system.n_cells - 1):
-                quad = cell_gap_quadrature(system,
-                                           system.cell_from_index(idx))
-                worst = max(worst, abs(quad - closed))
+                exact = _exact_cell_gap(system, idx)
+                worst = max(worst, abs(float(exact - Fraction(closed))))
         assert worst <= 1e-8, f"worst deviation {worst:.3e}"
     except AssertionError as exc:
         _report(capsys, f"C03 cell gap closed form: FAIL ({exc})")
         raise
     _report(capsys, f"C03 cell gap closed form: pass "
-                    f"(worst quadrature deviation {worst:.2e} <= 1e-8)")
+                    f"(worst exact-integral deviation {worst:.2e} <= 1e-8)")
 
 
 def test_c04_code_search_hits_its_targets(capsys):

@@ -22,7 +22,6 @@ from convexcover import (
     build_packing_family,
     cap_function,
     cell_gap,
-    cell_gap_quadrature,
     code_min_distance,
     code_target,
     greedy_binary_code,
@@ -46,14 +45,13 @@ from convexcover.metrics import (
     quadrature_grid,
     vertex_grid,
 )
-from convexcover import packing
 from convexcover.packing import (
     MAX_VALUE_BYTES,
     SPAN_LIMIT,
     SYSTEM_CELL_CAP,
     _cap_box,
     _family_values,
-    _lattice_clear,
+    _lattice_failures,
     _popcounts,
     require_certificate_budget,
 )
@@ -248,15 +246,6 @@ def test_perturbed_function_shapes():
         perturbed_function(_DYADIC, -1)
 
 
-def test_cell_gap_quadrature_matches_the_closed_form():
-    quad = cell_gap_quadrature(_DYADIC, (0,))
-    assert abs(quad - cell_gap(0.0625, 1)) < 1e-18
-    # the integrand is quadratic: more nodes change only the roundoff
-    assert abs(quad - cell_gap_quadrature(_DYADIC, (0,), n_per_axis=6)) < 1e-15
-    with pytest.raises(ParameterError):
-        cell_gap_quadrature(_DYADIC, (0,), n_per_axis=1)
-
-
 def test_cell_gap_closed_form():
     assert cell_gap(Fraction(1, 4), 2) == 0.25**2 / 6.0
     assert cell_gap(Fraction(1, 25), 1) == 0.04**1.5 / 6.0
@@ -281,155 +270,174 @@ _DOCTORED = {
     # coefficient rounding outweighs the interior margin of a 1e-9 cell
     "thin": IntervalSystem(eta=1e-18, dim=1, k=1, length=1e-9, gap=0.0,
                            starts=(0.1,)),
-    # four cells on one dyadic point: every sampled cap equals f0 exactly
+    # four cells on one dyadic point: every cap equals f0 exactly
     "point": IntervalSystem(eta=0.0, dim=2, k=2, length=0.0, gap=0.0,
                             starts=(0.25, 0.25)),
     # a gap 3.6 ticks short of L (sqrt(2) - 1) / 2: a cap rises above f0
     # on a cell beside it only within 3 ticks of their shared edge and
     # 1,910 of the middle of its own interval, 8,625 of that cell's 10^12
-    # lattice points, where no draw lands
+    # lattice points
     "grazing": IntervalSystem(eta=0.0625, dim=2, k=2, length=0.25,
                               gap=0.0517758, starts=(0.0, 0.3017758)),
 }
 
 
+def _admissible_max_eta(d):
+    # max_eta(d) itself, or the float below it where rounding put it past
+    # the exact edge
+    eta = max_eta(d)
+    try:
+        interval_count(eta, d)
+    except ParameterError:
+        eta = math.nextafter(eta, 0.0)
+    return eta
+
+
 def test_cap_properties_hold_on_built_systems():
     for eta, d in [(Fraction(1, 25), 1), (Fraction(1, 100), 2)]:
-        report = verify_cap_properties(build_interval_system(eta, d),
-                                       samples=400, seed=5)
+        system = build_interval_system(eta, d)
+        report = verify_cap_properties(system)
         assert report.ok
-        assert report.total_checks >= 400
-    with pytest.raises(ParameterError):
-        verify_cap_properties(_DYADIC, samples=3)
+        assert report.total_checks == 2000 + system.n_cells
 
 
 def test_cap_properties_catch_a_bad_system():
-    report = verify_cap_properties(_DOCTORED["corner"], samples=40, seed=0)
+    report = verify_cap_properties(_DOCTORED["corner"])
     assert not report.ok
     assert any("corner" in msg for msg in report.failures)
 
 
 def test_cap_properties_catch_negative_coefficients():
-    report = verify_cap_properties(_DOCTORED["negative"], samples=40, seed=0)
+    report = verify_cap_properties(_DOCTORED["negative"])
     assert any("negative coefficient" in msg for msg in report.failures)
 
 
 # -- the integer cap checks against a Fraction reference ----------------------
 
+# the cap checks' lattice: u + a/10^6 (v - u) on each axis, a = 1..10^6 - 1
+_TICKS = 10**6
 
-def _reference_cap_properties(system, samples, seed):
-    """The cap checks computed naively in Fraction arithmetic.
 
-    Same draws in the same order as verify_cap_properties: one scalar
-    rng.integers call per index and per coordinate.
-    """
-    rng = np.random.default_rng(seed)
-    d = system.dim
+def _lattice_point(system, i, a):
+    u, v = map(Fraction, system.interval(i))
+    return u + Fraction(a, _TICKS) * (v - u)
+
+
+def _excess(system, c, x):
+    # cap c - f0 at the point x, in Fractions
+    cap = cap_function(system, system.cell_from_index(c))
+    return (Fraction(cap.intercept) - sum(t * t for t in x) / system.dim
+            + sum(Fraction(b) * t for b, t in zip(cap.coeffs, x)))
+
+
+def _end_points(system, c):
+    # the per-axis end points of cell c's lattice; cap - f0 is a sum of
+    # concave per-axis terms, so its least value there is at one of them
+    return itertools.product(*((_lattice_point(system, i, 1),
+                                _lattice_point(system, i, _TICKS - 1))
+                               for i in system.cell_from_index(c)))
+
+
+def _nearest_point(system, c, j):
+    # the per-axis lattice point of cell j nearest the vertex d coeff / 2
+    # of cap c's concave term on that axis, where cap c - f0 peaks on j
+    cap = cap_function(system, system.cell_from_index(c))
+    out = []
+    for i, coeff in zip(system.cell_from_index(j), cap.coeffs):
+        u, v = map(Fraction, system.interval(i))
+        p = system.dim * Fraction(coeff) / 2
+        a = 1 if u == v else math.floor((p - u) / (v - u) * _TICKS)
+        out.append(min((_lattice_point(system, i, min(max(b, 1), _TICKS - 1))
+                        for b in (a, a + 1)), key=lambda x: abs(x - p)))
+    return tuple(out)
+
+
+def _named_cells(report):
+    # the cells of the below-base failures, and the (cap, cell) pairs of
+    # the above-base ones
+    below, above = [], []
+    for msg in report.failures:
+        words = msg.replace(":", "").split()
+        if msg.endswith("inside own cell"):
+            below.append(int(words[1]))
+        elif "above base in cell" in msg:
+            above.append((int(words[1]), int(words[-1])))
+    return below, above
+
+
+def _assert_matches_the_lattice_in_q(system):
+    # each cap fails below base where its least value over its own cell's
+    # lattice is negative, and above base where its largest over another
+    # cell's is positive, once per cell, naming a cell that holds the peak
     n = system.n_cells
-    caps = [cap_function(system, system.cell_from_index(i)) for i in range(n)]
-
-    def cap_at(idx, x):
-        cap = caps[idx]
-        return Fraction(cap.intercept) + sum(
-            Fraction(c) * v for c, v in zip(cap.coeffs, x))
-
-    def base_at(x):
-        return sum(v * v for v in x) / d
-
-    def sample(idx):
-        lo, hi = system.cell_bounds(system.cell_from_index(idx))
-        return tuple(Fraction(u) + Fraction(int(rng.integers(1, 10**6)), 10**6)
-                     * (Fraction(v) - Fraction(u)) for u, v in zip(lo, hi))
-
-    failures = []
-    for idx in range(n):
-        if any(c < 0 for c in caps[idx].coeffs):
-            failures.append(f"cell {idx}: negative coefficient")
-        if cap_at(idx, (Fraction(1),) * d) > 1:
-            failures.append(f"cell {idx}: corner value above 1")
-    n_affine = n_above = samples // 4
-    n_below = samples - n_affine - n_above if n >= 2 else 0
-    for _ in range(n_affine):
-        idx = int(rng.integers(0, n))
-        x = sample(idx)
-        y = tuple(Fraction(int(rng.integers(0, 10**6)), 10**6)
-                  for _ in range(d))
-        mid = tuple((a + b) / 2 for a, b in zip(x, y))
-        if cap_at(idx, x) + cap_at(idx, y) != 2 * cap_at(idx, mid):
-            failures.append(f"cell {idx}: midpoint identity broken")
-    for _ in range(n_above):
-        idx = int(rng.integers(0, n))
-        x = sample(idx)
-        if cap_at(idx, x) < base_at(x):
-            failures.append(f"cell {idx}: cap below base inside own cell")
-    for _ in range(n_below):
-        idx = int(rng.integers(0, n))
-        other = int(rng.integers(0, n - 1))
-        if other >= idx:
-            other += 1
-        x = sample(other)
-        if cap_at(idx, x) > base_at(x):
-            failures.append(f"cell {idx}: cap above base in cell {other}")
-    return CapPropertyReport(n_affine, n, n_above, n_below, tuple(failures))
+    below, above = _named_cells(verify_cap_properties(system))
+    assert below == [c for c in range(n) if min(
+        _excess(system, c, x) for x in _end_points(system, c)) < 0]
+    peaks = [{j: _excess(system, c, _nearest_point(system, c, j))
+              for j in range(n) if j != c} for c in range(n)]
+    assert [c for c, _ in above] == [
+        c for c in range(n) if max(peaks[c].values(), default=0) > 0]
+    assert all(peaks[c][j] == max(peaks[c].values()) for c, j in above)
 
 
 _BUILT = {1: Fraction(1, 25), 2: Fraction(1, 36), 3: Fraction(1, 25),
           4: Fraction(1, 16)}
 
 
-def _assert_matches_reference(system):
-    for seed in (0, 1, 7):
-        for samples in (4, 5, 401, 2000):
-            got = verify_cap_properties(system, samples=samples, seed=seed)
-            want = _reference_cap_properties(system, samples, seed)
-            assert got == want, (seed, samples)
-
-
 @pytest.mark.parametrize("d", sorted(_BUILT))
 def test_cap_properties_match_the_fraction_reference_on_built_systems(d):
     system = build_interval_system(_BUILT[d], d)
-    assert verify_cap_properties(system, samples=400).ok
-    _assert_matches_reference(system)
+    assert verify_cap_properties(system).ok
+    _assert_matches_the_lattice_in_q(system)
 
 
 @pytest.mark.parametrize("name", sorted(_DOCTORED))
 def test_cap_properties_match_the_fraction_reference_on_doctored_systems(name):
-    _assert_matches_reference(_DOCTORED[name])
+    system = _DOCTORED[name]
+    if name == "overlapping":
+        # its report is undecided (below), and rightly not ok: cap 0
+        # rises above f0 at a lattice point of cell 1
+        assert _excess(system, 0, _nearest_point(system, 0, 1)) > 0
+        return
+    _assert_matches_the_lattice_in_q(system)
 
 
-def test_cap_properties_match_the_fraction_reference_across_draw_blocks(
-        monkeypatch):
-    # blocks of 3 draws: every property spans many blocks and a last,
-    # partial one, and the failures keep their sample order across them
-    monkeypatch.setattr(packing, "DRAW_BLOCK", 3)
-    for system in (build_interval_system(_BUILT[2], 2),
-                   _DOCTORED["overlapping"]):
-        for samples in (37, 401):
-            want = _reference_cap_properties(system, samples, 3)
-            assert verify_cap_properties(system, samples, 3) == want
-    assert want.failures
+def test_every_named_failing_cell_holds_a_failing_lattice_point():
+    named = 0
+    for name in ("touching", "grazing"):
+        system = _DOCTORED[name]
+        _, above = _named_cells(verify_cap_properties(system))
+        assert above
+        for c, j in above:
+            assert _excess(system, c, _nearest_point(system, c, j)) > 0
+        named += len(above)
+    assert named == 13
+    system = _DOCTORED["thin"]
+    below, _ = _named_cells(verify_cap_properties(system))
+    assert below == [0]
+    assert any(_excess(system, 0, x) < 0 for x in _end_points(system, 0))
 
 
 def test_cap_properties_fail_inside_a_cell_below_rounding():
-    report = verify_cap_properties(_DOCTORED["thin"], samples=40, seed=0)
-    assert report.above_checks == 10 and report.below_checks == 0
-    assert report.failures == (
-        "cell 0: cap below base inside own cell",) * 10
+    report = verify_cap_properties(_DOCTORED["thin"])
+    assert report.above_checks == 500 and report.below_checks == 0
+    assert report.failures == ("cell 0: cap below base inside own cell",)
 
 
 def test_cap_properties_let_equality_pass():
-    # cap = f0 at every sampled point: neither strict inequality fires
-    report = verify_cap_properties(_DOCTORED["point"], samples=40, seed=0)
-    assert report.ok and report.above_checks == 10
-    assert report.below_checks == 20
+    # cap = f0 at every lattice point: neither strict inequality fires
+    report = verify_cap_properties(_DOCTORED["point"])
+    assert report.ok and report.above_checks == 500
+    assert report.below_checks == 1000
 
 
 def test_cap_properties_catch_overlapping_cells():
-    report = verify_cap_properties(_DOCTORED["overlapping"], samples=400,
-                                   seed=0)
-    assert report.below_checks == 200
-    assert 0 < len(report.failures) < 200
-    assert all("cap above base in cell" in msg for msg in report.failures)
+    # the intervals overlap, so the one-axis switch bounds nothing: the
+    # report says so instead of clearing
+    report = verify_cap_properties(_DOCTORED["overlapping"])
+    assert report.below_checks == 1000 and not report.ok
+    assert report.failures == (
+        "undecided: spans out of order or a vertex outside its span",)
 
 
 # -- the exact decision over every lattice point ------------------------------
@@ -439,25 +447,30 @@ def _refuse_draws(seed):
     raise AssertionError("the cap checks drew samples")
 
 
-# every system the benchmark builds, the CI's 1,764-cell system and _BUILT
+# every system the benchmark builds, the CI's 1,764-cell system, _BUILT,
+# the one-cell system at each dim's largest eta, and the 65,536-cell cap
+# at d = 1, 2, 4 and 8
+_AT_THE_CAP = [(Fraction(1, 2**32), 1), (Fraction(2, 3 * 256) ** 2, 2),
+               (Fraction(1, 1000), 4), (Fraction(1, 87), 8)]
 _CLEARED = [(Fraction(1, 25), 1), (Fraction(1, 1225), 1),
             (Fraction(1, 1600), 1), (Fraction(1, 2025), 1),
             (Fraction(1, 25), 2), (Fraction(1, 36), 2), (Fraction(1, 49), 2),
             (0.0025, 2), (Fraction(1, 4096), 2), (_BUILT[3], 3),
-            (_BUILT[4], 4)]
+            (_BUILT[4], 4),
+            *((_admissible_max_eta(d), d) for d in range(1, 9)), *_AT_THE_CAP]
 
 
 @pytest.mark.parametrize("eta, d", _CLEARED)
 def test_the_cap_checks_draw_nothing_on_built_systems(eta, d, monkeypatch):
     system = build_interval_system(eta, d)
-    want = _reference_cap_properties(system, 2000, 0)
+    n = system.n_cells
+    assert n == SYSTEM_CELL_CAP or (eta, d) not in _AT_THE_CAP
     monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
-    assert verify_cap_properties(system) == want
+    assert verify_cap_properties(system) == CapPropertyReport(
+        500, n, 500, 1000 if n >= 2 else 0, ())
 
 
 def test_the_cap_checks_draw_nothing_at_31622_cells(monkeypatch):
-    # the Fraction reference takes too long here; the sampled checks
-    # passed this system before the exact decision ran first
     system = build_interval_system(1e-9, 1)
     monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
     assert verify_cap_properties(system) == CapPropertyReport(
@@ -467,41 +480,35 @@ def test_the_cap_checks_draw_nothing_at_31622_cells(monkeypatch):
 @pytest.mark.parametrize("name", ["centered", "point"])
 def test_the_cap_checks_clear_doctored_systems_that_hold(name, monkeypatch):
     # point: F = 0 at every lattice point, which passes both checks
-    system = _DOCTORED[name]
-    want = _reference_cap_properties(system, 2000, 0)
-    assert want.ok
     monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
-    assert verify_cap_properties(system) == want
+    assert verify_cap_properties(_DOCTORED[name]) == CapPropertyReport(
+        500, 4, 500, 1000, ())
 
 
-def test_the_cap_checks_draw_where_a_lattice_point_fails(monkeypatch):
+def test_the_cap_checks_fail_where_few_lattice_points_fail():
+    # cap (0, 0) rises above f0 on cell (0, 1) only within 3 ticks of
+    # their shared edge, yet every cap's failure is found
     system = _DOCTORED["grazing"]
-    cap = cap_function(system, (0, 0))
-    u, v = (Fraction(x) for x in system.interval(1))
 
     def excess(a, b):
         # cap (0, 0) - f0 at lattice point (a, b) of cell (0, 1)
-        x = (Fraction(a, 10**6) * Fraction(system.length),
-             u + Fraction(b, 10**6) * (v - u))
-        return (Fraction(cap.intercept) - sum(t * t for t in x) / 2
-                + sum(Fraction(c) * t for c, t in zip(cap.coeffs, x)))
+        return _excess(system, 0, (_lattice_point(system, 0, a),
+                                   _lattice_point(system, 1, b)))
 
     rising = [excess(500_000, b) > 0 for b in range(1, 6)]
     assert rising == [True, True, True, False, False]
-    seeds = []
-    real_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: seeds.append(seed) or real_rng(seed))
-    report = verify_cap_properties(system, seed=3)
-    assert seeds == [3] and report.ok
-    assert report == _reference_cap_properties(system, 2000, 3)
+    report = verify_cap_properties(system)
+    assert not report.ok
+    assert report.failures == tuple(
+        f"cell {c}: cap above base in cell {j}"
+        for c, j in [(0, 2), (1, 0), (2, 0), (3, 1)])
 
 
 def _lattice_extremes(d, ticks, lo, width, slope):
     # per cap c, sum_j g(X_j) = F_c - d ticks B_c at every lattice point,
     # one at a time: its least value on c's own cell and its largest on
-    # any other (None with one cell); lo and width in lattice units, the
-    # points being X = lo + a width
+    # each other cell, by linear index; lo and width in lattice units,
+    # the points being X = lo + a width
     k = len(lo)
     cells = list(itertools.product(range(k), repeat=d))
     axes = [[lo[i] + a * width[i] for a in range(1, ticks)] for i in range(k)]
@@ -511,16 +518,24 @@ def _lattice_extremes(d, ticks, lo, width, slope):
             return [sum((d * ticks * slope[i] - x) * x
                         for i, x in zip(cell, xs))
                     for xs in itertools.product(*(axes[i] for i in other))]
-        out.append((min(g(cell)), max((v for other in cells if other != cell
-                                       for v in g(other)), default=None)))
+        out.append((min(g(cell)), {j: max(g(other))
+                                   for j, other in enumerate(cells)
+                                   if other != cell}))
     return out
+
+
+def _caps(msgs):
+    # the cap of each failure message, "cell c: ..."
+    return [int(msg.split(":")[0].split()[1]) for msg in msgs]
 
 
 def test_the_lattice_decision_is_exact_under_its_guards():
     # small integer tables on lattices of 1, 3 or 5 points per axis, laid
-    # out as a built system's are, give or take a tick: the cells are
-    # cleared exactly when no lattice point fails, every vertex lies in
-    # its own interval's lattice span and the spans are in order. Most
+    # out as a built system's are, give or take a tick: under its guards
+    # (every vertex in its own interval's lattice span, the spans in
+    # order) the decision names exactly the caps that fail at some
+    # lattice point, each once, and for a cap above base a cell holding
+    # its peak; with a guard broken it is one undecided failure. Most
     # intercepts sit a tick either side of the edge of what the cap's own
     # cell or the other cells allow.
     rand = random.Random(5)
@@ -541,32 +556,45 @@ def test_the_lattice_decision_is_exact_under_its_guards():
             width.append(w * d)
             slope.append(2 * at + w + rand.choice((-2, -1, 0, 0, 0, 1, 2)))
             at += w + rand.choice((-1, 0, 1, w // 4 + 1, w // 2 + 1))
+        extremes = _lattice_extremes(d, ticks, lo, width, slope)
         icpt = []
-        for low, high in _lattice_extremes(d, ticks, lo, width, slope):
+        for low, peaks in extremes:
+            high = max(peaks.values(), default=None)
             edge = rand.choice((-(low // scale_k), -(low // scale_k),
                                 -(high // scale_k) if high is not None else 0,
                                 rand.randrange(-400, 40)))
             icpt.append(edge + rand.choice((-1, 0, 0, 1)))
-        fails = tight = False
-        for b, (low, high) in zip(icpt, _lattice_extremes(d, ticks, lo, width,
-                                                          slope)):
-            fails |= scale_k * b + low < 0 or (high is not None
-                                               and scale_k * b + high > 0)
+        below, above, tight = [], set(), False
+        for c, (b, (low, peaks)) in enumerate(zip(icpt, extremes)):
+            high = max(peaks.values(), default=None)
+            if scale_k * b + low < 0:
+                below.append(f"cell {c}: cap below base inside own cell")
+            above |= {f"cell {c}: cap above base in cell {j}"
+                      for j, v in peaks.items()
+                      if v == high and scale_k * b + v > 0}
             tight |= scale_k * b + low == 0 or scale_k * b + (high or 1) == 0
         tables = [np.array(t, dtype=object) for t in (lo, width, slope, icpt)]
         intervals = np.stack(np.unravel_index(np.arange(k**d), (k,) * d),
                              axis=1)
-        got = _lattice_clear(d, ticks, *tables, intervals)
+        got = _lattice_failures(d, ticks, *tables, intervals)
         first = [u + w for u, w in zip(lo, width)]
         last = [u + (ticks - 1) * w for u, w in zip(lo, width)]
         guarded = all(f <= s * scale_k // 2 <= t
                       for f, s, t in zip(first, slope, last)) \
             and all(t <= f for t, f in zip(last, first[1:]))
-        assert got == (guarded and not fails)
+        if guarded:
+            # below, then one of each failing cap's peak cells
+            assert got[:len(below)] == below
+            rest = got[len(below):]
+            assert set(rest) <= above
+            assert _caps(rest) == sorted(set(_caps(above)))
+        else:
+            assert len(got) == 1 and got[0].startswith("undecided")
+        fails = bool(below or above)
         counts["guarded fails"] += guarded and fails
         counts["unguarded"] += not guarded
-        counts["cleared"] += got
-        counts["tight"] += got and tight
+        counts["cleared"] += not got
+        counts["tight"] += not got and tight
     assert min(counts.values()) > 20, counts
 
 
@@ -911,17 +939,6 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
         above += int((cap.values(pts)[outside] > f0[outside]).sum())
     assert above > 0
     _assert_rows_match(system, fam.code.words, [axis])
-
-
-def _admissible_max_eta(d):
-    # max_eta(d) itself, or the float below it where rounding put it past
-    # the exact edge
-    eta = max_eta(d)
-    try:
-        interval_count(eta, d)
-    except ParameterError:
-        eta = math.nextafter(eta, 0.0)
-    return eta
 
 
 _BOX_SYSTEMS = [
