@@ -291,7 +291,7 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
 
 def cmd_bounds(args) -> tuple[dict, str, bool]:
     d = args.dim
-    rect = Rect((args.origin,) * d, (args.origin + args.side,) * d)
+    rect = Rect((0.0,) * d, (args.side,) * d)
     gammas = LipschitzVector(tuple(args.gamma)) if args.gamma else None
     eb = entropy_bounds(args.eps, args.p, rect, args.bound, gammas,
                         args.scale)
@@ -368,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=float, required=True)
     b.add_argument("--dim", type=int, required=True)
     b.add_argument("--side", type=float, default=1.0)
-    b.add_argument("--origin", type=float, default=0.0)
     b.add_argument("--bound", type=float, default=1.0)
     b.add_argument("--gamma", type=float, action="append",
                    help="per-axis slope budget; repeat once per axis")

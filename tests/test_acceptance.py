@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from convexcover import (
     Affine,

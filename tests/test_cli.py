@@ -225,6 +225,17 @@ def test_bounds_artifacts(tmp_path):
     assert float(obj["log_lipschitz_upper"]) > 0.0
 
 
+def test_bounds_takes_the_cube_by_its_exact_side(tmp_path):
+    # with a far origin the corner 1e16 + 3 once rounded to 1e16 + 4, and
+    # the bounds came out for side 4 (log upper 5.18e8, log lower 1141)
+    rc = main(["bounds", "--eps", "1e-9", "--p", "1", "--dim", "1",
+               "--side", "3", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
+    assert obj["log_upper"] == "449004157.7759286"
+    assert obj["log_lower"] == "988.125"
+
+
 def test_missing_required_arguments_exit_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         main(["pack", "--dim", "1", "--out-dir", str(tmp_path)])
@@ -238,7 +249,9 @@ def test_missing_required_arguments_exit_via_argparse(tmp_path):
     "pack --eta 1/25 --dim 1 --max-samples 1",
     "pack --eta 1/25 --dim 1 --curve-steps 1",
     "lemmas --dim 1 --pieces 1",
-], ids=["tol", "cap-samples", "max-samples", "curve-steps", "pieces"])
+    "bounds --eps 1e-8 --p 1 --dim 1 --origin 1",
+], ids=["tol", "cap-samples", "max-samples", "curve-steps", "pieces",
+        "origin"])
 def test_a_removed_option_exits_2_through_argparse(tmp_path, capsys, argv):
     out = tmp_path / "new" / "out"
     with pytest.raises(SystemExit) as exc:
@@ -325,16 +338,27 @@ for _name, _rows in _read_table().items():
 
 @st.composite
 def _schedule_queries(draw):
-    # p from 1 to 1000 as int or float text, log2 eta down to -2^40 in plain
-    # or exponent form; half the draws move eta so that the last level sits
-    # at most a relative 1e-3 below the edge, where the ratio is tightest
-    p_text = draw(st.integers(1, 1000).map(str)
-                  | st.floats(1.0, 1000.0).map(repr))
-    p, x = float(p_text), draw(st.floats(-2.0**40, -1.0))
+    # p from 1 to 1000 as int or float text, floats on to 1e6, and a few
+    # floats around 4.48e102, where the edge's log overflows and p is
+    # refused. log2 eta down to -2^40 in plain or exponent form, past
+    # p = 1000 times (min(p, 1e6)/1000)^2, as edge / p grows like p^2.
+    # Half the draws move eta so that the last level, at most the depth
+    # cap, sits at most a relative 1e-3 (and at most one step) below the
+    # edge, where the ratio is tightest
+    if draw(st.integers(0, 7)) == 0:
+        p_text = repr(draw(st.floats(4.4e102, 4.6e102)))
+    else:
+        p_text = draw(st.integers(1, 1000).map(str)
+                      | st.floats(1.0, 1000.0).map(repr)
+                      | st.floats(1000.0, 1e6).map(repr))
+    p = float(p_text)
+    x = draw(st.floats(-2.0**40, -1.0)) * max(1.0, min(p, 1e6) / 1e3) ** 2
     edge, r = -2.0 * (p + 1.0) ** 2 * (p + 2.0), (p + 1.0) / (p + 2.0)
     gap = draw(st.none() | st.floats(0.0, 1e-3))
     if gap is not None and p * x < edge:  # levels in units of log 2
-        depth = math.ceil(math.log(edge / (p * x)) / math.log(r))
+        depth = min(math.ceil(math.log(edge / (p * x)) / math.log(r)),
+                    schedule.MAX_SCHEDULE_DEPTH)
+        gap *= min(1.0, 1e3 / (p + 1.0))
         x = edge * (1.0 + gap) / (p * r ** (depth - 1))
     text = draw(st.sampled_from([repr, "{:.17e}".format]))(x)
     return ["schedule", "--p", p_text, f"--log2-eta={text}"]
@@ -366,9 +390,8 @@ _EDGE_FLOATS = (st.floats(-1e-300, 1e-300)
 
 # values each flag accepts, drawn half the time so that queries pass too
 _TYPICAL = {"eps": st.floats(1e-12, 0.5), "p": st.floats(1.0, 4.0),
-            "side": st.floats(0.5, 2.0), "origin": st.floats(-2.0, 2.0),
-            "bound": st.floats(0.5, 2.0), "scale": st.floats(0.5, 2.0),
-            "gamma": st.floats(0.0, 4.0)}
+            "side": st.floats(0.5, 2.0), "bound": st.floats(0.5, 2.0),
+            "scale": st.floats(0.5, 2.0), "gamma": st.floats(0.0, 4.0)}
 
 
 @st.composite
@@ -384,7 +407,7 @@ def _bounds_queries(draw):
 
     argv = ["bounds", "--dim", str(draw(st.integers(0, 9)))]
     argv += flag("eps") + flag("p")
-    for name in ("side", "origin", "bound", "scale"):
+    for name in ("side", "bound", "scale"):
         if draw(st.booleans()):
             argv += flag(name)
     for _ in range(draw(st.integers(0, 3))):

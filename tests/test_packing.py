@@ -43,7 +43,6 @@ from convexcover.metrics import (
     GridSpec,
     quadrature_axes,
     quadrature_grid,
-    vertex_grid,
 )
 from convexcover.packing import (
     MAX_VALUE_BYTES,
