@@ -38,8 +38,8 @@ _HOMES = {
     **dict.fromkeys([
         "CapPropertyReport", "CodeSearchResult", "IntervalSystem",
         "PackingCertificate", "PackingFamily", "build_interval_system",
-        "build_packing_family", "cap_function", "cell_gap",
-        "greedy_binary_code", "packing_certificate", "perturbed_function",
+        "build_packing_family", "cell_gap", "greedy_binary_code",
+        "packing_certificate", "perturbed_function",
         "verify_cap_properties"], "packing"),
     **dict.fromkeys([
         "CoverAccounting", "EntropyBounds", "Schedule", "ScheduleChecks",

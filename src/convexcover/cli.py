@@ -56,6 +56,10 @@ from .schedule import (
 # estimates build at most 8x this many, a few tens of MB.
 MAX_DIRECTIONS = 10**5
 
+# Most pairs lemmas accepts: each pair's report stays in memory until the
+# artifact is written, about 3.5 KB of it, so this many take about 35 MB.
+MAX_PAIRS = 10**4
+
 # Affine pieces of each random lemmas function.
 LEMMA_PIECES = 6
 
@@ -246,6 +250,8 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
     _require_seed(args.seed)
     if args.pairs < 1:
         raise ParameterError("need pairs >= 1")
+    if args.pairs > MAX_PAIRS:
+        raise ParameterError(f"need pairs <= {MAX_PAIRS}")
     if args.directions > MAX_DIRECTIONS:
         raise ParameterError(f"need directions <= {MAX_DIRECTIONS}")
     if args.directions < 2 * (args.dim + 1):  # as hausdorff_epigraph says

@@ -76,23 +76,10 @@ class IntervalSystem:
     def n_cells(self) -> int:
         return self.k**self.dim
 
-    def interval(self, i: int) -> tuple[float, float]:
-        return self.starts[i], self.starts[i] + self.length
-
-    def cell_from_index(self, idx: int) -> tuple[int, ...]:
-        """Row-major cell tuple for a linear index in [0, k^d)."""
-        if not 0 <= idx < self.n_cells:
-            raise ParameterError("cell index out of range")
-        out = []
-        for _ in range(self.dim):
-            out.append(idx % self.k)
-            idx //= self.k
-        return tuple(reversed(out))
-
     @cached_property
     def base(self) -> SeparableQuadratic:
         """The base paraboloid f0, one instance for the whole system."""
-        return base_paraboloid(self.dim)
+        return SeparableQuadratic(unit_rect(self.dim))
 
     @property
     def slopes(self) -> tuple[float, ...]:
@@ -103,10 +90,9 @@ class IntervalSystem:
     def intercepts(self) -> tuple[float, ...]:
         """Every cell's cap intercept -sum(u_j v_j)/d, by linear cell index.
 
-        The products come from one per-interval table of u v and are
-        summed and divided in cap_function's order, and itertools.product
-        walks the cells in cell_from_index's row-major order, so each
-        equals cap_function's intercept bit for bit.
+        Cells are indexed row-major, the last axis fastest. The products
+        u v come from one per-interval table, are summed over the cell's
+        axes in axis order, and the sum is negated and divided by d.
         """
         prod = [u * (u + self.length) for u in self.starts]
         return tuple(-sum(map(prod.__getitem__, cell)) / self.dim
@@ -119,22 +105,15 @@ class IntervalSystem:
 
         Every family member takes its caps from here, so a cap is one
         object wherever it appears; all of them, and f0, share one
-        unit-cube domain. Each cap equals cap_function's, bit for bit:
-        its coefficients come from slopes and its intercept from
-        intercepts.
+        unit-cube domain. A cap is f0's chord over its cell: coefficient
+        (u_j + v_j)/d on axis j, from slopes, and intercept
+        -sum(u_j v_j)/d, from intercepts.
         """
         slope = self.slopes
         domain = self.base.domain
         cells = itertools.product(range(self.k), repeat=self.dim)
         return tuple(Affine(domain, tuple(slope[i] for i in cell), b)
                      for cell, b in zip(cells, self.intercepts))
-
-    def cell_bounds(self, cell: tuple[int, ...]) -> tuple[tuple[float, ...],
-                                                          tuple[float, ...]]:
-        if len(cell) != self.dim or not all(0 <= i < self.k for i in cell):
-            raise ParameterError("bad cell tuple")
-        lo = tuple(self.starts[i] for i in cell)
-        return lo, tuple(v + self.length for v in lo)
 
     def to_json(self) -> dict:
         return _report_json(self)
@@ -168,23 +147,6 @@ def build_interval_system(eta, d: int) -> IntervalSystem:
     return IntervalSystem(ef, d, k, sq, gap, starts)
 
 
-def base_paraboloid(d: int) -> SeparableQuadratic:
-    return SeparableQuadratic(unit_rect(d))
-
-
-def cap_function(system: IntervalSystem, cell: tuple[int, ...]) -> Affine:
-    """The affine cap over one cell, on the domain of the system's f0.
-
-    Coefficient j is (u_j + v_j)/d and the intercept is -sum(u_j v_j)/d,
-    which interpolates the paraboloid's chord on each axis.
-    """
-    lo, hi = system.cell_bounds(cell)
-    d = system.dim
-    coeffs = tuple((u + v) / d for u, v in zip(lo, hi))
-    intercept = -sum(u * v for u, v in zip(lo, hi)) / d
-    return Affine(system.base.domain, coeffs, intercept)
-
-
 def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
     """max(f0, caps of the cells whose bit is set in word).
 
@@ -205,23 +167,6 @@ def cell_gap(eta, d: int) -> float:
 
 
 # -- binary codes ---------------------------------------------------------
-
-
-_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-    0x0101010101010101))
-
-
-def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a uint64 array, same shape.
-
-    numpy before 2.0 has no bitwise_count, so the bits are summed in pairs,
-    nibbles and bytes, and the bytes added by one wrapping multiply.
-    """
-    x = words - ((words >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _H01) >> np.uint64(56)
 
 
 @dataclass(frozen=True)
@@ -278,8 +223,9 @@ def greedy_binary_code(length: int, min_distance: int, target: int,
         cands = ((draws[:, 0] << np.uint64(32)) | draws[:, 1]) & mask
         for start in range(0, block, 64):
             chunk = cands[start:start + 64]
-            far = (_popcounts(chunk[:, None] ^ kept) >= min_distance).all(axis=1)
-            near = _popcounts(chunk[:, None] ^ chunk) < min_distance
+            far = (np.bitwise_count(chunk[:, None] ^ kept)
+                   >= min_distance).all(axis=1)
+            near = np.bitwise_count(chunk[:, None] ^ chunk) < min_distance
             taken: list[int] = []
             for j in np.flatnonzero(far).tolist():
                 if not far[j]:
@@ -497,7 +443,7 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
             diff = np.subtract(rows, vals[i], out=buf[:len(rows)])
             np.abs(diff, out=diff)
             l1[s - i - 1:s - i - 1 + len(rows)] = diff @ w
-        hams = _popcounts(words[i + 1:] ^ words[i])
+        hams = np.bitwise_count(words[i + 1:] ^ words[i])
         margin = l1 - hams * zeta
         failures += int((margin < -tol).sum())
         min_margin = min(min_margin, float(margin.min()))

@@ -209,7 +209,8 @@ def schedule_checks(sched: Schedule,
     ratio: consecutive radii at least double, within ratio_slack.
     closed form: defining radii match log_radius_closed_form within tol.
     s1: delta_1 + sum alpha_m^p (delta_{m+1} - delta_m) <= (7/3) eta^p,
-        within s1_slack.
+        within s1_slack; summed only over an increasing chain, and false
+        (log_s1 inf) on any other.
     squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1) for
         each d in dims, which must lie in 1..8.
 
@@ -288,8 +289,10 @@ def schedule_checks(sched: Schedule,
         for m in range(1, a + 1))
     closed_form_ok = closed_form_gap <= tol
 
-    log_s1 = lv[0]
-    for m in range(a):
+    # the increments delta_{m+1} - delta_m have logs only on an increasing
+    # chain; a broken one gets log_s1 = inf, so s1 fails with the chain
+    log_s1 = lv[0] if chain_ok else math.inf
+    for m in range(a if chain_ok else 0):
         log_inc = lv[m + 1] + math.log1p(-math.exp(lv[m] - lv[m + 1]))
         log_s1 = _log_add(log_s1, p * wt[m] + log_inc)
     log_s1_bound = math.log(7.0 / 3.0) + p * sched.log_eta

@@ -95,14 +95,18 @@ def test_c02_cap_properties_exact(capsys):
 
 def _exact_cell_gap(system, idx) -> Fraction:
     # the integral of cap - f0 over cell idx, in Fractions: over a box,
-    # x_j averages (u + v) / 2 and x_j^2 averages (u^2 + u v + v^2) / 3
+    # x_j averages (u + v) / 2 and x_j^2 averages (u^2 + u v + v^2) / 3.
+    # The cell's interval on axis j is digit j of idx in base k, row-major
     cap = system.caps[idx]
-    lo, hi = system.cell_bounds(system.cell_from_index(idx))
+    d = system.dim
+    starts = [system.starts[idx // system.k ** (d - 1 - j) % system.k]
+              for j in range(d)]
     mean = Fraction(cap.intercept)
     volume = Fraction(1)
-    for c, u, v in zip(cap.coeffs, map(Fraction, lo), map(Fraction, hi)):
+    for c, start in zip(cap.coeffs, starts):
+        u, v = Fraction(start), Fraction(start + system.length)
         mean += (Fraction(c) * (u + v) / 2
-                 - (u * u + u * v + v * v) / (3 * system.dim))
+                 - (u * u + u * v + v * v) / (3 * d))
         volume *= v - u
     return mean * volume
 

@@ -562,7 +562,7 @@ print(json.dumps([codes, [m for m in ("numpy", "scipy", "dataclasses")
 
 # The refusals that cmd_pack and cmd_lemmas make before they import the
 # array layers, by their message
-_ARRAY_FREE_REFUSALS = ("seed must be >= 0", "need pairs >= 1", "directions",
+_ARRAY_FREE_REFUSALS = ("seed must be >= 0", "need pairs", "directions",
                         "bound must be positive", "rho",
                         "eta must be a finite", "need n >= 2",
                         "dimension must be in 1..8", "over 10000000",

@@ -20,7 +20,6 @@ from convexcover import (
     SeparableQuadratic,
     build_interval_system,
     build_packing_family,
-    cap_function,
     cell_gap,
     code_min_distance,
     code_target,
@@ -51,7 +50,6 @@ from convexcover.packing import (
     _cap_box,
     _family_values,
     _lattice_failures,
-    _popcounts,
     require_certificate_budget,
 )
 
@@ -175,24 +173,9 @@ def test_build_interval_system_refuses_more_cells_than_its_cap():
 
 def test_build_interval_system_without_scaling():
     sys2 = build_interval_system(Fraction(1, 100), 2)
-    assert sys2.k == 6
+    assert sys2.k == 6 and sys2.n_cells == 36
     assert sys2.length == 0.1 and sys2.gap == 0.05
     assert sys2.starts[-1] + sys2.length == pytest.approx(0.85, abs=1e-15)
-
-
-def test_cell_indexing_round_trip():
-    system = build_interval_system(Fraction(1, 100), 2)
-    assert system.n_cells == 36
-    assert system.cell_from_index(0) == (0, 0)
-    assert system.cell_from_index(7) == (1, 1)
-    assert system.cell_from_index(35) == (5, 5)
-    with pytest.raises(ParameterError):
-        system.cell_from_index(36)
-    lo, hi = system.cell_bounds((1, 2))
-    assert lo == (system.starts[1], system.starts[2])
-    assert hi == (system.starts[1] + 0.1, system.starts[2] + 0.1)
-    with pytest.raises(ParameterError):
-        system.cell_bounds((0, 6))
 
 
 # -- caps ---------------------------------------------------------------------
@@ -202,13 +185,34 @@ _DYADIC = IntervalSystem(eta=0.0625, dim=1, k=2, length=0.25, gap=0.25,
                          starts=(0.0, 0.5))
 
 
+def _cell(system, c):
+    # the interval index on each axis of cell c, row-major like system.caps
+    return tuple(c // system.k ** (system.dim - 1 - j) % system.k
+                 for j in range(system.dim))
+
+
+def _interval(system, i):
+    u = system.starts[i]
+    return u, u + system.length
+
+
+def _chord_cap(system, c):
+    # the reference cap over cell c, from its end points alone: f0's chord,
+    # coefficient (u + v)/d on each axis and intercept -sum(u v)/d, in
+    # that float order
+    ends = [_interval(system, i) for i in _cell(system, c)]
+    d = system.dim
+    return Affine(system.base.domain, tuple((u + v) / d for u, v in ends),
+                  -sum(u * v for u, v in ends) / d)
+
+
 def test_cap_interpolates_the_chord_exactly():
-    cap = cap_function(_DYADIC, (1,))
-    assert cap.coeffs == (1.25,) and cap.intercept == -0.375
-    # equals x^2 at both cell endpoints, exceeds it at the midpoint
-    assert cap.value((0.5,)) == 0.25
-    assert cap.value((0.75,)) == 0.5625
-    assert cap.value((0.625,)) - 0.625**2 == 0.015625
+    for cap in (_DYADIC.caps[1], _chord_cap(_DYADIC, 1)):
+        assert cap.coeffs == (1.25,) and cap.intercept == -0.375
+        # equals x^2 at both cell endpoints, exceeds it at the midpoint
+        assert cap.value((0.5,)) == 0.25
+        assert cap.value((0.75,)) == 0.5625
+        assert cap.value((0.625,)) - 0.625**2 == 0.015625
 
 
 @pytest.mark.parametrize("eta, d", [
@@ -225,7 +229,7 @@ def test_tabled_caps_equal_cap_function_bit_for_bit(eta, d):
     system = build_interval_system(eta, d)
     assert len(system.caps) == len(system.intercepts) == system.n_cells
     for i, cap in enumerate(system.caps):
-        want = cap_function(system, system.cell_from_index(i))
+        want = _chord_cap(system, i)
         assert [*map(repr, cap.coeffs)] == [*map(repr, want.coeffs)]
         # the cap checks read the intercept table, not the caps
         assert repr(system.intercepts[i]) == repr(want.intercept)
@@ -318,13 +322,13 @@ _TICKS = 10**6
 
 
 def _lattice_point(system, i, a):
-    u, v = map(Fraction, system.interval(i))
+    u, v = map(Fraction, _interval(system, i))
     return u + Fraction(a, _TICKS) * (v - u)
 
 
 def _excess(system, c, x):
     # cap c - f0 at the point x, in Fractions
-    cap = cap_function(system, system.cell_from_index(c))
+    cap = _chord_cap(system, c)
     return (Fraction(cap.intercept) - sum(t * t for t in x) / system.dim
             + sum(Fraction(b) * t for b, t in zip(cap.coeffs, x)))
 
@@ -334,16 +338,16 @@ def _end_points(system, c):
     # concave per-axis terms, so its least value there is at one of them
     return itertools.product(*((_lattice_point(system, i, 1),
                                 _lattice_point(system, i, _TICKS - 1))
-                               for i in system.cell_from_index(c)))
+                               for i in _cell(system, c)))
 
 
 def _nearest_point(system, c, j):
     # the per-axis lattice point of cell j nearest the vertex d coeff / 2
     # of cap c's concave term on that axis, where cap c - f0 peaks on j
-    cap = cap_function(system, system.cell_from_index(c))
+    cap = _chord_cap(system, c)
     out = []
-    for i, coeff in zip(system.cell_from_index(j), cap.coeffs):
-        u, v = map(Fraction, system.interval(i))
+    for i, coeff in zip(_cell(system, j), cap.coeffs):
+        u, v = map(Fraction, _interval(system, i))
         p = system.dim * Fraction(coeff) / 2
         a = 1 if u == v else math.floor((p - u) / (v - u) * _TICKS)
         out.append(min((_lattice_point(system, i, min(max(b, 1), _TICKS - 1))
@@ -678,20 +682,6 @@ def test_greedy_code_equals_the_one_word_at_a_time_search(
         assert (res.words, res.samples_used) == want, seed
 
 
-def test_popcounts_match_bit_count():
-    rng = np.random.default_rng(5)
-    words = [0, 1, (1 << 63), (1 << 64) - 1,
-             *(int(v) for v in rng.integers(0, 1 << 63, 200, dtype=np.uint64)),
-             *((1 << 64) - 1 - int(v)
-               for v in rng.integers(0, 1 << 63, 200, dtype=np.uint64))]
-    got = _popcounts(np.array(words, dtype=np.uint64))
-    assert got.tolist() == [w.bit_count() for w in words]
-    assert _popcounts(np.array([], dtype=np.uint64)).shape == (0,)
-    grid = np.array(words[:12], dtype=np.uint64).reshape(3, 4)
-    assert _popcounts(grid).tolist() == [
-        [w.bit_count() for w in words[i:i + 4]] for i in range(0, 12, 4)]
-
-
 def test_greedy_code_validation():
     with pytest.raises(ParameterError):
         greedy_binary_code(0, 1, 1)
@@ -725,7 +715,7 @@ def test_family_members_hold_the_systems_own_caps():
     system = fam.system
     assert len(system.caps) == system.n_cells == 45
     for i, cap in enumerate(system.caps):
-        assert cap == cap_function(system, system.cell_from_index(i))
+        assert cap == _chord_cap(system, i)
         assert cap.domain is system.base.domain  # one unit cube, not 45
     refs = 0
     for word, f in zip(fam.code.words, fam.functions):
@@ -881,7 +871,7 @@ def test_certificate_catches_an_unseparated_family():
 def _near_cell_ends(system, n=201):
     # one axis of n nodes across one cell length, centred on each interval
     # endpoint; the ranges overlap, so they are merged into one sorted axis
-    ends = sorted({e for i in range(system.k) for e in system.interval(i)})
+    ends = sorted({e for i in range(system.k) for e in _interval(system, i)})
     off = np.linspace(-system.length, system.length, n)
     return np.unique(np.clip(np.add.outer(ends, off).ravel(), 0.0, 1.0))
 
@@ -933,7 +923,7 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
     f0 = system.base.values(pts)
     above = 0
     for i, cap in enumerate(system.caps):
-        lo, hi = system.interval(i)
+        lo, hi = _interval(system, i)
         outside = (axis < lo) | (axis > hi)
         above += int((cap.values(pts)[outside] > f0[outside]).sum())
     assert above > 0
@@ -958,7 +948,7 @@ def test_caps_round_to_at_most_f0_outside_their_boxes(eta, d):
     f0 = system.base
     # a vertex grid with every cell end on it, plus nodes near the ends
     near, n = {1: (201, 2001), 2: (21, 201), 3: (5, 41), 4: (3, 13)}[d]
-    ends = [e for i in range(system.k) for e in system.interval(i)]
+    ends = [e for i in range(system.k) for e in _interval(system, i)]
     axis = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), ends,
                                      _near_cell_ends(system, near)]))
     pts = tensor_points([axis] * d)

@@ -1,6 +1,7 @@
 """Refinement schedules: construction, invariants, and cover accounting."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,69 @@ def test_schedule_checks_json_round_trip_keys():
     assert len(obj["dim_sums"]) == 3
     assert set(obj) >= {"chain_ok", "identity_residual", "log_s1",
                         "zeta_square_sum", "ok"}
+
+
+# -- verdicts shown false: the rows of tests/failures.txt ------------------------
+
+_SCHED = build_schedule(1.0, -200.5 * LOG2)  # depth 6
+
+
+def swapped_levels():
+    lv = _SCHED.log_levels
+    return _SCHED._replace(log_levels=(lv[0], lv[2], lv[1], *lv[3:]))
+
+
+def equal_levels():
+    lv = _SCHED.log_levels
+    return _SCHED._replace(log_levels=(lv[0], lv[1], lv[1], *lv[3:]))
+
+
+def edge_past_the_last_level():
+    return _SCHED._replace(log_edge=_SCHED.log_levels[-1] + 1.0)
+
+
+def swapped_weights():
+    wt = _SCHED.log_weights
+    return _SCHED._replace(log_weights=(wt[1], wt[0], *wt[2:]))
+
+
+def shifted_first_radius():
+    rd = _SCHED.log_radii
+    return _SCHED._replace(log_radii=(rd[0] - 1.0, *rd[1:]))
+
+
+def last_radius_1_2():
+    return _SCHED._replace(log_radii=(*_SCHED.log_radii[:-1], math.log(1.2)))
+
+
+def last_radius_1_05():
+    return _SCHED._replace(log_radii=(*_SCHED.log_radii[:-1],
+                                      math.log(1.05)))
+
+
+def _failure_rows(test):
+    rows, group = {}, None
+    table = Path(__file__).with_name("failures.txt").read_text()
+    for line in table.splitlines():
+        if line.startswith("test_"):
+            group = line
+        elif line and not line.startswith("#") and group == test:
+            verdict, builder, case = line.split(" | ")
+            rows[case] = (verdict, builder)
+    return rows
+
+
+_FAILURES = _failure_rows("test_a_doctored_schedule_fails_its_verdict")
+
+
+@pytest.mark.parametrize("verdict, builder", list(_FAILURES.values()),
+                         ids=list(_FAILURES))
+def test_a_doctored_schedule_fails_its_verdict(verdict, builder):
+    checks = schedule_checks(globals()[builder]())
+    value = getattr(checks, verdict)
+    if isinstance(value, tuple):  # rows that end in their own ok
+        value = all(row[-1] for row in value)
+    assert not value and not checks.ok
 
 
 # -- cover accounting -------------------------------------------------------------
