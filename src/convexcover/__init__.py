@@ -28,8 +28,8 @@ _HOMES = {
         "interval_count", "max_eta", "separation_curve", "separation_point",
         "separation_scale", "unit_rect"], "core"),
     **dict.fromkeys([
-        "Affine", "ConvexFunction", "Hinge", "MaxAffine", "MaxWith",
-        "Rescaled", "SeparableQuadratic", "make_random_convex",
+        "Affine", "ConvexFunction", "MaxAffine", "MaxWith",
+        "SeparableQuadratic", "make_random_convex", "ramp",
         "rescale_to_unit", "tensor_points"], "functions"),
     **dict.fromkeys([
         "DistanceReport", "GridSpec", "direction_covering_radius",

@@ -172,9 +172,7 @@ def cmd_pack(args) -> tuple[dict, str, bool]:
     capped = system.n_cells > CELL_CAP
     if not capped:
         require_certificate_budget(system, args.grid_n)
-        family = build_packing_family(eta, args.dim, seed=args.seed)
-        # an equal system that already holds the caps the family shares
-        system = family.system
+        family = build_packing_family(system, seed=args.seed)
     report = verify_cap_properties(system)
     curve = separation_curve(eta, args.dim)
     files = {"interval_system.json": system.to_json(),

@@ -1,9 +1,10 @@
 """Convex functions on axis-aligned boxes.
 
 Every function here is convex by construction: affine pieces, maxima of
-convex parts, a separable quadratic, one-sided ramps, and positively
-scaled affine reparametrizations. Instances are frozen dataclasses and
-safe to share between threads; evaluation never mutates state.
+convex parts and a separable quadratic. A one-sided ramp is a two-piece
+max-affine function, and rescaling onto the unit cube rewrites affine
+coefficients. Instances are frozen dataclasses and safe to share between
+threads; evaluation never mutates state.
 
 Coordinates are 64-bit floats. Batch evaluation takes an (N, d) array
 and returns an (N,) array; the scalar helpers wrap the batch path.
@@ -120,6 +121,10 @@ class ConvexFunction:
         """
         raise ParameterError(f"no Lipschitz budget rule for {type(self).__name__}")
 
+    def _to_unit(self, bound: float) -> ConvexFunction:
+        # this form in the unit-cube coordinates y of x = lo + w y, over bound
+        raise ParameterError(f"no rescaling rule for {type(self).__name__}")
+
     def _values(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -174,6 +179,14 @@ class Affine(ConvexFunction):
     def lipschitz_budget(self):
         return _budget(abs(c) for c in self.coeffs)
 
+    def _to_unit(self, bound):
+        # c x + b = (c w) y + (b + c lo)
+        dom = self.domain
+        coeffs = tuple(c * w / bound for c, w in zip(self.coeffs, dom.widths))
+        shift = sum(c * lo for c, lo in zip(self.coeffs, dom.lo))
+        return Affine(unit_rect(dom.dim), coeffs,
+                      (self.intercept + shift) / bound)
+
     def _form_json(self):
         return {"kind": "affine",
                 "coeffs": [_fstr(v) for v in self.coeffs],
@@ -223,6 +236,10 @@ class MaxAffine(ConvexFunction):
         return _budget(max(abs(p.coeffs[j]) for p in self.pieces)
                        for j in range(self.domain.dim))
 
+    def _to_unit(self, bound):
+        pieces = tuple(p._to_unit(bound) for p in self.pieces)
+        return MaxAffine(pieces[0].domain, pieces)
+
     def _form_json(self):
         return {"kind": "max_affine",
                 "pieces": [{"coeffs": [_fstr(v) for v in p.coeffs],
@@ -260,41 +277,6 @@ class SeparableQuadratic(ConvexFunction):
 
 
 @dataclass(frozen=True)
-class Hinge(ConvexFunction):
-    """x -> max(0, 1 - x_axis / alpha), a ramp dropping from 1 to 0.
-
-    Acts along a single axis. At the kink x_axis == alpha the zero piece
-    wins the tie, so the subgradient there is 0.
-    """
-
-    alpha: float
-    axis: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError("alpha must be positive and finite")
-        if not 0 <= self.axis < self.domain.dim:
-            raise ParameterError("axis out of range")
-
-    def _values(self, pts):
-        return np.maximum(0.0, 1.0 - pts[:, self.axis] / self.alpha)
-
-    def _subgradients(self, pts):
-        out = np.zeros_like(pts)
-        ramp = 1.0 - pts[:, self.axis] / self.alpha > 0
-        out[ramp, self.axis] = -1.0 / self.alpha
-        return out
-
-    def lipschitz_budget(self):
-        return _budget(1.0 / self.alpha if j == self.axis else 0.0
-                       for j in range(self.domain.dim))
-
-    def _form_json(self):
-        return {"kind": "hinge", "alpha": _fstr(self.alpha), "axis": self.axis}
-
-
-@dataclass(frozen=True)
 class MaxWith(ConvexFunction):
     """Pointwise maximum of convex parts; same tie-break as MaxAffine."""
 
@@ -325,67 +307,34 @@ class MaxWith(ConvexFunction):
         return {"kind": "max_with", "parts": [p.to_json() for p in self.parts]}
 
 
-@dataclass(frozen=True)
-class Rescaled(ConvexFunction):
-    """Lazy view scale * base(T(x)), T the affine map domain -> base.domain.
+def ramp(domain: Rect, alpha: float, axis: int = 0) -> MaxAffine:
+    """x -> max(0, 1 - x_axis / alpha), a ramp dropping from 1 to 0.
 
-    scale must be positive so convexity is preserved. The map is applied
-    per axis; sub-ulp spill outside base.domain is clipped away.
+    The zero piece comes first, so it wins the tie at the kink
+    x_axis == alpha and the subgradient there is 0. The slope -1/alpha
+    must be finite, which refuses alpha below about 5.6e-309.
     """
-
-    base: ConvexFunction
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.scale))
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ParameterError("scale must be positive and finite")
-        if self.base.domain.dim != self.domain.dim:
-            raise ParameterError("base dimension must match the target domain")
-
-    @cached_property
-    def _map_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        t_lo = np.asarray(self.domain.lo)
-        b_lo = np.asarray(self.base.domain.lo)
-        b_hi = np.asarray(self.base.domain.hi)
-        ratio = np.asarray(self.base.domain.widths) / np.asarray(self.domain.widths)
-        return t_lo, b_lo, b_hi, ratio
-
-    def _mapped(self, pts):
-        t_lo, b_lo, b_hi, ratio = self._map_arrays
-        mapped = b_lo + (pts - t_lo) * ratio
-        return np.clip(mapped, b_lo, b_hi)
-
-    def _values(self, pts):
-        return self.scale * self.base._values(self._mapped(pts))
-
-    def _subgradients(self, pts):
-        _, _, _, ratio = self._map_arrays
-        return self.scale * self.base._subgradients(self._mapped(pts)) * ratio
-
-    def lipschitz_budget(self):
-        ratio = [bw / tw for bw, tw in
-                 zip(self.base.domain.widths, self.domain.widths)]
-        return _budget(self.scale * b * r for b, r in
-                       zip(self.base.lipschitz_budget().gamma, ratio))
-
-    def _form_json(self):
-        return {"kind": "rescaled", "scale": _fstr(self.scale),
-                "base": self.base.to_json()}
+    if not (0.0 < alpha < math.inf and 0 <= axis < domain.dim):
+        raise ParameterError("need a positive finite alpha and an axis "
+                             "of the domain")
+    slope = [0.0] * domain.dim
+    slope[axis] = -1.0 / alpha
+    return MaxAffine(domain, (Affine(domain, (0.0,) * domain.dim, 0.0),
+                              Affine(domain, tuple(slope), 1.0)))
 
 
 def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:
     """Normalize f on its box to a function on [0,1]^d with values / bound.
 
-    Idempotent: a function already on the unit box with bound == 1 is
-    returned unchanged.
+    Affine and MaxAffine forms are rewritten through their coefficients;
+    other forms are refused. Idempotent: a function already on the unit
+    box with bound == 1 is returned unchanged.
     """
-    if not bound > 0:
-        raise ParameterError("bound must be positive")
-    d = f.domain.dim
-    if f.domain == unit_rect(d) and bound == 1.0:
+    if not 0.0 < bound < math.inf:
+        raise ParameterError("bound must be positive and finite")
+    if f.domain == unit_rect(f.domain.dim) and bound == 1.0:
         return f
-    return Rescaled(unit_rect(d), f, 1.0 / bound)
+    return f._to_unit(bound)
 
 
 def make_random_convex(d: int, bound: float, pieces: int, seed: int,

@@ -264,18 +264,17 @@ class PackingFamily:
         return _report_json(self, "eps", "zeta")
 
 
-def build_packing_family(eta, d: int, seed: int = 0,
+def build_packing_family(system: IntervalSystem, seed: int = 0,
                          max_samples: int = 10**6) -> PackingFamily:
-    """Interval system, greedy code, and one function per codeword.
+    """Greedy code on the system's cells, and one function per codeword.
 
     Refuses systems with more than CELL_CAP cells; smaller eta makes the
     cell count grow like eta^(-d/2).
     """
-    system = build_interval_system(eta, d)
     n = system.n_cells
     if n > CELL_CAP:
         raise ParameterError(
-            f"{n} cells exceeds the {CELL_CAP}-cell cap at eta={float(Fraction(eta))}")
+            f"{n} cells exceeds the {CELL_CAP}-cell cap at eta={system.eta}")
     code = greedy_binary_code(n, code_min_distance(n), code_target(n),
                               seed=seed, max_samples=max_samples)
     funcs = tuple(perturbed_function(system, w) for w in code.words)

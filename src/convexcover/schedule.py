@@ -62,6 +62,20 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _log1m_exp(x: float) -> float:
+    # log(1 - e^x) for x < 0; expm1 takes over where e^x rounds to 1
+    e = math.exp(x)
+    return math.log1p(-e) if e < 1.0 else math.log(-math.expm1(x))
+
+
+def _exp_sum(logs) -> float:
+    # sum of e^v, inf once a term passes the float range
+    try:
+        return sum(math.exp(v) for v in logs)
+    except OverflowError:
+        return math.inf
+
+
 def _log_edge(p: float) -> float:
     # log u = -2 (p+1)^2 (p+2) log 2
     return -2.0 * (p + 1.0) ** 2 * (p + 2.0) * LOG2
@@ -142,29 +156,26 @@ def build_schedule(p: float, log_eta: float) -> Schedule:
     r = (p + 1.0) / (p + 2.0)
     u = 2.0**-53
 
-    def log_delta(m: int) -> float:
-        return p * r ** (m - 1) * log_eta
-
-    depth = 0
-    m = 1
+    levels = []
     while True:
-        ld = log_delta(m)
+        m = len(levels) + 1
+        ld = p * r ** (m - 1) * log_eta
         if abs(ld - edge) <= (4 * m + 16) * u * abs(edge):
             raise ParameterError(
                 "level indistinguishable from the edge; perturb eta")
+        levels.append(ld)
         if ld >= edge:
             break
         if m > MAX_SCHEDULE_DEPTH:
             raise ParameterError(
                 f"schedule deeper than {MAX_SCHEDULE_DEPTH} levels: p={p:g} "
                 f"climbs too slowly from log_eta={log_eta:g} to the edge")
-        depth = m
-        m += 1
+    depth = len(levels) - 1
     if depth == 0:
         raise ParameterError(
             f"eta too large: need p * log_eta < {edge}")
 
-    levels = tuple(log_delta(m) for m in range(1, depth + 2))
+    levels = tuple(levels)
     weights = tuple(log_eta * (1.0 - (p / (p + 1.0)) * r ** (m - 1))
                     for m in range(1, depth + 1))
     radii = tuple(0.5 * (log_eta + levels[m] - levels[m - 1] - weights[m - 1])
@@ -212,7 +223,8 @@ def schedule_checks(sched: Schedule,
         within s1_slack; summed only over an increasing chain, and false
         (log_s1 inf) on any other.
     squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1) for
-        each d in dims, which must lie in 1..8.
+        each d in dims, which must lie in 1..8. A sum whose term passes
+        the float range is inf, and its check false.
 
     tol = (A + 32) u |(p+1) log_eta|, with depth A and u = 2^-53, bounds
     the rounding of both residuals, which are 0 in exact arithmetic; a
@@ -293,18 +305,18 @@ def schedule_checks(sched: Schedule,
     # chain; a broken one gets log_s1 = inf, so s1 fails with the chain
     log_s1 = lv[0] if chain_ok else math.inf
     for m in range(a if chain_ok else 0):
-        log_inc = lv[m + 1] + math.log1p(-math.exp(lv[m] - lv[m + 1]))
+        log_inc = lv[m + 1] + _log1m_exp(lv[m] - lv[m + 1])
         log_s1 = _log_add(log_s1, p * wt[m] + log_inc)
     log_s1_bound = math.log(7.0 / 3.0) + p * sched.log_eta
     s1_slack = (26 + (a + 4) * 4.0**-p) * u * abs(p * sched.log_eta)
     s1_ok = log_s1 <= log_s1_bound + s1_slack
 
-    zeta_square_sum = sum(math.exp(2.0 * v) for v in rd)
+    zeta_square_sum = _exp_sum(2.0 * v for v in rd)
     zeta_square_ok = zeta_square_sum <= 4.0 / 3.0
 
     dim_rows = []
     for d in dims:
-        s = sum(math.exp(d * v) for v in rd)
+        s = _exp_sum(d * v for v in rd)
         b = 2.0**d / (2.0**d - 1.0)
         dim_rows.append((d, s, b, s <= b))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LipschitzVector, ParameterError, Rect, _report_json, unit_rect
-from .functions import ConvexFunction, Hinge, rescale_to_unit
+from .functions import ConvexFunction, MaxAffine, ramp, rescale_to_unit
 from .metrics import (
     GridSpec,
     _require_common_domain,
@@ -219,7 +219,7 @@ def hinge_hausdorff_closed_form(alpha: float) -> float:
     return alpha / math.sqrt(1.0 + alpha * alpha)
 
 
-def hinge_family(count: int) -> tuple[Hinge, ...]:
+def hinge_family(count: int) -> tuple[MaxAffine, ...]:
     """Ramps with alpha = 2^-1, ..., 2^-count on [0, 1].
 
     Any two members are at sup distance >= 1/2: at x = 2^-k the steeper
@@ -230,7 +230,7 @@ def hinge_family(count: int) -> tuple[Hinge, ...]:
     if not 1 <= count <= 50:
         raise ParameterError("count must be in 1..50")
     dom = unit_rect(1)
-    return tuple(Hinge(dom, 2.0**-j) for j in range(1, count + 1))
+    return tuple(ramp(dom, 2.0**-j) for j in range(1, count + 1))
 
 
 # -- normalization identity ------------------------------------------------

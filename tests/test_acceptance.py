@@ -14,7 +14,6 @@ import numpy as np
 from convexcover import (
     Affine,
     GridSpec,
-    Hinge,
     Rect,
     build_interval_system,
     build_packing_family,
@@ -33,6 +32,7 @@ from convexcover import (
     lp_distance,
     make_random_convex,
     packing_certificate,
+    ramp,
     scaling_identity_report,
     schedule_checks,
     separation_point,
@@ -58,7 +58,7 @@ def test_c01_separation_certificates(capsys):
     try:
         for eta, d in cases:
             t0 = time.perf_counter()
-            family = build_packing_family(eta, d)
+            family = build_packing_family(build_interval_system(eta, d))
             cert = packing_certificate(family, tol=1e-6)
             dt = time.perf_counter() - t0
             worst = max(worst, dt)
@@ -186,7 +186,7 @@ def test_c07_hinge_closed_forms(capsys):
     ratios = []
     try:
         for alpha in alphas:
-            f = Hinge(r, alpha)
+            f = ramp(r, alpha)
             for p in (1.0, 2.0):
                 got = lp_distance(f, zero, p, GridSpec(10001)).value
                 want = hinge_lp_closed_form(alpha, p)

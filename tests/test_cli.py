@@ -64,16 +64,21 @@ def test_pack_reruns_are_byte_identical(tmp_path):
 
 
 def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
-    # one cap object per cell per run: the 278 functions and the cap checks
-    # share the 45 caps of one system
-    built, runs = [], {}
+    # one system and one cap object per cell per run: the 278 functions
+    # and the cap checks share the 45 caps of that system
+    built, systems, runs = [], [], {}
     real_affine = packing.Affine
+    real_system = packing.build_interval_system
     real_build = packing.build_packing_family
     real_verify = packing.verify_cap_properties
 
     def counting(*args):
         built.append(real_affine(*args))
         return built[-1]
+
+    def system_once(*args):
+        systems.append(real_system(*args))
+        return systems[-1]
 
     def build(*args, **kw):
         runs["family"] = real_build(*args, **kw)
@@ -84,12 +89,14 @@ def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
         return real_verify(system, **kw)
 
     monkeypatch.setattr(packing, "Affine", counting)
+    monkeypatch.setattr(packing, "build_interval_system", system_once)
     monkeypatch.setattr(packing, "build_packing_family", build)
     monkeypatch.setattr(packing, "verify_cap_properties", verify)
     assert main(["pack", "--eta", "1/2025", "--dim", "1",
                  "--out-dir", str(tmp_path)]) == 0
+    assert len(systems) == 1
     system = runs["family"].system
-    assert runs["checked"] is system
+    assert system is systems[0] and runs["checked"] is system
     assert len(built) == 45
     assert all(a is b for a, b in zip(system.caps, built, strict=True))
     used = {id(c) for f in runs["family"].functions for c in f.parts[1:]}
@@ -139,6 +146,22 @@ def test_a_deep_schedule_passes_and_prints_the_log_of_an_overflowed_bound(
     assert capsys.readouterr().out == (
         f"depth 18 schedule; checks ok=True; "
         f"log cover count <= exp({log_bound:.6g})\n")
+
+
+def test_a_schedule_whose_radii_overflow_fails_its_checks(tmp_path, capsys):
+    # past |log2 eta| ~ 3.9e18 at p = 1, cancellation leaves a log radius
+    # of 256, so e^(3 * 256) in the d = 3 power sum leaves the floats
+    rc = main(["schedule", "--p", "1", "--log2-eta=-4e18",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["cover_accounting.json", "schedule.csv", "schedule.json",
+                     "schedule_checks.json"]
+    checks = json.loads((tmp_path / "schedule_checks.json").read_text())
+    assert checks["ok"] is False
+    assert checks["dim_sums"][2][1] == "inf"
+    out, err = capsys.readouterr()
+    assert "checks ok=False" in out and err == ""
 
 
 def test_schedule_accepts_exact_eta_text(tmp_path):

@@ -10,16 +10,15 @@ from convexcover import (
     Affine,
     ConvexFunction,
     DomainError,
-    Hinge,
     LipschitzVector,
     MaxAffine,
     MaxWith,
     ParameterError,
     Rect,
-    Rescaled,
     SeparableQuadratic,
     core,
     make_random_convex,
+    ramp,
     rescale_to_unit,
     tensor_points,
     unit_rect,
@@ -171,7 +170,7 @@ def test_separable_quadratic():
 
 
 def test_hinge_values_and_kink():
-    f = Hinge(unit_rect(1), 0.25)
+    f = ramp(unit_rect(1), 0.25)
     assert f.value((0.0,)) == 1.0
     assert f.value((0.125,)) == 0.5
     assert f.value((0.5,)) == 0.0
@@ -182,15 +181,18 @@ def test_hinge_values_and_kink():
 
 def test_hinge_validation():
     with pytest.raises(ParameterError):
-        Hinge(unit_rect(1), 0.0)
+        ramp(unit_rect(1), 0.0)
     with pytest.raises(ParameterError):
-        Hinge(unit_rect(1), 0.5, axis=1)
+        ramp(unit_rect(1), 0.5, axis=1)
+    # the slope -1/alpha leaves the floats
+    with pytest.raises(ParameterError):
+        ramp(unit_rect(1), 1e-309)
 
 
 def test_max_with_mixed_parts():
     r = unit_rect(1)
-    f = MaxWith(r, (SeparableQuadratic(r), Hinge(r, 0.5)))
-    assert f.value((0.0,)) == 1.0  # hinge dominates at the left edge
+    f = MaxWith(r, (SeparableQuadratic(r), ramp(r, 0.5)))
+    assert f.value((0.0,)) == 1.0  # the ramp dominates at the left edge
     assert f.value((1.0,)) == 1.0  # quadratic dominates at the right edge
     with pytest.raises(ParameterError):
         MaxWith(r, ())
@@ -205,15 +207,20 @@ def test_max_with_tie_breaks_to_first_part():
 
 
 def test_rescaled_view():
-    base = SeparableQuadratic(Rect((0.0, 0.0), (2.0, 2.0)))
-    g = Rescaled(unit_rect(2), base, 3.0)
-    # g(x) = 3 * |2x|^2 / 2 = 6 |x|^2
-    assert g.value((0.5, 0.25)) == 1.875
-    assert _grad(g, (0.5, 0.25)) == (6.0, 3.0)
-    with pytest.raises(ParameterError):
-        Rescaled(unit_rect(2), base, 0.0)
-    with pytest.raises(ParameterError):
-        Rescaled(unit_rect(1), base, 1.0)
+    dom = Rect((1.0, -2.0), (3.0, 2.0))
+    f = MaxAffine(dom, (Affine(dom, (1.0, 0.5), 0.25),
+                        Affine(dom, (-2.0, 0.0), 1.0)))
+    g = rescale_to_unit(f, 0.5)
+    # x = (1 + 2 y1, -2 + 4 y2): each c x + b becomes ((c w) y + b + c lo) / 0.5
+    r = unit_rect(2)
+    assert g == MaxAffine(r, (Affine(r, (4.0, 4.0), 0.5),
+                              Affine(r, (-8.0, 0.0), -2.0)))
+    assert g.value((0.25, 0.75)) == f.value((1.5, 1.0)) / 0.5 == 4.5
+    assert _grad(g, (0.25, 0.75)) == (4.0, 4.0)
+    # only affine forms have a rescaling rule
+    for other in (SeparableQuadratic(dom), MaxWith(dom, (f,))):
+        with pytest.raises(ParameterError, match=type(other).__name__):
+            rescale_to_unit(other, 0.5)
 
 
 def test_rescale_to_unit():
@@ -231,17 +238,18 @@ def test_rescale_to_unit():
 
 
 def _mixed_forms():
-    # equal copies of one hinge, one affine piece and one quadratic, shared
+    # equal copies of one ramp, one affine piece and one quadratic, shared
     # across siblings and nested maxima
     r = Rect((0.0, -1.0), (2.0, 1.0))
-    hinge = Hinge(r, 0.75, axis=0)
+    hinge = ramp(r, 0.75, axis=0)
     piece = Affine(r, (0.3, -0.2), 0.1)
     quad = SeparableQuadratic(r)
     max_affine = MaxAffine(r, (piece, Affine(r, (-0.5, 0.4), 0.2)))
-    rescaled = Rescaled(r, make_random_convex(2, 1.0, 4, seed=3), 0.7)
-    inner = MaxWith(r, (quad, Hinge(r, 0.75, axis=0)))
+    rescaled = rescale_to_unit(make_random_convex(2, 1.0, 4, seed=3, rect=r),
+                               0.7)
+    inner = MaxWith(r, (quad, ramp(r, 0.75, axis=0)))
     nested = MaxWith(r, (inner, Affine(r, (0.3, -0.2), 0.1),
-                         MaxWith(r, (Hinge(r, 0.75, axis=0), max_affine))))
+                         MaxWith(r, (ramp(r, 0.75, axis=0), max_affine))))
     return [max_affine, hinge, rescaled, inner, nested, quad, piece]
 
 
@@ -384,7 +392,7 @@ def test_lipschitz_budget_per_form():
     assert ma.lipschitz_budget().gamma == (2.0, 0.5)
     sq = SeparableQuadratic(Rect((-1.0, 0.0), (1.0, 2.0)))
     assert sq.lipschitz_budget().gamma == (1.0, 2.0)
-    h = Hinge(r, 0.25, axis=1)
+    h = ramp(r, 0.25, axis=1)
     assert h.lipschitz_budget().gamma == (1e-300, 4.0)
     mw = MaxWith(r, (ma, Affine(r, (0.0, 4.0), 0.0)))
     assert mw.lipschitz_budget().gamma == (2.0, 4.0)
@@ -394,12 +402,16 @@ def test_lipschitz_budget_per_form():
 
 
 def test_lipschitz_budget_rescaled_applies_the_chain_rule():
-    base = SeparableQuadratic(Rect((0.0, 0.0), (2.0, 2.0)))
-    g = Rescaled(unit_rect(2), base, 3.0)
-    assert g.lipschitz_budget().gamma == (12.0, 12.0)
+    dom = Rect((0.0, 0.0), (2.0, 2.0))
+    base = MaxAffine(dom, (Affine(dom, (1.0, -0.5), 0.0),
+                           Affine(dom, (-2.0, 0.25), 0.0)))
+    assert base.lipschitz_budget().gamma == (2.0, 0.5)
+    # each axis scales by its width over the bound
+    g = rescale_to_unit(base, 0.5)
+    assert g.lipschitz_budget().gamma == (8.0, 2.0)
     # a flat axis keeps its floor through the rescaling
-    flat = Rescaled(unit_rect(2), Hinge(unit_rect(2), 0.5), 0.25)
-    assert flat.lipschitz_budget().gamma == (0.5, 1e-300)
+    flat = rescale_to_unit(ramp(dom, 0.5), 4.0)
+    assert flat.lipschitz_budget().gamma == (1.0, 1e-300)
 
 
 def test_lipschitz_budget_rejects_unknown_form():

@@ -9,12 +9,10 @@ import pytest
 from convexcover import (
     Affine,
     GridSpec,
-    Hinge,
     MaxAffine,
     MaxWith,
     ParameterError,
     Rect,
-    Rescaled,
     SeparableQuadratic,
     check_l1_bound,
     check_sup_bound,
@@ -24,6 +22,7 @@ from convexcover import (
     lp_distance,
     make_random_convex,
     quadrature_grid,
+    ramp,
     sup_grid_distance,
     unit_rect,
     vertex_grid,
@@ -84,7 +83,7 @@ def test_lp_distance_quadratic_case():
 
 def test_lp_distance_hinge_matches_closed_form():
     r = unit_rect(1)
-    f = Hinge(r, 0.5)
+    f = ramp(r, 0.5)
     g = Affine(r, (0.0,), 0.0)
     rep = lp_distance(f, g, 1.0, GridSpec(1001))
     # the cell straddling the kink contributes an O(h^2) quadrature error
@@ -114,7 +113,7 @@ def test_sup_grid_distance_hits_the_endpoint():
 
 def test_sup_grid_distance_converges_from_below():
     r = unit_rect(1)
-    f = Hinge(r, 0.3)
+    f = ramp(r, 0.3)
     g = Affine(r, (0.0,), 0.0)
     coarse = sup_grid_distance(f, g, GridSpec(4)).value
     fine = sup_grid_distance(f, g, GridSpec(64)).value
@@ -194,7 +193,7 @@ def test_hausdorff_epigraph_of_shifted_slabs():
 
 def test_hausdorff_epigraph_converges_from_below():
     r = unit_rect(1)
-    f = Hinge(r, 0.5)
+    f = ramp(r, 0.5)
     g = Affine(r, (0.25,), 0.0)
     coarse = hausdorff_epigraph(f, g, 4, GridSpec(11)).value
     fine = hausdorff_epigraph(f, g, 256, GridSpec(201)).value
@@ -419,16 +418,13 @@ def _every_form(zero=0.0):
     a = Affine(r, (zero, 0.5), zero)
     b = Affine(r, (-0.5, zero), 0.25)
     quad = SeparableQuadratic(r)
-    base = Hinge(Rect((0.0, 0.0), (2.0, 2.0)), 0.5, axis=1)
-    return (a, MaxAffine(r, (a, b)), quad, Hinge(r, 0.3, axis=1),
-            MaxWith(r, (quad, a, b)), Rescaled(r, base, 0.5))
+    return (a, MaxAffine(r, (a, b)), quad, MaxWith(r, (quad, a, b)))
 
 
 def test_every_form_hashes_and_equal_copies_are_equal_keys():
     forms, copies = _every_form(), _every_form()
     assert [type(f).__name__ for f in forms] == [
-        "Affine", "MaxAffine", "SeparableQuadratic", "Hinge", "MaxWith",
-        "Rescaled"]
+        "Affine", "MaxAffine", "SeparableQuadratic", "MaxWith"]
     for form, copy in zip(forms, copies):
         assert copy is not form
         assert copy == form and hash(copy) == hash(form)

@@ -701,7 +701,7 @@ def test_separation_scale():
 
 
 def test_build_packing_family_small():
-    fam = build_packing_family(Fraction(1, 25), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     assert fam.system.k == 5
     assert len(fam.functions) == len(fam.code.words) == 2
     assert fam.eps == pytest.approx(0.04 / 48.0, rel=1e-15)
@@ -711,7 +711,7 @@ def test_build_packing_family_small():
 def test_family_members_hold_the_systems_own_caps():
     # 278 functions hold 6,269 cap references, all to the 45 caps built
     # once on the system; their JSON holds each cap's one dict
-    fam = build_packing_family(Fraction(1, 2025), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 2025), 1))
     system = fam.system
     assert len(system.caps) == system.n_cells == 45
     for i, cap in enumerate(system.caps):
@@ -732,7 +732,8 @@ def test_family_members_hold_the_systems_own_caps():
 
 def test_build_packing_family_respects_the_cell_cap():
     with pytest.raises(ParameterError):
-        build_packing_family(Fraction(1, 400), 2)  # 13^2 = 169 cells
+        # 13^2 = 169 cells
+        build_packing_family(build_interval_system(Fraction(1, 400), 2))
 
 
 def test_certificate_budget_counts_the_largest_family():
@@ -760,7 +761,7 @@ def test_certificate_budget_refuses_a_grid_past_max_grid_points():
 
 
 def test_packing_certificate_on_a_small_family():
-    fam = build_packing_family(Fraction(1, 25), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     cert = packing_certificate(fam)
     assert cert.ok
     assert cert.pairs_checked == 1
@@ -774,7 +775,7 @@ def test_packing_certificate_on_a_small_family():
 
 
 def test_certificate_states_an_eps_past_the_separation_floor():
-    fam = build_packing_family(Fraction(1, 25), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     # the caps of 1/25, the counts of eta 1/2500: min_distance zeta is
     # then 0.32 eps
     system = replace(fam.system, eta=fam.system.eta / 100)
@@ -832,10 +833,11 @@ def _first(fam, m):
 
 def test_certificate_equals_the_pair_by_pair_reference():
     # 16-row blocks: m = 17 and 18 put one and two rows in a second block
-    one = build_packing_family(Fraction(1, 1225), 1, max_samples=1)
+    one = build_packing_family(build_interval_system(Fraction(1, 1225), 1),
+                               max_samples=1)
     assert len(one.functions) == 1
-    fams = [one, build_packing_family(Fraction(1, 25), 1)]
-    wide = build_packing_family(Fraction(1, 1225), 1)
+    fams = [one, build_packing_family(build_interval_system(Fraction(1, 25), 1))]
+    wide = build_packing_family(build_interval_system(Fraction(1, 1225), 1))
     fams += [_first(wide, 17), _first(wide, 18), wide]
     assert [len(f.functions) for f in fams] == [1, 2, 17, 18, 80]
     for fam in fams:
@@ -846,13 +848,13 @@ def test_certificate_equals_the_pair_by_pair_reference():
         want = _reference_certificate(fam, 2001, tol=0.0).to_json()
         assert packing_certificate(fam, tol=0.0).to_json() == want
     assert want["failures"] == 1556
-    fam = build_packing_family(Fraction(1, 36), 2)
+    fam = build_packing_family(build_interval_system(Fraction(1, 36), 2))
     want = _reference_certificate(fam, 60).to_json()
     assert packing_certificate(fam, grid_n=60).to_json() == want
 
 
 def test_certificate_catches_an_unseparated_family():
-    fam = build_packing_family(Fraction(1, 25), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     # every cell of the doctored system is the first: the two words are
     # far apart, but their functions differ on one cell at most
     system = replace(fam.system, starts=(0.0,) * fam.system.k)
@@ -898,7 +900,7 @@ def _assert_rows_match(system, words, axes):
     (Fraction(1, 1600), 1, 2001),
 ])
 def test_stacked_family_values_match_each_function(eta, d, n):
-    fam = build_packing_family(eta, d)
+    fam = build_packing_family(build_interval_system(eta, d))
     words = fam.code.words
     # word 0 is f0 alone; the vertex grid reaches the cube's faces, and
     # the midpoint grid is the certificate's own
@@ -916,7 +918,7 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
     # at d=1 the gap is 0, and near a cell's ends its neighbours' caps rise
     # up to an ulp above f0: those nodes lie in the caps' boxes and must be
     # folded in
-    fam = build_packing_family(Fraction(1, 2025), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 2025), 1))
     system = fam.system
     axis = _near_cell_ends(system)
     pts = axis[:, None]
@@ -1006,7 +1008,7 @@ def test_a_box_with_one_grid_node_matches_the_full_grid():
 
 
 def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
-    fam = build_packing_family(Fraction(1, 36), 2)
+    fam = build_packing_family(build_interval_system(Fraction(1, 36), 2))
     calls = []
 
     def counted(values):
@@ -1032,7 +1034,7 @@ def test_stacked_family_values_evaluate_each_distinct_part_once(monkeypatch):
 def test_certificate_peak_memory_is_one_block_over_its_values():
     # 8 functions x 600^2 nodes: a 23 MB value matrix, one 7-row block of
     # differences (20 MB) and the 2.9 MB weights; no node array
-    fam = build_packing_family(Fraction(1, 36), 2)
+    fam = build_packing_family(build_interval_system(Fraction(1, 36), 2))
     tracemalloc.start()
     try:
         cert = packing_certificate(fam)

@@ -8,10 +8,10 @@ import pytest
 from convexcover import (
     Affine,
     GridSpec,
-    Hinge,
     LipschitzVector,
     ParameterError,
     Rect,
+    build_interval_system,
     build_packing_family,
     build_schedule,
     check_l1_bound,
@@ -25,6 +25,7 @@ from convexcover import (
     lp_distance,
     make_random_convex,
     packing_certificate,
+    ramp,
     scaling_identity_report,
     slice_gradient_mass,
     unit_rect,
@@ -65,7 +66,7 @@ def test_sup_bound_with_explicit_budgets():
 def test_sup_bound_with_infinite_budget_is_vacuous():
     # a ramp of slope 1e200 gives sqrt(1 + 1e400) = inf as the factor
     r = unit_rect(1)
-    f = Hinge(r, 1e-200)
+    f = ramp(r, 1e-200)
     g = Affine(r, (0.0,), 0.0)
     rep = check_sup_bound(f, g, n_directions=16, grid=GridSpec(17))
     assert rep.ok
@@ -114,13 +115,13 @@ def test_l1_bound_requires_normalized_inputs():
 
 
 def test_gradient_mass_of_a_ramp():
-    f = Hinge(unit_rect(1), 0.5)
+    f = ramp(unit_rect(1), 0.5)
     mass = gradient_mass(f, 0.05, GridSpec(2001))
     # slope -2 on [0.05, 0.5] and 0 beyond: mass 0.9 up to the kink cell
     assert abs(mass - 0.9) < 2e-3
     assert mass <= 8.0
     # a ramp that climbs entirely inside the trimmed-away margin
-    steep = Hinge(unit_rect(1), 2.0**-6)
+    steep = ramp(unit_rect(1), 2.0**-6)
     assert gradient_mass(steep, 0.05, GridSpec(2001)) == 0.0
     with pytest.raises(ParameterError):
         gradient_mass(f, 0.5)
@@ -135,7 +136,7 @@ def test_gradient_mass_of_random_functions():
 
 
 def test_slice_gradient_mass_measures_the_climb():
-    f = Hinge(unit_rect(1), 0.5)
+    f = ramp(unit_rect(1), 0.5)
     mass = slice_gradient_mass(f, 0, [0.0], 0.05)
     # slope -2 on [0.05, 0.5]: integral 0.9, up to the straddling cell
     assert abs(mass - 0.9) < 2e-3
@@ -143,7 +144,7 @@ def test_slice_gradient_mass_measures_the_climb():
 
 
 def test_slice_gradient_mass_validation():
-    f = Hinge(unit_rect(2), 0.5)
+    f = ramp(unit_rect(2), 0.5)
     with pytest.raises(ParameterError):
         slice_gradient_mass(f, 2, [0.5, 0.5], 0.05)
     with pytest.raises(ParameterError):
@@ -160,7 +161,7 @@ def test_hinge_lp_closed_form_matches_quadrature():
     zero = Affine(r, (0.0,), 0.0)
     for alpha in (1.0, 0.25):
         for p in (1.0, 2.0):
-            f = Hinge(r, alpha)
+            f = ramp(r, alpha)
             want = hinge_lp_closed_form(alpha, p)
             got = lp_distance(f, zero, p, GridSpec(4001)).value
             assert abs(got - want) < 1e-5
@@ -186,7 +187,7 @@ def test_hinge_hausdorff_closed_form_values():
 
 def test_hinge_family_sup_separation_is_exact():
     fam = hinge_family(6)
-    assert [h.alpha for h in fam] == [2.0**-j for j in range(1, 7)]
+    assert fam == tuple(ramp(unit_rect(1), 2.0**-j) for j in range(1, 7))
     for k in range(2, 7):
         x = (2.0**-k,)
         assert fam[k - 1].value(x) == 0.0
@@ -286,7 +287,7 @@ def test_entropy_bounds_validation():
 def test_reports_write_int_inputs_as_floats():
     # a report writes each float field with repr(float), so a float
     # parameter given as an int is stored as a float, as the CLI's are
-    fam = build_packing_family(Fraction(1, 25), 1)
+    fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     assert packing_certificate(fam, tol=0).to_json()["tol"] == "0.0"
     eb = entropy_bounds(1, 1, Rect((0.0,), (4.0,)), 1).to_json()
     assert (eb["eps"], eb["p"]) == ("1.0", "1.0")
