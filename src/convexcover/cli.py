@@ -60,8 +60,12 @@ MAX_DIRECTIONS = 10**5
 # artifact is written, about 3.5 KB of it, so this many take about 35 MB.
 MAX_PAIRS = 10**4
 
-# Affine pieces of each random lemmas function.
+# Affine pieces of each random lemmas function, its value bound and the
+# inner-box margin of the slope masses. The bound stays below the slab
+# ceiling 1, so off-grid dips stay inside the lemmas' range.
 LEMMA_PIECES = 6
+LEMMA_BOUND = 0.9
+LEMMA_RHO = 0.05
 
 
 def _parse_eta(text: str) -> Fraction:
@@ -206,7 +210,7 @@ def cmd_schedule(args) -> tuple[dict, str, bool]:
             raise ParameterError("eta is outside the float range") from None
     sched = build_schedule(args.p, log_eta)
     checks = schedule_checks(sched, dims=tuple(args.dims))
-    acct = cover_accounting(sched, args.dim, args.gamma_sum, args.scale)
+    acct = cover_accounting(sched, args.dim)
 
     rows = []
     for m in range(1, sched.depth + 2):
@@ -254,13 +258,6 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
         raise ParameterError(f"need directions <= {MAX_DIRECTIONS}")
     if args.directions < 2 * (args.dim + 1):  # as hausdorff_epigraph says
         raise ParameterError(f"need at least {2 * (args.dim + 1)} directions")
-    # the sup check's slab ceiling is 1 and the L1 check needs |f| <= 1:
-    # a larger bound is refused here, not by a check on a fixed ceiling
-    if not 0.0 < args.bound <= 1.0:
-        raise ParameterError(f"--bound must be positive and at most 1, "
-                             f"got {args.bound!r}")
-    if not 0.0 < args.rho < 0.5:
-        raise ParameterError("need 0 < rho < 0.5")
     _require_lemma_grid(args.dim, args.grid_n)
     from .functions import make_random_convex
     from .metrics import GridSpec
@@ -270,14 +267,14 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
     reports = []
     all_ok = True
     for i in range(args.pairs):
-        f = make_random_convex(args.dim, args.bound, LEMMA_PIECES,
+        f = make_random_convex(args.dim, LEMMA_BOUND, LEMMA_PIECES,
                                args.seed + 2 * i)
-        g = make_random_convex(args.dim, args.bound, LEMMA_PIECES,
+        g = make_random_convex(args.dim, LEMMA_BOUND, LEMMA_PIECES,
                                args.seed + 2 * i + 1)
         sup_rep = check_sup_bound(f, g, n_directions=args.directions,
                                   grid=grid)
         l1_rep = check_l1_bound(f, g, n_directions=args.directions, grid=grid)
-        masses = [gradient_mass(h, args.rho) for h in (f, g)]
+        masses = [gradient_mass(h, LEMMA_RHO) for h in (f, g)]
         mass_cap = 8.0 * args.dim
         mass_ok = all(mv <= mass_cap for mv in masses)
         all_ok = all_ok and sup_rep.ok and l1_rep.ok and mass_ok
@@ -288,7 +285,7 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
                         "slope_mass_ok": mass_ok})
     files = {"lemma_reports.json": {
         "dim": args.dim, "pairs": args.pairs, "seed": args.seed,
-        "bound": repr(args.bound), "all_ok": all_ok, "reports": reports}}
+        "bound": repr(LEMMA_BOUND), "all_ok": all_ok, "reports": reports}}
     return (files, f"{args.pairs} pairs at d={args.dim}: all_ok={all_ok}",
             all_ok)
 
@@ -297,8 +294,7 @@ def cmd_bounds(args) -> tuple[dict, str, bool]:
     d = args.dim
     rect = Rect((0.0,) * d, (args.side,) * d)
     gammas = LipschitzVector(tuple(args.gamma)) if args.gamma else None
-    eb = entropy_bounds(args.eps, args.p, rect, args.bound, gammas,
-                        args.scale)
+    eb = entropy_bounds(args.eps, args.p, rect, args.bound, gammas)
 
     def show(v, missing="out of range"):
         return missing if v is None else f"{v:.6g}"
@@ -347,8 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dimension for the cover accounting")
     s.add_argument("--dims", type=int, nargs="+", default=(1, 2, 3),
                    help="dimensions for the radius power-sum checks")
-    s.add_argument("--gamma-sum", type=float, default=0.0)
-    s.add_argument("--scale", type=float, default=1.0)
     s.add_argument("--out-dir", default=".")
     s.set_defaults(func=cmd_schedule)
 
@@ -357,11 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     le.add_argument("--dim", type=int, required=True)
     le.add_argument("--pairs", type=int, default=3)
     le.add_argument("--seed", type=int, default=0)
-    le.add_argument("--bound", type=float, default=0.9,
-                    help="value bound for the random pairs, at most 1; keep "
-                         "below 1 so off-grid dips stay inside the lemma's "
-                         "range")
-    le.add_argument("--rho", type=float, default=0.05)
     le.add_argument("--grid-n", type=int, default=201)
     le.add_argument("--directions", type=int, default=1000)
     le.add_argument("--out-dir", default=".")
@@ -375,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--bound", type=float, default=1.0)
     b.add_argument("--gamma", type=float, action="append",
                    help="per-axis slope budget; repeat once per axis")
-    b.add_argument("--scale", type=float, default=1.0)
     b.add_argument("--out-dir", default=".")
     b.set_defaults(func=cmd_bounds)
 

@@ -256,10 +256,7 @@ def separation_point(eta, d: int) -> SeparationPoint:
     return SeparationPoint(ef, d, k, n, separation_scale(d) * ef, log_packing)
 
 
-def separation_curve(eta, d: int,
-                     steps: int = 5) -> tuple[SeparationPoint, ...]:
-    """Points at eta, eta/4, ..., eta/4^(steps-1), exact in eta."""
-    if steps < 1:
-        raise ParameterError("need steps >= 1")
+def separation_curve(eta, d: int) -> tuple[SeparationPoint, ...]:
+    """Points at eta, eta/4, ..., eta/4^4, exact in eta."""
     e = Fraction(eta)
-    return tuple(separation_point(e / 4**m, d) for m in range(steps))
+    return tuple(separation_point(e / 4**m, d) for m in range(5))

@@ -264,8 +264,8 @@ class PackingFamily:
         return _report_json(self, "eps", "zeta")
 
 
-def build_packing_family(system: IntervalSystem, seed: int = 0,
-                         max_samples: int = 10**6) -> PackingFamily:
+def build_packing_family(system: IntervalSystem,
+                         seed: int = 0) -> PackingFamily:
     """Greedy code on the system's cells, and one function per codeword.
 
     Refuses systems with more than CELL_CAP cells; smaller eta makes the
@@ -276,7 +276,7 @@ def build_packing_family(system: IntervalSystem, seed: int = 0,
         raise ParameterError(
             f"{n} cells exceeds the {CELL_CAP}-cell cap at eta={system.eta}")
     code = greedy_binary_code(n, code_min_distance(n), code_target(n),
-                              seed=seed, max_samples=max_samples)
+                              seed=seed)
     funcs = tuple(perturbed_function(system, w) for w in code.words)
     return PackingFamily(system, code, funcs)
 

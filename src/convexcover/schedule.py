@@ -334,15 +334,18 @@ def schedule_checks(sched: Schedule,
 class CoverAccounting(NamedTuple):
     """Cover radius and cover-count bound implied by a schedule.
 
-    entropy_bound caps the log of the covering count: with u the edge
-    level and G the sum of per-axis slope budgets,
+    entropy_bound caps the log of the covering count up to an unspecified
+    absolute factor: with u the edge level and G the sum of per-axis slope
+    budgets,
 
-        log N <= scale * (2^(d+1)/(2^d - 1) + (2/u)^(d/2))
-                       * ((G + 2) / eta)^(d/2).
+        log N <~ (2^(d+1)/(2^d - 1) + (2/u)^(d/2)) * ((G + 2) / eta)^(d/2).
 
-    Extreme parameters push that right-hand side past float range, so
-    log_entropy_bound keeps its log alongside (entropy_bound is then
-    inf). The cover radius is (17/3)^(1/p) * eta.
+    The caller applies that factor, not the library. Extreme parameters
+    push the right-hand side past float range, so log_entropy_bound keeps
+    its log alongside (entropy_bound is then inf). The cover radius is
+    (17/3)^(1/p) * eta. scale is fixed at 1.0; cover_accounting.json
+    keeps the field until the next declared schema change (ROADMAP item 1)
+    removes it.
     """
 
     dim: int
@@ -357,8 +360,8 @@ class CoverAccounting(NamedTuple):
         return _report_json(self)
 
 
-def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
-                     scale: float = 1.0) -> CoverAccounting:
+def cover_accounting(sched: Schedule, d: int,
+                     gamma_sum: float = 0.0) -> CoverAccounting:
     """Cover radius and the bound on the log covering count for dimension d."""
     if sched.depth < 1:
         raise ParameterError("schedule has no levels below the edge")
@@ -366,8 +369,6 @@ def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
         raise ParameterError("dimension must be in 1..8")
     if not (gamma_sum >= 0.0):
         raise ParameterError("gamma_sum must be nonnegative (inf allowed)")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ParameterError("scale must be positive and finite")
 
     log_cover = math.log(17.0 / 3.0) / sched.p + sched.log_eta
     if math.isinf(gamma_sum):
@@ -376,13 +377,13 @@ def cover_accounting(sched: Schedule, d: int, gamma_sum: float = 0.0,
         half_d = 0.5 * d
         log_coef = _log_add((d + 1.0) * LOG2 - math.log(2.0**d - 1.0),
                             half_d * (LOG2 - sched.log_edge))
-        log_bound = (math.log(scale) + log_coef
-                     + half_d * (math.log(gamma_sum + 2.0) - sched.log_eta))
+        log_bound = log_coef + half_d * (math.log(gamma_sum + 2.0)
+                                         - sched.log_eta)
     try:
         bound = math.exp(log_bound)
     except OverflowError:
         bound = math.inf
-    return CoverAccounting(d, float(gamma_sum), float(scale), log_cover,
+    return CoverAccounting(d, float(gamma_sum), 1.0, log_cover,
                            math.exp(log_cover), log_bound, bound)
 
 
@@ -400,8 +401,8 @@ class EntropyBounds(NamedTuple):
     of the constructed packing (None when the required level is
     inadmissible). log_lipschitz_upper caps the sup-distance cover count
     of the slope-budgeted subclass (None when no budgets are given; inf
-    when a budget is infinite). All three carry an unspecified absolute
-    factor, exposed as the scale argument.
+    when a budget is infinite). The paper states these bounds up to an
+    unspecified absolute factor; the caller applies it, not the library.
     """
 
     eps: float
@@ -416,8 +417,7 @@ class EntropyBounds(NamedTuple):
 
 
 def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
-                   gammas: LipschitzVector | None = None,
-                   scale: float = 1.0) -> EntropyBounds:
+                   gammas: LipschitzVector | None = None) -> EntropyBounds:
     """Assemble the cover and packing bounds for one (eps, p, cube, bound).
 
     Everything is first normalized: distances divide by bound * side^(d/p)
@@ -432,10 +432,8 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
     # an infinite bound would normalize every level to 0, out of range
     if not (math.isfinite(bound) and bound > 0):
         raise ParameterError("bound must be positive and finite")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ParameterError("scale must be positive and finite")
-    if not p >= 1.0:
-        raise ParameterError("need p >= 1")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ParameterError("need finite p >= 1")
     d = rect.dim
     side = rect.widths[0]
     if gammas is not None and len(gammas.gamma) != d:
@@ -455,7 +453,7 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
     if 0.0 < eta_lp < 1.0:
         try:
             sched = build_schedule(p, math.log(eta_lp))
-            log_upper = cover_accounting(sched, d, gsum, scale).entropy_bound
+            log_upper = cover_accounting(sched, d, gsum).entropy_bound
         except ParameterError:
             log_upper = None
 
@@ -471,8 +469,7 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
         if math.isinf(gsum):
             log_lip = math.inf
         elif 0.0 < eta_sup < 1.0:
-            log_val = (math.log(scale)
-                       + 0.5 * d * (math.log(gsum + 2.0) - math.log(eta_sup)))
+            log_val = 0.5 * d * (math.log(gsum + 2.0) - math.log(eta_sup))
             try:
                 log_lip = math.exp(log_val)
             except OverflowError:

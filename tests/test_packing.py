@@ -16,6 +16,7 @@ from convexcover import (
     CapPropertyReport,
     IntervalSystem,
     PackingCertificate,
+    PackingFamily,
     ParameterError,
     SeparableQuadratic,
     build_interval_system,
@@ -832,10 +833,15 @@ def _first(fam, m):
 
 
 def test_certificate_equals_the_pair_by_pair_reference():
-    # 16-row blocks: m = 17 and 18 put one and two rows in a second block
-    one = build_packing_family(build_interval_system(Fraction(1, 1225), 1),
-                               max_samples=1)
-    assert len(one.functions) == 1
+    # 16-row blocks: m = 17 and 18 put one and two rows in a second block;
+    # one draw gives a one-word code, short of its target
+    system = build_interval_system(Fraction(1, 1225), 1)
+    n = system.n_cells
+    code = greedy_binary_code(n, code_min_distance(n), code_target(n),
+                              max_samples=1)
+    one = PackingFamily(system, code, tuple(perturbed_function(system, w)
+                                            for w in code.words))
+    assert len(one.functions) == 1 and code.shortfall > 0
     fams = [one, build_packing_family(build_interval_system(Fraction(1, 25), 1))]
     wide = build_packing_family(build_interval_system(Fraction(1, 1225), 1))
     fams += [_first(wide, 17), _first(wide, 18), wide]
@@ -1056,9 +1062,8 @@ def test_separation_point_values():
 
 
 def test_separation_curve_scales_the_level_exactly():
-    curve = separation_curve(Fraction(1, 25), 1, steps=3)
-    assert [pt.eta for pt in curve] == [0.04, 0.01, 0.0025]
-    assert [pt.k for pt in curve] == [5, 10, 20]
-    assert [pt.log_packing for pt in curve] == [0.625, 1.25, 2.5]
-    with pytest.raises(ParameterError):
-        separation_curve(Fraction(1, 25), 1, steps=0)
+    curve = separation_curve(Fraction(1, 25), 1)
+    assert [pt.eta for pt in curve] == [0.04, 0.01, 0.0025, 0.000625,
+                                        0.00015625]
+    assert [pt.k for pt in curve] == [5, 10, 20, 40, 80]
+    assert [pt.log_packing for pt in curve] == [0.625, 1.25, 2.5, 5.0, 10.0]

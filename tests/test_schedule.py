@@ -270,11 +270,11 @@ def test_cover_accounting_matches_a_direct_recomputation():
 
 
 def test_cover_accounting_scale_and_budgets_enter_linearly():
+    # the scale field is fixed at 1.0; at d = 2 the budget sum G enters
+    # the bound as the factor (G + 2) / 2
     sched = build_schedule(1.0, -96.0 * LOG2)
     base = cover_accounting(sched, 2)
-    scaled = cover_accounting(sched, 2, scale=3.0)
-    assert scaled.entropy_bound == pytest.approx(3.0 * base.entropy_bound,
-                                                 rel=1e-12)
+    assert base.scale == 1.0
     budgeted = cover_accounting(sched, 2, gamma_sum=6.0)
     assert budgeted.entropy_bound == pytest.approx(
         base.entropy_bound * (8.0 / 2.0) ** 1.0, rel=1e-12)
@@ -302,7 +302,3 @@ def test_cover_accounting_validation():
         cover_accounting(sched, 9)
     with pytest.raises(ParameterError):
         cover_accounting(sched, 1, gamma_sum=-1.0)
-    with pytest.raises(ParameterError):
-        cover_accounting(sched, 1, scale=0.0)
-    with pytest.raises(ParameterError):
-        cover_accounting(sched, 1, scale=math.inf)

@@ -9,6 +9,7 @@ from convexcover import (
     Affine,
     GridSpec,
     LipschitzVector,
+    MaxAffine,
     ParameterError,
     Rect,
     build_interval_system,
@@ -31,6 +32,8 @@ from convexcover import (
     unit_rect,
 )
 from convexcover.verify import _hausdorff_bias
+
+from test_schedule import _failure_rows
 
 LOG2 = math.log(2.0)
 
@@ -93,6 +96,29 @@ def test_sup_bound_tolerance_carries_the_sampling_bias():
     bias = _hausdorff_bias(f, g, 64)
     assert coarse.tolerance >= bias
     assert fine.tolerance < coarse.tolerance
+
+
+class _UnderstatedBudget(MaxAffine):
+    def lipschitz_budget(self):
+        return LipschitzVector((1e-300,) * self.domain.dim)
+
+
+def understated_ramp_budget():
+    # a ramp of slope 16 that claims a budget of 1e-300 on each axis, so
+    # the sup check's factor is 1, and the zero function
+    r = unit_rect(1)
+    f = ramp(r, 2**-4)
+    return _UnderstatedBudget(r, f.pieces), Affine(r, (0.0,), 0.0)
+
+
+_FAILURES = _failure_rows("test_a_doctored_lemma_pair_fails_its_check")
+
+
+@pytest.mark.parametrize("verdict, builder", list(_FAILURES.values()),
+                         ids=list(_FAILURES))
+def test_a_doctored_lemma_pair_fails_its_check(verdict, builder):
+    rep = check_sup_bound(*globals()[builder]())
+    assert not getattr(rep, verdict) and not rep.ok
 
 
 def test_l1_bound_on_random_pairs():
@@ -275,9 +301,10 @@ def test_entropy_bounds_validation():
         entropy_bounds(0.1, 1.0, Rect((0.0, 0.0), (1.0, 2.0)), 1.0)
     with pytest.raises(ParameterError):
         entropy_bounds(0.1, 1.0, unit_rect(2), 1.0, LipschitzVector((1.0,)))
-    for scale in (0.0, math.inf):
-        with pytest.raises(ParameterError):
-            entropy_bounds(0.1, 1.0, unit_rect(1), 1.0, scale=scale)
+    # the bounds are stated for 1 <= p < inf, as the schedule's are
+    for p in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="need finite p >= 1"):
+            entropy_bounds(0.1, p, unit_rect(1), 1.0)
     # an infinite bound normalizes every level to 0: all bounds None
     for bound in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
@@ -292,5 +319,5 @@ def test_reports_write_int_inputs_as_floats():
     eb = entropy_bounds(1, 1, Rect((0.0,), (4.0,)), 1).to_json()
     assert (eb["eps"], eb["p"]) == ("1.0", "1.0")
     assert entropy_bounds(1e-3, 1, unit_rect(1), 1).to_json()["p"] == "1.0"
-    acct = cover_accounting(build_schedule(1, -100.0), 1, 0, 1).to_json()
+    acct = cover_accounting(build_schedule(1, -100.0), 1, 0).to_json()
     assert (acct["gamma_sum"], acct["scale"]) == ("0.0", "1.0")
