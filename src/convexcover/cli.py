@@ -198,19 +198,10 @@ def cmd_pack(args) -> tuple[dict, str, bool]:
 
 
 def cmd_schedule(args) -> tuple[dict, str, bool]:
-    if args.log2_eta is not None:
-        log_eta = args.log2_eta * LOG2
-    else:
-        eta = _parse_eta(args.eta)
-        if eta <= 0:
-            raise ParameterError("eta must be positive")
-        try:
-            log_eta = math.log(float(eta))
-        except (OverflowError, ValueError):  # float(eta) is inf or 0.0
-            raise ParameterError("eta is outside the float range") from None
-    sched = build_schedule(args.p, log_eta)
-    checks = schedule_checks(sched, dims=tuple(args.dims))
-    acct = cover_accounting(sched, args.dim)
+    sched = build_schedule(args.p, args.log2_eta * LOG2)
+    acct = cover_accounting(sched, args.dim)  # refuses a dim out of range
+    # the cover coefficient at d holds twice the d-th power-sum bound
+    checks = schedule_checks(sched, tuple(range(1, max(3, args.dim) + 1)))
 
     rows = []
     for m in range(1, sched.depth + 2):
@@ -313,15 +304,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     Every parse_args call starts a fresh namespace from the actions'
     defaults, and none of those defaults is mutable, so one parser serves
-    every call in the process. It is not built at import.
+    every call in the process. It is not built at import. Options are
+    taken by their full names only, never by a prefix.
     """
     parser = argparse.ArgumentParser(
-        prog="convexcover",
+        prog="convexcover", allow_abbrev=False,
         description="Separated families, cover schedules, and distance "
                     "checks for bounded convex functions on a cube.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("pack", help="build a separated family and certify it")
+    p = add("pack", help="build a separated family and certify it")
     p.add_argument("--eta", required=True,
                    help="separation level, e.g. 0.01 or 1/400 (parsed exactly)")
     p.add_argument("--dim", type=int, required=True)
@@ -331,23 +324,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_pack)
 
-    s = sub.add_parser("schedule", help="build and check a refinement schedule")
+    s = add("schedule", help="build and check a refinement schedule")
     s.add_argument("--p", type=float, required=True)
-    level = s.add_mutually_exclusive_group(required=True)
-    level.add_argument("--eta", help="target level, parsed exactly")
-    level.add_argument("--log2-eta", type=float,
-                       help="log2 of the target level, e.g. -96; a negative "
-                            "value in exponent form needs the = form, "
-                            "--log2-eta=-1e41")
+    s.add_argument("--log2-eta", type=float, required=True,
+                   help="log2 of the target level, e.g. -96; a negative "
+                        "value in exponent form needs the = form, "
+                        "--log2-eta=-1e41")
     s.add_argument("--dim", type=int, default=1,
-                   help="dimension for the cover accounting")
-    s.add_argument("--dims", type=int, nargs="+", default=(1, 2, 3),
-                   help="dimensions for the radius power-sum checks")
+                   help="dimension for the cover accounting; the radius "
+                        "power sums are checked at 1..max(3, dim)")
     s.add_argument("--out-dir", default=".")
     s.set_defaults(func=cmd_schedule)
 
-    le = sub.add_parser("lemmas", help="distance-vs-Hausdorff checks on "
-                                       "random pairs")
+    le = add("lemmas", help="distance-vs-Hausdorff checks on random pairs")
     le.add_argument("--dim", type=int, required=True)
     le.add_argument("--pairs", type=int, default=3)
     le.add_argument("--seed", type=int, default=0)
@@ -356,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     le.add_argument("--out-dir", default=".")
     le.set_defaults(func=cmd_lemmas)
 
-    b = sub.add_parser("bounds", help="cover and packing bounds for one query")
+    b = add("bounds", help="cover and packing bounds for one query")
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--p", type=float, required=True)
     b.add_argument("--dim", type=int, required=True)

@@ -176,8 +176,8 @@ def interval_count(eta, d: int) -> int:
     q = a (d-1) k^2. Squaring once leaves 2 sqrt(pq) <= rem = 4b - p - q,
     which holds iff rem >= 0 and 4 p q <= rem^2.
     """
-    if not 1 <= d <= 8:
-        raise ParameterError("dimension must be in 1..8")
+    if not 1 <= d <= MAX_DIM:
+        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
     if isinstance(eta, float) and not math.isfinite(eta):
         raise ParameterError("eta must be finite")
     e = Fraction(eta)

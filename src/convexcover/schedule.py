@@ -35,6 +35,7 @@ import math
 from typing import NamedTuple
 
 from .core import (
+    MAX_DIM,
     LipschitzVector,
     ParameterError,
     Rect,
@@ -223,7 +224,7 @@ def schedule_checks(sched: Schedule,
         within s1_slack; summed only over an increasing chain, and false
         (log_s1 inf) on any other.
     squares: sum zeta_m^2 <= 4/3; powers: sum zeta_m^d <= 2^d/(2^d-1) for
-        each d in dims, which must lie in 1..8. A sum whose term passes
+        each d in dims, which must lie in 1..MAX_DIM. A sum whose term passes
         the float range is inf, and its check false.
 
     tol = (A + 32) u |(p+1) log_eta|, with depth A and u = 2^-53, bounds
@@ -271,8 +272,8 @@ def schedule_checks(sched: Schedule,
     (the first term carries all but 4^-(p+1)/0.75 of s1); it reaches
     log(7/3) / 2 at |pL| = 1.5e14.
     """
-    if not all(1 <= d <= 8 for d in dims):
-        raise ParameterError("dims must be in 1..8")
+    if not all(1 <= d <= MAX_DIM for d in dims):
+        raise ParameterError(f"dims must be in 1..{MAX_DIM}")
     p = sched.p
     a = sched.depth
     lv, wt, rd = sched.log_levels, sched.log_weights, sched.log_radii
@@ -365,8 +366,8 @@ def cover_accounting(sched: Schedule, d: int,
     """Cover radius and the bound on the log covering count for dimension d."""
     if sched.depth < 1:
         raise ParameterError("schedule has no levels below the edge")
-    if not 1 <= d <= 8:
-        raise ParameterError("dimension must be in 1..8")
+    if not 1 <= d <= MAX_DIM:
+        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
     if not (gamma_sum >= 0.0):
         raise ParameterError("gamma_sum must be nonnegative (inf allowed)")
 

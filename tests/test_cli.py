@@ -164,14 +164,6 @@ def test_a_schedule_whose_radii_overflow_fails_its_checks(tmp_path, capsys):
     assert "checks ok=False" in out and err == ""
 
 
-def test_schedule_accepts_exact_eta_text(tmp_path):
-    rc = main(["schedule", "--p", "2", "--eta", "1/1099511627776",
-               "--out-dir", str(tmp_path)])  # 2^-40
-    assert rc == 0
-    sched = json.loads((tmp_path / "schedule.json").read_text())
-    assert sched["depth"] == 1
-
-
 def test_a_negative_log2_eta_in_exponent_form_needs_the_equals_form(
         tmp_path):
     # argparse reads "-9.6e1" as an option, not as the flag's value
@@ -278,9 +270,11 @@ def test_missing_required_arguments_exit_via_argparse(tmp_path):
     "bounds --eps 1e-8 --p 1 --dim 1 --scale 1",
     "lemmas --dim 1 --bound 1",
     "lemmas --dim 1 --rho 1",
+    "schedule --p 1 --log2-eta -96 --eta 1",
+    "schedule --p 1 --log2-eta -96 --dims 1",
 ], ids=["tol", "cap-samples", "max-samples", "curve-steps", "pieces",
         "origin", "schedule-scale", "gamma-sum", "bounds-scale", "bound",
-        "rho"])
+        "rho", "schedule-eta", "dims"])
 def test_a_removed_option_exits_2_through_argparse(tmp_path, capsys, argv):
     out = tmp_path / "new" / "out"
     with pytest.raises(SystemExit) as exc:
@@ -289,6 +283,35 @@ def test_a_removed_option_exits_2_through_argparse(tmp_path, capsys, argv):
     flag = argv.split()[-2]
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # with prefixes allowed the first three ran as --side 2, as --pairs 1
+    # --grid-n 51 --directions 64 and as --log2-eta -96, and the last would
+    # mean --dim 2 once --dims was gone
+    ("bounds --eps 1e-8 --p 1 --dim 1 --s 2", "unrecognized arguments: --s 2"),
+    ("lemmas --dim 1 --pai 1 --gr 51 --dir 64",
+     "unrecognized arguments: --pai 1 --gr 51 --dir 64"),
+    ("schedule --p 1 --log2 -96", "required: --log2-eta"),
+    ("schedule --p 1 --log2-eta -96 --di 2", "unrecognized arguments: --di 2"),
+], ids=["side", "lemmas", "log2-eta", "dim"])
+def test_an_option_prefix_is_an_argparse_error(tmp_path, capsys, argv,
+                                               message):
+    out = tmp_path / "new" / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_schedule_checks_the_power_sums_up_to_its_dimension(tmp_path):
+    # the cover accounting at --dim 5 rests on the d = 5 power sum
+    assert main(["schedule", "--p", "1", "--log2-eta", "-96", "--dim", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "schedule_checks.json").read_text())
+    assert [row[0] for row in checks["dim_sums"]] == [1, 2, 3, 4, 5]
+    assert all(row[3] for row in checks["dim_sums"])
 
 
 # -- the refusal table ---------------------------------------------------------
@@ -475,11 +498,8 @@ _MIXED_ARGVS = (
     ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "2",
      "--gamma", "2.0", "--gamma", "0.5"],
     ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "2"],
-    ["schedule", "--p", "2", "--eta", "1/1099511627776"],
-    # --eta and --log2-eta are mutually exclusive: argparse exits
-    ["schedule", "--p", "1", "--eta", "1/4", "--log2-eta", "-96"],
     ["schedule", "--p", "1", "--log2-eta", "-96"],
-    ["schedule", "--p", "1", "--log2-eta", "-96", "--dims", "4"],
+    ["schedule", "--p", "1", "--log2-eta", "-96", "--dim", "5"],
     ["schedule", "--p", "1", "--log2-eta", "-96", "--dim", "2"],
 )
 
@@ -491,27 +511,21 @@ def test_a_reused_parser_carries_nothing_between_calls(tmp_path):
                            ("rev", reversed(range(len(_MIXED_ARGVS))))):
         for i in indices:
             out = tmp_path / order / str(i)
-            argv = [*_MIXED_ARGVS[i], "--out-dir", str(out)]
-            if i == 3:
-                with pytest.raises(SystemExit):
-                    main(argv)
-                assert not out.exists()
-                continue
-            assert main(argv) == 0
+            assert main([*_MIXED_ARGVS[i], "--out-dir", str(out)]) == 0
             runs.setdefault(i, []).append(_digest(out))
-    assert sorted(runs) == [0, 1, 2, 4, 5, 6]
     for first, second in runs.values():
         assert first == second
     # the --gamma list of one call does not reach the next
     bounds = json.loads(runs[1][0]["entropy_bounds.json"])
     assert bounds["log_lipschitz_upper"] is None
-    checks = json.loads(runs[4][0]["schedule_checks.json"])
-    assert [row[0] for row in checks["dim_sums"]] == [1, 2, 3]
-    checks = json.loads(runs[5][0]["schedule_checks.json"])
-    assert [row[0] for row in checks["dim_sums"]] == [4]
+    # nor do the --dim 5 power-sum rows reach the schedules around it
+    for i, dims in ((2, [1, 2, 3]), (3, [1, 2, 3, 4, 5]), (4, [1, 2, 3])):
+        checks = json.loads(runs[i][0]["schedule_checks.json"])
+        assert [row[0] for row in checks["dim_sums"]] == dims
     args = cli._build_parser().parse_args(["schedule", "--p", "1",
                                            "--log2-eta", "-96"])
-    assert args.dims == (1, 2, 3) and args.eta is None
+    assert args.dim == 1
+    assert not hasattr(args, "dims") and not hasattr(args, "eta")
 
 
 # -- the artifact encoder ---------------------------------------------------

@@ -184,6 +184,13 @@ def test_schedule_checks_json_round_trip_keys():
                         "zeta_square_sum", "ok"}
 
 
+def test_schedule_checks_refuse_dims_out_of_range():
+    sched = build_schedule(1.0, -96.0 * LOG2)
+    for dims in ((0,), (9,)):
+        with pytest.raises(ParameterError, match=r"dims must be in 1\.\.8"):
+            schedule_checks(sched, dims=dims)
+
+
 # -- verdicts shown false: the rows of tests/failures.txt ------------------------
 
 _SCHED = build_schedule(1.0, -200.5 * LOG2)  # depth 6
