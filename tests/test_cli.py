@@ -251,60 +251,6 @@ def test_bounds_takes_the_cube_by_its_exact_side(tmp_path):
     assert obj["log_lower"] == "988.125"
 
 
-def test_missing_required_arguments_exit_via_argparse(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["pack", "--dim", "1", "--out-dir", str(tmp_path)])
-    with pytest.raises(SystemExit):
-        main(["schedule", "--p", "1", "--out-dir", str(tmp_path)])
-
-
-@pytest.mark.parametrize("argv", [
-    "pack --eta 1/25 --dim 1 --tol 1",
-    "pack --eta 1/25 --dim 1 --cap-samples 1",
-    "pack --eta 1/25 --dim 1 --max-samples 1",
-    "pack --eta 1/25 --dim 1 --curve-steps 1",
-    "lemmas --dim 1 --pieces 1",
-    "bounds --eps 1e-8 --p 1 --dim 1 --origin 1",
-    "schedule --p 1 --log2-eta -96 --scale 1",
-    "schedule --p 1 --log2-eta -96 --gamma-sum 1",
-    "bounds --eps 1e-8 --p 1 --dim 1 --scale 1",
-    "lemmas --dim 1 --bound 1",
-    "lemmas --dim 1 --rho 1",
-    "schedule --p 1 --log2-eta -96 --eta 1",
-    "schedule --p 1 --log2-eta -96 --dims 1",
-], ids=["tol", "cap-samples", "max-samples", "curve-steps", "pieces",
-        "origin", "schedule-scale", "gamma-sum", "bounds-scale", "bound",
-        "rho", "schedule-eta", "dims"])
-def test_a_removed_option_exits_2_through_argparse(tmp_path, capsys, argv):
-    out = tmp_path / "new" / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*argv.split(), "--out-dir", str(out)])
-    assert exc.value.code == 2
-    flag = argv.split()[-2]
-    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-    assert not out.parent.exists()
-
-
-@pytest.mark.parametrize("argv, message", [
-    # with prefixes allowed the first three ran as --side 2, as --pairs 1
-    # --grid-n 51 --directions 64 and as --log2-eta -96, and the last would
-    # mean --dim 2 once --dims was gone
-    ("bounds --eps 1e-8 --p 1 --dim 1 --s 2", "unrecognized arguments: --s 2"),
-    ("lemmas --dim 1 --pai 1 --gr 51 --dir 64",
-     "unrecognized arguments: --pai 1 --gr 51 --dir 64"),
-    ("schedule --p 1 --log2 -96", "required: --log2-eta"),
-    ("schedule --p 1 --log2-eta -96 --di 2", "unrecognized arguments: --di 2"),
-], ids=["side", "lemmas", "log2-eta", "dim"])
-def test_an_option_prefix_is_an_argparse_error(tmp_path, capsys, argv,
-                                               message):
-    out = tmp_path / "new" / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*argv.split(), "--out-dir", str(out)])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
-    assert not out.parent.exists()
-
-
 def test_schedule_checks_the_power_sums_up_to_its_dimension(tmp_path):
     # the cover accounting at --dim 5 rests on the d = 5 power sum
     assert main(["schedule", "--p", "1", "--log2-eta", "-96", "--dim", "5",
@@ -332,50 +278,65 @@ def _assert_refused(rc, err, out):
     assert not out.parent.exists()
 
 
-def _run_row(text, argv, tmp_path, capsys, monkeypatch):
+def _run_row(argv, text, stage, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(functions, "make_random_convex", _reached)
     monkeypatch.setattr(packing, "build_packing_family", _reached)
     out = tmp_path / "new" / "out"
     argv = [*argv.split(), "--out-dir", str(out)]
-    if text == "-":  # an accepted edge
+    if text == stage == "-":  # an accepted edge
         with pytest.raises(_Reached):
             main(argv)
         return
+    assert stage in ("argparse", "before-numpy", "after-numpy")
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        rc = main(argv)
+        if stage == "argparse":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            rc = exc.value.code
+        else:
+            rc = main(argv)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    _assert_refused(rc, err, out)
-    assert text in err
+    if stage == "argparse":
+        # usage lines, then one "convexcover <command>: error: " line
+        assert rc == 2 and not out.parent.exists()
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and text in errors[0], err
+    else:
+        _assert_refused(rc, err, out)
+        assert text in err
     assert elapsed < 1.0 and peak < 8 * 2**20
 
 
 def _table_test(rows):
-    if list(rows) == ["-"]:  # the test's only case, reported without an id
+    cases = [case for *_, case in rows]
+    if set(cases) == {"-"}:  # the test's cases, reported without an id
         def test(tmp_path, capsys, monkeypatch):
-            _run_row(*rows["-"], tmp_path, capsys, monkeypatch)
+            for *row, _ in rows:
+                _run_row(*row, tmp_path, capsys, monkeypatch)
         return test
 
-    @pytest.mark.parametrize("text, argv", list(rows.values()), ids=list(rows))
-    def test(text, argv, tmp_path, capsys, monkeypatch):
-        _run_row(text, argv, tmp_path, capsys, monkeypatch)
+    @pytest.mark.parametrize("argv, text, stage",
+                             [row[:3] for row in rows], ids=cases)
+    def test(argv, text, stage, tmp_path, capsys, monkeypatch):
+        _run_row(argv, text, stage, tmp_path, capsys, monkeypatch)
     return test
 
 
 def _read_table():
+    """{test name: [(argv, text, stage, id), ...]} from tests/refusals.txt."""
     tests = {}
     table = Path(__file__).with_name("refusals.txt").read_text()
     for line in table.splitlines():
         if line.startswith("test_"):
-            tests[line] = rows = {}
+            tests[line] = rows = []
         elif line and not line.startswith("#"):
-            argv, text, case = line.split(" | ")
-            rows[case] = (text, argv)
+            rows.append(tuple(line.split(" | ")))
     return tests
 
 
@@ -607,21 +568,16 @@ print(json.dumps([codes, [m for m in ("numpy", "scipy", "dataclasses")
                           if m in sys.modules]]))
 """
 
-# The refusals that cmd_pack and cmd_lemmas make before they import the
-# array layers, by their message
-_ARRAY_FREE_REFUSALS = ("seed must be >= 0", "need pairs", "directions",
-                        "eta must be a finite", "need n >= 2",
-                        "dimension must be in 1..8", "over 10000000",
-                        "eta too small")
-
 
 def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
         tmp_path):
-    # nor dataclasses, and neither do pack's and lemmas' array-free refusals
-    refused = [argv.split() for rows in _read_table().values()
-               for text, argv in rows.values()
-               if argv.split()[0] in ("schedule", "bounds")
-               or text != "-" and any(t in text for t in _ARRAY_FREE_REFUSALS)]
+    # nor dataclasses, and neither does any row refused by argparse or
+    # before numpy loads; schedule and bounds never load it
+    rows = [row for rows in _read_table().values() for row in rows]
+    assert {argv.split()[0] for argv, _, stage, _ in rows
+            if stage == "after-numpy"} <= {"pack", "lemmas"}
+    refused = [argv.split() for argv, _, stage, _ in rows
+               if stage in ("argparse", "before-numpy")]
     assert {argv[0] for argv in refused} == {"schedule", "bounds", "pack",
                                              "lemmas"}
     argvs = [["schedule", "--p", "1", "--log2-eta", "-96"],

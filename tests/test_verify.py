@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexcover import (
     Affine,
@@ -119,6 +121,7 @@ _FAILURES = _failure_rows("test_a_doctored_lemma_pair_fails_its_check")
 def test_a_doctored_lemma_pair_fails_its_check(verdict, builder):
     rep = check_sup_bound(*globals()[builder]())
     assert not getattr(rep, verdict) and not rep.ok
+    assert rep.refinements == 2  # reported after both refinements
 
 
 def test_l1_bound_on_random_pairs():
@@ -279,11 +282,20 @@ def test_entropy_bounds_out_of_range_fields_are_none():
     assert eb.log_lipschitz_upper is None
 
 
-def test_entropy_bounds_normalizes_by_bound_and_side():
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.floats(1e-12, 1e-2), st.floats(0.1, 10.0), st.floats(0.32, 3.2))
+def test_entropy_bounds_normalizes_by_bound_and_side(d, p, eps, bound, side):
     # eta_lp = eps / (bound * side^(d/p)) = 2^-21 here, too big for p = 2
     eb = entropy_bounds(2.0**-20, 2.0, Rect((0.0, 0.0), (1.0, 1.0)), 2.0)
     assert eb.log_upper is None
     assert eb.log_lower == pytest.approx(65.0**2 / 8.0, rel=1e-15)
+    # the paper's scaling: the bounds at (eps, p, [0, side]^d, bound) are
+    # those at (eps / (bound * side^(d/p)), p, the unit cube, 1)
+    eb = entropy_bounds(eps, p, Rect((0.0,) * d, (side,) * d), bound)
+    unit = entropy_bounds(eps / (bound * side ** (d / p)), p, unit_rect(d),
+                          1.0)
+    assert (eb.log_upper, eb.log_lower) == (unit.log_upper, unit.log_lower)
 
 
 def test_entropy_bounds_infinite_budget():
