@@ -13,10 +13,10 @@ Four subcommands mirror the library's main flows:
 
 Every output is a file in --out-dir. A cmd_* function touches no file: it
 returns (files, summary, ok), files mapping each artifact name to its JSON
-tree or CSV text, and main renders them all before it creates --out-dir,
-so a run that is refused or raises leaves nothing behind. Reruns with
-the same arguments produce byte-identical files: floats are serialized
-with repr, JSON keys are sorted, and all randomness is seeded.
+tree or CSV text, and main encodes them all to bytes before it creates
+--out-dir, so a run that is refused or raises leaves nothing behind.
+Reruns with the same arguments produce byte-identical files: floats are
+serialized with repr, JSON keys are sorted, and all randomness is seeded.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 # Only the numpy-free layers load with this module, so schedule, bounds,
 # --help and every refusal of theirs start without importing numpy;
@@ -299,13 +299,14 @@ def cmd_bounds(args) -> tuple[dict, str, bool]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The four-subcommand parser, built on the first main call only.
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The four-subcommand parser and each subcommand's own parser by name.
 
-    Every parse_args call starts a fresh namespace from the actions'
-    defaults, and none of those defaults is mutable, so one parser serves
-    every call in the process. It is not built at import. Options are
-    taken by their full names only, never by a prefix.
+    Built on the first main call only, not at import. Every parse_args
+    call starts a fresh namespace from the actions' defaults, and none of
+    those defaults is mutable, so these parsers serve every call in the
+    process. Options are taken by their full names only, never by a prefix.
     """
     parser = argparse.ArgumentParser(
         prog="convexcover", allow_abbrev=False,
@@ -356,22 +357,41 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out-dir", default=".")
     b.set_defaults(func=cmd_bounds)
 
-    return parser
+    return parser, {"pack": p, "schedule": s, "lemmas": le, "bounds": b}
+
+
+def _write(path: str, blob: bytes) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    # a subcommand's own parser takes its options in one pass; -h, no
+    # argument and an unknown subcommand go through the full parser
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:])
     try:
         files, summary, ok = args.func(args)
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    texts = {name: body if isinstance(body, str) else _json_text(body) + "\n"
+    blobs = {name: (body if isinstance(body, str)
+                    else _json_text(body) + "\n").encode()
              for name, body in files.items()}
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, blob in blobs.items():
+        _write(os.path.join(args.out_dir, name), blob)
     print(summary)
     return 0 if ok else 1
 

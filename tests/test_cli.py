@@ -303,7 +303,8 @@ def _run_row(argv, text, stage, tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     err = capsys.readouterr().err
     if stage == "argparse":
-        # usage lines, then one "convexcover <command>: error: " line
+        # usage lines, then one "convexcover <command>: error: " line, or
+        # "convexcover: error: " when no subcommand was named
         assert rc == 2 and not out.parent.exists()
         errors = [line for line in err.splitlines() if "error: " in line]
         assert len(errors) == 1 and text in errors[0], err
@@ -466,6 +467,7 @@ _MIXED_ARGVS = (
 
 
 def test_a_reused_parser_carries_nothing_between_calls(tmp_path):
+    parser, commands = cli._build_parser()
     assert cli._build_parser() is cli._build_parser()
     runs = {}
     for order, indices in (("fwd", range(len(_MIXED_ARGVS))),
@@ -483,10 +485,83 @@ def test_a_reused_parser_carries_nothing_between_calls(tmp_path):
     for i, dims in ((2, [1, 2, 3]), (3, [1, 2, 3, 4, 5]), (4, [1, 2, 3])):
         checks = json.loads(runs[i][0]["schedule_checks.json"])
         assert [row[0] for row in checks["dim_sums"]] == dims
-    args = cli._build_parser().parse_args(["schedule", "--p", "1",
-                                           "--log2-eta", "-96"])
-    assert args.dim == 1
-    assert not hasattr(args, "dims") and not hasattr(args, "eta")
+    for args in (parser.parse_args(["schedule", "--p", "1",
+                                    "--log2-eta", "-96"]),
+                 commands["schedule"].parse_args(["--p", "1",
+                                                  "--log2-eta", "-96"])):
+        assert args.dim == 1 and args.func is cli.cmd_schedule
+        assert not hasattr(args, "dims") and not hasattr(args, "eta")
+
+
+def test_help_and_no_argument_go_through_the_full_parser(capsys):
+    # main parses with the subcommand's own parser when argv[0] names
+    # one, and with the full parser otherwise (an unknown subcommand is
+    # a row of tests/refusals.txt)
+    for argv in (["-h"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: convexcover [-h] "
+                              "{pack,schedule,lemmas,bounds} ...\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["pack", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: convexcover pack [-h]")
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "convexcover: error: the following arguments are required: "
+        "command\n")
+
+
+# -- the artifact writer -------------------------------------------------------
+
+_SCHEDULE_ARGV = ["schedule", "--p", "1.5", "--log2-eta", "-200.5"]
+
+
+def _encoded(argv):
+    # each artifact's bytes as main must write them: the JSON tree's text
+    # and a newline, or the CSV text, encoded
+    _, commands = cli._build_parser()
+    args = commands[argv[0]].parse_args(argv[1:])
+    files, _, _ = args.func(args)
+    return {name: (body if isinstance(body, str)
+                   else _json_text(body) + "\n").encode()
+            for name, body in files.items()}
+
+
+def test_main_writes_each_artifact_as_its_encoded_text(tmp_path):
+    want = _encoded(_SCHEDULE_ARGV)
+    assert set(want) == {"schedule.json", "schedule.csv",
+                         "schedule_checks.json", "cover_accounting.json"}
+    # a nested --out-dir that does not exist yet
+    nested = tmp_path / "a" / "b" / "c"
+    assert main([*_SCHEDULE_ARGV, "--out-dir", str(nested)]) == 0
+    assert _digest(nested) == want
+    # one that exists and holds longer files of the same names
+    for name in want:
+        (nested / name).write_bytes(b"x" * (len(want[name]) + 100))
+    assert main([*_SCHEDULE_ARGV, "--out-dir", str(nested)]) == 0
+    assert _digest(nested) == want
+
+
+def test_main_writes_every_byte_when_the_system_writes_a_few(tmp_path,
+                                                               monkeypatch):
+    # os.write may write fewer bytes than it was given
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    assert main([*_SCHEDULE_ARGV, "--out-dir", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert _digest(tmp_path) == _encoded(_SCHEDULE_ARGV)
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["convexcover", *_SCHEDULE_ARGV,
+                                      "--out-dir", str(tmp_path / "out")])
+    assert main() == 0
+    assert _digest(tmp_path / "out") == _encoded(_SCHEDULE_ARGV)
 
 
 # -- the artifact encoder ---------------------------------------------------
@@ -579,7 +654,7 @@ def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
     refused = [argv.split() for argv, _, stage, _ in rows
                if stage in ("argparse", "before-numpy")]
     assert {argv[0] for argv in refused} == {"schedule", "bounds", "pack",
-                                             "lemmas"}
+                                             "lemmas", "frobnicate", "pac"}
     argvs = [["schedule", "--p", "1", "--log2-eta", "-96"],
              ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "1",
               "--gamma", "2.0"],

@@ -54,6 +54,8 @@ from convexcover.packing import (
     require_certificate_budget,
 )
 
+from test_schedule import _failure_rows
+
 
 # -- interval counts, decided in Q -------------------------------------------
 
@@ -874,6 +876,36 @@ def test_certificate_catches_an_unseparated_family():
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ParameterError):
             packing_certificate(doctored, tol=tol)
+
+
+# -- verdicts shown false: the rows of tests/failures.txt ------------------------
+
+
+def _family_of_eta_1_100():
+    # 10 cells at d = 1: min_distance 3, zeta = 0.8 eps
+    return build_packing_family(build_interval_system(Fraction(1, 100), 1))
+
+
+def declared_min_distance_1():
+    fam = _family_of_eta_1_100()
+    return replace(fam, code=replace(fam.code, min_distance=1))
+
+
+def target_past_the_words():
+    fam = _family_of_eta_1_100()
+    code = replace(fam.code, target_size=len(fam.code.words) + 1)
+    return replace(fam, code=code)
+
+
+_FAILURES = _failure_rows("test_a_doctored_family_fails_its_certificate")
+
+
+@pytest.mark.parametrize("verdict, builder", list(_FAILURES.values()),
+                         ids=list(_FAILURES))
+def test_a_doctored_family_fails_its_certificate(verdict, builder):
+    cert = packing_certificate(globals()[builder]())
+    assert not getattr(cert, verdict) and not cert.ok
+    assert cert.failures == 0  # every pair still clears its Hamming floor
 
 
 def _near_cell_ends(system, n=201):
