@@ -26,7 +26,6 @@ import functools
 import math
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 # Only the numpy-free layers load with this module, so schedule, bounds,
@@ -68,10 +67,11 @@ LEMMA_BOUND = 0.9
 LEMMA_RHO = 0.05
 
 
-def _parse_eta(text: str) -> Fraction:
-    # "1/400" and "0.0025" both parse exactly; fall back to the float's
-    # exact binary value for inputs Fraction cannot read (e.g. "1_000"
-    # before Python 3.11). NaN, infinities and zero denominators are refused.
+def _parse_eta(text: str):
+    # An exact Fraction, from "1/400", "0.0025" or else the float's binary
+    # value (e.g. "1_000" before Python 3.11); NaN, infinities and zero
+    # denominators are refused. Only pack parses an eta and loads fractions.
+    from fractions import Fraction
     try:
         try:
             return Fraction(text)

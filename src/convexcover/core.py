@@ -1,10 +1,11 @@
 """The layer with no numpy: errors, boxes, JSON helpers and exact counts.
 
-Everything here runs on Python ints, floats and Fractions. It holds what
-schedule, the assembled bounds and the CLI's refusals of schedule and
-bounds queries need, and the grid and system-size limits behind the
-refusals of pack and lemmas queries, so those paths never import numpy;
-functions, metrics, packing and verify build on it.
+Everything here runs on Python ints and floats; an eta may also be a
+Fraction, which only separation_curve builds. It holds what schedule, the
+assembled bounds and the CLI's refusals of schedule and bounds queries
+need, and the grid and system-size limits behind the refusals of pack and
+lemmas queries, so those paths never import numpy; functions, metrics,
+packing and verify build on it.
 
 The exact packing counts are the side of packing's construction that
 needs no arrays: the interval count k per axis, decided in exact
@@ -23,7 +24,6 @@ tuple and does that in its own __new__.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 MAX_DIM = 8
@@ -164,15 +164,15 @@ def max_eta(d: int) -> float:
 def interval_count(eta, d: int) -> int:
     """Largest k with k * (2 sqrt(eta) + sqrt(eta (d-1))) <= 2, exactly.
 
-    eta may be an int, float, or Fraction; floats are taken at their exact
+    eta may be an int, float or Fraction; floats are taken at their exact
     binary value. Raises if no k >= 1 exists (eta above max_eta(d)). The
     first guess for k is formed in fixed-point integers, precise enough to
     be off by at most a few units at any eta, so a tiny eta can neither
     underflow it nor leave a long walk to the exact answer.
 
-    Each k is decided on Python ints, with no Fraction built per step:
-    with eta = a/b, sqrt(4 eta k^2) + sqrt(eta (d-1) k^2) <= 2 times
-    sqrt(b) is sqrt(p) + sqrt(q) <= 2 sqrt(b) for p = 4 a k^2 and
+    Each k is decided on ints, with no Fraction built: for the exact
+    a/b = eta.as_integer_ratio(), sqrt(4 eta k^2) + sqrt(eta (d-1) k^2) <= 2
+    times sqrt(b) is sqrt(p) + sqrt(q) <= 2 sqrt(b) for p = 4 a k^2 and
     q = a (d-1) k^2. Squaring once leaves 2 sqrt(pq) <= rem = 4b - p - q,
     which holds iff rem >= 0 and 4 p q <= rem^2.
     """
@@ -180,10 +180,9 @@ def interval_count(eta, d: int) -> int:
         raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
     if isinstance(eta, float) and not math.isfinite(eta):
         raise ParameterError("eta must be finite")
-    e = Fraction(eta)
-    if e <= 0:
+    a, b = eta.as_integer_ratio()
+    if a <= 0:
         raise ParameterError("eta must be positive")
-    a, b = e.numerator, e.denominator
 
     def fits(k: int) -> bool:
         p = 4 * a * k * k
@@ -248,7 +247,7 @@ class SeparationPoint(NamedTuple):
 def separation_point(eta, d: int) -> SeparationPoint:
     k = interval_count(eta, d)
     n = k**d
-    ef = float(Fraction(eta))
+    ef = float(eta)
     try:
         log_packing = n / 8.0
     except OverflowError:  # more cells than a float can count
@@ -258,5 +257,6 @@ def separation_point(eta, d: int) -> SeparationPoint:
 
 def separation_curve(eta, d: int) -> tuple[SeparationPoint, ...]:
     """Points at eta, eta/4, ..., eta/4^4, exact in eta."""
+    from fractions import Fraction  # only pack reaches here
     e = Fraction(eta)
     return tuple(separation_point(e / 4**m, d) for m in range(5))

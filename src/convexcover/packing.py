@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -128,7 +127,7 @@ def build_interval_system(eta, d: int) -> IntervalSystem:
     Refuses a system of more than SYSTEM_CELL_CAP cells before building it.
     """
     k = system_interval_count(eta, d)
-    ef = float(Fraction(eta))
+    ef = float(eta)
     sq = math.sqrt(ef)
     gap = 0.5 * math.sqrt(ef * (d - 1))
 
@@ -163,7 +162,7 @@ def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
 
 def cell_gap(eta, d: int) -> float:
     """Closed form of the per-cell integral of cap - f0: eta^(d/2+1)/6."""
-    return float(Fraction(eta)) ** (0.5 * d + 1.0) / 6.0
+    return float(eta) ** (0.5 * d + 1.0) / 6.0
 
 
 # -- binary codes ---------------------------------------------------------
@@ -373,9 +372,9 @@ def _family_values(system: IntervalSystem, words, axes) -> np.ndarray:
 class PackingCertificate:
     """Quadrature evidence that the family is pairwise separated.
 
-    Every pair (i, j) must satisfy L1(g_i, g_j) >= hamming(w_i, w_j) * zeta
-    within tol; min_margin is the worst observed slack. eps_consistent
-    records the closed-form chain min_distance * zeta >= eps.
+    Every pair must have L1(g_i, g_j) >= hamming(w_i, w_j) * zeta within
+    tol (min_margin is the worst slack), and ok also needs min_hamming >=
+    min_distance; eps_consistent records min_distance * zeta >= eps.
     """
 
     eta: float
@@ -450,7 +449,8 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
         min_ham = min(min_ham, int(hams.min()))
     floor = family.code.min_distance * zeta
     eps_consistent = floor >= eps
-    ok = failures == 0 and family.code.shortfall == 0 and eps_consistent
+    ok = (failures == 0 and family.code.shortfall == 0 and eps_consistent
+          and (pairs == 0 or min_ham >= family.code.min_distance))
     return PackingCertificate(
         eta=system.eta, dim=d, k=system.k, n_cells=system.n_cells,
         code_size=m, shortfall=family.code.shortfall,

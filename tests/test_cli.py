@@ -632,27 +632,32 @@ _NUMPY_FREE_RUNS = """
 import contextlib, io, json, sys
 import convexcover.cli as cli
 out, argvs = sys.argv[1], json.loads(sys.argv[2])
-codes = []
+codes, loaded = [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for i, argv in enumerate(argvs):
         try:
             codes.append(cli.main([*argv, "--out-dir", f"{out}/{i}"]))
         except SystemExit as exc:
             codes.append(exc.code)
-print(json.dumps([codes, [m for m in ("numpy", "scipy", "dataclasses")
-                          if m in sys.modules]]))
+        loaded.append([m for m in ("numpy", "scipy", "dataclasses",
+                                   "fractions", "decimal")
+                       if m in sys.modules])
+print(json.dumps([codes, loaded]))
 """
 
 
 def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
         tmp_path):
     # nor dataclasses, and neither does any row refused by argparse or
-    # before numpy loads; schedule and bounds never load it
+    # before numpy loads; schedule and bounds never load it. Only pack
+    # parses an eta, so the rest load neither fractions nor decimal either;
+    # the pack rows run last, as a module once loaded stays loaded
     rows = [row for rows in _read_table().values() for row in rows]
     assert {argv.split()[0] for argv, _, stage, _ in rows
             if stage == "after-numpy"} <= {"pack", "lemmas"}
-    refused = [argv.split() for argv, _, stage, _ in rows
-               if stage in ("argparse", "before-numpy")]
+    refused = sorted((argv.split() for argv, _, stage, _ in rows
+                      if stage in ("argparse", "before-numpy")),
+                     key=lambda argv: argv[0] == "pack")
     assert {argv[0] for argv in refused} == {"schedule", "bounds", "pack",
                                              "lemmas", "frobnicate", "pac"}
     argvs = [["schedule", "--p", "1", "--log2-eta", "-96"],
@@ -662,7 +667,9 @@ def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
     run = _fresh_python(_NUMPY_FREE_RUNS, str(tmp_path), json.dumps(argvs))
     codes, loaded = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0, 0, 0] + [2] * len(refused)
-    assert loaded == []
+    for argv, modules in zip(argvs, loaded):
+        allowed = {"fractions", "decimal"} if argv[0] == "pack" else set()
+        assert set(modules) <= allowed, argv
 
 
 def test_pack_in_a_fresh_process_writes_the_in_process_bytes(tmp_path):

@@ -897,6 +897,13 @@ def target_past_the_words():
     return replace(fam, code=code)
 
 
+def two_equal_words():
+    fam = _family_of_eta_1_100()
+    word = fam.code.words[0]
+    code = replace(fam.code, words=(word, word), target_size=2)
+    return replace(fam, code=code)
+
+
 _FAILURES = _failure_rows("test_a_doctored_family_fails_its_certificate")
 
 

@@ -260,6 +260,16 @@ def test_a_doctored_schedule_fails_its_verdict(verdict, builder):
     assert not value and not checks.ok
 
 
+def test_only_the_pinned_verdicts_are_vacuous():
+    # a verdict leaves this set once a failing row shows it false
+    rows = _failure_rows("test_only_the_pinned_verdicts_are_vacuous")
+    assert all(reason for _, reason in rows.values())
+    assert {(verdict, item) for item, (verdict, _) in rows.items()} == {
+        ("lemma l1_vs_hausdorff ok", "items 3 and 21"),
+        ("cap_report.json affine_checks", "FOUND 14, item 18"),
+    }
+
+
 # -- cover accounting -------------------------------------------------------------
 
 
