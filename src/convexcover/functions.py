@@ -3,8 +3,9 @@
 Every function here is convex by construction: affine pieces, maxima of
 convex parts and a separable quadratic. A one-sided ramp is a two-piece
 max-affine function, and rescaling onto the unit cube rewrites affine
-coefficients. Instances are frozen dataclasses and safe to share between
-threads; evaluation never mutates state.
+coefficients. Only max-affine functions take subgradients. Instances are
+frozen dataclasses and safe to share between threads; evaluation never
+mutates state.
 
 Coordinates are 64-bit floats. Batch evaluation takes an (N, d) array
 and returns an (N,) array; the scalar helpers wrap the batch path.
@@ -89,7 +90,7 @@ def _require_within(pts: np.ndarray, domain: Rect, strict=False) -> None:
 
 @dataclass(frozen=True)
 class ConvexFunction:
-    """Base for all convex forms. Subclasses fill _values/_subgradients."""
+    """Base for all convex forms. Subclasses fill _values."""
 
     domain: Rect
 
@@ -129,7 +130,7 @@ class ConvexFunction:
         raise NotImplementedError
 
     def _subgradients(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise ParameterError(f"no subgradient rule for {type(self).__name__}")
 
     # -- serialization ---------------------------------------------------
 
@@ -172,9 +173,6 @@ class Affine(ConvexFunction):
 
     def _values(self, pts):
         return pts @ self._coeff_arr + self.intercept
-
-    def _subgradients(self, pts):
-        return np.broadcast_to(self._coeff_arr, pts.shape).copy()
 
     def lipschitz_budget(self):
         return _budget(abs(c) for c in self.coeffs)
@@ -264,9 +262,6 @@ class SeparableQuadratic(ConvexFunction):
         total = reduce(np.add.outer, [np.square(a) for a in axes])
         return total.ravel() / self.domain.dim
 
-    def _subgradients(self, pts):
-        return 2.0 * pts / self.domain.dim
-
     def lipschitz_budget(self):
         d = self.domain.dim
         return _budget(2.0 * max(abs(a), abs(b)) / d
@@ -278,7 +273,7 @@ class SeparableQuadratic(ConvexFunction):
 
 @dataclass(frozen=True)
 class MaxWith(ConvexFunction):
-    """Pointwise maximum of convex parts; same tie-break as MaxAffine."""
+    """Pointwise maximum of convex parts."""
 
     parts: tuple[ConvexFunction, ...]
 
@@ -293,12 +288,6 @@ class MaxWith(ConvexFunction):
     def _values(self, pts):
         return _running_max(p._values(pts) for p in self.parts)
 
-    def _subgradients(self, pts):
-        vals = np.stack([p._values(pts) for p in self.parts], axis=1)
-        active = np.argmax(vals, axis=1)
-        grads = np.stack([p._subgradients(pts) for p in self.parts], axis=1)
-        return grads[np.arange(len(pts)), active]
-
     def lipschitz_budget(self):
         cols = zip(*(p.lipschitz_budget().gamma for p in self.parts))
         return _budget(max(col) for col in cols)
@@ -307,33 +296,28 @@ class MaxWith(ConvexFunction):
         return {"kind": "max_with", "parts": [p.to_json() for p in self.parts]}
 
 
-def ramp(domain: Rect, alpha: float, axis: int = 0) -> MaxAffine:
-    """x -> max(0, 1 - x_axis / alpha), a ramp dropping from 1 to 0.
+def ramp(domain: Rect, alpha: float) -> MaxAffine:
+    """x -> max(0, 1 - x_0 / alpha), a ramp dropping from 1 to 0 along axis 0.
 
     The zero piece comes first, so it wins the tie at the kink
-    x_axis == alpha and the subgradient there is 0. The slope -1/alpha
+    x_0 == alpha and the subgradient there is 0. The slope -1/alpha
     must be finite, which refuses alpha below about 5.6e-309.
     """
-    if not (0.0 < alpha < math.inf and 0 <= axis < domain.dim):
-        raise ParameterError("need a positive finite alpha and an axis "
-                             "of the domain")
-    slope = [0.0] * domain.dim
-    slope[axis] = -1.0 / alpha
-    return MaxAffine(domain, (Affine(domain, (0.0,) * domain.dim, 0.0),
-                              Affine(domain, tuple(slope), 1.0)))
+    if not 0.0 < alpha < math.inf:
+        raise ParameterError("need a positive finite alpha")
+    flat = (0.0,) * (domain.dim - 1)
+    return MaxAffine(domain, (Affine(domain, (0.0, *flat), 0.0),
+                              Affine(domain, (-1.0 / alpha, *flat), 1.0)))
 
 
 def rescale_to_unit(f: ConvexFunction, bound: float) -> ConvexFunction:
     """Normalize f on its box to a function on [0,1]^d with values / bound.
 
     Affine and MaxAffine forms are rewritten through their coefficients;
-    other forms are refused. Idempotent: a function already on the unit
-    box with bound == 1 is returned unchanged.
+    other forms are refused.
     """
     if not 0.0 < bound < math.inf:
         raise ParameterError("bound must be positive and finite")
-    if f.domain == unit_rect(f.domain.dim) and bound == 1.0:
-        return f
     return f._to_unit(bound)
 
 

@@ -443,10 +443,13 @@ def entropy_bounds(eps: float, p: float, rect: Rect, bound: float,
                                           for v in gammas.gamma)
 
     try:
-        eta_lp = eps / (bound * side ** (d / p))
-    except (OverflowError, ZeroDivisionError):  # the divisor left the floats
-        raise ParameterError("bound * side^(d/p) is outside the float "
-                             "range") from None
+        scale = bound * side ** (d / p)
+    except OverflowError:
+        scale = math.inf
+    # a product past the floats rounds to inf, and one below to 0, silently
+    if not 0.0 < scale < math.inf:
+        raise ParameterError("bound * side^(d/p) is outside the float range")
+    eta_lp = eps / scale
     eta_pack = eta_lp / separation_scale(d)
     if not math.isfinite(eta_pack):
         raise ParameterError("eps / (bound * side^(d/p)) is too large")

@@ -117,10 +117,9 @@ def test_rect_and_lipschitz_vector_take_floats_refuse_and_stay_frozen():
 # -- individual forms -------------------------------------------------------
 
 
-def test_affine_evaluation_and_subgradient():
+def test_affine_evaluation():
     f = Affine(unit_rect(2), (2.0, -1.0), 0.5)
     assert f.value((0.25, 0.5)) == 2.0 * 0.25 - 0.5 + 0.5
-    assert _grad(f, (0.5, 0.5)) == (2.0, -1.0)
     vals = f.values([[0.0, 0.0], [1.0, 1.0]])
     assert vals.tolist() == [0.5, 1.5]
 
@@ -166,7 +165,20 @@ def test_max_affine_validation():
 def test_separable_quadratic():
     f = SeparableQuadratic(Rect((-1.0, -1.0), (1.0, 1.0)))
     assert f.value((0.5, -0.5)) == 0.25
-    assert _grad(f, (0.5, -0.5)) == (0.5, -0.5)
+
+
+def test_only_max_affine_forms_take_subgradients():
+    # the shape and domain checks run before the form is refused
+    r = unit_rect(2)
+    piece = Affine(r, (2.0, -1.0), 0.5)
+    for f in (piece, SeparableQuadratic(r), MaxWith(r, (piece,))):
+        with pytest.raises(ParameterError, match=type(f).__name__):
+            _grad(f, (0.5, 0.5))
+        with pytest.raises(DomainError):
+            _grad(f, (0.0, 0.5))
+        with pytest.raises(ParameterError, match="expected an"):
+            f.subgradients([0.5, 0.5])
+    assert _grad(MaxAffine(r, (piece,)), (0.5, 0.5)) == (2.0, -1.0)
 
 
 def test_hinge_values_and_kink():
@@ -182,8 +194,6 @@ def test_hinge_values_and_kink():
 def test_hinge_validation():
     with pytest.raises(ParameterError):
         ramp(unit_rect(1), 0.0)
-    with pytest.raises(ParameterError):
-        ramp(unit_rect(1), 0.5, axis=1)
     # the slope -1/alpha leaves the floats
     with pytest.raises(ParameterError):
         ramp(unit_rect(1), 1e-309)
@@ -198,12 +208,6 @@ def test_max_with_mixed_parts():
         MaxWith(r, ())
     with pytest.raises(ParameterError):
         MaxWith(r, (SeparableQuadratic(unit_rect(2)),))
-
-
-def test_max_with_tie_breaks_to_first_part():
-    r = unit_rect(1)
-    f = MaxWith(r, (Affine(r, (0.5,), 0.0), Affine(r, (-0.5,), 0.5)))
-    assert _grad(f, (0.5,)) == (0.5,)
 
 
 def test_rescaled_view():
@@ -228,8 +232,9 @@ def test_rescale_to_unit():
     g = rescale_to_unit(f, 3.0)
     assert g.domain == unit_rect(1)
     assert g.value((1.0,)) == 2.0 / 3.0
+    # a form already on the unit box with bound 1 is rewritten as itself
     h = Affine(unit_rect(1), (1.0,), 0.0)
-    assert rescale_to_unit(h, 1.0) is h
+    assert rescale_to_unit(h, 1.0) == h
     with pytest.raises(ParameterError):
         rescale_to_unit(f, 0.0)
 
@@ -241,15 +246,15 @@ def _mixed_forms():
     # equal copies of one ramp, one affine piece and one quadratic, shared
     # across siblings and nested maxima
     r = Rect((0.0, -1.0), (2.0, 1.0))
-    hinge = ramp(r, 0.75, axis=0)
+    hinge = ramp(r, 0.75)
     piece = Affine(r, (0.3, -0.2), 0.1)
     quad = SeparableQuadratic(r)
     max_affine = MaxAffine(r, (piece, Affine(r, (-0.5, 0.4), 0.2)))
     rescaled = rescale_to_unit(make_random_convex(2, 1.0, 4, seed=3, rect=r),
                                0.7)
-    inner = MaxWith(r, (quad, ramp(r, 0.75, axis=0)))
+    inner = MaxWith(r, (quad, ramp(r, 0.75)))
     nested = MaxWith(r, (inner, Affine(r, (0.3, -0.2), 0.1),
-                         MaxWith(r, (ramp(r, 0.75, axis=0), max_affine))))
+                         MaxWith(r, (ramp(r, 0.75), max_affine))))
     return [max_affine, hinge, rescaled, inner, nested, quad, piece]
 
 
@@ -351,11 +356,7 @@ def test_the_fold_equals_the_stacked_max_bit_for_bit(d, n, k):
         # the same pieces as the parts of a MaxWith
         g = MaxWith(f.domain, f.pieces)
         parts = np.stack([p.values(pts) for p in g.parts], axis=1)
-        g_folded = g.values(pts)
-        assert np.array_equal(_bits(g_folded), _bits(parts.max(axis=1)))
-        g_first = np.argmax(parts == g_folded[:, None], axis=1)
-        assert np.array_equal(g.subgradients(pts[interior]),
-                              coeffs[g_first[interior]])
+        assert np.array_equal(_bits(g.values(pts)), _bits(parts.max(axis=1)))
     assert (ties > 0) == (k > 1)
 
 
@@ -392,13 +393,13 @@ def test_lipschitz_budget_per_form():
     assert ma.lipschitz_budget().gamma == (2.0, 0.5)
     sq = SeparableQuadratic(Rect((-1.0, 0.0), (1.0, 2.0)))
     assert sq.lipschitz_budget().gamma == (1.0, 2.0)
-    h = ramp(r, 0.25, axis=1)
-    assert h.lipschitz_budget().gamma == (1e-300, 4.0)
+    h = ramp(r, 0.25)
+    assert h.lipschitz_budget().gamma == (4.0, 1e-300)
     mw = MaxWith(r, (ma, Affine(r, (0.0, 4.0), 0.0)))
     assert mw.lipschitz_budget().gamma == (2.0, 4.0)
     # a single part, and a nested maximum, recurse through the same method
-    assert MaxWith(r, (h,)).lipschitz_budget().gamma == (1e-300, 4.0)
-    assert MaxWith(r, (mw, h)).lipschitz_budget().gamma == (2.0, 4.0)
+    assert MaxWith(r, (h,)).lipschitz_budget().gamma == (4.0, 1e-300)
+    assert MaxWith(r, (mw, h)).lipschitz_budget().gamma == (4.0, 4.0)
 
 
 def test_lipschitz_budget_rescaled_applies_the_chain_rule():

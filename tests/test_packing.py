@@ -915,6 +915,15 @@ def test_a_doctored_family_fails_its_certificate(verdict, builder):
     assert cert.failures == 0  # every pair still clears its Hamming floor
 
 
+def test_a_pair_on_its_hamming_floor_passes_even_at_zero_tol():
+    # two equal words: L1 distance 0 at Hamming distance 0, a margin of
+    # exactly 0, which is not below -tol. Asserted directly, since
+    # _reference_certificate leaves out ok's min_hamming clause
+    cert = packing_certificate(two_equal_words(), tol=0.0)
+    assert cert.failures == 0
+    assert cert.min_margin == 0.0
+
+
 def _near_cell_ends(system, n=201):
     # one axis of n nodes across one cell length, centred on each interval
     # endpoint; the ranges overlap, so they are merged into one sorted axis
