@@ -648,6 +648,13 @@ def test_greedy_code_reports_a_shortfall_instead_of_raising():
         greedy_binary_code(2, 2, 5, max_samples=0)
 
 
+def test_greedy_code_holds_no_more_words_than_its_budget_draws():
+    # a buffer sized by the target would ask for 8 PB here
+    res = greedy_binary_code(8, 1, 10**15, max_samples=10)
+    assert res.samples_used == 10 and len(res.words) <= 10
+    assert _all_pairs_apart(res)
+
+
 def _greedy_code_reference(length, min_distance, target, seed,
                            max_samples=10**6):
     # one word at a time: kept when far from every word kept before it
@@ -666,9 +673,9 @@ def _greedy_code_reference(length, min_distance, target, seed,
     return tuple(words), samples
 
 
-# budgets ending inside a 64-word chunk (100, 130) and inside the second
-# 4096-draw block (4133); unreachable targets (length 1, 2 and 5 at
-# distance 3) spend their whole budget
+# budgets ending inside the first 4096-draw block (100, 130) and inside
+# the second (4133); unreachable targets (length 1, 2 and 5 at distance 3)
+# spend their whole budget
 @pytest.mark.parametrize("length, min_distance, target, budget", [
     (1, 1, 2, None), (1, 1, 3, 100), (2, 2, 5, 100),
     (5, 2, 8, None), (5, 3, 5, 4133), (5, 3, 5, 130),
@@ -683,6 +690,35 @@ def test_greedy_code_equals_the_one_word_at_a_time_search(
         res = greedy_binary_code(length, min_distance, target, seed, **kw)
         want = _greedy_code_reference(length, min_distance, target, seed, **kw)
         assert (res.words, res.samples_used) == want, seed
+
+
+@st.composite
+def _code_searches(draw):
+    length = draw(st.integers(1, 64))
+    min_distance = draw(st.integers(1, length))
+    budget = draw(st.none() | st.integers(1, 5000))
+    # an absent budget is 10^6 draws, which an unreachable target spends in
+    # full, so there the target stays within half the Gilbert count
+    # 2^length / V(length, min_distance - 1): fewer than half of all words
+    # are then near a kept one, and each draw is kept with probability
+    # over 1/2
+    most = 300
+    if budget is None:
+        ball = sum(math.comb(length, i) for i in range(min_distance))
+        most = max(1, min(most, (1 << length) // ball // 2))
+    target = draw(st.integers(1, most))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return length, min_distance, target, seed, budget
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_code_searches())
+def test_greedy_code_sweep_equals_the_one_word_at_a_time_search(search):
+    length, min_distance, target, seed, budget = search
+    kw = {} if budget is None else {"max_samples": budget}
+    res = greedy_binary_code(length, min_distance, target, seed, **kw)
+    want = _greedy_code_reference(length, min_distance, target, seed, **kw)
+    assert (res.words, res.samples_used) == want
 
 
 def test_greedy_code_validation():
@@ -791,13 +827,14 @@ def test_certificate_states_an_eps_past_the_separation_floor():
 
 
 def _reference_certificate(family, grid_n, tol=1e-6):
-    # the certificate one row and one block at a time, with Python int
-    # popcounts and running minima
+    # the certificate one row and one block at a time, with each codeword's
+    # function built and evaluated on its own, Python int popcounts and
+    # running minima
     system = family.system
     d = system.dim
     pts, w = quadrature_grid(unit_rect(d), GridSpec(grid_n))
-    vals = np.stack([f.values(pts) for f in family.functions])
     zeta, eps, words = family.zeta, family.eps, family.code.words
+    vals = np.stack([perturbed_function(system, v).values(pts) for v in words])
     m = len(words)
     failures = pairs = 0
     min_margin = min_l1 = math.inf
@@ -807,7 +844,7 @@ def _reference_certificate(family, grid_n, tol=1e-6):
         hams = np.array([(words[i] ^ words[j]).bit_count()
                          for j in range(i + 1, m)])
         for s in range(i + 1, m, block):
-            rows = vals[s:s + block]
+            rows = vals[s:min(s + block, m)]
             l1 = np.abs(rows - vals[i]) @ w
             margin = l1 - hams[s - i - 1:s - i - 1 + len(rows)] * zeta
             pairs += len(rows)
@@ -825,7 +862,8 @@ def _reference_certificate(family, grid_n, tol=1e-6):
         zeta=zeta, eps=eps, separation_floor=floor, grid_n=grid_n, tol=tol,
         pairs_checked=pairs, failures=failures, min_margin=min_margin,
         min_l1=min_l1, eps_consistent=eps_consistent,
-        ok=failures == 0 and family.code.shortfall == 0 and eps_consistent)
+        ok=(failures == 0 and family.code.shortfall == 0 and eps_consistent
+            and (pairs == 0 or min_ham >= family.code.min_distance)))
 
 
 def _first(fam, m):
@@ -859,6 +897,15 @@ def test_certificate_equals_the_pair_by_pair_reference():
     fam = build_packing_family(build_interval_system(Fraction(1, 36), 2))
     want = _reference_certificate(fam, 60).to_json()
     assert packing_certificate(fam, grid_n=60).to_json() == want
+    # the doctored families of tests/failures.txt, whose code is edited
+    # after their functions were built
+    for builder in (declared_min_distance_1, target_past_the_words,
+                    two_equal_words):
+        fam = builder()
+        for tol in (1e-6, 0.0):
+            want = _reference_certificate(fam, 2001, tol=tol).to_json()
+            assert packing_certificate(fam, tol=tol).to_json() == want
+            assert not want["ok"]
 
 
 def test_certificate_catches_an_unseparated_family():
@@ -915,10 +962,27 @@ def test_a_doctored_family_fails_its_certificate(verdict, builder):
     assert cert.failures == 0  # every pair still clears its Hamming floor
 
 
+def grazing_system():
+    return _DOCTORED["grazing"]
+
+
+def overlapping_system():
+    return _DOCTORED["overlapping"]
+
+
+_CAP_FAILURES = _failure_rows("test_a_doctored_system_fails_its_cap_report")
+
+
+@pytest.mark.parametrize("verdict, builder", list(_CAP_FAILURES.values()),
+                         ids=list(_CAP_FAILURES))
+def test_a_doctored_system_fails_its_cap_report(verdict, builder):
+    report = verify_cap_properties(globals()[builder]())
+    assert not getattr(report, verdict) and report.failures
+
+
 def test_a_pair_on_its_hamming_floor_passes_even_at_zero_tol():
     # two equal words: L1 distance 0 at Hamming distance 0, a margin of
-    # exactly 0, which is not below -tol. Asserted directly, since
-    # _reference_certificate leaves out ok's min_hamming clause
+    # exactly 0, which is not below -tol
     cert = packing_certificate(two_equal_words(), tol=0.0)
     assert cert.failures == 0
     assert cert.min_margin == 0.0
