@@ -3,11 +3,13 @@ bounded convex functions on axis-aligned boxes.
 
 The package splits into six layers:
 
-  core        errors, boxes, JSON helpers and the exact packing counts;
-              plain Python, no numpy
+  core        errors, boxes, JSON helpers, the exact packing counts, and
+              interval systems with their exact cap checks; plain Python,
+              no numpy
   functions   convex function forms, evaluation, serialization
   metrics     Lp / sup / epigraph-Hausdorff distances and direction sets
-  packing     well-separated families from interval systems and binary codes
+  packing     the caps as function forms, and well-separated families
+              from interval systems and binary codes
   schedule    log-space refinement schedules, cover-count accounting and
               the assembled bounds; no numpy
   verify      inequality checks and closed forms
@@ -23,10 +25,11 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOMES = {
     **dict.fromkeys([
-        "DomainError", "LipschitzVector", "ParameterError", "Rect",
-        "SeparationPoint", "code_min_distance", "code_target",
+        "CapPropertyReport", "DomainError", "IntervalSystem",
+        "LipschitzVector", "ParameterError", "Rect", "SeparationPoint",
+        "build_interval_system", "code_min_distance", "code_target",
         "interval_count", "max_eta", "separation_curve", "separation_point",
-        "separation_scale", "unit_rect"], "core"),
+        "separation_scale", "unit_rect", "verify_cap_properties"], "core"),
     **dict.fromkeys([
         "Affine", "ConvexFunction", "MaxAffine", "MaxWith",
         "SeparableQuadratic", "make_random_convex", "ramp",
@@ -36,11 +39,9 @@ _HOMES = {
         "direction_set", "hausdorff_epigraph", "lp_distance",
         "quadrature_grid", "sup_grid_distance", "vertex_grid"], "metrics"),
     **dict.fromkeys([
-        "CapPropertyReport", "CodeSearchResult", "IntervalSystem",
-        "PackingCertificate", "PackingFamily", "build_interval_system",
+        "CodeSearchResult", "PackingCertificate", "PackingFamily",
         "build_packing_family", "cell_gap", "greedy_binary_code",
-        "packing_certificate", "perturbed_function",
-        "verify_cap_properties"], "packing"),
+        "packing_certificate", "perturbed_function"], "packing"),
     **dict.fromkeys([
         "CoverAccounting", "EntropyBounds", "Schedule", "ScheduleChecks",
         "build_schedule", "cover_accounting", "entropy_bounds",

@@ -31,17 +31,21 @@ from json.encoder import encode_basestring_ascii as _quote
 # Only the numpy-free layers load with this module, so schedule, bounds,
 # --help and every refusal of theirs start without importing numpy;
 # cmd_pack and cmd_lemmas import the array layers only after the checks
-# that need no arrays, so those refusals start without numpy as well.
+# that need no arrays, so those refusals start without numpy as well,
+# and a pack over CELL_CAP cells never imports them.
 from .core import (
     BOUND_GRID_AXIS,
+    CELL_CAP,
     MAX_DIM,
     MAX_GRID_POINTS,
     DomainError,
     LipschitzVector,
     ParameterError,
     Rect,
+    build_interval_system,
     require_grid_n,
-    system_interval_count,
+    separation_curve,
+    verify_cap_properties,
 )
 from .schedule import (
     LOG2,
@@ -161,20 +165,14 @@ def cmd_pack(args) -> tuple[dict, str, bool]:
     if args.grid_n is not None:
         require_grid_n(args.grid_n)  # capped or not
     eta = _parse_eta(args.eta)
-    system_interval_count(eta, args.dim)  # refuses a dim or eta out of range
-    from .packing import (
-        CELL_CAP,
-        build_interval_system,
-        build_packing_family,
-        packing_certificate,
-        require_certificate_budget,
-        separation_curve,
-        verify_cap_properties,
-    )
-
-    system = build_interval_system(eta, args.dim)
+    system = build_interval_system(eta, args.dim)  # refuses a dim or eta
     capped = system.n_cells > CELL_CAP
     if not capped:
+        from .packing import (
+            build_packing_family,
+            packing_certificate,
+            require_certificate_budget,
+        )
         require_certificate_budget(system, args.grid_n)
         family = build_packing_family(system, seed=args.seed)
     report = verify_cap_properties(system)

@@ -1,29 +1,36 @@
-"""The layer with no numpy: errors, boxes, JSON helpers and exact counts.
+"""The layer with no numpy: errors, boxes, JSON helpers, exact counts and
+the interval systems with their exact cap checks.
 
 Everything here runs on Python ints and floats; an eta may also be a
 Fraction, which only separation_curve builds. It holds what schedule, the
 assembled bounds and the CLI's refusals of schedule and bounds queries
-need, and the grid and system-size limits behind the refusals of pack and
-lemmas queries, so those paths never import numpy; functions, metrics,
-packing and verify build on it.
+need, the grid and system-size limits behind the refusals of pack and
+lemmas queries, and all that a pack over CELL_CAP cells writes, so those
+paths never import numpy; functions, metrics, packing and verify build
+on it.
 
 The exact packing counts are the side of packing's construction that
 needs no arrays: the interval count k per axis, decided in exact
 rational arithmetic so that boundary cases of eta never flip on float
 rounding, the code's target size and minimum distance, and the family
-size and separation at a given eta.
+size and separation at a given eta. The interval system places k
+intervals per axis, and verify_cap_properties decides the cap properties
+of its cells on Python ints; packing builds f0 and the caps as function
+forms from the same system.
 
-The records here (Rect, LipschitzVector, SeparationPoint), like those of
-schedule, are NamedTuples rather than frozen dataclasses: the dataclasses
-module imports inspect, and the two add several milliseconds to every
-start-up of the CLI. A NamedTuple cannot define __new__ in its body, so
-a record that normalizes or checks its fields subclasses a plain fields
-tuple and does that in its own __new__.
+The records here (Rect, LipschitzVector, SeparationPoint, IntervalSystem,
+CapPropertyReport), like those of schedule, are NamedTuples rather than
+frozen dataclasses: the dataclasses module imports inspect, and the two
+add several milliseconds to every start-up of the CLI. A NamedTuple
+cannot define __new__ in its body, so a record that normalizes or checks
+its fields subclasses a plain fields tuple and does that in its own
+__new__.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import NamedTuple
 
 MAX_DIM = 8
@@ -35,10 +42,18 @@ MAX_GRID_POINTS = 10**7
 BOUND_GRID_AXIS = 17
 
 # Larger interval systems are refused before anything is built: at this
-# size the exact cap checks, intercept table included, take 0.11 s (d = 4)
-# to 0.13 s (d = 2) on a 2-core x86-64 host and peak at 23 to 25 MB
-# (tracemalloc).
+# size the exact cap checks on Python ints, intercept table included, take
+# 0.35 s at d = 1 and 0.16 s at d = 8 on a 2-core x86-64 host, and peak at
+# 57 and 13 MiB (tracemalloc).
 SYSTEM_CELL_CAP = 2**16
+
+# Families larger than this in cells are refused; the code search over
+# 2^n words stops being practical and ints no longer fit two rng draws.
+CELL_CAP = 64
+
+# Keep the last interval this far below 1 so exact-rational checks of the
+# cap properties retain margin over coefficient rounding.
+SPAN_LIMIT = 1.0 - 2.0**-30
 
 
 class ParameterError(ValueError):
@@ -205,15 +220,6 @@ def interval_count(eta, d: int) -> int:
     return k
 
 
-def system_interval_count(eta, d: int) -> int:
-    """interval_count(eta, d), refused past SYSTEM_CELL_CAP cells."""
-    k = interval_count(eta, d)
-    if k**d > SYSTEM_CELL_CAP:
-        raise ParameterError(f"eta too small: the system would have more "
-                             f"than {SYSTEM_CELL_CAP} cells at d={d}")
-    return k
-
-
 def code_target(n: int) -> int:
     """ceil(exp(n / 8)) words."""
     if n < 1:
@@ -260,3 +266,237 @@ def separation_curve(eta, d: int) -> tuple[SeparationPoint, ...]:
     from fractions import Fraction  # only pack reaches here
     e = Fraction(eta)
     return tuple(separation_point(e / 4**m, d) for m in range(5))
+
+
+# -- interval systems and the exact cap checks ----------------------------
+
+
+class IntervalSystem(NamedTuple):
+    """k intervals per axis: [starts[i], starts[i] + length], plus gaps."""
+
+    eta: float
+    dim: int
+    k: int
+    length: float
+    gap: float
+    starts: tuple[float, ...]
+
+    @property
+    def n_cells(self) -> int:
+        return self.k**self.dim
+
+    @property
+    def slopes(self) -> tuple[float, ...]:
+        """(u + v)/d per interval: a cap's coefficient on an axis in it."""
+        return tuple((u + (u + self.length)) / self.dim for u in self.starts)
+
+    @property
+    def intercepts(self) -> tuple[float, ...]:
+        """Every cell's cap intercept -sum(u_j v_j)/d, by linear cell index.
+
+        Cells are indexed row-major, the last axis fastest. The products
+        u v come from one per-interval table, are summed over the cell's
+        axes in axis order, and the sum is negated and divided by d.
+        """
+        prod = [u * (u + self.length) for u in self.starts]
+        return tuple(-s / self.dim
+                     for s in map(sum, product(prod, repeat=self.dim)))
+
+    def to_json(self) -> dict:
+        return _report_json(self)
+
+
+def build_interval_system(eta, d: int) -> IntervalSystem:
+    """Place the k intervals inside [0, 1] with a small safety margin.
+
+    Refuses a dim or eta out of range, and a system of more than
+    SYSTEM_CELL_CAP cells, before building it. Endpoints are floats; when
+    rounding (or an exactly spanning eta) pushes the last endpoint past
+    SPAN_LIMIT the lengths are scaled down once and then stepped by ulps,
+    so every endpoint sits strictly inside [0, 1).
+    """
+    k = interval_count(eta, d)
+    if k**d > SYSTEM_CELL_CAP:
+        raise ParameterError(f"eta too small: the system would have more "
+                             f"than {SYSTEM_CELL_CAP} cells at d={d}")
+    ef = float(eta)
+    sq = math.sqrt(ef)
+    gap = 0.5 * math.sqrt(ef * (d - 1))
+
+    def span(s, g):
+        return (k - 1) * (s + g) + s
+
+    if span(sq, gap) > SPAN_LIMIT:
+        t = SPAN_LIMIT / span(sq, gap)
+        sq *= t
+        gap *= t
+    while span(sq, gap) > SPAN_LIMIT:
+        sq = math.nextafter(sq, 0.0)
+        if gap > 0.0:
+            gap = math.nextafter(gap, 0.0)
+    starts = tuple(i * (sq + gap) for i in range(k))
+    return IntervalSystem(ef, d, k, sq, gap, starts)
+
+
+class CapPropertyReport(NamedTuple):
+    """Counts of the exact checks of the four cap properties.
+
+    affine: midpoint identity cap(x) + cap(y) = 2 cap((x+y)/2). It holds
+        in Q for every affine map and cannot fail; cap_report.json counts it.
+    corner: coefficients nonnegative and cap value at the all-ones corner
+        at most 1, every cell.
+    above_inside: cap >= f0 at every lattice point of its own cell.
+    below_outside: cap <= f0 at every lattice point of every other cell.
+
+    The three point counts are fixed, 500 affine, 500 above and 1000
+    below (none with one cell), and so is the corner count, one per cell.
+    Each is decided over every lattice point, so a report without
+    failures proves every counted check passes.
+    """
+
+    affine_checks: int
+    corner_checks: int
+    above_checks: int
+    below_checks: int
+    failures: tuple[str, ...]
+
+    @property
+    def total_checks(self) -> int:
+        return (self.affine_checks + self.corner_checks
+                + self.above_checks + self.below_checks)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        return _report_json(self, "ok")
+
+
+def _lattice_failures(d: int, ticks: int, lo: list[int], width: list[int],
+                      slope: list[int], icpt: list[int]) -> list[str]:
+    """above_inside and below_outside failures, once per failing cap each.
+
+    The lattice is, on each axis of a cell, X = lo + a W with a in
+    1..ticks-1, where lo is the axis' interval start times D = 2^E ticks,
+    W its width times 2^E, and X is over D. With K = d ticks, C_i the
+    slope of interval i times 2^E and B_c the intercept of cap c times
+    2^E D, d ticks (2^E D cap_c) minus sum X_j^2 is
+
+        F_c(X) = K B_c + sum_j g_{i_j}(X_j),
+        g_i(X) = K C_i X - X^2 = P_i^2 - (X - P_i)^2,
+
+    for i_j cap c's interval on axis j, where the vertex P_i = K C_i / 2
+    is an integer (ticks is even). above_inside fails where F < 0 on c's
+    own cell, below_outside where F > 0 on another. So, per interval:
+
+    - gmin[i], the smallest g_i on interval i's lattice, is at a = 1 or
+      a = ticks - 1, the lattice point farther from P_i; cap c fails
+      above_inside when K B_c + sum_j gmin[i_j] < 0;
+    - own[i], the largest g_i there, is at the lattice point nearest P_i,
+      and oth[i], the largest on intervals i - 1 and i + 1, at the nearer
+      of i + 1's first point and i - 1's last.
+
+    That needs every vertex inside its own interval's lattice span and
+    the spans in order without overlap. Then no interval holds a larger
+    g_i than own[i], nor one other than i a larger one than oth[i], so
+    over the cells other than c, F_c peaks at
+    K B_c + sum_j own[i_j] + max_j (oth[i_j] - own[i_j]), the cheapest
+    one-axis switch, and cap c fails below_outside when that is > 0. The
+    message names the cell the switch reaches, which holds that peak.
+
+    A broken guard decides nothing: it is one "undecided" failure. Every
+    step is on lists of Python ints, a cell's sums taken over the product
+    of per-interval tables: O(k) per interval, O(n d) per cell.
+    """
+    first = [u + w for u, w in zip(lo, width)]  # a = 1
+    last = [u + (ticks - 1) * w for u, w in zip(lo, width)]
+    vertex = [s * (d * ticks // 2) for s in slope]
+    if (min(width) < 0
+            or not all(f <= v <= t for f, v, t in zip(first, vertex, last))
+            or any(t > f for t, f in zip(last, first[1:]))):
+        return ["undecided: spans out of order or a vertex outside its span"]
+    peak = [v * v for v in vertex]
+    gmin = [p - max(v - f, t - v) ** 2
+            for p, v, f, t in zip(peak, vertex, first, last)]
+    base = [b * (d * ticks) for b in icpt]
+    failures = [f"cell {c}: cap below base inside own cell"
+                for c, (b, g) in enumerate(zip(
+                    base, map(sum, product(gmin, repeat=d)))) if b + g < 0]
+    k = len(lo)
+    if k == 1:  # one cell: there is no other cell to stay below f0 on
+        return failures
+    # the nearest lattice point of the own interval; a point interval
+    # (width 0) holds its vertex
+    off = [(v - f) % (w or 1) for v, f, w in zip(vertex, first, width)]
+    near = [min(o, w - o) for o, w in zip(off, width)]
+    own = [p - m * m for p, m in zip(peak, near)]
+    # the nearest point of the neighbours: i + 1's first, i - 1's last;
+    # the first interval has only i + 1, the last only i - 1
+    right = [f - v for f, v in zip(first[1:], vertex)]
+    left = [v - t for v, t in zip(vertex[1:], last)]
+    ahead = [*right, left[-1]]
+    behind = [right[0], *left]
+    toward = [1 if a <= b else -1 for a, b in zip(ahead[:-1], behind)] + [-1]
+    # oth[i] - own[i]
+    switch = [m * m - min(a, b) ** 2 for m, a, b in zip(near, ahead, behind)]
+    tops = zip(base, map(sum, product(own, repeat=d)),
+               map(max, product(switch, repeat=d)))
+    for c, (b, o, s) in enumerate(tops):
+        if b + o + s > 0:
+            cell = [c // k ** (d - 1 - j) % k for j in range(d)]
+            gains = [switch[i] for i in cell]
+            j = gains.index(s)  # the axis of the cheapest switch
+            other = c + toward[cell[j]] * k ** (d - 1 - j)
+            failures.append(f"cell {c}: cap above base in cell {other}")
+    return failures
+
+
+def verify_cap_properties(system: IntervalSystem) -> CapPropertyReport:
+    """Exact checks of the four cap properties, in integers.
+
+    Every cap coefficient, intercept and cell endpoint is a float, hence a
+    dyadic rational: its as_integer_ratio() has a power-of-two
+    denominator, so the largest of them, 2^E, scales them all to
+    integers. A lattice coordinate u + a/10^6 (v - u) is then X / D with
+    X = U 10^6 + a (V - U) and D = 2^E 10^6, and with the denominators
+    cleared every comparison is one comparison of Python ints, decided
+    without rounding. The corner check covers every cell once, and
+    _lattice_failures decides above_inside and below_outside over every
+    lattice point of every cell. The tables are per interval (starts,
+    widths, slopes) and per cell (the system's intercepts); no cap object
+    is built. The affine identity holds for every affine map, so its
+    counted checks pass.
+    """
+    d, k, n = system.dim, system.k, system.n_cells
+    starts = system.starts
+    values = (*starts, *(u + system.length for u in starts),
+              *system.slopes, *system.intercepts)
+    if not all(map(math.isfinite, values)):
+        raise ParameterError("the system's endpoints must be finite")
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max(den for _, den in ratios)  # 2^E
+    ints = [num * (scale // den) for num, den in ratios]
+    del values, ratios  # so the lattice decision peaks without them
+    ticks = 10**6  # a lattice coordinate is u + a/ticks (v - u)
+    denom = scale * ticks  # D
+    # per interval: start times D, width and slope times 2^E
+    lo = [u * ticks for u in ints[:k]]
+    width = [v - u for u, v in zip(ints[:k], ints[k:2 * k])]
+    slope = ints[2 * k:3 * k]
+    # per cell: intercept times 2^E D
+    icpt = [b * denom for b in ints[3 * k:]]
+
+    # corner: every cell once; the all-ones corner has numerators D
+    failures: list[str] = []
+    cells = zip(icpt, map(min, product(slope, repeat=d)),
+                map(sum, product(slope, repeat=d)))
+    for c, (b, low, total) in enumerate(cells):
+        if low < 0:
+            failures.append(f"cell {c}: negative coefficient")
+        if b + total * denom > scale * denom:
+            failures.append(f"cell {c}: corner value above 1")
+
+    failures += _lattice_failures(d, ticks, lo, width, slope, icpt)
+    return CapPropertyReport(500, n, 500, 1000 if n >= 2 else 0,
+                             tuple(failures))

@@ -10,31 +10,37 @@ and taking the pointwise max yields one convex function per codeword,
 and the L1 distance between two of them is at least (Hamming distance)
 times the per-cell gap integral eta^(d/2+1)/6.
 
-The interval count k, the code's size and distance and the family-size
-accounting are exact and need no arrays, so they live in core.
+The interval system, its exact cap checks, the interval count k, the
+code's size and distance and the family-size accounting are exact and
+need no arrays, so they live in core; this module builds f0 and the caps
+as function forms on a system, and the families and their certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-# separation_curve is bound here for callers that look it up as
-# packing.separation_curve, as the benchmark's tracer does
+# the interval system's names and separation_curve are bound here for
+# callers that look them up in packing, as the benchmark's tracer does
 from .core import (
-    SYSTEM_CELL_CAP,
+    CELL_CAP,
+    SPAN_LIMIT,
+    CapPropertyReport,
+    IntervalSystem,
     ParameterError,
     _report_json,
+    build_interval_system,
     code_min_distance,
     code_target,
     separation_curve,
     separation_scale,
-    system_interval_count,
     unit_rect,
+    verify_cap_properties,
 )
 from .functions import (
     Affine,
@@ -46,118 +52,44 @@ from .functions import (
 )
 from .metrics import GridSpec, quadrature_axes
 
-# Families larger than this in cells are refused; the code search over
-# 2^n words stops being practical and ints no longer fit two rng draws.
-CELL_CAP = 64
-
-# Keep the last interval this far below 1 so exact-rational checks of the
-# cap properties retain margin over coefficient rounding.
-SPAN_LIMIT = 1.0 - 2.0**-30
-
 _DEFAULT_CERT_GRID = {1: 2001, 2: 600, 3: 120}
 
 # Largest float64 value matrix, in bytes, that a certificate may ask for.
 MAX_VALUE_BYTES = 2 * 10**9
 
 
-@dataclass(frozen=True)
-class IntervalSystem:
-    """k intervals per axis: [starts[i], starts[i] + length], plus gaps."""
+@functools.lru_cache(maxsize=1)
+def system_forms(system: IntervalSystem
+                 ) -> tuple[SeparableQuadratic, tuple[Affine, ...]]:
+    """The base paraboloid f0 and every cell's affine cap, by cell index.
 
-    eta: float
-    dim: int
-    k: int
-    length: float
-    gap: float
-    starts: tuple[float, ...]
-
-    @property
-    def n_cells(self) -> int:
-        return self.k**self.dim
-
-    @cached_property
-    def base(self) -> SeparableQuadratic:
-        """The base paraboloid f0, one instance for the whole system."""
-        return SeparableQuadratic(unit_rect(self.dim))
-
-    @property
-    def slopes(self) -> tuple[float, ...]:
-        """(u + v)/d per interval: a cap's coefficient on an axis in it."""
-        return tuple((u + (u + self.length)) / self.dim for u in self.starts)
-
-    @cached_property
-    def intercepts(self) -> tuple[float, ...]:
-        """Every cell's cap intercept -sum(u_j v_j)/d, by linear cell index.
-
-        Cells are indexed row-major, the last axis fastest. The products
-        u v come from one per-interval table, are summed over the cell's
-        axes in axis order, and the sum is negated and divided by d.
-        """
-        prod = [u * (u + self.length) for u in self.starts]
-        return tuple(-sum(map(prod.__getitem__, cell)) / self.dim
-                     for cell in itertools.product(range(self.k),
-                                                   repeat=self.dim))
-
-    @cached_property
-    def caps(self) -> tuple[Affine, ...]:
-        """The affine cap of every cell, by linear cell index, built once.
-
-        Every family member takes its caps from here, so a cap is one
-        object wherever it appears; all of them, and f0, share one
-        unit-cube domain. A cap is f0's chord over its cell: coefficient
-        (u_j + v_j)/d on axis j, from slopes, and intercept
-        -sum(u_j v_j)/d, from intercepts.
-        """
-        slope = self.slopes
-        domain = self.base.domain
-        cells = itertools.product(range(self.k), repeat=self.dim)
-        return tuple(Affine(domain, tuple(slope[i] for i in cell), b)
-                     for cell, b in zip(cells, self.intercepts))
-
-    def to_json(self) -> dict:
-        return _report_json(self)
-
-
-def build_interval_system(eta, d: int) -> IntervalSystem:
-    """Place the k intervals inside [0, 1] with a small safety margin.
-
-    Endpoints are floats; when rounding (or an exactly spanning eta) pushes
-    the last endpoint past SPAN_LIMIT the lengths are scaled down once and
-    then stepped by ulps, so every endpoint sits strictly inside [0, 1).
-    Refuses a system of more than SYSTEM_CELL_CAP cells before building it.
+    Kept for the last system asked for, so a family's members and its
+    certificate's value matrix, built one after the other on one system,
+    take the same objects: a cap is one object wherever it appears, and
+    all of them, and f0, share one unit-cube domain. A cap is f0's chord
+    over its cell: coefficient (u_j + v_j)/d on axis j, from the system's
+    slopes, and intercept -sum(u_j v_j)/d, from its intercepts.
     """
-    k = system_interval_count(eta, d)
-    ef = float(eta)
-    sq = math.sqrt(ef)
-    gap = 0.5 * math.sqrt(ef * (d - 1))
-
-    def span(s, g):
-        return (k - 1) * (s + g) + s
-
-    if span(sq, gap) > SPAN_LIMIT:
-        t = SPAN_LIMIT / span(sq, gap)
-        sq *= t
-        gap *= t
-    while span(sq, gap) > SPAN_LIMIT:
-        sq = math.nextafter(sq, 0.0)
-        if gap > 0.0:
-            gap = math.nextafter(gap, 0.0)
-    starts = tuple(i * (sq + gap) for i in range(k))
-    return IntervalSystem(ef, d, k, sq, gap, starts)
+    base = SeparableQuadratic(unit_rect(system.dim))
+    slope = system.slopes
+    cells = itertools.product(range(system.k), repeat=system.dim)
+    return base, tuple(Affine(base.domain, tuple(slope[i] for i in cell), b)
+                       for cell, b in zip(cells, system.intercepts))
 
 
 def perturbed_function(system: IntervalSystem, word: int) -> ConvexFunction:
     """max(f0, caps of the cells whose bit is set in word).
 
-    The parts are the system's own base and cap objects, shared by every
-    function built on the system.
+    The parts are the system's forms, shared by every function built on
+    the system.
     """
     if not 0 <= word < (1 << system.n_cells):
         raise ParameterError("word out of range for this system")
-    caps = [cap for i, cap in enumerate(system.caps) if (word >> i) & 1]
+    base, caps = system_forms(system)
+    caps = [cap for i, cap in enumerate(caps) if (word >> i) & 1]
     if not caps:
-        return system.base
-    return MaxWith(system.base.domain, (system.base, *caps))
+        return base
+    return MaxWith(base.domain, (base, *caps))
 
 
 def cell_gap(eta, d: int) -> float:
@@ -333,8 +265,9 @@ def _family_values(system: IntervalSystem, words, axes) -> np.ndarray:
     shape = tuple(len(a) for a in axes)
     n = math.prod(shape)
     out = np.empty((len(words), *shape))
-    out[...] = system.base._grid_values(axes).reshape(shape)
-    for i, cap in enumerate(system.caps):
+    base, caps = system_forms(system)
+    out[...] = base._grid_values(axes).reshape(shape)
+    for i, cap in enumerate(caps):
         rows = [r for r, w in enumerate(words) if w >> i & 1]
         if not rows:
             continue
@@ -446,182 +379,3 @@ def packing_certificate(family: PackingFamily, grid_n: int | None = None,
         pairs_checked=pairs, failures=failures,
         min_margin=min_margin, min_l1=min_l1,
         eps_consistent=eps_consistent, ok=ok)
-
-
-# -- exact verification of the cap properties -----------------------------
-
-
-@dataclass(frozen=True)
-class CapPropertyReport:
-    """Counts of the exact checks of the four cap properties.
-
-    affine: midpoint identity cap(x) + cap(y) = 2 cap((x+y)/2). It holds
-        in Q for every affine map and cannot fail; cap_report.json counts it.
-    corner: coefficients nonnegative and cap value at the all-ones corner
-        at most 1, every cell.
-    above_inside: cap >= f0 at every lattice point of its own cell.
-    below_outside: cap <= f0 at every lattice point of every other cell.
-
-    The three point counts are fixed, 500 affine, 500 above and 1000
-    below (none with one cell), and so is the corner count, one per cell.
-    Each is decided over every lattice point, so a report without
-    failures proves every counted check passes.
-    """
-
-    affine_checks: int
-    corner_checks: int
-    above_checks: int
-    below_checks: int
-    failures: tuple[str, ...]
-
-    @property
-    def total_checks(self) -> int:
-        return (self.affine_checks + self.corner_checks
-                + self.above_checks + self.below_checks)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return _report_json(self, "ok")
-
-
-def _dyadic_ints(x: np.ndarray) -> tuple[int, np.ndarray]:
-    """2^E, the least power of two making every x 2^E an integer, and those.
-
-    The integers are Python ints in a dtype=object array. Each finite
-    float is m 2^(e - 53) with m its 53-bit integer mantissa; with t the
-    trailing zero bits of m, it is (m >> t) 2^(e - 53 + t), so its
-    denominator is 2^(53 - e - t) when that exponent is positive.
-    """
-    if not np.isfinite(x).all():
-        raise ParameterError("the system's endpoints must be finite")
-    frac, e = np.frexp(x)
-    m = np.ldexp(frac, 53).astype(np.int64)
-    t = np.where(m == 0, 0, np.frexp((m & -m).astype(float))[1] - 1)
-    den = np.where(m == 0, 0, 53 - e - t)
-    power = max(int(den.max()), 0)
-    return 1 << power, np.left_shift((m >> t).astype(object),
-                                     (power - den).astype(object))
-
-
-def _lattice_failures(d: int, ticks: int, lo: np.ndarray, width: np.ndarray,
-                      slope: np.ndarray, icpt: np.ndarray,
-                      intervals: np.ndarray) -> list[str]:
-    """above_inside and below_outside failures, once per failing cap each.
-
-    The lattice is, on each axis of a cell, X = lo + a W with a in
-    1..ticks-1, where lo is the axis' interval start times D = 2^E ticks,
-    W its width times 2^E, and X is over D. With K = d ticks, C_i the
-    slope of interval i times 2^E and B_c the intercept of cap c times
-    2^E D, d ticks (2^E D cap_c) minus sum X_j^2 is
-
-        F_c(X) = K B_c + sum_j g_{i_j}(X_j),
-        g_i(X) = K C_i X - X^2 = P_i^2 - (X - P_i)^2,
-
-    for i_j cap c's interval on axis j, where the vertex P_i = K C_i / 2
-    is an integer (ticks is even). above_inside fails where F < 0 on c's
-    own cell, below_outside where F > 0 on another. So, per interval:
-
-    - gmin[i], the smallest g_i on interval i's lattice, is at a = 1 or
-      a = ticks - 1, the lattice point farther from P_i; cap c fails
-      above_inside when K B_c + sum_j gmin[i_j] < 0;
-    - own[i], the largest g_i there, is at the lattice point nearest P_i,
-      and oth[i], the largest on intervals i - 1 and i + 1, at the nearer
-      of i + 1's first point and i - 1's last.
-
-    That needs every vertex inside its own interval's lattice span and
-    the spans in order without overlap. Then no interval holds a larger
-    g_i than own[i], nor one other than i a larger one than oth[i], so
-    over the cells other than c, F_c peaks at
-    K B_c + sum_j own[i_j] + max_j (oth[i_j] - own[i_j]), the cheapest
-    one-axis switch, and cap c fails below_outside when that is > 0. The
-    message names the cell the switch reaches, which holds that peak.
-
-    A broken guard decides nothing: it is one "undecided" failure. Every
-    step is elementwise on dtype=object arrays of Python ints: O(k) per
-    interval, O(n d) per cell.
-    """
-    first = lo + width  # a = 1
-    last = lo + (ticks - 1) * width
-    vertex = slope * (d * ticks // 2)
-    if (width < 0).any() or (vertex < first).any() or (vertex > last).any() \
-            or (last[:-1] > first[1:]).any():
-        return ["undecided: spans out of order or a vertex outside its span"]
-    peak = vertex * vertex
-    far = np.maximum(vertex - first, last - vertex)
-    gmin = peak - far * far
-    base = icpt * (d * ticks)
-    failures = [f"cell {c}: cap below base inside own cell" for c in
-                np.flatnonzero(base + gmin[intervals].sum(axis=1) < 0)]
-    k = len(lo)
-    if k == 1:  # one cell: there is no other cell to stay below f0 on
-        return failures
-    # the nearest lattice point of the own interval; a point interval
-    # (width 0) holds its vertex
-    off = (vertex - first) % np.where(width == 0, 1, width)
-    near = np.minimum(off, width - off)
-    own = peak - near * near
-    # the nearest point of the neighbours: i + 1's first, i - 1's last;
-    # the first interval has only i + 1, the last only i - 1
-    right = first[1:] - vertex[:-1]
-    left = vertex[1:] - last[:-1]
-    ahead = np.append(right, left[-1])
-    behind = np.insert(left, 0, right[0])
-    toward = np.where(ahead <= behind, 1, -1)
-    toward[-1] = -1
-    step = np.minimum(ahead, behind)
-    switch = (near * near - step * step)[intervals]  # oth[i] - own[i]
-    top = base + own[intervals].sum(axis=1) + switch.max(axis=1)
-    for c in np.flatnonzero(top > 0):
-        j = int(np.argmax(switch[c]))  # the axis of the cheapest switch
-        other = c + toward[intervals[c, j]] * k ** (d - 1 - j)
-        failures.append(f"cell {c}: cap above base in cell {other}")
-    return failures
-
-
-def verify_cap_properties(system: IntervalSystem) -> CapPropertyReport:
-    """Exact checks of the four cap properties, in integers.
-
-    Every cap coefficient, intercept and cell endpoint is a float, hence a
-    dyadic rational, so one common power of two 2^E scales them all to
-    integers. A lattice coordinate u + a/10^6 (v - u) is then X / D with
-    X = U 10^6 + a (V - U) and D = 2^E 10^6, and with the denominators
-    cleared every comparison is one comparison of Python ints, decided
-    without rounding. The corner check covers every cell once, and
-    _lattice_failures decides above_inside and below_outside over every
-    lattice point of every cell. The tables are per interval (starts,
-    widths, slopes) and per cell (the system's intercepts); no cap object
-    is built. The affine identity holds for every affine map, so its
-    counted checks pass.
-    """
-    d = system.dim
-    n = system.n_cells
-    failures: list[str] = []
-    k = system.k
-    starts = np.array(system.starts)
-    scale, ints = _dyadic_ints(np.concatenate(
-        (starts, starts + system.length, system.slopes, system.intercepts)))
-    ticks = 10**6  # a lattice coordinate is u + a/ticks (v - u)
-    denom = scale * ticks  # D
-    # per interval: start times D, width and slope times 2^E
-    lo = ints[:k] * ticks
-    width = ints[k:2 * k] - ints[:k]
-    slope = ints[2 * k:3 * k]
-    # per cell: intercept times 2^E D, interval indices
-    icpt = ints[3 * k:] * denom
-    intervals = np.stack(np.unravel_index(np.arange(n), (k,) * d), axis=1)
-
-    # corner: every cell once; the all-ones corner has numerators D
-    negative = (slope < 0)[intervals].any(axis=1)
-    high = icpt + slope[intervals].sum(axis=1) * denom > scale * denom
-    for idx in np.flatnonzero(negative | high):
-        if negative[idx]:
-            failures.append(f"cell {idx}: negative coefficient")
-        if high[idx]:
-            failures.append(f"cell {idx}: corner value above 1")
-
-    failures += _lattice_failures(d, ticks, lo, width, slope, icpt, intervals)
-    return CapPropertyReport(500, n, 500, 1000 if n >= 2 else 0,
-                             tuple(failures))

@@ -41,6 +41,7 @@ from convexcover import (
     verify_cap_properties,
 )
 from convexcover.cli import main as cli_main
+from convexcover.packing import system_forms
 
 LOG2 = math.log(2.0)
 
@@ -97,7 +98,7 @@ def _exact_cell_gap(system, idx) -> Fraction:
     # the integral of cap - f0 over cell idx, in Fractions: over a box,
     # x_j averages (u + v) / 2 and x_j^2 averages (u^2 + u v + v^2) / 3.
     # The cell's interval on axis j is digit j of idx in base k, row-major
-    cap = system.caps[idx]
+    cap = system_forms(system)[1][idx]
     d = system.dim
     starts = [system.starts[idx // system.k ** (d - 1 - j) % system.k]
               for j in range(d)]

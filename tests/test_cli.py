@@ -59,9 +59,9 @@ def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
     # and the cap checks share the 45 caps of that system
     built, systems, runs = [], [], {}
     real_affine = packing.Affine
-    real_system = packing.build_interval_system
+    real_system = cli.build_interval_system
     real_build = packing.build_packing_family
-    real_verify = packing.verify_cap_properties
+    real_verify = cli.verify_cap_properties
 
     def counting(*args):
         built.append(real_affine(*args))
@@ -79,19 +79,43 @@ def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
         runs["checked"] = system
         return real_verify(system, **kw)
 
+    # forms cached from an equal system of an earlier run would hide
+    # whether this run builds its caps once
+    packing.system_forms.cache_clear()
     monkeypatch.setattr(packing, "Affine", counting)
-    monkeypatch.setattr(packing, "build_interval_system", system_once)
+    monkeypatch.setattr(cli, "build_interval_system", system_once)
     monkeypatch.setattr(packing, "build_packing_family", build)
-    monkeypatch.setattr(packing, "verify_cap_properties", verify)
+    monkeypatch.setattr(cli, "verify_cap_properties", verify)
     assert main(["pack", "--eta", "1/2025", "--dim", "1",
                  "--out-dir", str(tmp_path)]) == 0
     assert len(systems) == 1
     system = runs["family"].system
     assert system is systems[0] and runs["checked"] is system
     assert len(built) == 45
-    assert all(a is b for a, b in zip(system.caps, built, strict=True))
+    caps = packing.system_forms(system)[1]
+    assert all(a is b for a, b in zip(caps, built, strict=True))
     used = {id(c) for f in runs["family"].functions for c in f.parts[1:]}
     assert len(used) == 45 and used == {id(c) for c in built}
+
+
+def test_pack_decides_the_interval_count_once(tmp_path, monkeypatch):
+    # separation_curve decides k at each of its five etas; outside it, one
+    # run decides k once, in build_interval_system, which also refuses
+    callers = []
+    real_count = core.interval_count
+
+    def counting(eta, d):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_count(eta, d)
+
+    monkeypatch.setattr(core, "interval_count", counting)
+    for eta, d in (("1/2025", "1"), ("0.0025", "2")):
+        callers.clear()
+        assert main(["pack", "--eta", eta, "--dim", d,
+                     "--out-dir", str(tmp_path / eta.replace("/", "_"))]) == 0
+        outside = [c for c in callers if c != "separation_point"]
+        assert outside == ["build_interval_system"]
+        assert len(callers) == 6
 
 
 def test_pack_over_the_cell_cap_still_reports(tmp_path):
@@ -640,7 +664,8 @@ print(json.dumps([codes, loaded]))
 def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
         tmp_path):
     # nor dataclasses, and neither does any row refused by argparse or
-    # before numpy loads; schedule and bounds never load it. Only pack
+    # before numpy loads, nor a pack over the 64-cell family cap (169,
+    # 1,000 and 65,536 cells); schedule and bounds never load it. Only pack
     # parses an eta, so the rest load neither fractions nor decimal either;
     # the pack rows run last, as a module once loaded stays loaded
     rows = [row for rows in _read_table().values() for row in rows]
@@ -651,16 +676,25 @@ def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
                      key=lambda argv: argv[0] == "pack")
     assert {argv[0] for argv in refused} == {"schedule", "bounds", "pack",
                                              "lemmas", "frobnicate", "pac"}
+    capped = [["pack", "--eta", "0.0025", "--dim", "2"],
+              ["pack", "--eta", "1/400", "--dim", "3"],
+              ["pack", "--eta", "1/87", "--dim", "8"]]
     argvs = [["schedule", "--p", "1", "--log2-eta", "-96"],
              ["bounds", "--eps", "1e-8", "--p", "1", "--dim", "1",
               "--gamma", "2.0"],
-             ["--help"], *refused]
+             ["--help"], *refused, *capped]
     run = _fresh_python(_NUMPY_FREE_RUNS, str(tmp_path), json.dumps(argvs))
     codes, loaded = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0] + [2] * len(refused)
+    assert codes == [0, 0, 0] + [2] * len(refused) + [0] * len(capped)
     for argv, modules in zip(argvs, loaded):
         allowed = {"fractions", "decimal"} if argv[0] == "pack" else set()
         assert set(modules) <= allowed, argv
+    # and a capped pack writes, without numpy, the bytes it writes with it
+    for i, argv in enumerate(capped, start=len(argvs) - len(capped)):
+        here = tmp_path / "here" / str(i)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out-dir", str(here)]) == 0
+        assert _digest(tmp_path / str(i)) == _digest(here)
 
 
 def test_pack_in_a_fresh_process_writes_the_in_process_bytes(tmp_path):
@@ -688,6 +722,8 @@ def test_every_exported_name_is_its_home_modules_object():
     # the benchmark's tracer still finds these where they used to live
     assert verify.entropy_bounds is schedule.entropy_bounds
     assert packing.separation_curve is core.separation_curve
+    assert packing.verify_cap_properties is core.verify_cap_properties
+    assert packing.build_interval_system is core.build_interval_system
 
 
 def test_every_record_written_by_report_json_names_all_its_fields():

