@@ -3,7 +3,8 @@
 Every function here is convex by construction: affine pieces, maxima of
 convex parts and a separable quadratic. A one-sided ramp is a two-piece
 max-affine function, and rescaling onto the unit cube rewrites affine
-coefficients. Only max-affine functions take subgradients. Instances are
+coefficients. Only max-affine functions take subgradients, and only they
+and affine ones read off Lipschitz budgets. Instances are
 frozen dataclasses and safe to share between threads; evaluation never
 mutates state.
 
@@ -262,11 +263,6 @@ class SeparableQuadratic(ConvexFunction):
         total = reduce(np.add.outer, [np.square(a) for a in axes])
         return total.ravel() / self.domain.dim
 
-    def lipschitz_budget(self):
-        d = self.domain.dim
-        return _budget(2.0 * max(abs(a), abs(b)) / d
-                       for a, b in zip(self.domain.lo, self.domain.hi))
-
     def _form_json(self):
         return {"kind": "separable_quadratic"}
 
@@ -287,10 +283,6 @@ class MaxWith(ConvexFunction):
 
     def _values(self, pts):
         return _running_max(p._values(pts) for p in self.parts)
-
-    def lipschitz_budget(self):
-        cols = zip(*(p.lipschitz_budget().gamma for p in self.parts))
-        return _budget(max(col) for col in cols)
 
     def _form_json(self):
         return {"kind": "max_with", "parts": [p.to_json() for p in self.parts]}

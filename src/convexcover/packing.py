@@ -25,16 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the interval system's names and separation_curve are bound here for
-# callers that look them up in packing, as the benchmark's tracer does
+# verify_cap_properties and separation_curve are bound here for callers
+# that look them up in packing, as the benchmark's tracer does
 from .core import (
     CELL_CAP,
-    SPAN_LIMIT,
-    CapPropertyReport,
     IntervalSystem,
     ParameterError,
     _report_json,
-    build_interval_system,
     code_min_distance,
     code_target,
     separation_curve,

@@ -126,7 +126,8 @@ def check_sup_bound(f: ConvexFunction, g: ConvexFunction,
     """sup |f - g| <= sqrt(1 + sum gamma_j^2) * slab Hausdorff distance.
 
     SLAB_CEILING must dominate both functions (the slabs are cut at it);
-    gamma_j is the larger of the two forms' own Lipschitz budgets on axis j.
+    gamma_j is the larger of the two forms' own Lipschitz budgets on axis j,
+    so both must be affine or max-affine.
     """
     _require_common_domain(f, g)
     if SLAB_CEILING < max(_grid_max(f), _grid_max(g)):

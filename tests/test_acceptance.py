@@ -5,6 +5,7 @@ tolerance and prints a single summary line even under captured output,
 so a plain verbose run shows the per-criterion outcomes.
 """
 
+import contextlib
 import math
 import time
 from fractions import Fraction
@@ -43,12 +44,24 @@ from convexcover import (
 from convexcover.cli import main as cli_main
 from convexcover.packing import system_forms
 
+from test_metrics import _ZERO, _random_pair
+
 LOG2 = math.log(2.0)
 
 
-def _report(capsys, line: str) -> None:
+@contextlib.contextmanager
+def _criterion(capsys, name):
+    """Print "name: pass (details)", with the details passed to the yielded
+    function, or "name: FAIL (the assertion)" and re-raise."""
+    details = []
+    try:
+        yield details.append
+    except AssertionError as exc:
+        with capsys.disabled():
+            print(f"{name}: FAIL ({exc})")
+        raise
     with capsys.disabled():
-        print(line)
+        print(f"{name}: pass ({details[0]})")
 
 
 def test_c01_separation_certificates(capsys):
@@ -56,7 +69,7 @@ def test_c01_separation_certificates(capsys):
              (Fraction(1, 400), 1), (Fraction(1, 100), 2)]
     worst = 0.0
     pairs = 0
-    try:
+    with _criterion(capsys, "C01 separation certificates") as passed:
         for eta, d in cases:
             t0 = time.perf_counter()
             family = build_packing_family(build_interval_system(eta, d))
@@ -68,12 +81,7 @@ def test_c01_separation_certificates(capsys):
             assert cert.ok, f"certificate failed at eta={eta} d={d}"
             assert cert.failures == 0 and cert.shortfall == 0
             assert cert.eps_consistent
-    except AssertionError as exc:
-        _report(capsys, f"C01 separation certificates: FAIL ({exc})")
-        raise
-    _report(capsys, f"C01 separation certificates: pass "
-                    f"({len(cases)} families, {pairs} pairs, "
-                    f"slowest {worst:.1f}s)")
+        passed(f"{len(cases)} families, {pairs} pairs, slowest {worst:.1f}s")
 
 
 def test_c02_cap_properties_exact(capsys):
@@ -81,17 +89,13 @@ def test_c02_cap_properties_exact(capsys):
              (Fraction(1, 400), 1), (Fraction(1, 100), 2),
              (Fraction(1, 400), 2)]
     total = 0
-    try:
+    with _criterion(capsys, "C02 cap properties") as passed:
         for eta, d in cases:
             report = verify_cap_properties(build_interval_system(eta, d))
             assert report.ok, f"cap property failed at eta={eta} d={d}: " \
                               f"{report.failures[:3]}"
             total += report.total_checks
-    except AssertionError as exc:
-        _report(capsys, f"C02 cap properties: FAIL ({exc})")
-        raise
-    _report(capsys, f"C02 cap properties: pass "
-                    f"({total} exact-rational checks over {len(cases)} systems)")
+        passed(f"{total} exact-rational checks over {len(cases)} systems")
 
 
 def _exact_cell_gap(system, idx) -> Fraction:
@@ -114,7 +118,7 @@ def _exact_cell_gap(system, idx) -> Fraction:
 
 def test_c03_cell_gap_closed_form(capsys):
     worst = 0.0
-    try:
+    with _criterion(capsys, "C03 cell gap closed form") as passed:
         for d in (1, 2, 3):
             system = build_interval_system(Fraction(1, 25), d)
             closed = cell_gap(Fraction(1, 25), d)
@@ -122,15 +126,11 @@ def test_c03_cell_gap_closed_form(capsys):
                 exact = _exact_cell_gap(system, idx)
                 worst = max(worst, abs(float(exact - Fraction(closed))))
         assert worst <= 1e-8, f"worst deviation {worst:.3e}"
-    except AssertionError as exc:
-        _report(capsys, f"C03 cell gap closed form: FAIL ({exc})")
-        raise
-    _report(capsys, f"C03 cell gap closed form: pass "
-                    f"(worst exact-integral deviation {worst:.2e} <= 1e-8)")
+        passed(f"worst exact-integral deviation {worst:.2e} <= 1e-8")
 
 
 def test_c04_code_search_hits_its_targets(capsys):
-    try:
+    with _criterion(capsys, "C04 code search") as passed:
         for n in (5, 10, 20, 25):
             res = greedy_binary_code(n, code_min_distance(n), code_target(n))
             assert res.shortfall == 0, f"n={n} short by {res.shortfall}"
@@ -142,19 +142,15 @@ def test_c04_code_search_hits_its_targets(capsys):
                        for j in range(i + 1, len(ws))), f"n={n} pair too close"
         res25 = greedy_binary_code(25, code_min_distance(25), code_target(25))
         assert len(res25.words) >= 23 and res25.min_distance >= 7
-    except AssertionError as exc:
-        _report(capsys, f"C04 code search: FAIL ({exc})")
-        raise
-    _report(capsys, f"C04 code search: pass (targets met for n=5,10,20,25; "
-                    f"n=25 gives {len(res25.words)} words at distance "
-                    f"{res25.min_distance})")
+        passed(f"targets met for n=5,10,20,25; n=25 gives "
+               f"{len(res25.words)} words at distance {res25.min_distance}")
 
 
 def test_c05_schedule_checks_table(capsys):
     expected_depth = {(1.0, -96.0): 4, (2.0, -96.0): 4, (3.0, -96.0): 3,
                       (1.0, -200.0): 6, (2.0, -200.0): 6, (3.0, -200.0): 6}
     worst_gap = 0.0
-    try:
+    with _criterion(capsys, "C05 schedule checks") as passed:
         for (p, log2_eta), depth in expected_depth.items():
             sched = build_schedule(p, log2_eta * LOG2)
             assert sched.depth == depth, \
@@ -163,60 +159,50 @@ def test_c05_schedule_checks_table(capsys):
             assert checks.ok, f"checks failed at p={p} log2eta={log2_eta}"
             assert checks.closed_form_gap <= 1e-12
             worst_gap = max(worst_gap, checks.closed_form_gap)
-    except AssertionError as exc:
-        _report(capsys, f"C05 schedule checks: FAIL ({exc})")
-        raise
-    _report(capsys, f"C05 schedule checks: pass (6 chains, depths as "
-                    f"expected, worst closed-form gap {worst_gap:.2e})")
+        passed(f"6 chains, depths as expected, worst closed-form gap "
+               f"{worst_gap:.2e}")
 
 
 def test_c06_edge_level_is_bitwise_exact(capsys):
-    ok = build_schedule(1.0, -96.0 * LOG2).log_edge == -24.0 * math.log(2.0)
-    _report(capsys, "C06 edge level exactness: "
-                    + ("pass (log u == -24 log 2 bitwise at p=1)"
-                       if ok else "FAIL"))
-    assert ok
+    with _criterion(capsys, "C06 edge level exactness") as passed:
+        edge = build_schedule(1.0, -96.0 * LOG2).log_edge
+        assert edge == -24.0 * math.log(2.0), f"log u = {edge!r}"
+        passed("log u == -24 log 2 bitwise at p=1")
 
 
 def test_c07_hinge_closed_forms(capsys):
     r = unit_rect(1)
-    zero = Affine(r, (0.0,), 0.0)
     alphas = (1.0, 0.25, 0.01)
     worst_lp = 0.0
     worst_h = 0.0
     ratios = []
-    try:
+    with _criterion(capsys, "C07 ramp closed forms") as passed:
         for alpha in alphas:
             f = ramp(r, alpha)
             for p in (1.0, 2.0):
-                got = lp_distance(f, zero, p, GridSpec(10001)).value
+                got = lp_distance(f, _ZERO, p, GridSpec(10001)).value
                 want = hinge_lp_closed_form(alpha, p)
                 worst_lp = max(worst_lp, abs(got - want))
                 if p == 2.0:
-                    measured_h = hausdorff_epigraph(f, zero, 2048,
+                    measured_h = hausdorff_epigraph(f, _ZERO, 2048,
                                                     GridSpec(1601)).value
                     ratios.append(got / measured_h)
-            got_h = hausdorff_epigraph(f, zero, 2048,
-                                       GridSpec(1601)).value
+            got_h = hausdorff_epigraph(f, _ZERO, 2048, GridSpec(1601)).value
             worst_h = max(worst_h, abs(got_h - hinge_hausdorff_closed_form(alpha)))
         assert worst_lp <= 1e-4, f"Lp deviation {worst_lp:.3e}"
         assert worst_h <= 1e-3, f"Hausdorff deviation {worst_h:.3e}"
         assert ratios[0] < ratios[1] < ratios[2], \
             f"L2/Hausdorff ratios not increasing: {ratios}"
-    except AssertionError as exc:
-        _report(capsys, f"C07 ramp closed forms: FAIL ({exc})")
-        raise
-    _report(capsys, f"C07 ramp closed forms: pass (Lp off by {worst_lp:.1e}, "
-                    f"Hausdorff by {worst_h:.1e}; L2/Hausdorff ratio climbs "
-                    f"{ratios[0]:.2f} -> {ratios[2]:.2f} as the ramp steepens)")
+        passed(f"Lp off by {worst_lp:.1e}, Hausdorff by {worst_h:.1e}; "
+               f"L2/Hausdorff ratio climbs {ratios[0]:.2f} -> "
+               f"{ratios[2]:.2f} as the ramp steepens")
 
 
 def _pair_battery(d, n_pairs, seed0, n_directions, grid_n):
     grid = GridSpec(grid_n)
     refinements = 0
     for i in range(n_pairs):
-        f = make_random_convex(d, 0.9, 6, seed0 + 2 * i)
-        g = make_random_convex(d, 0.9, 6, seed0 + 2 * i + 1)
+        f, g = _random_pair(d, seed0 + 2 * i)
         sup_rep = check_sup_bound(f, g, n_directions=n_directions,
                                   grid=grid)
         assert sup_rep.ok, f"sup bound failed at d={d} pair {i}"
@@ -233,20 +219,15 @@ def _pair_battery(d, n_pairs, seed0, n_directions, grid_n):
 
 def test_c08_distance_vs_hausdorff_battery(capsys):
     t0 = time.perf_counter()
-    try:
+    with _criterion(capsys, "C08 distance-vs-Hausdorff battery") as passed:
         refinements = _pair_battery(1, 25, 1000, 1024, 501)
         refinements += _pair_battery(2, 25, 2000, 1000, 151)
-    except AssertionError as exc:
-        _report(capsys, f"C08 distance-vs-Hausdorff battery: FAIL ({exc})")
-        raise
-    dt = time.perf_counter() - t0
-    _report(capsys, f"C08 distance-vs-Hausdorff battery: pass (50 pairs, "
-                    f"slope masses in budget, {refinements} refinements, "
-                    f"{dt:.0f}s)")
+        passed(f"50 pairs, slope masses in budget, {refinements} "
+               f"refinements, {time.perf_counter() - t0:.0f}s")
 
 
 def test_c09_normalization_identity(capsys):
-    try:
+    with _criterion(capsys, "C09 normalization identity") as passed:
         dom1 = Rect((0.0,), (2.0,))
         hand = scaling_identity_report(Affine(dom1, (1.0,), 0.0),
                                        Affine(dom1, (0.0,), 0.0), 1.0, 3.0)
@@ -264,16 +245,12 @@ def test_c09_normalization_identity(capsys):
             rep = scaling_identity_report(f, g, 2.0, 2.0, GridSpec(51))
             worst = max(worst, rep.difference)
         assert worst <= 1e-6, f"worst random-pair difference {worst:.2e}"
-    except AssertionError as exc:
-        _report(capsys, f"C09 normalization identity: FAIL ({exc})")
-        raise
-    _report(capsys, f"C09 normalization identity: pass (hand case "
-                    f"{hand.difference:.1e}, worst of 20 random pairs "
-                    f"{worst:.1e})")
+        passed(f"hand case {hand.difference:.1e}, worst of 20 random pairs "
+               f"{worst:.1e}")
 
 
 def test_c10_family_size_scaling(capsys):
-    try:
+    with _criterion(capsys, "C10 family size scaling") as passed:
         # d = 1: eta = 1/k^2 gives exactly k intervals
         products = []
         for k in (5, 10, 20, 40, 80):
@@ -292,28 +269,20 @@ def test_c10_family_size_scaling(capsys):
                 ys.append(math.log(pt.log_packing))
             slope = float(np.polyfit(xs, ys, 1)[0])
             assert abs(slope - d / 2.0) <= 0.2, f"d={d} slope {slope:.3f}"
-    except AssertionError as exc:
-        _report(capsys, f"C10 family size scaling: FAIL ({exc})")
-        raise
-    _report(capsys, f"C10 family size scaling: pass (log-size times "
-                    f"sqrt(eps) flat to {spread:.3f}, growth exponents "
-                    f"match d/2)")
+        passed(f"log-size times sqrt(eps) flat to {spread:.3f}, growth "
+               f"exponents match d/2")
 
 
 def test_c11_ramp_family_values_are_exact(capsys):
     fam = hinge_family(10)
-    try:
+    with _criterion(capsys, "C11 ramp family exactness") as passed:
         for k in range(2, 11):
             x = (2.0**-k,)
             assert fam[k - 1].value(x) == 0.0
             for j in range(1, k):
                 assert fam[j - 1].value(x) == 1.0 - 2.0 ** (j - k), \
                     f"j={j} k={k}"
-    except AssertionError as exc:
-        _report(capsys, f"C11 ramp family exactness: FAIL ({exc})")
-        raise
-    _report(capsys, "C11 ramp family exactness: pass (all 45 dyadic "
-                    "evaluations bitwise exact)")
+        passed("all 45 dyadic evaluations bitwise exact")
 
 
 def test_c12_cli_runs_are_reproducible(capsys, tmp_path):
@@ -328,7 +297,7 @@ def test_c12_cli_runs_are_reproducible(capsys, tmp_path):
         assert outs[0] == outs[1], f"{args} not byte-identical"
         return sorted(outs[0])
 
-    try:
+    with _criterion(capsys, "C12 reproducible artifacts") as passed:
         pack_files = run_twice(["pack", "--eta", "1/25", "--dim", "1",
                                 "--grid-n", "301"], "pack")
         assert "packing_certificate.json" in pack_files
@@ -339,8 +308,5 @@ def test_c12_cli_runs_are_reproducible(capsys, tmp_path):
                          "overcap")
         assert over == ["cap_report.json", "interval_system.json",
                         "lower_bound_curve.csv"]
-    except AssertionError as exc:
-        _report(capsys, f"C12 reproducible artifacts: FAIL ({exc})")
-        raise
-    _report(capsys, "C12 reproducible artifacts: pass (pack, schedule, "
-                    "bounds, and the over-cap path rerun byte-identical)")
+        passed("pack, schedule, bounds, and the over-cap path rerun "
+               "byte-identical")

@@ -27,19 +27,21 @@ def _digest(root):
             if p.is_file()}
 
 
+def _run(out, argv):
+    """The JSON artifacts, by file stem, of a run of argv that exits 0."""
+    assert main([*argv.split(), "--out-dir", str(out)]) == 0
+    return {p.stem: json.loads(p.read_text()) for p in out.glob("*.json")}
+
+
 def test_pack_writes_a_full_artifact_set(tmp_path):
-    rc = main(["pack", "--eta", "1/25", "--dim", "1", "--grid-n", "301",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
+    out = _run(tmp_path, "pack --eta 1/25 --dim 1 --grid-n 301")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["cap_report.json", "family.json", "interval_system.json",
                      "lower_bound_curve.csv", "packing_certificate.json"]
-    system = json.loads((tmp_path / "interval_system.json").read_text())
-    assert system["k"] == 5
-    cert = json.loads((tmp_path / "packing_certificate.json").read_text())
+    assert out["interval_system"]["k"] == 5
+    cert = out["packing_certificate"]
     assert cert["ok"] is True and cert["failures"] == 0
-    report = json.loads((tmp_path / "cap_report.json").read_text())
-    assert report["ok"] is True
+    assert out["cap_report"]["ok"] is True
     curve = (tmp_path / "lower_bound_curve.csv").read_text().splitlines()
     assert curve[0] == "eta,k,n_cells,eps,log_packing"
     assert len(curve) == 6  # header + 5 sweep points
@@ -47,54 +49,42 @@ def test_pack_writes_a_full_artifact_set(tmp_path):
 
 def test_pack_parses_eta_as_an_exact_decimal(tmp_path):
     # "0.04" means 1/25 exactly, not the binary float above it
-    rc = main(["pack", "--eta", "0.04", "--dim", "1",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    system = json.loads((tmp_path / "interval_system.json").read_text())
-    assert system["k"] == 5
+    out = _run(tmp_path, "pack --eta 0.04 --dim 1")
+    assert out["interval_system"]["k"] == 5
 
 
 def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
     # one system and one cap object per cell per run: the 278 functions
     # and the cap checks share the 45 caps of that system
-    built, systems, runs = [], [], {}
-    real_affine = packing.Affine
-    real_system = cli.build_interval_system
-    real_build = packing.build_packing_family
-    real_verify = cli.verify_cap_properties
+    calls = {}
 
-    def counting(*args):
-        built.append(real_affine(*args))
-        return built[-1]
+    def spy(owner, name):
+        # log (arguments, result) of each call of owner.name
+        real, log = getattr(owner, name), calls.setdefault(name, [])
 
-    def system_once(*args):
-        systems.append(real_system(*args))
-        return systems[-1]
-
-    def build(*args, **kw):
-        runs["family"] = real_build(*args, **kw)
-        return runs["family"]
-
-    def verify(system, **kw):
-        runs["checked"] = system
-        return real_verify(system, **kw)
+        def call(*args, **kw):
+            log.append((args, real(*args, **kw)))
+            return log[-1][1]
+        monkeypatch.setattr(owner, name, call)
 
     # forms cached from an equal system of an earlier run would hide
     # whether this run builds its caps once
     packing.system_forms.cache_clear()
-    monkeypatch.setattr(packing, "Affine", counting)
-    monkeypatch.setattr(cli, "build_interval_system", system_once)
-    monkeypatch.setattr(packing, "build_packing_family", build)
-    monkeypatch.setattr(cli, "verify_cap_properties", verify)
+    for owner, name in ((packing, "Affine"), (cli, "build_interval_system"),
+                        (packing, "build_packing_family"),
+                        (cli, "verify_cap_properties")):
+        spy(owner, name)
     assert main(["pack", "--eta", "1/2025", "--dim", "1",
                  "--out-dir", str(tmp_path)]) == 0
-    assert len(systems) == 1
-    system = runs["family"].system
-    assert system is systems[0] and runs["checked"] is system
+    [(_, system)] = calls["build_interval_system"]
+    [(_, family)] = calls["build_packing_family"]
+    [((checked,), _)] = calls["verify_cap_properties"]
+    assert family.system is system and checked is system
+    built = [cap for _, cap in calls["Affine"]]
     assert len(built) == 45
     caps = packing.system_forms(system)[1]
     assert all(a is b for a, b in zip(caps, built, strict=True))
-    used = {id(c) for f in runs["family"].functions for c in f.parts[1:]}
+    used = {id(c) for f in family.functions for c in f.parts[1:]}
     assert len(used) == 45 and used == {id(c) for c in built}
 
 
@@ -119,43 +109,33 @@ def test_pack_decides_the_interval_count_once(tmp_path, monkeypatch):
 
 
 def test_pack_over_the_cell_cap_still_reports(tmp_path):
-    rc = main(["pack", "--eta", "0.0025", "--dim", "2",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
+    out = _run(tmp_path, "pack --eta 0.0025 --dim 2")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["cap_report.json", "interval_system.json",
                      "lower_bound_curve.csv"]
-    system = json.loads((tmp_path / "interval_system.json").read_text())
-    assert system["k"] == 13
+    assert out["interval_system"]["k"] == 13
 
 
 def test_schedule_artifacts(tmp_path):
-    rc = main(["schedule", "--p", "1", "--log2-eta", "-96",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
+    out = _run(tmp_path, "schedule --p 1 --log2-eta -96")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["cover_accounting.json", "schedule.csv", "schedule.json",
                      "schedule_checks.json"]
-    sched = json.loads((tmp_path / "schedule.json").read_text())
-    assert sched["depth"] == 4
-    assert float(sched["log_levels"][0]) == -96.0 * math.log(2.0)
-    checks = json.loads((tmp_path / "schedule_checks.json").read_text())
-    assert checks["ok"] is True
+    assert out["schedule"]["depth"] == 4
+    assert float(out["schedule"]["log_levels"][0]) == -96.0 * math.log(2.0)
+    assert out["schedule_checks"]["ok"] is True
     rows = (tmp_path / "schedule.csv").read_text().splitlines()
     assert rows[0] == "m,log_level,log_weight,log_radius"
     assert len(rows) == 6  # header + depth + the level past the edge
     assert rows[-1].endswith(",,")  # no weight or radius beyond the depth
-    acct = json.loads((tmp_path / "cover_accounting.json").read_text())
-    assert float(acct["entropy_bound"]) > 0.0
+    assert float(out["cover_accounting"]["entropy_bound"]) > 0.0
 
 
 def test_a_deep_schedule_passes_and_prints_the_log_of_an_overflowed_bound(
         tmp_path, capsys):
     # depth 18: the closed-form gap 2.9e-12 once failed an absolute 1e-12
-    rc = main(["schedule", "--p", "1", "--log2-eta=-33333",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    acct = json.loads((tmp_path / "cover_accounting.json").read_text())
+    acct = _run(tmp_path, "schedule --p 1 --log2-eta=-33333")[
+        "cover_accounting"]
     assert acct["entropy_bound"] == "inf"
     log_bound = float(acct["log_entropy_bound"])
     assert capsys.readouterr().out == (
@@ -193,10 +173,8 @@ def test_a_negative_log2_eta_in_exponent_form_needs_the_equals_form(
 
 
 def test_lemmas_runs_one_pair(tmp_path):
-    rc = main(["lemmas", "--dim", "1", "--pairs", "1", "--grid-n", "201",
-               "--directions", "512", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "lemma_reports.json").read_text())
+    report = _run(tmp_path, "lemmas --dim 1 --pairs 1 --grid-n 201 "
+                            "--directions 512")["lemma_reports"]
     assert report["all_ok"] is True
     assert len(report["reports"]) == 1
     pair = report["reports"][0]
@@ -226,30 +204,23 @@ def test_bounds_at_an_eps_near_the_float_floor(tmp_path):
     # once took a step per unit of the float guess's error, and k^3 cells
     # overflow the float log count
     t0 = time.perf_counter()
-    rc = main(["bounds", "--eps", "1e-300", "--p", "1", "--dim", "3",
-               "--out-dir", str(tmp_path)])
+    obj = _run(tmp_path, "bounds --eps 1e-300 --p 1 --dim 3")["entropy_bounds"]
     assert time.perf_counter() - t0 < 1.0
-    assert rc == 0
-    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
     assert obj["log_lower"] == "inf"
 
 
 @pytest.mark.parametrize("p", ["1e20", "1e120", "1e200"])
 def test_bounds_with_a_p_past_the_schedule_edge_has_no_upper_bound(tmp_path,
                                                                    p):
-    rc = main(["bounds", "--eps", "1e-8", "--p", p, "--dim", "1",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
+    obj = _run(tmp_path, f"bounds --eps 1e-8 --p {p} --dim 1")[
+        "entropy_bounds"]
     assert obj["log_upper"] is None
     assert float(obj["log_lower"]) == pytest.approx(180.375)
 
 
 def test_bounds_artifacts(tmp_path):
-    rc = main(["bounds", "--eps", "9.5367431640625e-07", "--p", "1",
-               "--dim", "1", "--gamma", "2.0", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
+    obj = _run(tmp_path, "bounds --eps 9.5367431640625e-07 --p 1 --dim 1 "
+                         "--gamma 2.0")["entropy_bounds"]
     assert obj["log_upper"] is None  # eps too large for the p = 1 schedule
     assert float(obj["log_lower"]) == pytest.approx(18.375)
     assert float(obj["log_lipschitz_upper"]) > 0.0
@@ -258,19 +229,16 @@ def test_bounds_artifacts(tmp_path):
 def test_bounds_takes_the_cube_by_its_exact_side(tmp_path):
     # with a far origin the corner 1e16 + 3 once rounded to 1e16 + 4, and
     # the bounds came out for side 4 (log upper 5.18e8, log lower 1141)
-    rc = main(["bounds", "--eps", "1e-9", "--p", "1", "--dim", "1",
-               "--side", "3", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    obj = json.loads((tmp_path / "entropy_bounds.json").read_text())
+    obj = _run(tmp_path, "bounds --eps 1e-9 --p 1 --dim 1 --side 3")[
+        "entropy_bounds"]
     assert obj["log_upper"] == "449004157.7759286"
     assert obj["log_lower"] == "988.125"
 
 
 def test_schedule_checks_the_power_sums_up_to_its_dimension(tmp_path):
     # the cover accounting at --dim 5 rests on the d = 5 power sum
-    assert main(["schedule", "--p", "1", "--log2-eta", "-96", "--dim", "5",
-                 "--out-dir", str(tmp_path)]) == 0
-    checks = json.loads((tmp_path / "schedule_checks.json").read_text())
+    checks = _run(tmp_path, "schedule --p 1 --log2-eta -96 --dim 5")[
+        "schedule_checks"]
     assert [row[0] for row in checks["dim_sums"]] == [1, 2, 3, 4, 5]
     assert all(row[3] for row in checks["dim_sums"])
 
@@ -723,7 +691,6 @@ def test_every_exported_name_is_its_home_modules_object():
     assert verify.entropy_bounds is schedule.entropy_bounds
     assert packing.separation_curve is core.separation_curve
     assert packing.verify_cap_properties is core.verify_cap_properties
-    assert packing.build_interval_system is core.build_interval_system
 
 
 def test_every_record_written_by_report_json_names_all_its_fields():

@@ -31,6 +31,11 @@ from convexcover import ConvexFunction, metrics
 from convexcover.cli import main
 
 
+# x and 0 on [0, 1]
+_X = Affine(unit_rect(1), (1.0,), 0.0)
+_ZERO = Affine(unit_rect(1), (0.0,), 0.0)
+
+
 # -- grids -------------------------------------------------------------------
 
 
@@ -64,59 +69,40 @@ def test_vertex_grid_pins_endpoints():
 
 
 def test_lp_distance_linear_integrand_is_exact():
-    r = unit_rect(1)
-    f = Affine(r, (1.0,), 0.0)
-    g = Affine(r, (0.0,), 0.0)
-    rep = lp_distance(f, g, 1.0, GridSpec(16))
+    rep = lp_distance(_X, _ZERO, 1.0, GridSpec(16))
     assert math.isclose(rep.value, 0.5, rel_tol=1e-14)
     assert rep.error_estimate < 1e-14
 
 
 def test_lp_distance_quadratic_case():
-    r = unit_rect(1)
-    f = Affine(r, (1.0,), 0.0)
-    g = Affine(r, (0.0,), 0.0)
-    rep = lp_distance(f, g, 2.0, GridSpec(101))
+    rep = lp_distance(_X, _ZERO, 2.0, GridSpec(101))
     assert abs(rep.value - math.sqrt(1.0 / 3.0)) < 1e-4
     assert rep.error_estimate < 1e-4
 
 
 def test_lp_distance_hinge_matches_closed_form():
-    r = unit_rect(1)
-    f = ramp(r, 0.5)
-    g = Affine(r, (0.0,), 0.0)
-    rep = lp_distance(f, g, 1.0, GridSpec(1001))
+    rep = lp_distance(ramp(unit_rect(1), 0.5), _ZERO, 1.0, GridSpec(1001))
     # the cell straddling the kink contributes an O(h^2) quadrature error
     assert abs(rep.value - 0.25) < 1e-6
 
 
 def test_lp_distance_validation():
-    r = unit_rect(1)
-    f = Affine(r, (1.0,), 0.0)
-    with pytest.raises(ParameterError):
-        lp_distance(f, f, 0.5)
-    with pytest.raises(ParameterError):
-        lp_distance(f, f, math.inf)
     other = Affine(Rect((0.0,), (2.0,)), (1.0,), 0.0)
-    with pytest.raises(ParameterError):
-        lp_distance(f, other, 1.0)
+    for g, p in ((_X, 0.5), (_X, math.inf), (other, 1.0)):
+        with pytest.raises(ParameterError):
+            lp_distance(_X, g, p)
 
 
 def test_sup_grid_distance_hits_the_endpoint():
-    r = unit_rect(1)
-    f = Affine(r, (1.0,), 0.0)
-    g = Affine(r, (0.0,), 0.0)
-    rep = sup_grid_distance(f, g, GridSpec(11))
+    rep = sup_grid_distance(_X, _ZERO, GridSpec(11))
     assert rep.value == 1.0
     assert rep.error_estimate == 0.0
 
 
 def test_sup_grid_distance_converges_from_below():
-    r = unit_rect(1)
-    f = ramp(r, 0.3)
-    g = Affine(r, (0.0,), 0.0)
-    coarse = sup_grid_distance(f, g, GridSpec(4)).value
-    fine = sup_grid_distance(f, g, GridSpec(64)).value
+    f = ramp(unit_rect(1), 0.3)
+    coarse = sup_grid_distance(f, _ZERO, GridSpec(4)).value
+    fine = sup_grid_distance(f, _ZERO, GridSpec(64)).value
     assert coarse <= fine <= 1.0
 
 
@@ -126,9 +112,8 @@ def test_sup_grid_distance_converges_from_below():
 def test_epigraph_support_of_the_unit_square():
     # f = 0 with ceiling 1 makes the slab the unit square in R^2; the
     # kernel takes the downward directions, which reach its floor
-    f = Affine(unit_rect(1), (0.0,), 0.0)
-    pts = vertex_grid(f.domain, GridSpec().n)
-    vals = f.values(pts)[None, :]
+    pts = vertex_grid(_ZERO.domain, GridSpec().n)
+    vals = _ZERO.values(pts)[None, :]
     cases = [
         ((0.0, -1.0), 0.0),
         ((math.sqrt(0.5), -math.sqrt(0.5)), math.sqrt(0.5)),
@@ -182,13 +167,11 @@ def test_direction_covering_radius_covers_the_angle_lattice():
 
 
 def test_hausdorff_epigraph_of_shifted_slabs():
-    r = unit_rect(1)
-    f = Affine(r, (0.0,), 0.0)
-    g = Affine(r, (0.0,), 0.25)
-    rep = hausdorff_epigraph(f, g, 8, GridSpec(11))
+    g = Affine(unit_rect(1), (0.0,), 0.25)
+    rep = hausdorff_epigraph(_ZERO, g, 8, GridSpec(11))
     assert abs(rep.value - 0.25) < 1e-12
     assert rep.error_estimate < 1e-12
-    assert hausdorff_epigraph(f, f, 8).value == 0.0
+    assert hausdorff_epigraph(_ZERO, _ZERO, 8).value == 0.0
 
 
 def test_hausdorff_epigraph_converges_from_below():
@@ -201,9 +184,8 @@ def test_hausdorff_epigraph_converges_from_below():
 
 
 def test_hausdorff_epigraph_needs_enough_directions():
-    f = Affine(unit_rect(1), (0.0,), 0.0)
     with pytest.raises(ParameterError):
-        hausdorff_epigraph(f, f, 3)
+        hausdorff_epigraph(_ZERO, _ZERO, 3)
 
 
 # -- the support kernel against the untiled formula --------------------------
@@ -239,13 +221,16 @@ def test_hausdorff_value_matches_the_naive_formula_bit_for_bit(d, n, count):
             _naive_hausdorff(f, g, 1.0, dirs, n)
 
 
-def _assert_kernel_matches(f, g, n, dirs, bound=1.0):
+def _assert_kernel_matches(f, g, n, dirs):
+    # each function's support row and the pair's value, over downward dirs
     pts = vertex_grid(f.domain, n)
     vals = np.stack([f.values(pts), g.values(pts)])
     both = metrics._support_batch(pts, vals, dirs)
     assert both.shape == (2, len(dirs))
     for row, v in zip(both, vals):
-        assert np.array_equal(row, _naive_support(pts, v, bound, dirs))
+        assert np.array_equal(row, _naive_support(pts, v, 1.0, dirs))
+    assert metrics._hausdorff_value(f, g, dirs, n) == \
+        _naive_hausdorff(f, g, 1.0, dirs, n)
 
 
 def test_support_kernel_is_exact_across_node_tile_boundaries():
@@ -254,9 +239,7 @@ def test_support_kernel_is_exact_across_node_tile_boundaries():
     dirs = dirs[dirs[:, 1] < 0.0]
     rows = metrics._TILE_ENTRIES // len(dirs)
     for n in (rows - 1, rows, rows + 1):
-        _assert_kernel_matches(f, g, n, dirs, bound=0.9)
-        assert metrics._hausdorff_value(f, g, dirs, n) == \
-            _naive_hausdorff(f, g, 0.9, dirs, n)
+        _assert_kernel_matches(f, g, n, dirs)
 
 
 def test_support_kernel_is_exact_across_direction_tile_boundaries():
@@ -340,50 +323,69 @@ def _clear_caches():
 
 
 @pytest.fixture
-def sweeps(monkeypatch):
-    """Support-kernel calls, counted from empty Hausdorff and value caches."""
-    calls = []
-    kernel = metrics._support_batch
+def calls(monkeypatch):
+    """Calls of the support kernel, ConvexFunction.values and vertex_grid.
 
-    def counted(*args):
-        calls.append(args)
+    Logged from empty caches, which are emptied again after the test:
+    "sweeps" holds each kernel call's arguments, "values" the (form, nodes,
+    first coordinate) of each evaluation, where the first coordinate tells
+    a vertex grid (0) from the midpoint quadrature grid of the same size,
+    and "grids" the (box, nodes per axis) of each vertex grid built.
+    """
+    log = {"sweeps": [], "values": [], "grids": []}
+    kernel, values, build = (metrics._support_batch, ConvexFunction.values,
+                             metrics.vertex_grid)
+
+    def sweep(*args):
+        log["sweeps"].append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(metrics, "_support_batch", counted)
+    def evaluate(self, points):
+        pts = np.asarray(points, dtype=float)
+        log["values"].append((self, len(pts), float(pts[0, 0])))
+        return values(self, points)
+
+    def grid(rect, n):
+        log["grids"].append((rect, n))
+        return build(rect, n)
+
+    monkeypatch.setattr(metrics, "_support_batch", sweep)
+    monkeypatch.setattr(ConvexFunction, "values", evaluate)
+    monkeypatch.setattr(metrics, "vertex_grid", grid)
     _clear_caches()
-    yield calls
+    yield log
     _clear_caches()
 
 
-def test_the_sup_and_l1_checks_of_one_pair_share_their_sweeps(sweeps):
+def test_the_sup_and_l1_checks_of_one_pair_share_their_sweeps(calls):
     f, g = _random_pair(1, 100)
     grid = GridSpec(101)
     sup = check_sup_bound(f, g, n_directions=64, grid=grid)
-    assert len(sweeps) == 2  # the coarse and the fine value
+    assert len(calls["sweeps"]) == 2  # the coarse and the fine value
     l1 = check_l1_bound(f, g, n_directions=64, grid=grid)
     assert sup.refinements == l1.refinements == 0
-    assert len(sweeps) == 2
+    assert len(calls["sweeps"]) == 2
 
 
-def test_a_refinement_reuses_the_previous_fine_value(sweeps):
+def test_a_refinement_reuses_the_previous_fine_value(calls):
     f, g = _random_pair(2, 110)
     grid = GridSpec(21)
     hausdorff_epigraph(f, g, 40, grid)
     refined = hausdorff_epigraph(f, g, 80, grid.refined())
-    assert len(sweeps) == 3
+    assert len(calls["sweeps"]) == 3
     metrics._hausdorff_at.cache_clear()
     assert hausdorff_epigraph(f, g, 80, grid.refined()) == refined
 
 
-def test_a_cache_hit_equals_a_fresh_sweep_and_the_naive_formula(sweeps):
+def test_a_cache_hit_equals_a_fresh_sweep_and_the_naive_formula(calls):
     f, g = _random_pair(2, 120)
     count, n = 60, 25
     first = hausdorff_epigraph(f, g, count, GridSpec(n))
     again = hausdorff_epigraph(f, g, count, GridSpec(n))
-    assert len(sweeps) == 2
+    assert len(calls["sweeps"]) == 2
     metrics._hausdorff_at.cache_clear()
     fresh = hausdorff_epigraph(f, g, count, GridSpec(n))
-    assert len(sweeps) == 4
+    assert len(calls["sweeps"]) == 4
     assert first == again == fresh
     coarse = _naive_hausdorff(f, g, 1.0, direction_set(3, count), n)
     fine = _naive_hausdorff(f, g, 1.0, direction_set(3, 2 * count), 2 * n - 1)
@@ -391,21 +393,21 @@ def test_a_cache_hit_equals_a_fresh_sweep_and_the_naive_formula(sweeps):
     assert first.error_estimate == abs(fine - coarse)
 
 
-def test_different_pairs_never_share_an_entry(sweeps):
+def test_different_pairs_never_share_an_entry(calls):
     f, g = _random_pair(2, 130)
     h = make_random_convex(2, 0.9, 6, 132)
     grid = GridSpec(21)
     for a, b in ((f, g), (f, h), (h, g), (g, f)):
-        before = len(sweeps)
+        before = len(calls["sweeps"])
         rep = hausdorff_epigraph(a, b, 40, grid)
-        assert len(sweeps) == before + 2
+        assert len(calls["sweeps"]) == before + 2
         assert rep.value == _naive_hausdorff(a, b, 1.0, direction_set(3, 40),
                                              grid.n)
     # a separately built copy of a pair is the same key
     copy = make_random_convex(2, 0.9, 6, 130)
     assert copy is not f
     hausdorff_epigraph(copy, g, 40, grid)
-    assert len(sweeps) == 8
+    assert len(calls["sweeps"]) == 8
 
 
 # -- the cache key: forms compare and hash by value ---------------------------
@@ -431,7 +433,7 @@ def test_every_form_hashes_and_equal_copies_are_equal_keys():
     assert len(set(forms)) == len(forms)
 
 
-def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(sweeps):
+def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(calls):
     # +0.0 == -0.0 and they hash alike, so one is served the other's
     # cached value; the sweep must give both the same float
     plus, minus = _every_form(0.0), _every_form(-0.0)
@@ -451,37 +453,17 @@ def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(sweeps):
                                metrics._sup_value(*pair, 21)))
             assert [v.hex() for v in values[0]] == \
                 [v.hex() for v in values[1]]
-    before = len(sweeps)
+    before = len(calls["sweeps"])
     from_minus = hausdorff_epigraph(minus[1], other, 32, GridSpec(21))
     assert hausdorff_epigraph(plus[1], other, 32, GridSpec(21)) == from_minus
-    assert len(sweeps) == before + 2
+    assert len(calls["sweeps"]) == before + 2
 
 
 # -- one evaluation per (form, vertex grid) -----------------------------------
 
 
-@pytest.fixture
-def evaluations(monkeypatch):
-    """(form, nodes, first coordinate) of every ConvexFunction.values call.
-
-    The first coordinate tells a vertex grid (0) from the midpoint
-    quadrature grid of the same size. Both caches start and end empty.
-    """
-    calls = []
-    values = ConvexFunction.values
-
-    def counted(self, points):
-        pts = np.asarray(points, dtype=float)
-        calls.append((self, len(pts), float(pts[0, 0])))
-        return values(self, points)
-
-    monkeypatch.setattr(ConvexFunction, "values", counted)
-    _clear_caches()
-    yield calls
-    _clear_caches()
-
-
-def test_a_pair_evaluates_each_function_once_per_grid(evaluations):
+def test_a_pair_evaluates_each_function_once_per_grid(calls):
+    evaluations = calls["values"]
     f, g = _random_pair(2, 150)
     sup = check_sup_bound(f, g)
     l1 = check_l1_bound(f, g)
@@ -494,7 +476,8 @@ def test_a_pair_evaluates_each_function_once_per_grid(evaluations):
         [33**2, 201**2, 201**2, 401**2, 401**2]
 
 
-def test_a_cached_vertex_grid_refuses_writes(evaluations):
+def test_a_cached_vertex_grid_refuses_writes(calls):
+    evaluations = calls["values"]
     f = make_random_convex(2, 0.9, 6, 160)
     vals = metrics._vertex_values(f, 9)
     assert metrics._vertex_values(f, 9) is vals
@@ -506,23 +489,7 @@ def test_a_cached_vertex_grid_refuses_writes(evaluations):
         np.abs(vals, out=vals)
 
 
-@pytest.fixture
-def grids(monkeypatch):
-    """(box, nodes per axis) of every vertex_grid call, from empty caches."""
-    calls = []
-    build = metrics.vertex_grid
-
-    def counted(rect, n):
-        calls.append((rect, n))
-        return build(rect, n)
-
-    monkeypatch.setattr(metrics, "vertex_grid", counted)
-    _clear_caches()
-    yield calls
-    _clear_caches()
-
-
-def test_a_pair_builds_each_vertex_grid_once(grids):
+def test_a_pair_builds_each_vertex_grid_once(calls):
     f, g = _random_pair(2, 170)
     grid = GridSpec(101)
     sup = check_sup_bound(f, g, n_directions=500, grid=grid)
@@ -530,17 +497,17 @@ def test_a_pair_builds_each_vertex_grid_once(grids):
     assert sup.refinements == l1.refinements == 0
     # the 33-node ceiling grid and the vertex grids of n and 2n - 1 nodes,
     # shared by both functions and the support kernel
-    assert sorted(n for _, n in grids) == [33, 101, 201]
-    assert {rect for rect, _ in grids} == {f.domain}
+    assert sorted(n for _, n in calls["grids"]) == [33, 101, 201]
+    assert {rect for rect, _ in calls["grids"]} == {f.domain}
     nodes = metrics._vertex_nodes(f.domain, 101)
     assert metrics._vertex_nodes(f.domain, 101) is nodes
-    assert len(grids) == 3
+    assert len(calls["grids"]) == 3
     assert nodes.tobytes() == vertex_grid(f.domain, 101).tobytes()
     with pytest.raises(ValueError):
         nodes[0, 0] = 2.0
 
 
-def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, evaluations):
+def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, calls):
     # sixteen pairs in one run score the hits and misses of the sixteen
     # pairs run alone: no pair is served another pair's values
     argv = ["lemmas", "--dim", "1", "--grid-n", "21", "--directions", "16"]

@@ -142,17 +142,10 @@ def test_interval_count_takes_an_eta_below_the_float_range():
 
 
 def test_interval_count_validation():
-    with pytest.raises(ParameterError):
-        interval_count(Fraction(1, 25), 0)
-    with pytest.raises(ParameterError):
-        interval_count(Fraction(1, 25), 9)
-    with pytest.raises(ParameterError):
-        interval_count(0, 1)
-    with pytest.raises(ParameterError):
-        interval_count(1.5, 1)
-    for eta in (math.inf, math.nan):
+    for eta, d in ((Fraction(1, 25), 0), (Fraction(1, 25), 9), (0, 1),
+                   (1.5, 1), (math.inf, 1), (math.nan, 1)):
         with pytest.raises(ParameterError):
-            interval_count(eta, 1)
+            interval_count(eta, d)
 
 
 # -- interval placement -------------------------------------------------------
@@ -304,23 +297,58 @@ def _admissible_max_eta(d):
     return eta
 
 
-def test_cap_properties_hold_on_built_systems():
-    for eta, d in [(Fraction(1, 25), 1), (Fraction(1, 100), 2)]:
-        system = build_interval_system(eta, d)
+# systems with their full cap reports, as (system, affine, corner, above,
+# below, *failures), each under the test that reports it; the built
+# systems of _CLEARED below clear every check too
+_REPORTS = {
+    "test_cap_properties_hold_on_built_systems":
+        (build_interval_system(Fraction(1, 100), 2), 500, 36, 500, 1000),
+    "test_the_cap_checks_draw_nothing_at_31622_cells":
+        (build_interval_system(1e-9, 1), 500, 31622, 500, 1000),
+    # two cells, the fewest with another cell to stay below f0 on
+    "test_cap_properties_check_below_outside_from_two_cells":
+        (_DYADIC, 500, 2, 500, 1000),
+    # the last cap reaches exactly 1 at the corner, which passes
+    "test_cap_properties_let_a_corner_value_of_1_pass":
+        (_DYADIC._replace(gap=0.5, starts=(0.0, 0.75)), 500, 2, 500, 1000),
+    "test_cap_properties_catch_a_bad_system":
+        (_DOCTORED["corner"], 500, 2, 500, 1000, "cell 1: corner value above 1"),
+    "test_cap_properties_catch_negative_coefficients":
+        (_DOCTORED["negative"], 500, 1, 500, 0, "cell 0: negative coefficient"),
+    # zero slopes are not negative
+    "test_cap_properties_let_zero_slopes_pass":
+        (_DOCTORED["centered"], 500, 4, 500, 1000),
+    "test_cap_properties_fail_inside_a_cell_below_rounding":
+        (_DOCTORED["thin"], 500, 1, 500, 0,
+         "cell 0: cap below base inside own cell"),
+    # cap = f0 at every lattice point: neither strict inequality fires
+    "test_cap_properties_let_equality_pass":
+        (_DOCTORED["point"], 500, 4, 500, 1000),
+    # the intervals overlap, so the one-axis switch bounds nothing: the
+    # report says so instead of clearing
+    "test_cap_properties_catch_overlapping_cells":
+        (_DOCTORED["overlapping"], 500, 9, 500, 1000,
+         "undecided: spans out of order or a vertex outside its span"),
+    # each cap rises above f0 on a cell beside it only near their shared
+    # edge, yet every cap's failure is found
+    "test_the_cap_checks_fail_where_few_lattice_points_fail":
+        (_DOCTORED["grazing"], 500, 4, 500, 1000,
+         *(f"cell {c}: cap above base in cell {j}"
+           for c, j in [(0, 2), (1, 0), (2, 0), (3, 1)])),
+}
+
+
+def _report_test(system, *want):
+    def test():
         report = verify_cap_properties(system)
-        assert report.ok
-        assert report.total_checks == 2000 + system.n_cells
+        assert report == CapPropertyReport(*want[:4], want[4:])
+        assert report.ok == (len(want) == 4)
+        assert report.total_checks == sum(want[:4])
+    return test
 
 
-def test_cap_properties_catch_a_bad_system():
-    report = verify_cap_properties(_DOCTORED["corner"])
-    assert not report.ok
-    assert any("corner" in msg for msg in report.failures)
-
-
-def test_cap_properties_catch_negative_coefficients():
-    report = verify_cap_properties(_DOCTORED["negative"])
-    assert any("negative coefficient" in msg for msg in report.failures)
+for _name, _row in _REPORTS.items():
+    globals()[_name] = _report_test(*_row)
 
 
 # -- the integer cap checks against a Fraction reference ----------------------
@@ -413,6 +441,17 @@ def test_cap_properties_match_the_fraction_reference_on_doctored_systems(name):
     _assert_matches_the_lattice_in_q(system)
 
 
+@pytest.mark.parametrize("name", ["point"])
+def test_the_cap_checks_clear_doctored_systems_that_hold(name):
+    # point: every cell's lattice is the one point, where each cap equals
+    # f0 exactly in Fractions, and the report clears that equality
+    system = _DOCTORED[name]
+    assert all(_excess(system, c, x) == 0
+               for c in range(system.n_cells) for j in range(system.n_cells)
+               for x in _end_points(system, j))
+    assert verify_cap_properties(system).ok
+
+
 def test_every_named_failing_cell_holds_a_failing_lattice_point():
     named = 0
     for name in ("touching", "grazing"):
@@ -423,32 +462,17 @@ def test_every_named_failing_cell_holds_a_failing_lattice_point():
             assert _excess(system, c, _nearest_point(system, c, j)) > 0
         named += len(above)
     assert named == 13
+    # grazing's cap (0, 0) rises above f0 on cell (0, 1) only within 3
+    # ticks of their shared edge
+    system = _DOCTORED["grazing"]
+    rising = [_excess(system, 0, (_lattice_point(system, 0, 500_000),
+                                  _lattice_point(system, 1, b))) > 0
+              for b in range(1, 6)]
+    assert rising == [True, True, True, False, False]
     system = _DOCTORED["thin"]
     below, _ = _named_cells(verify_cap_properties(system))
     assert below == [0]
     assert any(_excess(system, 0, x) < 0 for x in _end_points(system, 0))
-
-
-def test_cap_properties_fail_inside_a_cell_below_rounding():
-    report = verify_cap_properties(_DOCTORED["thin"])
-    assert report.above_checks == 500 and report.below_checks == 0
-    assert report.failures == ("cell 0: cap below base inside own cell",)
-
-
-def test_cap_properties_let_equality_pass():
-    # cap = f0 at every lattice point: neither strict inequality fires
-    report = verify_cap_properties(_DOCTORED["point"])
-    assert report.ok and report.above_checks == 500
-    assert report.below_checks == 1000
-
-
-def test_cap_properties_catch_overlapping_cells():
-    # the intervals overlap, so the one-axis switch bounds nothing: the
-    # report says so instead of clearing
-    report = verify_cap_properties(_DOCTORED["overlapping"])
-    assert report.below_checks == 1000 and not report.ok
-    assert report.failures == (
-        "undecided: spans out of order or a vertex outside its span",)
 
 
 # -- the exact decision over every lattice point ------------------------------
@@ -474,38 +498,6 @@ def test_the_cap_checks_draw_nothing_on_built_systems(eta, d):
     assert n == SYSTEM_CELL_CAP or (eta, d) not in _AT_THE_CAP
     assert verify_cap_properties(system) == CapPropertyReport(
         500, n, 500, 1000 if n >= 2 else 0, ())
-
-
-def test_the_cap_checks_draw_nothing_at_31622_cells():
-    system = build_interval_system(1e-9, 1)
-    assert verify_cap_properties(system) == CapPropertyReport(
-        500, 31622, 500, 1000, ())
-
-
-@pytest.mark.parametrize("name", ["centered", "point"])
-def test_the_cap_checks_clear_doctored_systems_that_hold(name):
-    # point: F = 0 at every lattice point, which passes both checks
-    assert verify_cap_properties(_DOCTORED[name]) == CapPropertyReport(
-        500, 4, 500, 1000, ())
-
-
-def test_the_cap_checks_fail_where_few_lattice_points_fail():
-    # cap (0, 0) rises above f0 on cell (0, 1) only within 3 ticks of
-    # their shared edge, yet every cap's failure is found
-    system = _DOCTORED["grazing"]
-
-    def excess(a, b):
-        # cap (0, 0) - f0 at lattice point (a, b) of cell (0, 1)
-        return _excess(system, 0, (_lattice_point(system, 0, a),
-                                   _lattice_point(system, 1, b)))
-
-    rising = [excess(500_000, b) > 0 for b in range(1, 6)]
-    assert rising == [True, True, True, False, False]
-    report = verify_cap_properties(system)
-    assert not report.ok
-    assert report.failures == tuple(
-        f"cell {c}: cap above base in cell {j}"
-        for c, j in [(0, 2), (1, 0), (2, 0), (3, 1)])
 
 
 def _lattice_extremes(d, ticks, lo, width, slope):
@@ -610,10 +602,9 @@ def test_code_targets():
     assert code_min_distance(8) == 2
     assert code_min_distance(9) == 3
     assert code_min_distance(25) == 7
-    with pytest.raises(ParameterError):
-        code_target(0)
-    with pytest.raises(ParameterError):
-        code_min_distance(0)
+    for count in (code_target, code_min_distance):
+        with pytest.raises(ParameterError):
+            count(0)
 
 
 def _all_pairs_apart(res):
@@ -668,6 +659,13 @@ def _greedy_code_reference(length, min_distance, target, seed,
     return tuple(words), samples
 
 
+def _assert_search_matches(length, min_distance, target, seed, budget):
+    kw = {} if budget is None else {"max_samples": budget}
+    res = greedy_binary_code(length, min_distance, target, seed, **kw)
+    want = _greedy_code_reference(length, min_distance, target, seed, **kw)
+    assert (res.words, res.samples_used) == want, seed
+
+
 # budgets ending inside the first 4096-draw block (100, 130) and inside
 # the second (4133); unreachable targets (length 1, 2 and 5 at distance 3)
 # spend their whole budget
@@ -680,11 +678,8 @@ def _greedy_code_reference(length, min_distance, target, seed,
 ])
 def test_greedy_code_equals_the_one_word_at_a_time_search(
         length, min_distance, target, budget):
-    kw = {} if budget is None else {"max_samples": budget}
     for seed in range(12):
-        res = greedy_binary_code(length, min_distance, target, seed, **kw)
-        want = _greedy_code_reference(length, min_distance, target, seed, **kw)
-        assert (res.words, res.samples_used) == want, seed
+        _assert_search_matches(length, min_distance, target, seed, budget)
 
 
 @st.composite
@@ -709,20 +704,13 @@ def _code_searches(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_code_searches())
 def test_greedy_code_sweep_equals_the_one_word_at_a_time_search(search):
-    length, min_distance, target, seed, budget = search
-    kw = {} if budget is None else {"max_samples": budget}
-    res = greedy_binary_code(length, min_distance, target, seed, **kw)
-    want = _greedy_code_reference(length, min_distance, target, seed, **kw)
-    assert (res.words, res.samples_used) == want
+    _assert_search_matches(*search)
 
 
 def test_greedy_code_validation():
-    with pytest.raises(ParameterError):
-        greedy_binary_code(0, 1, 1)
-    with pytest.raises(ParameterError):
-        greedy_binary_code(65, 1, 1)
-    with pytest.raises(ParameterError):
-        greedy_binary_code(8, 0, 1)
+    for length, min_distance in ((0, 1), (65, 1), (8, 0)):
+        with pytest.raises(ParameterError):
+            greedy_binary_code(length, min_distance, 1)
 
 
 
@@ -747,11 +735,9 @@ def test_family_members_hold_the_systems_own_caps():
     # once on the system; their JSON holds each cap's one dict
     fam = build_packing_family(build_interval_system(Fraction(1, 2025), 1))
     system = fam.system
+    # (the tabled caps test shows they are the chord caps on one cube)
     f0, system_caps = system_forms(system)
     assert len(system_caps) == system.n_cells == 45
-    for i, cap in enumerate(system_caps):
-        assert cap == _chord_cap(system, i)
-        assert cap.domain is f0.domain  # one unit cube, not 45
     refs = 0
     for word, f in zip(fam.code.words, fam.functions):
         base, *caps = f.parts
@@ -1038,12 +1024,9 @@ def test_stacked_values_fold_caps_that_rise_above_f0_outside_their_cell():
     pts = axis[:, None]
     base, caps = system_forms(system)
     f0 = base.values(pts)
-    above = 0
-    for i, cap in enumerate(caps):
-        lo, hi = _interval(system, i)
-        outside = (axis < lo) | (axis > hi)
-        above += int((cap.values(pts)[outside] > f0[outside]).sum())
-    assert above > 0
+    cells = [_interval(system, i) for i in range(system.k)]
+    assert any((cap.values(pts) > f0)[(axis < lo) | (axis > hi)].any()
+               for cap, (lo, hi) in zip(caps, cells))
     _assert_rows_match(system, fam.code.words, [axis])
 
 

@@ -42,9 +42,14 @@ def test_build_schedule_known_chain():
     (1.0, -96.0, 4),
     (3.0, -96.0, 3),
     (2.0, -200.0, 6),
+    (1.0, -40.0, 2),  # the shallowest chain with a ratio of radii
 ])
 def test_build_schedule_depths(p, log2_eta, depth):
-    assert build_schedule(p, log2_eta * LOG2).depth == depth
+    sched = build_schedule(p, log2_eta * LOG2)
+    assert sched.depth == depth
+    rd = sched.log_radii
+    assert schedule_checks(sched).min_log_ratio == min(
+        b - a for a, b in zip(rd, rd[1:]))
 
 
 def test_build_schedule_rejects_large_eta():
@@ -60,14 +65,10 @@ def test_build_schedule_rejects_a_level_on_the_edge():
 
 
 def test_build_schedule_validation():
-    with pytest.raises(ParameterError):
-        build_schedule(1.0, 0.0)
-    with pytest.raises(ParameterError):
-        build_schedule(1.0, -math.inf)
-    with pytest.raises(ParameterError):
-        build_schedule(0.9, -96.0 * LOG2)
-    with pytest.raises(ParameterError):
-        build_schedule(math.inf, -96.0 * LOG2)
+    for p, log_eta in ((1.0, 0.0), (1.0, -math.inf), (0.9, -96.0 * LOG2),
+                       (math.inf, -96.0 * LOG2)):
+        with pytest.raises(ParameterError):
+            build_schedule(p, log_eta)
 
 
 def test_a_schedule_deeper_than_the_cap_is_refused():
@@ -219,8 +220,7 @@ def test_the_ratio_and_s1_checks_fail_past_their_slacks():
 
 
 def test_schedule_checks_json_round_trip_keys():
-    checks = schedule_checks(build_schedule(2.0, -200.0 * LOG2))
-    obj = checks.to_json()
+    obj = schedule_checks(build_schedule(2.0, -200.0 * LOG2)).to_json()
     assert obj["ok"] is True
     assert len(obj["dim_sums"]) == 3
     assert set(obj) >= {"chain_ok", "identity_residual", "log_s1",
@@ -232,6 +232,7 @@ def test_schedule_checks_refuse_dims_out_of_range():
     for dims in ((0,), (9,)):
         with pytest.raises(ParameterError, match=r"dims must be in 1\.\.8"):
             schedule_checks(sched, dims=dims)
+    assert schedule_checks(sched, dims=(8,)).dim_sums[0][0] == 8
 
 
 # -- verdicts shown false: the rows of tests/failures.txt ------------------------

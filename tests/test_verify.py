@@ -35,18 +35,13 @@ from convexcover import (
 )
 from convexcover.verify import _hausdorff_bias
 
+from test_metrics import _X, _ZERO, _random_pair
 from test_schedule import _failure_rows
 
 LOG2 = math.log(2.0)
 
 
 # -- distance-vs-Hausdorff checks ---------------------------------------------
-
-
-def _random_pair(d, seed, bound=0.9, pieces=6):
-    f = make_random_convex(d, bound, pieces, seed)
-    g = make_random_convex(d, bound, pieces, seed + 1)
-    return f, g
 
 
 def test_sup_bound_on_a_random_pair():
@@ -60,20 +55,16 @@ def test_sup_bound_on_a_random_pair():
 
 def test_sup_bound_with_explicit_budgets():
     # an affine form states its budget exactly: its own slope
-    r = unit_rect(1)
-    f = Affine(r, (0.5,), -0.25)
-    g = Affine(r, (0.0,), 0.0)
+    f = Affine(unit_rect(1), (0.5,), -0.25)
     assert f.lipschitz_budget() == LipschitzVector((0.5,))
-    rep = check_sup_bound(f, g, n_directions=64, grid=GridSpec(65))
+    rep = check_sup_bound(f, _ZERO, n_directions=64, grid=GridSpec(65))
     assert rep.ok
 
 
 def test_sup_bound_with_infinite_budget_is_vacuous():
     # a ramp of slope 1e200 gives sqrt(1 + 1e400) = inf as the factor
-    r = unit_rect(1)
-    f = ramp(r, 1e-200)
-    g = Affine(r, (0.0,), 0.0)
-    rep = check_sup_bound(f, g, n_directions=16, grid=GridSpec(17))
+    f = ramp(unit_rect(1), 1e-200)
+    rep = check_sup_bound(f, _ZERO, n_directions=16, grid=GridSpec(17))
     assert rep.ok
     assert math.isinf(rep.rhs)
 
@@ -108,9 +99,8 @@ class _UnderstatedBudget(MaxAffine):
 def understated_ramp_budget():
     # a ramp of slope 16 that claims a budget of 1e-300 on each axis, so
     # the sup check's factor is 1, and the zero function
-    r = unit_rect(1)
-    f = ramp(r, 2**-4)
-    return _UnderstatedBudget(r, f.pieces), Affine(r, (0.0,), 0.0)
+    f = ramp(unit_rect(1), 2**-4)
+    return _UnderstatedBudget(f.domain, f.pieces), _ZERO
 
 
 _FAILURES = _failure_rows("test_a_doctored_lemma_pair_fails_its_check")
@@ -133,11 +123,8 @@ def test_l1_bound_on_random_pairs():
 
 
 def test_l1_bound_requires_normalized_inputs():
-    r = unit_rect(1)
-    f = Affine(r, (0.0,), 1.5)
-    g = Affine(r, (0.0,), 0.0)
     with pytest.raises(ParameterError):
-        check_l1_bound(f, g)
+        check_l1_bound(Affine(unit_rect(1), (0.0,), 1.5), _ZERO)
 
 
 # -- slope-mass facts ----------------------------------------------------------
@@ -152,10 +139,9 @@ def test_gradient_mass_of_a_ramp():
     # a ramp that climbs entirely inside the trimmed-away margin
     steep = ramp(unit_rect(1), 2.0**-6)
     assert gradient_mass(steep, 0.05, GridSpec(2001)) == 0.0
-    with pytest.raises(ParameterError):
-        gradient_mass(f, 0.5)
-    with pytest.raises(ParameterError):
-        gradient_mass(f, 0.0)
+    for rho in (0.5, 0.0):
+        with pytest.raises(ParameterError):
+            gradient_mass(f, rho)
 
 
 def test_gradient_mass_of_random_functions():
@@ -174,35 +160,29 @@ def test_slice_gradient_mass_measures_the_climb():
 
 def test_slice_gradient_mass_validation():
     f = ramp(unit_rect(2), 0.5)
-    with pytest.raises(ParameterError):
-        slice_gradient_mass(f, 2, [0.5, 0.5], 0.05)
-    with pytest.raises(ParameterError):
-        slice_gradient_mass(f, 0, [0.5], 0.05)
-    with pytest.raises(ParameterError):
-        slice_gradient_mass(f, 0, [0.5, 0.5], 0.7)
+    # an axis past d, an anchor of the wrong shape, a rho past 1/2
+    for args in ((2, [0.5, 0.5], 0.05), (0, [0.5], 0.05),
+                 (0, [0.5, 0.5], 0.7)):
+        with pytest.raises(ParameterError):
+            slice_gradient_mass(f, *args)
 
 
 # -- ramp closed forms ----------------------------------------------------------
 
 
 def test_hinge_lp_closed_form_matches_quadrature():
-    r = unit_rect(1)
-    zero = Affine(r, (0.0,), 0.0)
     for alpha in (1.0, 0.25):
         for p in (1.0, 2.0):
-            f = ramp(r, alpha)
+            f = ramp(unit_rect(1), alpha)
             want = hinge_lp_closed_form(alpha, p)
-            got = lp_distance(f, zero, p, GridSpec(4001)).value
+            got = lp_distance(f, _ZERO, p, GridSpec(4001)).value
             assert abs(got - want) < 1e-5
 
 
 def test_hinge_closed_form_validation():
-    with pytest.raises(ParameterError):
-        hinge_lp_closed_form(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        hinge_lp_closed_form(1.5, 1.0)
-    with pytest.raises(ParameterError):
-        hinge_lp_closed_form(0.5, 0.5)
+    for alpha, p in ((0.0, 1.0), (1.5, 1.0), (0.5, 0.5)):
+        with pytest.raises(ParameterError):
+            hinge_lp_closed_form(alpha, p)
     with pytest.raises(ParameterError):
         hinge_hausdorff_closed_form(2.0)
 
@@ -222,10 +202,9 @@ def test_hinge_family_sup_separation_is_exact():
         assert fam[k - 1].value(x) == 0.0
         for j in range(1, k):
             assert fam[j - 1].value(x) == 1.0 - 2.0 ** (j - k)
-    with pytest.raises(ParameterError):
-        hinge_family(0)
-    with pytest.raises(ParameterError):
-        hinge_family(51)
+    for count in (0, 51):
+        with pytest.raises(ParameterError):
+            hinge_family(count)
 
 
 # -- normalization identity -------------------------------------------------------
@@ -250,17 +229,12 @@ def test_scaling_identity_random_pairs():
 
 
 def test_scaling_identity_validation():
-    dom = Rect((0.0,), (2.0,))
-    f = Affine(dom, (1.0,), 0.0)
-    g = Affine(unit_rect(1), (1.0,), 0.0)
-    with pytest.raises(ParameterError):
-        scaling_identity_report(f, g, 1.0, 1.0)
-    nc = Rect((0.0, 0.0), (1.0, 2.0))
-    h = Affine(nc, (0.0, 0.0), 0.0)
-    with pytest.raises(ParameterError):
-        scaling_identity_report(h, h, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        scaling_identity_report(f, f, 1.0, 0.0)
+    f = Affine(Rect((0.0,), (2.0,)), (1.0,), 0.0)
+    h = Affine(Rect((0.0, 0.0), (1.0, 2.0)), (0.0, 0.0), 0.0)
+    # two domains, a box that is no cube, a bound of 0
+    for a, b, bound in ((f, _X, 1.0), (h, h, 1.0), (f, f, 0.0)):
+        with pytest.raises(ParameterError):
+            scaling_identity_report(a, b, 1.0, bound)
 
 
 # -- assembled bounds ---------------------------------------------------------------
@@ -276,10 +250,15 @@ def test_entropy_bounds_in_range():
 
 
 def test_entropy_bounds_out_of_range_fields_are_none():
-    eb = entropy_bounds(0.5, 1.0, unit_rect(1), 1.0)
-    assert eb.log_upper is None
-    assert eb.log_lower is None
-    assert eb.log_lipschitz_upper is None
+    # eps 1 has no sup-distance bound, as its level eps / bound is 1, and
+    # eps 5e-324 under bound 1e300 none at all: its levels round to 0
+    for eps, bound, gamma in ((0.5, 1.0, None), (1.0, 1.0, 2.0),
+                              (5e-324, 1e300, 1.0)):
+        eb = entropy_bounds(eps, 1.0, unit_rect(1), bound,
+                            gamma and LipschitzVector((gamma,)))
+        assert eb.log_upper is None
+        assert eb.log_lower is None
+        assert eb.log_lipschitz_upper is None
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -305,14 +284,13 @@ def test_entropy_bounds_infinite_budget():
 
 
 def test_entropy_bounds_validation():
-    with pytest.raises(ParameterError):
-        entropy_bounds(0.0, 1.0, unit_rect(1), 1.0)
-    with pytest.raises(ParameterError):
-        entropy_bounds(0.1, 0.5, unit_rect(1), 1.0)
-    with pytest.raises(ParameterError):
-        entropy_bounds(0.1, 1.0, Rect((0.0, 0.0), (1.0, 2.0)), 1.0)
-    with pytest.raises(ParameterError):
-        entropy_bounds(0.1, 1.0, unit_rect(2), 1.0, LipschitzVector((1.0,)))
+    # eps 0, p below 1, a box that is no cube, a gamma of the wrong length
+    for eps, p, rect, gammas in (
+            (0.0, 1.0, unit_rect(1), None), (0.1, 0.5, unit_rect(1), None),
+            (0.1, 1.0, Rect((0.0, 0.0), (1.0, 2.0)), None),
+            (0.1, 1.0, unit_rect(2), LipschitzVector((1.0,)))):
+        with pytest.raises(ParameterError):
+            entropy_bounds(eps, p, rect, 1.0, gammas)
     # the bounds are stated for 1 <= p < inf, as the schedule's are
     for p in (math.inf, math.nan):
         with pytest.raises(ParameterError, match="need finite p >= 1"):
