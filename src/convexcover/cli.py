@@ -281,6 +281,8 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
 
 def cmd_bounds(args) -> tuple[dict, str, bool]:
     d = args.dim
+    if not 1 <= d <= MAX_DIM:  # before the box builds d-tuples
+        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
     rect = Rect((0.0,) * d, (args.side,) * d)
     gammas = LipschitzVector(tuple(args.gamma)) if args.gamma else None
     eb = entropy_bounds(args.eps, args.p, rect, args.bound, gammas)

@@ -3,9 +3,9 @@
 Lp distances come from midpoint tensor-product quadrature, the sup
 distance from a vertex-grid maximum, and the epigraph Hausdorff distance
 from support functions sampled over a deterministic quasi-uniform set of
-directions. Every estimator here converges from below as its resolution
-grows, and each report carries an error estimate from a doubled-resolution
-recomputation.
+directions, each report with an error estimate from a doubled resolution.
+Only the sup value is one-sided: at most the true sup, it never falls as its
+nested grids refine. The Lp and Hausdorff values err on either side.
 
 A vertex grid's nodes are built once per (box, grid), and a function's
 values on it evaluated once per (form, grid), while they stay among the
@@ -290,14 +290,14 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction,
     """Hausdorff distance between the two functions' epigraph slabs.
 
     Computed as the largest absolute support-function gap over the sampled
-    directions, so the value converges to the true distance from below as
-    directions and grid refine. Only directions whose last component is
-    < 0 are swept: both slabs reach every other one on their common top
-    face with the same grid points, so its gap is exactly 0 and cannot
-    raise the maximum (a signed zero is lost to the absolute value). The
-    error estimate doubles the direction count and refines the support
-    grid; it does not cover the systematic sampling bias, which is at most
-    twice the slab circumradius times direction_covering_radius of the set.
+    directions. Each support value is at most the slab's true one, but the
+    gap errs on either side: 11 nodes can give more than 20,001. Only the
+    directions whose last component is < 0 are swept: both slabs reach every
+    other one on their common top face with the same grid points, so its gap
+    is exactly 0 and cannot raise the maximum (a signed zero is lost to the
+    absolute value). The error estimate doubles the direction count and
+    refines the support grid; it does not cover the systematic sampling
+    bias, at most twice the slab circumradius times direction_covering_radius.
 
     Each (f, g, directions, grid) value is swept once per process and then
     served from a cache of the _HAUSDORFF_CACHE_SIZE latest, so a second

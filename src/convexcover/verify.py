@@ -10,9 +10,9 @@ over the ((rho, 1-rho)) inner box is at most 8 d, and each
 one-dimensional slice integrates to at most 4. Third, closed forms
 for ramp functions and the normalization identity for rescaled pairs.
 
-Every estimator involved converges from below, so each check carries a
-tolerance assembled from the estimators' own refinement gaps and can
-refine itself a bounded number of times before reporting failure.
+Only the sup estimate is one-sided, from below; the L1 and Hausdorff
+estimates err on either side. So each check carries a tolerance from the
+estimators' own refinement gaps and refines a bounded number of times.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ def _refine_until_ok(name, distance, f, g, factor, n_directions,
                      grid) -> LemmaReport:
     """distance(grid) <= factor * slab Hausdorff distance, refined on failure.
 
-    Both sides converge from below, so the tolerance carries their
-    refinement gaps plus the Hausdorff side's direction-sampling bias, on
-    top of an absolute 1e-9. A failing check is refined at most twice,
-    doubling the directions and the grid each time.
+    Only a sup distance is one-sided; L1 and Hausdorff err either way. So
+    the tolerance carries both refinement gaps plus the Hausdorff bias of
+    sampled directions, on top of an absolute 1e-9. A failing check is
+    refined at most twice, doubling the directions and the grid each time.
     """
     refinements = 0
     while True:

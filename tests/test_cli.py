@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,9 @@ import convexcover
 from convexcover import cli, core, functions, metrics, packing, schedule, verify
 from convexcover.cli import _json_text, main
 
+from test_metrics import _spy, _traced
+from test_schedule import _read_table
+
 
 def _digest(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())
@@ -28,7 +30,8 @@ def _digest(root):
 
 
 def _run(out, argv):
-    """The JSON artifacts, by file stem, of a run of argv that exits 0."""
+    """The JSON artifacts, by file stem, of a run of argv that exits 0,
+    which says that every check of the run passed."""
     assert main([*argv.split(), "--out-dir", str(out)]) == 0
     return {p.stem: json.loads(p.read_text()) for p in out.glob("*.json")}
 
@@ -39,9 +42,6 @@ def test_pack_writes_a_full_artifact_set(tmp_path):
     assert names == ["cap_report.json", "family.json", "interval_system.json",
                      "lower_bound_curve.csv", "packing_certificate.json"]
     assert out["interval_system"]["k"] == 5
-    cert = out["packing_certificate"]
-    assert cert["ok"] is True and cert["failures"] == 0
-    assert out["cap_report"]["ok"] is True
     curve = (tmp_path / "lower_bound_curve.csv").read_text().splitlines()
     assert curve[0] == "eta,k,n_cells,eps,log_packing"
     assert len(curve) == 6  # header + 5 sweep points
@@ -55,57 +55,36 @@ def test_pack_parses_eta_as_an_exact_decimal(tmp_path):
 
 def test_pack_builds_each_cap_once(tmp_path, monkeypatch):
     # one system and one cap object per cell per run: the 278 functions
-    # and the cap checks share the 45 caps of that system
-    calls = {}
-
-    def spy(owner, name):
-        # log (arguments, result) of each call of owner.name
-        real, log = getattr(owner, name), calls.setdefault(name, [])
-
-        def call(*args, **kw):
-            log.append((args, real(*args, **kw)))
-            return log[-1][1]
-        monkeypatch.setattr(owner, name, call)
-
-    # forms cached from an equal system of an earlier run would hide
-    # whether this run builds its caps once
+    # and the cap checks share the 45 caps of that system. And one run
+    # decides k once, in build_interval_system, which also refuses, beside
+    # separation_curve's decision at each of its five etas
+    # (forms cached from an equal system of an earlier run would hide
+    # whether this run builds its caps once)
     packing.system_forms.cache_clear()
-    for owner, name in ((packing, "Affine"), (cli, "build_interval_system"),
-                        (packing, "build_packing_family"),
-                        (cli, "verify_cap_properties")):
-        spy(owner, name)
-    assert main(["pack", "--eta", "1/2025", "--dim", "1",
-                 "--out-dir", str(tmp_path)]) == 0
-    [(_, system)] = calls["build_interval_system"]
-    [(_, family)] = calls["build_packing_family"]
-    [((checked,), _)] = calls["verify_cap_properties"]
+    calls = {name: _spy(monkeypatch, owner, name) for owner, name in (
+        (packing, "Affine"), (cli, "build_interval_system"),
+        (packing, "build_packing_family"), (cli, "verify_cap_properties"),
+        (core, "interval_count"))}
+    for eta, d in (("0.0025", "2"), ("1/2025", "1")):
+        for log in calls.values():
+            log.clear()
+        assert main(["pack", "--eta", eta, "--dim", d,
+                     "--out-dir", str(tmp_path / eta.replace("/", "_"))]) == 0
+        callers = [c for c, _, _ in calls["interval_count"]]
+        assert [c for c in callers if c != "separation_point"] == [
+            "build_interval_system"]
+        assert len(callers) == 6
+    # the calls of the last run
+    [(_, _, system)] = calls["build_interval_system"]
+    [(_, _, family)] = calls["build_packing_family"]
+    [(_, (checked,), _)] = calls["verify_cap_properties"]
     assert family.system is system and checked is system
-    built = [cap for _, cap in calls["Affine"]]
+    built = [cap for _, _, cap in calls["Affine"]]
     assert len(built) == 45
     caps = packing.system_forms(system)[1]
     assert all(a is b for a, b in zip(caps, built, strict=True))
     used = {id(c) for f in family.functions for c in f.parts[1:]}
     assert len(used) == 45 and used == {id(c) for c in built}
-
-
-def test_pack_decides_the_interval_count_once(tmp_path, monkeypatch):
-    # separation_curve decides k at each of its five etas; outside it, one
-    # run decides k once, in build_interval_system, which also refuses
-    callers = []
-    real_count = core.interval_count
-
-    def counting(eta, d):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real_count(eta, d)
-
-    monkeypatch.setattr(core, "interval_count", counting)
-    for eta, d in (("1/2025", "1"), ("0.0025", "2")):
-        callers.clear()
-        assert main(["pack", "--eta", eta, "--dim", d,
-                     "--out-dir", str(tmp_path / eta.replace("/", "_"))]) == 0
-        outside = [c for c in callers if c != "separation_point"]
-        assert outside == ["build_interval_system"]
-        assert len(callers) == 6
 
 
 def test_pack_over_the_cell_cap_still_reports(tmp_path):
@@ -118,12 +97,8 @@ def test_pack_over_the_cell_cap_still_reports(tmp_path):
 
 def test_schedule_artifacts(tmp_path):
     out = _run(tmp_path, "schedule --p 1 --log2-eta -96")
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["cover_accounting.json", "schedule.csv", "schedule.json",
-                     "schedule_checks.json"]
     assert out["schedule"]["depth"] == 4
     assert float(out["schedule"]["log_levels"][0]) == -96.0 * math.log(2.0)
-    assert out["schedule_checks"]["ok"] is True
     rows = (tmp_path / "schedule.csv").read_text().splitlines()
     assert rows[0] == "m,log_level,log_weight,log_radius"
     assert len(rows) == 6  # header + depth + the level past the edge
@@ -153,7 +128,6 @@ def test_a_schedule_whose_radii_overflow_fails_its_checks(tmp_path, capsys):
     assert names == ["cover_accounting.json", "schedule.csv", "schedule.json",
                      "schedule_checks.json"]
     checks = json.loads((tmp_path / "schedule_checks.json").read_text())
-    assert checks["ok"] is False
     assert checks["dim_sums"][2][1] == "inf"
     out, err = capsys.readouterr()
     assert "checks ok=False" in out and err == ""
@@ -175,10 +149,7 @@ def test_a_negative_log2_eta_in_exponent_form_needs_the_equals_form(
 def test_lemmas_runs_one_pair(tmp_path):
     report = _run(tmp_path, "lemmas --dim 1 --pairs 1 --grid-n 201 "
                             "--directions 512")["lemma_reports"]
-    assert report["all_ok"] is True
     assert len(report["reports"]) == 1
-    pair = report["reports"][0]
-    assert pair["sup"]["ok"] and pair["l1"]["ok"] and pair["slope_mass_ok"]
 
 
 def test_lemmas_reruns_in_one_process_are_byte_identical(tmp_path):
@@ -235,14 +206,6 @@ def test_bounds_takes_the_cube_by_its_exact_side(tmp_path):
     assert obj["log_lower"] == "988.125"
 
 
-def test_schedule_checks_the_power_sums_up_to_its_dimension(tmp_path):
-    # the cover accounting at --dim 5 rests on the d = 5 power sum
-    checks = _run(tmp_path, "schedule --p 1 --log2-eta -96 --dim 5")[
-        "schedule_checks"]
-    assert [row[0] for row in checks["dim_sums"]] == [1, 2, 3, 4, 5]
-    assert all(row[3] for row in checks["dim_sums"])
-
-
 # -- the refusal table ---------------------------------------------------------
 
 
@@ -254,11 +217,17 @@ def _reached(*args, **kwargs):
     raise _Reached
 
 
+def _error_line(rc, err, out):
+    # exit 2, not even --out-dir's parent created, and one "error: " line
+    assert rc == 2 and not out.parent.exists()
+    [line] = [line for line in err.splitlines() if "error: " in line]
+    return line
+
+
 def _assert_refused(rc, err, out):
-    # exit 2, one "error: " line, and not even --out-dir's parent created
-    assert rc == 2
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not out.parent.exists()
+    # and nothing but that line: no usage lines
+    line = _error_line(rc, err, out)
+    assert err == line + "\n" and line.startswith("error: "), err
 
 
 def _run_row(argv, text, stage, tmp_path, capsys, monkeypatch):
@@ -271,26 +240,21 @@ def _run_row(argv, text, stage, tmp_path, capsys, monkeypatch):
             main(argv)
         return
     assert stage in ("argparse", "before-numpy", "after-numpy")
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        if stage == "argparse":
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            rc = exc.value.code
-        else:
-            rc = main(argv)
-        elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def exit_code():
+        if stage != "argparse":
+            return main(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+    t0 = time.perf_counter()
+    rc, peak = _traced(exit_code)
+    elapsed = time.perf_counter() - t0
     err = capsys.readouterr().err
     if stage == "argparse":
         # usage lines, then one "convexcover <command>: error: " line, or
         # "convexcover: error: " when no subcommand was named
-        assert rc == 2 and not out.parent.exists()
-        errors = [line for line in err.splitlines() if "error: " in line]
-        assert len(errors) == 1 and text in errors[0], err
+        assert text in _error_line(rc, err, out), err
     else:
         _assert_refused(rc, err, out)
         assert text in err
@@ -312,21 +276,9 @@ def _table_test(rows):
     return test
 
 
-def _read_table():
-    """{test name: [(argv, text, stage, id), ...]} from tests/refusals.txt."""
-    tests = {}
-    table = Path(__file__).with_name("refusals.txt").read_text()
-    for line in table.splitlines():
-        if line.startswith("test_"):
-            tests[line] = rows = []
-        elif line and not line.startswith("#"):
-            rows.append(tuple(line.split(" | ")))
-    return tests
-
-
 # each group of the table becomes the test of its name, so every case is
 # reported under the id it has always had
-for _name, _rows in _read_table().items():
+for _name, _rows in _read_table("refusals.txt").items():
     globals()[_name] = _table_test(_rows)
 
 
@@ -368,10 +320,7 @@ def test_a_schedule_query_passes_every_check_or_is_refused(tmp_path_factory,
     out = tmp_path_factory.mktemp("sweep") / "new" / "out"
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main([*argv, "--out-dir", str(out)])
-    if rc == 0:
-        checks = json.loads((out / "schedule_checks.json").read_text())
-        assert all(v for k, v in checks.items() if k.endswith("ok"))
-        assert all(row[3] for row in checks["dim_sums"])
+    if rc == 0:  # every check passed
         shutil.rmtree(out.parent.parent)
     else:
         _assert_refused(rc, err.getvalue(), out)
@@ -430,10 +379,7 @@ def test_a_bounds_query_writes_its_bounds_or_is_refused(tmp_path_factory,
             assert float(lower) <= float(upper), argv
         shutil.rmtree(out.parent.parent)
     else:
-        assert rc == 2
-        lines = err.getvalue().splitlines()
-        assert sum("error: " in line for line in lines) == 1, lines
-        assert not out.parent.exists()
+        _error_line(rc, err.getvalue(), out)
 
 
 # -- one parser per process --------------------------------------------------
@@ -464,7 +410,8 @@ def test_a_reused_parser_carries_nothing_between_calls(tmp_path):
     # the --gamma list of one call does not reach the next
     bounds = json.loads(runs[1][0]["entropy_bounds.json"])
     assert bounds["log_lipschitz_upper"] is None
-    # nor do the --dim 5 power-sum rows reach the schedules around it
+    # nor do the --dim 5 power-sum rows, on which its cover accounting
+    # rests (each holds, as the run exits 0), reach the schedules around it
     for i, dims in ((2, [1, 2, 3]), (3, [1, 2, 3, 4, 5]), (4, [1, 2, 3])):
         checks = json.loads(runs[i][0]["schedule_checks.json"])
         assert [row[0] for row in checks["dim_sums"]] == dims
@@ -636,7 +583,8 @@ def test_schedule_bounds_help_and_their_refusals_never_import_numpy(
     # 1,000 and 65,536 cells); schedule and bounds never load it. Only pack
     # parses an eta, so the rest load neither fractions nor decimal either;
     # the pack rows run last, as a module once loaded stays loaded
-    rows = [row for rows in _read_table().values() for row in rows]
+    rows = [row for rows in _read_table("refusals.txt").values()
+            for row in rows]
     assert {argv.split()[0] for argv, _, stage, _ in rows
             if stage == "after-numpy"} <= {"pack", "lemmas"}
     refused = sorted((argv.split() for argv, _, stage, _ in rows

@@ -1,6 +1,7 @@
 """Quadrature grids, distances, and the epigraph support machinery."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,15 @@ def test_hausdorff_value_matches_the_naive_formula_bit_for_bit(d, n, count):
             _naive_hausdorff(f, g, 1.0, dirs, n)
 
 
+def _traced(func, *args):
+    """func(*args) and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        return func(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _assert_kernel_matches(f, g, n, dirs):
     # each function's support row and the pair's value, over downward dirs
     pts = vertex_grid(f.domain, n)
@@ -273,12 +283,7 @@ def test_refined_c08_sized_call_keeps_its_transients_small():
     # node-by-direction arrays at once
     f, g = _random_pair(2, 80)
     dirs = direction_set(3, 2000)
-    tracemalloc.start()
-    try:
-        metrics._hausdorff_value(f, g, dirs, 301)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced(metrics._hausdorff_value, f, g, dirs, 301)
     assert peak < 16 * 2**20
 
 
@@ -301,11 +306,7 @@ def test_support_kernel_allocates_nothing_per_tile():
     dirs = dirs[dirs[:, 2] < 0.0]
     pts = vertex_grid(f.domain, 101)
     vals = np.stack([f.values(pts), g.values(pts)]).view(Probe)
-    tracemalloc.start()
-    try:
-        got = metrics._support_batch(pts, vals, dirs)
-    finally:
-        tracemalloc.stop()
+    got, _ = _traced(metrics._support_batch, pts, vals, dirs)
     tiles = -(-len(pts) // (metrics._TILE_ENTRIES // len(dirs)))
     assert tiles == 78 and len(rises) > 2 * tiles
     assert max(rises) < 4096
@@ -322,70 +323,68 @@ def _clear_caches():
     metrics._vertex_nodes.cache_clear()
 
 
+def _spy(monkeypatch, owner, name):
+    """(calling function's name, args, result) of each owner.name call."""
+    real, log = getattr(owner, name), []
+
+    def call(*args, **kw):
+        log.append((sys._getframe(1).f_code.co_name, args, real(*args, **kw)))
+        return log[-1][2]
+    monkeypatch.setattr(owner, name, call)
+    return log
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of the support kernel, ConvexFunction.values and vertex_grid.
-
-    Logged from empty caches, which are emptied again after the test:
-    "sweeps" holds each kernel call's arguments, "values" the (form, nodes,
-    first coordinate) of each evaluation, where the first coordinate tells
-    a vertex grid (0) from the midpoint quadrature grid of the same size,
-    and "grids" the (box, nodes per axis) of each vertex grid built.
-    """
-    log = {"sweeps": [], "values": [], "grids": []}
-    kernel, values, build = (metrics._support_batch, ConvexFunction.values,
-                             metrics.vertex_grid)
-
-    def sweep(*args):
-        log["sweeps"].append(args)
-        return kernel(*args)
-
-    def evaluate(self, points):
-        pts = np.asarray(points, dtype=float)
-        log["values"].append((self, len(pts), float(pts[0, 0])))
-        return values(self, points)
-
-    def grid(rect, n):
-        log["grids"].append((rect, n))
-        return build(rect, n)
-
-    monkeypatch.setattr(metrics, "_support_batch", sweep)
-    monkeypatch.setattr(ConvexFunction, "values", evaluate)
-    monkeypatch.setattr(metrics, "vertex_grid", grid)
+    """The _spy logs of the support kernel, ConvexFunction.values and
+    vertex_grid, as "sweeps", "values" and "grids", from empty caches,
+    which are emptied again after the test."""
+    spied = (("sweeps", metrics, "_support_batch"),
+             ("values", ConvexFunction, "values"),
+             ("grids", metrics, "vertex_grid"))
+    log = {key: _spy(monkeypatch, owner, name) for key, owner, name in spied}
     _clear_caches()
     yield log
     _clear_caches()
 
 
 def test_the_sup_and_l1_checks_of_one_pair_share_their_sweeps(calls):
-    f, g = _random_pair(1, 100)
+    # and each function's evaluations and every vertex grid
+    f, g = _random_pair(2, 150)
     grid = GridSpec(101)
     sup = check_sup_bound(f, g, n_directions=64, grid=grid)
     assert len(calls["sweeps"]) == 2  # the coarse and the fine value
     l1 = check_l1_bound(f, g, n_directions=64, grid=grid)
     assert sup.refinements == l1.refinements == 0
     assert len(calls["sweeps"]) == 2
-
-
-def test_a_refinement_reuses_the_previous_fine_value(calls):
-    f, g = _random_pair(2, 110)
-    grid = GridSpec(21)
-    hausdorff_epigraph(f, g, 40, grid)
-    refined = hausdorff_epigraph(f, g, 80, grid.refined())
-    assert len(calls["sweeps"]) == 3
-    metrics._hausdorff_at.cache_clear()
-    assert hausdorff_epigraph(f, g, 80, grid.refined()) == refined
+    # per function: the 33-node ceiling grid, the vertex grids of 101 and
+    # 201 nodes, and the quadrature grids of as many midpoints, which the
+    # first coordinate (0 on a vertex grid) tells apart
+    evaluations = [(h, len(pts), float(pts[0, 0]))
+                   for _, (h, pts), _ in calls["values"]]
+    assert len(evaluations) == len(set(evaluations)) == 10
+    assert sorted(n for h, n, _ in evaluations if h is f) == \
+        [33**2, 101**2, 101**2, 201**2, 201**2]
+    # the vertex grids, shared by both functions and the support kernel
+    grids = [args for _, args, _ in calls["grids"]]
+    assert sorted(n for _, n in grids) == [33, 101, 201]
+    assert {rect for rect, _ in grids} == {f.domain}
 
 
 def test_a_cache_hit_equals_a_fresh_sweep_and_the_naive_formula(calls):
     f, g = _random_pair(2, 120)
     count, n = 60, 25
+    doubled = (2 * count, GridSpec(n).refined())
     first = hausdorff_epigraph(f, g, count, GridSpec(n))
     again = hausdorff_epigraph(f, g, count, GridSpec(n))
     assert len(calls["sweeps"]) == 2
+    # a refinement reuses the previous fine value
+    refined = hausdorff_epigraph(f, g, *doubled)
+    assert len(calls["sweeps"]) == 3
     metrics._hausdorff_at.cache_clear()
     fresh = hausdorff_epigraph(f, g, count, GridSpec(n))
-    assert len(calls["sweeps"]) == 4
+    assert hausdorff_epigraph(f, g, *doubled) == refined
+    assert len(calls["sweeps"]) == 6
     assert first == again == fresh
     coarse = _naive_hausdorff(f, g, 1.0, direction_set(3, count), n)
     fine = _naive_hausdorff(f, g, 1.0, direction_set(3, 2 * count), 2 * n - 1)
@@ -462,47 +461,19 @@ def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(calls):
 # -- one evaluation per (form, vertex grid) -----------------------------------
 
 
-def test_a_pair_evaluates_each_function_once_per_grid(calls):
-    evaluations = calls["values"]
-    f, g = _random_pair(2, 150)
-    sup = check_sup_bound(f, g)
-    l1 = check_l1_bound(f, g)
-    assert sup.refinements == l1.refinements == 0
-    # per function: the 33-node ceiling grid, the vertex grids of 201 and
-    # 401 nodes, and the quadrature grids of as many midpoints
-    assert len(evaluations) == 10
-    assert len(set(evaluations)) == 10
-    assert sorted(n for h, n, _ in evaluations if h is f) == \
-        [33**2, 201**2, 201**2, 401**2, 401**2]
-
-
 def test_a_cached_vertex_grid_refuses_writes(calls):
-    evaluations = calls["values"]
     f = make_random_convex(2, 0.9, 6, 160)
     vals = metrics._vertex_values(f, 9)
+    nodes = metrics._vertex_nodes(f.domain, 9)
     assert metrics._vertex_values(f, 9) is vals
-    assert len(evaluations) == 1
+    assert metrics._vertex_nodes(f.domain, 9) is nodes
+    assert len(calls["values"]) == len(calls["grids"]) == 1
+    assert nodes.tobytes() == vertex_grid(f.domain, 9).tobytes()
     assert vals.tobytes() == f.values(vertex_grid(f.domain, 9)).tobytes()
     with pytest.raises(ValueError):
         vals[0] = 2.0
     with pytest.raises(ValueError):
         np.abs(vals, out=vals)
-
-
-def test_a_pair_builds_each_vertex_grid_once(calls):
-    f, g = _random_pair(2, 170)
-    grid = GridSpec(101)
-    sup = check_sup_bound(f, g, n_directions=500, grid=grid)
-    l1 = check_l1_bound(f, g, n_directions=500, grid=grid)
-    assert sup.refinements == l1.refinements == 0
-    # the 33-node ceiling grid and the vertex grids of n and 2n - 1 nodes,
-    # shared by both functions and the support kernel
-    assert sorted(n for _, n in calls["grids"]) == [33, 101, 201]
-    assert {rect for rect, _ in calls["grids"]} == {f.domain}
-    nodes = metrics._vertex_nodes(f.domain, 101)
-    assert metrics._vertex_nodes(f.domain, 101) is nodes
-    assert len(calls["grids"]) == 3
-    assert nodes.tobytes() == vertex_grid(f.domain, 101).tobytes()
     with pytest.raises(ValueError):
         nodes[0, 0] = 2.0
 
