@@ -3,9 +3,13 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from convexcover import (
     Affine,
@@ -167,6 +171,20 @@ def test_direction_covering_radius_covers_the_angle_lattice():
     assert gaps.max() <= direction_covering_radius(2, n)
 
 
+@pytest.mark.parametrize("ambient, counts", [(3, (64, 500, 1000, 2000, 4000)),
+                                             (4, (200, 400, 1000, 2000))])
+def test_direction_covering_radius_covers_the_spiral_and_halton_sets(
+        ambient, counts):
+    # the set's chord covering radius is the largest over the facets of its
+    # hull of sqrt(2 (1 - b)), b the facet plane's distance from the origin
+    for count in counts:
+        hull = ConvexHull(direction_set(ambient, count))
+        b = -hull.equations[:, -1]
+        assert b.min() > 0.0  # the hull holds the origin
+        assert np.sqrt(2.0 * (1.0 - b)).max() <= \
+            direction_covering_radius(ambient, count)
+
+
 def test_hausdorff_epigraph_of_shifted_slabs():
     g = Affine(unit_rect(1), (0.0,), 0.25)
     rep = hausdorff_epigraph(_ZERO, g, 8, GridSpec(11))
@@ -312,6 +330,97 @@ def test_support_kernel_allocates_nothing_per_tile():
     assert max(rises) < 4096
     assert np.array_equal(got, metrics._support_batch(pts, vals.view(np.ndarray),
                                                        dirs))
+
+
+# -- the pruned sweep ---------------------------------------------------------
+
+
+def _down(ambient, count):
+    dirs = direction_set(ambient, count)
+    return dirs[dirs[:, -1] < 0.0]
+
+
+def _grid_pair(f, g, n):
+    # the vertex grid's axes and the pair's values on it, as the sweep reads
+    return (metrics._vertex_axes(f.domain, n),
+            np.stack([f.values(vertex_grid(f.domain, n)),
+                      g.values(vertex_grid(g.domain, n))]))
+
+
+# per dimension: n = 2 and 3, a multiple of the tile side and one past it
+_PRUNED_SIZES = {1: (2, 3, 64, 65, 501), 2: (2, 3, 32, 33), 3: (2, 3, 12, 13)}
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.data())
+def test_the_pruned_gap_equals_the_unmasked_sweep_bit_for_bit(data):
+    # every grid is pruned here, whatever its size; 70000 directions put
+    # more than 2^15 down, past the kernel's first column step (on the
+    # small grids only, where the unmasked reference is cheap)
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.sampled_from(_PRUNED_SIZES[d]), label="n")
+    counts = (2 * (d + 1), 33, 64, 500) + ((70000,) if n <= 3 else ())
+    count = data.draw(st.sampled_from(counts), label="count")
+    kind = data.draw(st.sampled_from(("random", "identical", "ramp")),
+                     label="pair")
+    f, g = _random_pair(d, data.draw(st.integers(0, 10**4), label="seed"))
+    if kind == "identical":
+        g = f
+    elif kind == "ramp":
+        f, g = ramp(f.domain, 0.5), Affine(f.domain, (0.25,) * d, 0.0)
+    dirs = direction_set(d + 1, count)
+    down = dirs[dirs[:, -1] < 0.0]
+    axes, vals = _grid_pair(f, g, n)
+    sf, sg = metrics._support_batch(vertex_grid(f.domain, n), vals, down)
+    with mock.patch.multiple(metrics, _PRUNE_MIN_NODES=0,
+                             _PRUNE_MIN_ENTRIES=0):
+        keep, live = metrics._prune(axes, vals, down)
+        assert metrics._hausdorff_value(f, g, dirs, n) == \
+            float(np.abs(sf - sg).max())
+    if kind == "identical":
+        assert np.array_equal(keep, np.arange(len(down)))
+
+
+@pytest.mark.parametrize("d, n, count, side", [
+    (1, 501, 1024, 11), (1, 65, 70000, 4), (2, 101, 500, 7), (2, 33, 500, 2),
+    (2, 31, 200, 31), (3, 17, 200, 3), (3, 10, 64, 4)])
+def test_support_brackets_hold_every_unmasked_value(d, n, count, side):
+    # lo <= the sweep's support value <= hi, per function and direction,
+    # for tiles of any side, the last one cut short or not
+    down = _down(d + 1, count)
+    for seed in range(0, 8, 2):
+        f, g = _random_pair(d, 500 + seed)
+        axes, vals = _grid_pair(f, g, n)
+        scale = (sum(float(np.abs(x).max()) for x in axes)
+                 + float(np.abs(vals).max())) * float(np.abs(down).max())
+        lo, hi = metrics._SupportTiles(axes, vals, side, scale).brackets(down)
+        support = metrics._support_batch(vertex_grid(f.domain, n), vals, down)
+        assert (lo <= support).all() and (support <= hi).all()
+
+
+def test_the_sweep_is_pruned_only_past_its_size_floor():
+    # at the benchmark's lemma size a pair keeps a few of 250 downward
+    # directions and a few of 10,201 nodes
+    f, g = _random_pair(2, 170)
+    axes, vals = _grid_pair(f, g, 101)
+    keep, live = metrics._prune(axes, vals, _down(3, 500))
+    assert 1 <= len(keep) <= 5 and 1 <= live.sum() <= 10
+    # at least 1000 nodes and 2^19 node-direction entries, both inclusive
+    for d, n, count, pruned in ((1, 999, 525, False), (3, 10, 525, True),
+                                (2, 32, 511, False), (2, 32, 512, True)):
+        f, g = _random_pair(d, 180)
+        axes, vals = _grid_pair(f, g, n)
+        down = _down(d + 1, 4 * count)[:count]
+        assert (metrics._prune(axes, vals, down) is not None) == pruned
+    # a scale of 2^1000 is refused: the rounding bounds assume no overflow
+    axes = metrics._vertex_axes(unit_rect(1), 1001)
+    down = _down(2, 1200)
+    assert np.abs(down).max() == 1.0
+    for top, pruned in ((2.0**999, True), (2.0**1000, False), (math.inf, False),
+                        (math.nan, False)):
+        vals = np.zeros((2, 1001))
+        vals[0, -1] = top
+        assert (metrics._prune(axes, vals, down) is not None) == pruned
 
 
 # -- one sweep per (pair, directions, grid) ----------------------------------

@@ -28,6 +28,7 @@ VERDICTS = {  # verdict: (its module, the test file holding most of its tests)
     "_refine_until_ok": ("verify", "test_verify.py"),
     "check_sup_bound": ("verify", "test_verify.py"),
     "check_l1_bound": ("verify", "test_verify.py"),
+    "_prune": ("metrics", "test_metrics.py"),
 }
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 SWAPS = {"<": ("<=", ">="), "<=": ("<", ">"), ">": (">=", "<="), ">=": (">", "<")}
