@@ -17,6 +17,7 @@ from convexcover import (
     Rect,
     SeparableQuadratic,
     core,
+    functions,
     make_random_convex,
     ramp,
     rescale_to_unit,
@@ -271,6 +272,47 @@ def test_values_refuse_a_nan_coordinate():
             f.subgradients(pts)
 
 
+_TINY = math.ulp(0.0)
+
+# (points, inside the closed box, inside the open box) on
+# [0, 1] x [-1, 0], one row a case
+_WITHIN_CASES = {
+    "inside": ([[0.5, -0.5]], True, True),
+    "next to every bound": ([[_TINY, -1.0 + 2.0**-53], [1.0 - 2.0**-53, -_TINY]],
+                            True, True),
+    "on the low corner": ([[0.0, -1.0]], True, False),
+    "on the high corner": ([[1.0, 0.0]], True, False),
+    "-0 at the low bound 0": ([[-0.0, -0.5]], True, False),
+    "-0 at the high bound 0": ([[0.5, -0.0]], True, False),
+    "both zeros in one column": ([[0.0, -0.5], [-0.0, -0.5]], True, False),
+    "just past a bound": ([[0.5, -0.5], [1.0 + 2.0**-52, -0.5]], False, False),
+    "just below a bound": ([[0.5, -1.0 - 2.0**-52]], False, False),
+    "nan": ([[math.nan, -0.5]], False, False),
+    "nan after inside rows": ([[0.5, -0.5], [0.5, math.nan]], False, False),
+    "+inf": ([[math.inf, -0.5]], False, False),
+    "-inf": ([[0.5, -math.inf]], False, False),
+    "no points": (np.empty((0, 2)), True, True),
+}
+
+
+@pytest.mark.parametrize("case", _WITHIN_CASES)
+def test_the_domain_check_decides_each_case_as_the_elementwise_rule(case):
+    # min and max decide it as comparing every coordinate with the bounds
+    rows, closed, open_ = _WITHIN_CASES[case]
+    pts = np.array(rows, dtype=float).reshape(-1, 2)
+    box = Rect((0.0, -1.0), (1.0, 0.0))
+    for strict, inside in ((False, closed), (True, open_)):
+        above, below = ((np.greater, np.less) if strict
+                        else (np.greater_equal, np.less_equal))
+        assert all(np.all(above(c, lo)) and np.all(below(c, hi))
+                   for c, lo, hi in zip(pts.T, box.lo, box.hi)) == inside
+        if inside:
+            functions._require_within(pts, box, strict)
+        else:
+            with pytest.raises(DomainError):
+                functions._require_within(pts, box, strict)
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_separable_quadratic_grid_values_equal_its_point_values(d):
     # the floor on a tensor grid adds per-axis squares from the first axis
@@ -300,13 +342,14 @@ def _fold_cases():
 
 
 def _fold_forms(d, n, k):
-    """Two MaxAffine forms of k pieces on the unit cube, and their points.
+    """Two MaxAffine forms of k pieces on [-1, 2]^d, and points in [0, 1]^d.
 
     The first has small dyadic pieces, exact on the dyadic vertex grid, so
     many pieces tie there, and its last piece repeats the one that is
-    largest at the first node. The second has random float pieces.
+    largest at the first node. The second has random float pieces. Every
+    point is strictly interior, so each takes a subgradient.
     """
-    r = unit_rect(d)
+    r = Rect((-1.0,) * d, (2.0,) * d)
     rng = np.random.default_rng(1000 * d + k)
     grid = tensor_points([np.linspace(0.0, 1.0, n)] * d)
     pts = np.concatenate([grid, rng.random((200, d))])
@@ -327,27 +370,33 @@ def _bits(a):
 
 @pytest.mark.parametrize("d, n, k", _fold_cases())
 def test_the_fold_equals_the_stacked_max_bit_for_bit(d, n, k):
-    forms, pts = _fold_forms(d, n, k)
-    interior = np.all((pts > 0.0) & (pts < 1.0), axis=1)
+    # values and subgradients, folded strip by strip, against one product
+    # of every point with every piece, for point counts at and around the
+    # strip boundaries; the points cycle through the grid and random ones,
+    # so every strip holds ties
+    forms, pool = _fold_forms(d, n, k)
+    rows = functions._TILE_ENTRIES // k
     ties = 0
-    for f in forms:
-        pieces = f._piece_values(pts)
-        folded = f.values(pts)
-        assert np.array_equal(_bits(folded), _bits(pieces.max(axis=1)))
-        maximal = pieces == folded[:, None]
-        ties += int(np.count_nonzero(maximal.sum(axis=1) > 1))
-        # the first maximal piece is the active one, and it gives the
-        # folded value
-        first = np.argmax(maximal, axis=1)
-        rows = np.arange(len(pts))
-        assert np.array_equal(_bits(pieces[rows, first]), _bits(folded))
-        coeffs = np.array([p.coeffs for p in f.pieces])
-        assert np.array_equal(f.subgradients(pts[interior]),
-                              coeffs[first[interior]])
-        # the same pieces as the parts of a MaxWith
-        g = MaxWith(f.domain, f.pieces)
-        parts = np.stack([p.values(pts) for p in g.parts], axis=1)
-        assert np.array_equal(_bits(g.values(pts)), _bits(parts.max(axis=1)))
+    for size in (1, 2, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1):
+        pts = pool[np.arange(size) % len(pool)]
+        for f in forms:
+            coeffs = np.array([p.coeffs for p in f.pieces])
+            pieces = pts @ coeffs.T + np.array([p.intercept for p in f.pieces])
+            folded = f.values(pts)
+            assert np.array_equal(_bits(folded), _bits(pieces.max(axis=1)))
+            maximal = pieces == folded[:, None]
+            ties += int(np.count_nonzero(maximal.sum(axis=1) > 1))
+            # the first maximal piece is the active one, and it gives the
+            # folded value
+            first = np.argmax(maximal, axis=1)
+            assert np.array_equal(_bits(pieces[np.arange(size), first]),
+                                  _bits(folded))
+            assert np.array_equal(f.subgradients(pts), coeffs[first])
+            # the same pieces as the parts of a MaxWith
+            g = MaxWith(f.domain, f.pieces)
+            parts = np.stack([p.values(pts) for p in g.parts], axis=1)
+            assert np.array_equal(_bits(g.values(pts)),
+                                  _bits(parts.max(axis=1)))
     assert (ties > 0) == (k > 1)
 
 

@@ -374,11 +374,12 @@ def test_the_pruned_gap_equals_the_unmasked_sweep_bit_for_bit(data):
     sf, sg = metrics._support_batch(vertex_grid(f.domain, n), vals, down)
     with mock.patch.multiple(metrics, _PRUNE_MIN_NODES=0,
                              _PRUNE_MIN_ENTRIES=0):
-        keep, live = metrics._prune(axes, vals, down)
+        pruned = metrics._prune(axes, vals, down)
         assert metrics._hausdorff_value(f, g, dirs, n) == \
             float(np.abs(sf - sg).max())
+    # every gap of an identical pair sits inside its first brackets
     if kind == "identical":
-        assert np.array_equal(keep, np.arange(len(down)))
+        assert pruned is None
 
 
 @pytest.mark.parametrize("d, n, count, side", [
@@ -412,15 +413,34 @@ def test_the_sweep_is_pruned_only_past_its_size_floor():
         axes, vals = _grid_pair(f, g, n)
         down = _down(d + 1, 4 * count)[:count]
         assert (metrics._prune(axes, vals, down) is not None) == pruned
-    # a scale of 2^1000 is refused: the rounding bounds assume no overflow
+    # a scale of 2^1000 is refused: the rounding bounds assume no overflow.
+    # f = -top and g = 0 have the gap top |u_t|, far past the slack, so
+    # the brackets prune below that scale
     axes = metrics._vertex_axes(unit_rect(1), 1001)
     down = _down(2, 1200)
     assert np.abs(down).max() == 1.0
     for top, pruned in ((2.0**999, True), (2.0**1000, False), (math.inf, False),
                         (math.nan, False)):
         vals = np.zeros((2, 1001))
-        vals[0, -1] = top
+        vals[0] = -top
         assert (metrics._prune(axes, vals, down) is not None) == pruned
+
+
+@pytest.mark.parametrize("d, n, count", [(1, 1001, 2048), (2, 201, 1000)])
+def test_an_identical_pair_takes_the_full_sweep(monkeypatch, d, n, count):
+    # its gaps are all 0, inside the first brackets, so every direction
+    # would be kept: _prune gives up there rather than add its exact
+    # brackets to a full sweep
+    f, _ = _random_pair(d, 190)
+    down = _down(d + 1, count)
+    axes, vals = _grid_pair(f, f, n)
+    assert metrics._prune(axes, vals, down) is None
+    sf, sg = metrics._support_batch(vertex_grid(f.domain, n), vals, down)
+    sweeps = _spy(monkeypatch, metrics, "_support_batch")
+    assert metrics._hausdorff_value(f, f, direction_set(d + 1, count), n) \
+        == float(np.abs(sf - sg).max()) == 0.0
+    # one sweep, over every direction and node
+    assert [len(args) for _, args, _ in sweeps] == [3]
 
 
 # -- one sweep per (pair, directions, grid) ----------------------------------
