@@ -38,6 +38,8 @@ from .core import (
     CELL_CAP,
     MAX_DIM,
     MAX_GRID_POINTS,
+    SLAB_GRID_AXIS,
+    SLOPE_MASS_GRID_AXIS,
     DomainError,
     LipschitzVector,
     ParameterError,
@@ -55,8 +57,8 @@ from .schedule import (
     schedule_checks,
 )
 
-# Most directions lemmas accepts: the checks' refinements and error
-# estimates build at most 8x this many, a few tens of MB.
+# Most directions lemmas accepts: the Hausdorff error estimate builds 2x
+# this many, and building them peaks near 60 MB at d = 3 (tracemalloc).
 MAX_DIRECTIONS = 10**5
 
 # Most pairs lemmas accepts: each pair's report stays in memory until the
@@ -223,15 +225,15 @@ def cmd_schedule(args) -> tuple[dict, str, bool]:
 def _require_lemma_grid(dim: int, n: int) -> None:
     """Refuse a grid_n below 2, a dimension, or grids past MAX_GRID_POINTS.
 
-    Every pair builds grids of 17 (the bound grid), 33 (the slab heights),
-    101 (gradient_mass), n and 2n - 1 nodes per axis. A failing check
-    refines at most twice, to 4n - 3 and 8n - 7; such a grid past
-    MAX_GRID_POINTS is refused when it is built.
+    Every pair builds grids of BOUND_GRID_AXIS, SLAB_GRID_AXIS,
+    SLOPE_MASS_GRID_AXIS, n and 2n - 1 nodes per axis, and no others:
+    each check is decided once, at n and its error estimate's 2n - 1.
     """
     require_grid_n(n)
     if not 1 <= dim <= MAX_DIM:
         raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
-    side = max(BOUND_GRID_AXIS, 33, 101, 2 * n - 1)
+    side = max(BOUND_GRID_AXIS, SLAB_GRID_AXIS, SLOPE_MASS_GRID_AXIS,
+               2 * n - 1)
     if side**dim > MAX_GRID_POINTS:
         raise ParameterError(f"every pair builds a grid of {side}^{dim} "
                              f"nodes, over {MAX_GRID_POINTS}")

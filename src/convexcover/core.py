@@ -41,6 +41,10 @@ MAX_GRID_POINTS = 10**7
 # Per-axis resolution of the bound-verification grid for random functions.
 BOUND_GRID_AXIS = 17
 
+# Per-axis resolutions of a lemma pair's slab-height and slope-mass grids.
+SLAB_GRID_AXIS = 33
+SLOPE_MASS_GRID_AXIS = 101
+
 # Larger interval systems are refused before anything is built: at this
 # size the exact cap checks on Python ints, intercept table included, take
 # 0.35 s at d = 1 and 0.16 s at d = 8 on a 2-core x86-64 host, and peak at

@@ -28,8 +28,7 @@ changes a bit of the result. The kernel's tiles and the max-affine
 evaluation strips of functions share one size, _TILE_ENTRIES.
 Each (pair, directions, grid) value is swept once per process while it
 stays among the few latest, which a small cache keeps: the sup and L1
-checks of one pair share it, and so does the next refinement round of
-either, which asks again for the previous round's fine value.
+checks of one pair share it.
 """
 
 from __future__ import annotations
@@ -50,11 +49,11 @@ from .functions import (
 )
 
 # Entries kept by each of the caches _hausdorff_at, _vertex_values and
-# _vertex_nodes. One lemma pair asks for at most four distinct (directions,
-# grid) Hausdorff resolutions, over both checks and two refinements, and
-# evaluates its two functions on the vertex grids of 33, n and 2n - 1
-# nodes per axis, so this holds one pair's values and nodes, and the pairs
-# after it push them out.
+# _vertex_nodes. One lemma pair asks for two (directions, grid) Hausdorff
+# resolutions, a value and its error estimate's, which both checks share,
+# and evaluates its two functions on the vertex grids of
+# core.SLAB_GRID_AXIS, n and 2n - 1 nodes per axis, so this holds one
+# pair's values and nodes, and the pairs after it push them out.
 _HAUSDORFF_CACHE_SIZE = 8
 
 # _prune runs on grids of at least _PRUNE_MIN_NODES nodes and at least
@@ -546,9 +545,8 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction,
     direction_covering_radius.
 
     Each (f, g, directions, grid) value is swept once per process and then
-    served from a cache of the _HAUSDORFF_CACHE_SIZE latest, so a second
-    check of the same pair, or a refinement that asks again for the
-    previous fine value, sweeps nothing.
+    served from a cache of the _HAUSDORFF_CACHE_SIZE latest, so the second
+    check of the same pair sweeps nothing.
     """
     d = _require_common_domain(f, g).dim
     if n_directions < 2 * (d + 1):

@@ -12,7 +12,7 @@ for ramp functions and the normalization identity for rescaled pairs.
 
 Only the sup estimate is one-sided, from below; the L1 and Hausdorff
 estimates err on either side. So each check carries a tolerance from the
-estimators' own refinement gaps and refines a bounded number of times.
+estimators' own doubled-resolution gaps, and is decided once, as asked.
 """
 
 from __future__ import annotations
@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LipschitzVector, ParameterError, Rect, _report_json, unit_rect
+from .core import (
+    SLAB_GRID_AXIS,
+    SLOPE_MASS_GRID_AXIS,
+    LipschitzVector,
+    ParameterError,
+    Rect,
+    _report_json,
+    unit_rect,
+)
 from .functions import ConvexFunction, MaxAffine, ramp, rescale_to_unit
 from .metrics import (
     GridSpec,
@@ -47,8 +55,8 @@ SLAB_CEILING = 1.0
 class LemmaReport:
     """One verified inequality: lhs <= rhs within tolerance.
 
-    slack is rhs + tolerance - lhs (nonnegative when ok); refinements
-    counts how many times the estimators were refined before settling.
+    slack is rhs + tolerance - lhs (nonnegative when ok). refinements is
+    always 0; it stays in the JSON until a declared schema change drops it.
     """
 
     name: str
@@ -63,12 +71,8 @@ class LemmaReport:
         return _report_json(self)
 
 
-def _grid_max(f: ConvexFunction, n: int = 33) -> float:
-    return float(_vertex_values(f, n).max())
-
-
-def _grid_abs_max(f: ConvexFunction, n: int = 33) -> float:
-    return float(np.abs(_vertex_values(f, n)).max())
+def _grid_abs_max(f: ConvexFunction) -> float:
+    return float(np.abs(_vertex_values(f, SLAB_GRID_AXIS)).max())
 
 
 def _combined_budget(f: ConvexFunction, g: ConvexFunction) -> LipschitzVector:
@@ -91,33 +95,23 @@ def _hausdorff_bias(f: ConvexFunction, g: ConvexFunction,
     return 2.0 * radius * direction_covering_radius(dom.dim + 1, n_directions)
 
 
-def _refine_until_ok(name, distance, f, g, factor, n_directions,
-                     grid) -> LemmaReport:
-    """distance(grid) <= factor * slab Hausdorff distance, refined on failure.
+def _decide(name, lhs, f, g, factor, n_directions, grid) -> LemmaReport:
+    """lhs <= factor * slab Hausdorff distance, at the requested resolution.
 
     Only a sup distance is one-sided; L1 and Hausdorff err either way. So
-    the tolerance carries both refinement gaps plus the Hausdorff bias of
-    sampled directions, on top of an absolute 1e-9. A failing check is
-    refined at most twice, doubling the directions and the grid each time.
+    the tolerance carries both doubled-resolution gaps plus the Hausdorff
+    bias of sampled directions, on top of an absolute 1e-9. A failing
+    check reports the values at the resolution it was asked for.
     """
-    refinements = 0
-    while True:
-        lhs = distance(grid)
-        ell = hausdorff_epigraph(f, g, n_directions, grid)
-        if math.isinf(factor):
-            rhs, tol = math.inf, math.inf
-        else:
-            rhs = factor * ell.value
-            bias = _hausdorff_bias(f, g, n_directions)
-            tol = 1e-9 + lhs.error_estimate \
-                + factor * (ell.error_estimate + bias)
-        ok = lhs.value <= rhs + tol
-        if ok or refinements >= 2:
-            return LemmaReport(name, lhs.value, rhs, tol,
-                               rhs + tol - lhs.value, refinements, ok)
-        refinements += 1
-        n_directions *= 2
-        grid = grid.refined()
+    ell = hausdorff_epigraph(f, g, n_directions, grid)
+    if math.isinf(factor):
+        rhs, tol = math.inf, math.inf
+    else:
+        rhs = factor * ell.value
+        bias = _hausdorff_bias(f, g, n_directions)
+        tol = 1e-9 + lhs.error_estimate + factor * (ell.error_estimate + bias)
+    ok = lhs.value <= rhs + tol
+    return LemmaReport(name, lhs.value, rhs, tol, rhs + tol - lhs.value, 0, ok)
 
 
 def check_sup_bound(f: ConvexFunction, g: ConvexFunction,
@@ -130,12 +124,12 @@ def check_sup_bound(f: ConvexFunction, g: ConvexFunction,
     so both must be affine or max-affine.
     """
     _require_common_domain(f, g)
-    if SLAB_CEILING < max(_grid_max(f), _grid_max(g)):
+    if SLAB_CEILING < max(_vertex_values(h, SLAB_GRID_AXIS).max()
+                          for h in (f, g)):
         raise ParameterError("the slab ceiling must dominate both functions")
     factor = math.sqrt(1.0 + _combined_budget(f, g).sum_squares())
-    return _refine_until_ok("sup_vs_hausdorff",
-                            lambda grid: sup_grid_distance(f, g, grid),
-                            f, g, factor, n_directions, grid)
+    return _decide("sup_vs_hausdorff", sup_grid_distance(f, g, grid),
+                   f, g, factor, n_directions, grid)
 
 
 def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
@@ -150,13 +144,12 @@ def check_l1_bound(f: ConvexFunction, g: ConvexFunction,
     if max(_grid_abs_max(f), _grid_abs_max(g)) > SLAB_CEILING + 1e-12:
         raise ParameterError("functions must be bounded by 1; normalize first")
     factor = 1.0 + 20.0 * f.domain.dim
-    return _refine_until_ok("l1_vs_hausdorff",
-                            lambda grid: lp_distance(f, g, 1.0, grid),
-                            f, g, factor, n_directions, grid)
+    return _decide("l1_vs_hausdorff", lp_distance(f, g, 1.0, grid),
+                   f, g, factor, n_directions, grid)
 
 
 def gradient_mass(f: ConvexFunction, rho: float,
-                  grid: GridSpec = GridSpec(101)) -> float:
+                  grid: GridSpec = GridSpec(SLOPE_MASS_GRID_AXIS)) -> float:
     """Integral of the l1 slope magnitude over the rho-inner box.
 
     For a function bounded by 1 this is at most 8 d; each coordinate

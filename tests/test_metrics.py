@@ -193,7 +193,7 @@ def test_hausdorff_epigraph_of_shifted_slabs():
     assert hausdorff_epigraph(_ZERO, _ZERO, 8).value == 0.0
 
 
-def test_hausdorff_epigraph_converges_from_below():
+def test_hausdorff_of_a_ramp_and_a_line_at_11_nodes_stays_below_201():
     r = unit_rect(1)
     f = ramp(r, 0.5)
     g = Affine(r, (0.25,), 0.0)
@@ -507,7 +507,7 @@ def test_a_cache_hit_equals_a_fresh_sweep_and_the_naive_formula(calls):
     first = hausdorff_epigraph(f, g, count, GridSpec(n))
     again = hausdorff_epigraph(f, g, count, GridSpec(n))
     assert len(calls["sweeps"]) == 2
-    # a refinement reuses the previous fine value
+    # a call at the doubled resolution reuses the fine value
     refined = hausdorff_epigraph(f, g, *doubled)
     assert len(calls["sweeps"]) == 3
     metrics._hausdorff_at.cache_clear()

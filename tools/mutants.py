@@ -25,7 +25,7 @@ VERDICTS = {  # verdict: (its module, the test file holding most of its tests)
     "packing_certificate": ("packing", "test_packing.py"),
     "verify_cap_properties": ("core", "test_packing.py"),
     "_lattice_failures": ("core", "test_packing.py"),
-    "_refine_until_ok": ("verify", "test_verify.py"),
+    "_decide": ("verify", "test_verify.py"),
     "check_sup_bound": ("verify", "test_verify.py"),
     "check_l1_bound": ("verify", "test_verify.py"),
     "_prune": ("metrics", "test_metrics.py"),
