@@ -12,9 +12,11 @@ Coordinates are 64-bit floats. Batch evaluation takes an (N, d) array
 and returns an (N,) array; the scalar helpers wrap the batch path. A
 max-affine function is evaluated in row strips of at most _TILE_ENTRIES
 point-by-piece entries: each strip forms its product over every piece
-into one reused buffer and folds it into its slice of the result, so no
+into one reused buffer, adds the intercepts tiled along the strip as one
+contiguous vector, and folds it into its slice of the result, so no
 evaluation holds an (N, pieces) matrix, and the values keep the bits of
-one whole product at d <= 3 (see MaxAffine._strips).
+one whole product at d <= 3 (see MaxAffine._strips). The domain check
+reduces a contiguous copy of the coordinate columns.
 """
 
 from __future__ import annotations
@@ -97,13 +99,19 @@ def _require_shape(pts: np.ndarray, dim: int) -> None:
 
 
 def _require_within(pts: np.ndarray, domain: Rect, strict=False) -> None:
-    # column by column, from its least and greatest entries: min and max
-    # propagate a NaN, which fails every comparison. strict asks for the
-    # open box. No point is outside an empty box of points.
+    # axis by axis, from its least and greatest entries: min and max
+    # propagate a NaN, which fails every comparison, and 0.0 and -0.0
+    # compare alike whichever of them a tie returns. The columns are copied
+    # to contiguous rows first: reducing a strided column took about three
+    # times as long as the copy and a contiguous reduction. The copy is as
+    # large as pts and lives only for the call. strict asks for the open
+    # box. No point is outside an empty box of points.
     if not len(pts):
         return
-    for col, lo, hi in zip(pts.T, domain.lo, domain.hi):
-        least, most = col.min(), col.max()
+    cols = np.ascontiguousarray(pts.T)
+    for lo, hi, least, most in zip(domain.lo, domain.hi,
+                                   cols.min(axis=1).tolist(),
+                                   cols.max(axis=1).tolist()):
         if not ((lo < least and most < hi) if strict
                 else (lo <= least and most <= hi)):
             raise DomainError("point outside the function's "
@@ -243,7 +251,10 @@ class MaxAffine(ConvexFunction):
         A strip takes at most _TILE_ENTRIES point-by-piece entries and at
         least 2 rows; a last strip of one row joins the strip before it.
         Its values, pts[rows] @ c.T + b, are formed into one buffer reused
-        by every strip, so each is valid until the next strip. A product's
+        by every strip, so each is valid until the next strip. The
+        intercepts are added as one contiguous add of b tiled along the
+        strip: the same sum per entry as broadcasting b, at about a fifth of
+        the cost of a broadcast over a last axis of a few pieces. A product's
         last bits can follow its shape, as BLAS picks its kernel by size.
         On OpenBLAS 0.3.31, one thread, strips of 2 to 16,384 rows gave
         the bits of one whole product of 40,401 rows at d = 1..3 (1 to 257
@@ -258,9 +269,10 @@ class MaxAffine(ConvexFunction):
         if len(starts) > 1 and n - starts[-1] == 1:
             starts.pop()
         buf = np.empty((min(n, rows + 1), len(b)))
+        flat, icepts = buf.reshape(-1), np.tile(b, len(buf))
         for r, e in zip(starts, starts[1:] + [n]):
             piece = np.matmul(pts[r:e], c.T, out=buf[:e - r])
-            piece += b
+            flat[:piece.size] += icepts[:piece.size]
             yield slice(r, e), piece
 
     def _values(self, pts):

@@ -34,12 +34,12 @@ from .core import (
 from .functions import ConvexFunction, MaxAffine, ramp, rescale_to_unit
 from .metrics import (
     GridSpec,
+    _quadrature_nodes,
     _require_common_domain,
     _vertex_values,
     direction_covering_radius,
     hausdorff_epigraph,
     lp_distance,
-    quadrature_grid,
     sup_grid_distance,
 )
 # entropy_bounds is bound here for callers that look it up as
@@ -160,7 +160,7 @@ def gradient_mass(f: ConvexFunction, rho: float,
     w = f.domain.widths
     inner = Rect(tuple(lo + rho * wi for lo, wi in zip(f.domain.lo, w)),
                  tuple(hi - rho * wi for hi, wi in zip(f.domain.hi, w)))
-    pts, wts = quadrature_grid(inner, grid)
+    pts, wts = _quadrature_nodes(inner, grid)
     return float(wts @ np.abs(f.subgradients(pts)).sum(axis=1))
 
 

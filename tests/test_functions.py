@@ -295,22 +295,36 @@ _WITHIN_CASES = {
 }
 
 
+def _elementwise_within(pts, box, strict):
+    above, below = ((np.greater, np.less) if strict
+                    else (np.greater_equal, np.less_equal))
+    return all(np.all(above(c, lo)) and np.all(below(c, hi))
+               for c, lo, hi in zip(pts.T, box.lo, box.hi))
+
+
 @pytest.mark.parametrize("case", _WITHIN_CASES)
 def test_the_domain_check_decides_each_case_as_the_elementwise_rule(case):
-    # min and max decide it as comparing every coordinate with the bounds
+    # min and max decide it as comparing every coordinate with the bounds,
+    # in any memory layout of the points and in any dimension
     rows, closed, open_ = _WITHIN_CASES[case]
     pts = np.array(rows, dtype=float).reshape(-1, 2)
     box = Rect((0.0, -1.0), (1.0, 0.0))
+    wide = np.full((len(pts), 4), math.nan)
+    wide[:, 1::2] = pts
+    variants = [(pts, box), (np.asfortranarray(pts), box),
+                (wide[:, 1::2], box),
+                (pts[:, :1], Rect((0.0,), (1.0,))),
+                (pts[:, 1:], Rect((-1.0,), (0.0,))),
+                (np.asfortranarray(pts[:, [0, 1, 0]]),
+                 Rect((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)))]
     for strict, inside in ((False, closed), (True, open_)):
-        above, below = ((np.greater, np.less) if strict
-                        else (np.greater_equal, np.less_equal))
-        assert all(np.all(above(c, lo)) and np.all(below(c, hi))
-                   for c, lo, hi in zip(pts.T, box.lo, box.hi)) == inside
-        if inside:
-            functions._require_within(pts, box, strict)
-        else:
-            with pytest.raises(DomainError):
-                functions._require_within(pts, box, strict)
+        assert _elementwise_within(pts, box, strict) == inside
+        for p, b in variants:
+            if _elementwise_within(p, b, strict):
+                functions._require_within(p, b, strict)
+            else:
+                with pytest.raises(DomainError):
+                    functions._require_within(p, b, strict)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -23,6 +23,7 @@ from convexcover import (
     check_sup_bound,
     direction_covering_radius,
     direction_set,
+    gradient_mass,
     hausdorff_epigraph,
     lp_distance,
     make_random_convex,
@@ -427,29 +428,67 @@ def test_the_sweep_is_pruned_only_past_its_size_floor():
 
 
 @pytest.mark.parametrize("d, n, count", [(1, 1001, 2048), (2, 201, 1000)])
-def test_an_identical_pair_takes_the_full_sweep(monkeypatch, d, n, count):
+def test_an_identical_pair_takes_the_full_sweep(d, n, count):
     # its gaps are all 0, inside the first brackets, so every direction
     # would be kept: _prune gives up there rather than add its exact
-    # brackets to a full sweep
+    # brackets to a full sweep, which gives 0.0
     f, _ = _random_pair(d, 190)
     down = _down(d + 1, count)
     axes, vals = _grid_pair(f, f, n)
     assert metrics._prune(axes, vals, down) is None
     sf, sg = metrics._support_batch(vertex_grid(f.domain, n), vals, down)
-    sweeps = _spy(monkeypatch, metrics, "_support_batch")
-    assert metrics._hausdorff_value(f, f, direction_set(d + 1, count), n) \
-        == float(np.abs(sf - sg).max()) == 0.0
-    # one sweep, over every direction and node
-    assert [len(args) for _, args, _ in sweeps] == [3]
+    assert float(np.abs(sf - sg).max()) == 0.0
+
+
+@pytest.mark.parametrize("d, n, count", [(1, 1001, 2048), (2, 201, 1000)])
+def test_a_byte_equal_pair_sweeps_nothing(calls, monkeypatch, d, n, count):
+    # the full sweep gives such a pair 0.0 (the test above), so
+    # _hausdorff_value returns it without _prune or the support kernel,
+    # for the same form and for another form with the same values
+    f, g = _random_pair(d, 190)
+    pruned = _spy(monkeypatch, metrics, "_prune")
+    dirs = direction_set(d + 1, count)
+    for h in (f, MaxWith(f.domain, (f,))):
+        assert metrics._hausdorff_value(f, h, dirs, n) == 0.0
+    assert calls["sweeps"] == pruned == []
+    assert metrics._hausdorff_value(f, g, dirs, n) > 0.0
+    assert len(calls["sweeps"]) == len(pruned) == 1
+
+
+def test_only_byte_equal_rows_of_bounded_entries_skip_the_sweep():
+    # a row with a NaN, one that differs only in the sign of a zero, and
+    # equal rows whose entries overflow all take the sweep. The last gives
+    # NaN there, inf - inf, not 0.0
+    box = unit_rect(2)
+    row = np.linspace(-1.0, 1.0, 9)
+    assert metrics._same_slabs(box, np.stack([row, row]))
+    assert row[4] == 0.0
+    for v in (-0.0, math.nan, math.inf):
+        doctored = row.copy()
+        doctored[4] = v
+        assert not metrics._same_slabs(box, np.stack([doctored, row]))
+        assert metrics._same_slabs(box, np.stack([doctored, doctored])) \
+            == (v == 0.0)
+    huge = Rect((0.0, 0.0), (1.5e308, 1.5e308))
+    vals = np.zeros((2, 4))
+    assert not metrics._same_slabs(huge, vals)
+    dirs = np.array([[0.6, 0.6, -math.sqrt(0.28)]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sf, sg = metrics._support_batch(vertex_grid(huge, 2), vals, dirs)
+        assert math.isnan(float(np.abs(sf - sg).max()))
+    # below 2^1000 of coordinates and values together, no entry overflows
+    assert metrics._same_slabs(Rect((-2.0**998,), (2.0**998,)),
+                               np.full((2, 3), 2.0**998))
 
 
 # -- one sweep per (pair, directions, grid) ----------------------------------
 
 
 def _clear_caches():
-    metrics._hausdorff_at.cache_clear()
-    metrics._vertex_values.cache_clear()
-    metrics._vertex_nodes.cache_clear()
+    for cache in (metrics._hausdorff_at, metrics._vertex_values,
+                  metrics._vertex_nodes, metrics._quadrature_nodes,
+                  metrics._directions):
+        cache.cache_clear()
 
 
 def _spy(monkeypatch, owner, name):
@@ -465,12 +504,15 @@ def _spy(monkeypatch, owner, name):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The _spy logs of the support kernel, ConvexFunction.values and
-    vertex_grid, as "sweeps", "values" and "grids", from empty caches,
-    which are emptied again after the test."""
+    """The _spy logs of the support kernel, ConvexFunction.values,
+    vertex_grid, quadrature_grid and direction_set, as "sweeps", "values",
+    "grids", "quadratures" and "directions", from empty caches, which are
+    emptied again after the test."""
     spied = (("sweeps", metrics, "_support_batch"),
              ("values", ConvexFunction, "values"),
-             ("grids", metrics, "vertex_grid"))
+             ("grids", metrics, "vertex_grid"),
+             ("quadratures", metrics, "quadrature_grid"),
+             ("directions", metrics, "direction_set"))
     log = {key: _spy(monkeypatch, owner, name) for key, owner, name in spied}
     _clear_caches()
     yield log
@@ -605,6 +647,37 @@ def test_a_cached_vertex_grid_refuses_writes(calls):
         np.abs(vals, out=vals)
     with pytest.raises(ValueError):
         nodes[0, 0] = 2.0
+
+
+def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
+        calls):
+    # a second Lp distance or slope mass on the same box builds no grid,
+    # and a second sweep with the same directions builds no direction set
+    f, g = _random_pair(2, 165)
+    grid = GridSpec(9)
+    first = lp_distance(f, g, 1.0, grid)
+    assert lp_distance(g, f, 2.0, grid).value > 0.0
+    assert lp_distance(f, g, 1.0, grid) == first
+    assert sorted(spec.n for _, (_, spec), _ in calls["quadratures"]) == [9, 17]
+    mass = gradient_mass(f, 0.25)
+    assert gradient_mass(f, 0.25) == mass and len(calls["quadratures"]) == 3
+    hausdorff_epigraph(f, g, 40, grid)
+    metrics._hausdorff_at.cache_clear()
+    hausdorff_epigraph(f, g, 40, grid)
+    assert len(calls["sweeps"]) == 4
+    assert sorted(args for _, args, _ in calls["directions"]) == \
+        [(3, 40), (3, 80)]
+    pts, w = metrics._quadrature_nodes(f.domain, grid)
+    dirs = metrics._directions(3, 40)
+    fresh_pts, fresh_w = quadrature_grid(f.domain, grid)
+    assert pts.tobytes() == fresh_pts.tobytes()
+    assert w.tobytes() == fresh_w.tobytes()
+    assert dirs.tobytes() == direction_set(3, 40).tobytes()
+    for cached in (pts, w, dirs):
+        with pytest.raises(ValueError):
+            cached[0] = 2.0
+        with pytest.raises(ValueError):
+            np.abs(cached, out=cached)
 
 
 def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, calls):

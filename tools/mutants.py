@@ -29,6 +29,7 @@ VERDICTS = {  # verdict: (its module, the test file holding most of its tests)
     "check_sup_bound": ("verify", "test_verify.py"),
     "check_l1_bound": ("verify", "test_verify.py"),
     "_prune": ("metrics", "test_metrics.py"),
+    "_require_within": ("functions", "test_functions.py"),
 }
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 SWAPS = {"<": ("<=", ">="), "<=": ("<", ">"), ">": (">=", "<="), ">=": (">", "<")}
