@@ -16,7 +16,8 @@ into one reused buffer, adds the intercepts tiled along the strip as one
 contiguous vector, and folds it into its slice of the result, so no
 evaluation holds an (N, pieces) matrix, and the values keep the bits of
 one whole product at d <= 3 (see MaxAffine._strips). The domain check
-reduces a contiguous copy of the coordinate columns.
+reduces a contiguous copy of the coordinate columns, up to 2^18
+coordinates, and larger arrays' columns in place.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .core import (
 # in a server core's L2 cache, and a buffer this small is reused in place
 # rather than returned to the system and faulted back in on every call.
 _TILE_ENTRIES = 1 << 15
+
+# Coordinates of the largest point array whose columns the domain check
+# copies to contiguous rows (2 MB); see _require_within.
+_COPIED_ENTRIES = 1 << 18
 
 
 def _vertex_axes(rect: Rect, n: int) -> list[np.ndarray]:
@@ -101,17 +106,19 @@ def _require_shape(pts: np.ndarray, dim: int) -> None:
 def _require_within(pts: np.ndarray, domain: Rect, strict=False) -> None:
     # axis by axis, from its least and greatest entries: min and max
     # propagate a NaN, which fails every comparison, and 0.0 and -0.0
-    # compare alike whichever of them a tie returns. The columns are copied
-    # to contiguous rows first: reducing a strided column took about three
-    # times as long as the copy and a contiguous reduction. The copy is as
-    # large as pts and lives only for the call. strict asks for the open
-    # box. No point is outside an empty box of points.
+    # compare alike whichever of them a tie returns. Up to _COPIED_ENTRIES
+    # the columns are copied to contiguous rows first: reducing a strided
+    # column took about three times as long as the copy and a contiguous
+    # reduction. Larger points are reduced in place, so the check holds no
+    # temporary of their size. strict asks for the open box. No point is
+    # outside an empty box of points.
     if not len(pts):
         return
-    cols = np.ascontiguousarray(pts.T)
-    for lo, hi, least, most in zip(domain.lo, domain.hi,
-                                   cols.min(axis=1).tolist(),
-                                   cols.max(axis=1).tolist()):
+    cols = pts.T
+    if pts.size <= _COPIED_ENTRIES:
+        cols = np.ascontiguousarray(cols)
+    for lo, hi, col in zip(domain.lo, domain.hi, cols):
+        least, most = col.min(), col.max()
         if not ((lo < least and most < hi) if strict
                 else (lo <= least and most <= hi)):
             raise DomainError("point outside the function's "

@@ -13,8 +13,9 @@ few latest; both are shared by the sup distance, the Hausdorff sweep and
 the slab-ceiling checks of verify. Quadrature grids (nodes and weights)
 are built once per (box, grid) and direction sets once per (ambient,
 count) in the same way, so the pairs of a lemma run share them with the
-slope masses of verify. Every cached array is read-only. The Lp and sup
-values form |f - g| in place, in one buffer of the grid's size.
+slope masses of verify; those of more than _KEPT_ENTRIES entries are
+built for each use instead. Every cached array is read-only. The Lp and
+sup values form |f - g| in place, in one buffer of the grid's size.
 
 The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
@@ -25,11 +26,10 @@ value from tiles of the grid keep only the directions whose gap can
 reach the largest one, and only the strips of nodes that can attain
 their values; the kernel still forms each swept strip's product over
 every downward direction, as the full sweep does, and picks the kept
-columns from it. A pair whose first bounds keep every direction takes
-the full sweep, and a pair whose vertex values are byte-equal no sweep:
-its value is 0.0. None of these shortcuts changes a bit of the result.
-The kernel's tiles and the max-affine evaluation strips of functions
-share one size, _TILE_ENTRIES.
+columns from it. A pair whose first bounds keep every direction, as an
+identical pair's do, takes the full sweep. None of these shortcuts
+changes a bit of the result. The kernel's tiles and the max-affine
+evaluation strips of functions share one size, _TILE_ENTRIES.
 Each (pair, directions, grid) value is swept once per process while it
 stays among the few latest, which a small cache keeps: the sup and L1
 checks of one pair share it.
@@ -53,8 +53,8 @@ from .functions import (
 )
 
 # Entries kept by each of the caches _hausdorff_at, _vertex_values,
-# _vertex_nodes, _quadrature_nodes and _directions. One lemma pair asks for
-# two (directions, grid) Hausdorff resolutions, a value and its error
+# _vertex_nodes, _kept_quadrature and _kept_directions. One lemma pair asks
+# for two (directions, grid) Hausdorff resolutions, a value and its error
 # estimate's, which both checks share, and evaluates its two functions on
 # the vertex grids of core.SLAB_GRID_AXIS, n and 2n - 1 nodes per axis, so
 # this holds one pair's values and nodes, and the pairs after it push them
@@ -63,6 +63,13 @@ from .functions import (
 # direction sets depend only on the box and the options, so every pair of
 # a run reads them: about 1.5 MB at d = 2 and n = 101.
 _HAUSDORFF_CACHE_SIZE = 8
+
+# Float entries of the largest quadrature grid (coordinates and weights) or
+# direction set kept for the run: 2 MB, so those two caches hold at most
+# 32 MB. Larger ones are built for each use and freed after it; kept, the
+# grids of a lemma run at MAX_GRID_POINTS raised its peak RSS by about
+# 210 MB (d = 2, --grid-n 1581).
+_KEPT_ENTRIES = 1 << 18
 
 # _prune runs on grids of at least _PRUNE_MIN_NODES nodes and at least
 # _PRUNE_MIN_ENTRIES node-by-direction entries; see its docstring.
@@ -114,17 +121,24 @@ def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
     return tensor_points(nodes), w
 
 
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
 def _quadrature_nodes(rect: Rect,
                       spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """quadrature_grid(rect, spec), built once per (box, grid) among the
-    latest.
+    latest if it has at most _KEPT_ENTRIES entries, else for each call.
 
     The Lp values of every pair on one box, and the slope masses of every
     function on one inner box, read the same nodes and weights. Rect and
     GridSpec are frozen, so a hit returns the bits a fresh build would.
-    Every caller gets the same arrays: they are read-only.
+    Callers only read the arrays; kept ones are read-only.
     """
+    if (rect.dim + 1) * spec.n ** rect.dim > _KEPT_ENTRIES:
+        return quadrature_grid(rect, spec)
+    return _kept_quadrature(rect, spec)
+
+
+@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+def _kept_quadrature(rect: Rect,
+                     spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     pts, w = quadrature_grid(rect, spec)
     pts.flags.writeable = w.flags.writeable = False
     return pts, w
@@ -507,13 +521,20 @@ def direction_set(ambient: int, count: int) -> np.ndarray:
     return raw / norms
 
 
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
 def _directions(ambient: int, count: int) -> np.ndarray:
-    """direction_set(ambient, count), built once among the latest.
+    """direction_set(ambient, count), built once among the latest if it
+    has at most _KEPT_ENTRIES entries, else for each call.
 
     A deterministic function of its key, so a hit returns the bits a
-    fresh build would. Every caller gets the same array: it is read-only.
+    fresh build would. Callers only read it; a kept one is read-only.
     """
+    if ambient * count > _KEPT_ENTRIES:
+        return direction_set(ambient, count)
+    return _kept_directions(ambient, count)
+
+
+@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+def _kept_directions(ambient: int, count: int) -> np.ndarray:
     dirs = direction_set(ambient, count)
     dirs.flags.writeable = False
     return dirs
@@ -536,39 +557,19 @@ def direction_covering_radius(ambient: int, count: int) -> float:
     return 6.0 * count ** (-1.0 / (ambient - 1.0))
 
 
-def _same_slabs(rect: Rect, vals: np.ndarray) -> bool:
-    """Whether the sweep of the pair vals = [f, g] gives exactly 0.0.
-
-    Byte-equal rows give byte-equal support values, so every gap is +0.0
-    unless an entry overflows to inf, whose gap is NaN. An entry is a
-    rounded sum of the products x_a u_a and f(x) u_t, with |u| within a
-    few ulps of 1, so none overflows when the coordinates' and values'
-    largest magnitudes sum below 2^1000; a NaN or inf value fails that
-    too. A row that differs only in the sign of a zero is not byte-equal.
-    """
-    bits = vals.view(np.uint64)
-    if not np.array_equal(bits[0], bits[1]):
-        return False
-    reach = sum(max(abs(lo), abs(hi)) for lo, hi in zip(rect.lo, rect.hi))
-    return reach + float(np.abs(vals[0]).max()) < 2.0**1000
-
-
 def _hausdorff_value(f, g, dirs, n) -> float:
     # a direction with last component >= 0 is maximized on the slabs'
     # common top face, where both give the same number: its gap is exactly 0.
     # _prune keeps the directions and nodes that hold the largest gap, and
     # the one sweep over them gives its bits (it is None on small grids,
-    # and where it would keep every direction). A pair whose vertex values
-    # are byte-equal sweeps nothing: its gap is 0.0 (_same_slabs)
+    # and where it would keep every direction)
     down = dirs[dirs[:, -1] < 0.0]
     if not len(down):
         return 0.0
+    pts = _vertex_nodes(f.domain, n)
     vals = np.stack([_vertex_values(f, n), _vertex_values(g, n)])
-    if _same_slabs(f.domain, vals):
-        return 0.0
     pruned = _prune(_vertex_axes(f.domain, n), vals, down)
-    sf, sg = _support_batch(_vertex_nodes(f.domain, n), vals, down,
-                            *(pruned or ()))
+    sf, sg = _support_batch(pts, vals, down, *(pruned or ()))
     return float(np.abs(sf - sg).max())
 
 

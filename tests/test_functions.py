@@ -1,7 +1,9 @@
 """Construction, evaluation, and serialization of the convex forms."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,9 +305,11 @@ def _elementwise_within(pts, box, strict):
 
 
 @pytest.mark.parametrize("case", _WITHIN_CASES)
-def test_the_domain_check_decides_each_case_as_the_elementwise_rule(case):
+def test_the_domain_check_decides_each_case_as_the_elementwise_rule(
+        monkeypatch, case):
     # min and max decide it as comparing every coordinate with the bounds,
-    # in any memory layout of the points and in any dimension
+    # in any memory layout of the points and in any dimension, whether the
+    # columns are copied or, past _COPIED_ENTRIES, reduced in place
     rows, closed, open_ = _WITHIN_CASES[case]
     pts = np.array(rows, dtype=float).reshape(-1, 2)
     box = Rect((0.0, -1.0), (1.0, 0.0))
@@ -317,7 +321,9 @@ def test_the_domain_check_decides_each_case_as_the_elementwise_rule(case):
                 (pts[:, 1:], Rect((-1.0,), (0.0,))),
                 (np.asfortranarray(pts[:, [0, 1, 0]]),
                  Rect((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)))]
-    for strict, inside in ((False, closed), (True, open_)):
+    for (strict, inside), copied in itertools.product(
+            ((False, closed), (True, open_)), (functions._COPIED_ENTRIES, 0)):
+        monkeypatch.setattr(functions, "_COPIED_ENTRIES", copied)
         assert _elementwise_within(pts, box, strict) == inside
         for p, b in variants:
             if _elementwise_within(p, b, strict):
@@ -325,6 +331,19 @@ def test_the_domain_check_decides_each_case_as_the_elementwise_rule(case):
             else:
                 with pytest.raises(DomainError):
                     functions._require_within(p, b, strict)
+
+
+def test_the_domain_check_copies_no_large_point_array():
+    # past _COPIED_ENTRIES coordinates the columns are reduced in place,
+    # so the check allocates nothing of the points' size
+    pts = np.zeros((functions._COPIED_ENTRIES, 2))
+    tracemalloc.start()
+    try:
+        functions._require_within(pts, unit_rect(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.nbytes // 16
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -428,57 +428,20 @@ def test_the_sweep_is_pruned_only_past_its_size_floor():
 
 
 @pytest.mark.parametrize("d, n, count", [(1, 1001, 2048), (2, 201, 1000)])
-def test_an_identical_pair_takes_the_full_sweep(d, n, count):
+def test_an_identical_pair_takes_the_full_sweep(monkeypatch, d, n, count):
     # its gaps are all 0, inside the first brackets, so every direction
     # would be kept: _prune gives up there rather than add its exact
-    # brackets to a full sweep, which gives 0.0
+    # brackets to a full sweep
     f, _ = _random_pair(d, 190)
     down = _down(d + 1, count)
     axes, vals = _grid_pair(f, f, n)
     assert metrics._prune(axes, vals, down) is None
     sf, sg = metrics._support_batch(vertex_grid(f.domain, n), vals, down)
-    assert float(np.abs(sf - sg).max()) == 0.0
-
-
-@pytest.mark.parametrize("d, n, count", [(1, 1001, 2048), (2, 201, 1000)])
-def test_a_byte_equal_pair_sweeps_nothing(calls, monkeypatch, d, n, count):
-    # the full sweep gives such a pair 0.0 (the test above), so
-    # _hausdorff_value returns it without _prune or the support kernel,
-    # for the same form and for another form with the same values
-    f, g = _random_pair(d, 190)
-    pruned = _spy(monkeypatch, metrics, "_prune")
-    dirs = direction_set(d + 1, count)
-    for h in (f, MaxWith(f.domain, (f,))):
-        assert metrics._hausdorff_value(f, h, dirs, n) == 0.0
-    assert calls["sweeps"] == pruned == []
-    assert metrics._hausdorff_value(f, g, dirs, n) > 0.0
-    assert len(calls["sweeps"]) == len(pruned) == 1
-
-
-def test_only_byte_equal_rows_of_bounded_entries_skip_the_sweep():
-    # a row with a NaN, one that differs only in the sign of a zero, and
-    # equal rows whose entries overflow all take the sweep. The last gives
-    # NaN there, inf - inf, not 0.0
-    box = unit_rect(2)
-    row = np.linspace(-1.0, 1.0, 9)
-    assert metrics._same_slabs(box, np.stack([row, row]))
-    assert row[4] == 0.0
-    for v in (-0.0, math.nan, math.inf):
-        doctored = row.copy()
-        doctored[4] = v
-        assert not metrics._same_slabs(box, np.stack([doctored, row]))
-        assert metrics._same_slabs(box, np.stack([doctored, doctored])) \
-            == (v == 0.0)
-    huge = Rect((0.0, 0.0), (1.5e308, 1.5e308))
-    vals = np.zeros((2, 4))
-    assert not metrics._same_slabs(huge, vals)
-    dirs = np.array([[0.6, 0.6, -math.sqrt(0.28)]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        sf, sg = metrics._support_batch(vertex_grid(huge, 2), vals, dirs)
-        assert math.isnan(float(np.abs(sf - sg).max()))
-    # below 2^1000 of coordinates and values together, no entry overflows
-    assert metrics._same_slabs(Rect((-2.0**998,), (2.0**998,)),
-                               np.full((2, 3), 2.0**998))
+    sweeps = _spy(monkeypatch, metrics, "_support_batch")
+    assert metrics._hausdorff_value(f, f, direction_set(d + 1, count), n) \
+        == float(np.abs(sf - sg).max()) == 0.0
+    # one sweep, over every direction and node
+    assert [len(args) for _, args, _ in sweeps] == [3]
 
 
 # -- one sweep per (pair, directions, grid) ----------------------------------
@@ -486,8 +449,8 @@ def test_only_byte_equal_rows_of_bounded_entries_skip_the_sweep():
 
 def _clear_caches():
     for cache in (metrics._hausdorff_at, metrics._vertex_values,
-                  metrics._vertex_nodes, metrics._quadrature_nodes,
-                  metrics._directions):
+                  metrics._vertex_nodes, metrics._kept_quadrature,
+                  metrics._kept_directions):
         cache.cache_clear()
 
 
@@ -678,6 +641,26 @@ def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
             cached[0] = 2.0
         with pytest.raises(ValueError):
             np.abs(cached, out=cached)
+
+
+def test_only_small_quadrature_grids_and_direction_sets_are_kept(
+        calls, monkeypatch):
+    # past _KEPT_ENTRIES entries each use builds its own: here 9^2 nodes
+    # and weights (243 entries) and 3 x 80 directions are kept, and 17^2
+    # nodes and 3 x 100 directions are not
+    monkeypatch.setattr(metrics, "_KEPT_ENTRIES", 3 * 9**2)
+    f, g = _random_pair(2, 165)
+    grid = GridSpec(9)
+    for count in (40, 40, 100, 100):
+        assert lp_distance(f, g, 1.0, grid).value > 0.0
+        metrics._hausdorff_at.cache_clear()
+        assert hausdorff_epigraph(f, g, count, grid).value > 0.0
+    assert sorted(spec.n for _, (_, spec), _ in calls["quadratures"]) == \
+        [9] + [17] * 4
+    assert sorted(args[1] for _, args, _ in calls["directions"]) == \
+        [40, 80, 100, 100, 200, 200]
+    assert metrics._kept_quadrature.cache_info().currsize == 1
+    assert metrics._kept_directions.cache_info().currsize == 2
 
 
 def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, calls):
