@@ -36,7 +36,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .core import (
     BOUND_GRID_AXIS,
     CELL_CAP,
-    MAX_DIM,
     MAX_GRID_POINTS,
     SLAB_GRID_AXIS,
     SLOPE_MASS_GRID_AXIS,
@@ -45,6 +44,8 @@ from .core import (
     ParameterError,
     Rect,
     build_interval_system,
+    require_dim,
+    require_directions,
     require_grid_n,
     separation_curve,
     verify_cap_properties,
@@ -58,7 +59,8 @@ from .schedule import (
 )
 
 # Most directions lemmas accepts: the Hausdorff error estimate builds 2x
-# this many, and building them peaks near 60 MB at d = 3 (tracemalloc).
+# this many, 6.4 MB at d = 3, and building them peaks near 12 MB
+# (tracemalloc).
 MAX_DIRECTIONS = 10**5
 
 # Most pairs lemmas accepts: each pair's report stays in memory until the
@@ -230,8 +232,7 @@ def _require_lemma_grid(dim: int, n: int) -> None:
     each check is decided once, at n and its error estimate's 2n - 1.
     """
     require_grid_n(n)
-    if not 1 <= dim <= MAX_DIM:
-        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+    require_dim(dim)
     side = max(BOUND_GRID_AXIS, SLAB_GRID_AXIS, SLOPE_MASS_GRID_AXIS,
                2 * n - 1)
     if side**dim > MAX_GRID_POINTS:
@@ -247,8 +248,7 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
         raise ParameterError(f"need pairs <= {MAX_PAIRS}")
     if args.directions > MAX_DIRECTIONS:
         raise ParameterError(f"need directions <= {MAX_DIRECTIONS}")
-    if args.directions < 2 * (args.dim + 1):  # as hausdorff_epigraph says
-        raise ParameterError(f"need at least {2 * (args.dim + 1)} directions")
+    require_directions(args.dim, args.directions)
     _require_lemma_grid(args.dim, args.grid_n)
     from .functions import make_random_convex
     from .metrics import GridSpec
@@ -283,8 +283,7 @@ def cmd_lemmas(args) -> tuple[dict, str, bool]:
 
 def cmd_bounds(args) -> tuple[dict, str, bool]:
     d = args.dim
-    if not 1 <= d <= MAX_DIM:  # before the box builds d-tuples
-        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+    require_dim(d)  # before the box builds d-tuples
     rect = Rect((0.0,) * d, (args.side,) * d)
     gammas = LipschitzVector(tuple(args.gamma)) if args.gamma else None
     eb = entropy_bounds(args.eps, args.p, rect, args.bound, gammas)

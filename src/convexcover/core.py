@@ -106,6 +106,18 @@ def require_grid_n(n: int) -> None:
         raise ParameterError("need n >= 2")
 
 
+def require_dim(d: int) -> None:
+    """Refuse a dimension outside 1..MAX_DIM."""
+    if not 1 <= d <= MAX_DIM:
+        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+
+
+def require_directions(d: int, count: int) -> None:
+    """Refuse fewer than 2(d + 1) directions for a Hausdorff value at d."""
+    if count < 2 * (d + 1):
+        raise ParameterError(f"need at least {2 * (d + 1)} directions")
+
+
 class _RectFields(NamedTuple):
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -122,8 +134,7 @@ class Rect(_RectFields):
         hi = tuple(float(v) for v in hi)
         if len(lo) != len(hi):
             raise ParameterError("lo and hi must have the same length")
-        if not 1 <= len(lo) <= MAX_DIM:
-            raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+        require_dim(len(lo))
         for a, b in zip(lo, hi):
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ParameterError("each axis needs finite lo < hi")
@@ -195,8 +206,7 @@ def interval_count(eta, d: int) -> int:
     q = a (d-1) k^2. Squaring once leaves 2 sqrt(pq) <= rem = 4b - p - q,
     which holds iff rem >= 0 and 4 p q <= rem^2.
     """
-    if not 1 <= d <= MAX_DIM:
-        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+    require_dim(d)
     if isinstance(eta, float) and not math.isfinite(eta):
         raise ParameterError("eta must be finite")
     a, b = eta.as_integer_ratio()

@@ -7,15 +7,15 @@ directions, each report with an error estimate from a doubled resolution.
 Only the sup value is one-sided: at most the true sup, it never falls as its
 nested grids refine. The Lp and Hausdorff values err on either side.
 
-A vertex grid's nodes are built once per (box, grid), and a function's
-values on it evaluated once per (form, grid), while they stay among the
-few latest; both are shared by the sup distance, the Hausdorff sweep and
-the slab-ceiling checks of verify. Quadrature grids (nodes and weights)
-are built once per (box, grid) and direction sets once per (ambient,
-count) in the same way, so the pairs of a lemma run share them with the
-slope masses of verify; those of more than _KEPT_ENTRIES entries are
-built for each use instead. Every cached array is read-only. The Lp and
-sup values form |f - g| in place, in one buffer of the grid's size.
+Three small caches keep what the pairs of a run share while it stays
+among their latest keys, all of it read-only. _kept builds each
+run-constant grid once: vertex grids, quadrature grids (nodes and
+weights) and direction sets, the last two only up to _KEPT_ENTRIES
+entries. _vertex_values evaluates a function once per (form, vertex
+grid) for the sup distance, the Hausdorff sweep and the slab-ceiling
+checks of verify, and _hausdorff_at sweeps each (pair, directions, grid)
+value once for the sup and L1 checks of a pair. The Lp and sup values
+form |f - g| in place, in one buffer of the grid's size.
 
 The support kernel dominates the Hausdorff cost. It evaluates both slabs
 in one tiled sweep over the grid, sharing the spatial product between
@@ -30,20 +30,17 @@ columns from it. A pair whose first bounds keep every direction, as an
 identical pair's do, takes the full sweep. None of these shortcuts
 changes a bit of the result. The kernel's tiles and the max-affine
 evaluation strips of functions share one size, _TILE_ENTRIES.
-Each (pair, directions, grid) value is swept once per process while it
-stays among the few latest, which a small cache keeps: the sup and L1
-checks of one pair share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .core import ParameterError, Rect, require_grid_n
+from .core import ParameterError, Rect, require_directions, require_grid_n
 from .functions import (
     _TILE_ENTRIES,
     ConvexFunction,
@@ -52,24 +49,28 @@ from .functions import (
     tensor_points,
 )
 
-# Entries kept by each of the caches _hausdorff_at, _vertex_values,
-# _vertex_nodes, _kept_quadrature and _kept_directions. One lemma pair asks
-# for two (directions, grid) Hausdorff resolutions, a value and its error
-# estimate's, which both checks share, and evaluates its two functions on
-# the vertex grids of core.SLAB_GRID_AXIS, n and 2n - 1 nodes per axis, so
-# this holds one pair's values and nodes, and the pairs after it push them
-# out. Its quadrature grids (n and 2n - 1 midpoints on the box, and
-# core.SLOPE_MASS_GRID_AXIS on the slope mass's inner box) and its two
-# direction sets depend only on the box and the options, so every pair of
-# a run reads them: about 1.5 MB at d = 2 and n = 101.
-_HAUSDORFF_CACHE_SIZE = 8
+# Entries kept by _hausdorff_at and _vertex_values; _kept holds twice as
+# many. One lemma pair asks for two (directions, grid) Hausdorff
+# resolutions, a value and its error estimate's, which both checks share,
+# and evaluates its two functions on vertex grids of core.SLAB_GRID_AXIS,
+# n and 2n - 1 nodes per axis, so this holds one pair's values. Every pair
+# of a run reads the same 8 keys of _kept: those three vertex grids, three
+# quadrature grids (n and 2n - 1 midpoints, core.SLOPE_MASS_GRID_AXIS on
+# the slope mass's inner box) and two direction sets, about 2.3 MB at
+# d = 2 and n = 101.
+_CACHE_SIZE = 8
 
 # Float entries of the largest quadrature grid (coordinates and weights) or
-# direction set kept for the run: 2 MB, so those two caches hold at most
-# 32 MB. Larger ones are built for each use and freed after it; kept, the
-# grids of a lemma run at MAX_GRID_POINTS raised its peak RSS by about
-# 210 MB (d = 2, --grid-n 1581).
+# direction set kept: 2 MB, so at most 32 MB in all. Larger ones are built
+# for each use; kept, the grids of a lemma run at MAX_GRID_POINTS raised
+# its peak RSS by about 210 MB (d = 2, --grid-n 1581). Vertex grids are
+# kept at any size, as the values on them are.
 _KEPT_ENTRIES = 1 << 18
+
+# Halton rows that direction_set draws at a time: scipy's sampler and
+# normal quantile peak near 9x what they return (59 MB for
+# direction_set(4, 200000) in one draw, 12 MB in these chunks).
+_HALTON_ROWS = 1 << 14
 
 # _prune runs on grids of at least _PRUNE_MIN_NODES nodes and at least
 # _PRUNE_MIN_ENTRIES node-by-direction entries; see its docstring.
@@ -98,21 +99,34 @@ class DistanceReport:
     error_estimate: float
 
 
+@lru_cache(maxsize=2 * _CACHE_SIZE)
+def _kept(build, *key):
+    """build(*key), built once among the latest keys, its arrays read-only.
+
+    Keys are frozen and builds deterministic, so a hit returns the bits a
+    fresh build would. Callers pass their module binding of build, so a
+    wrapper installed over it sees every build.
+    """
+    kept = build(*key)
+    for a in kept if isinstance(kept, tuple) else (kept,):
+        a.flags.writeable = False
+    return kept
+
+
 def quadrature_axes(rect: Rect,
                     spec: GridSpec) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-axis nodes and the (N,) weights of the tensor-product midpoint rule.
 
-    Weight k belongs to node k of tensor_points(axes). The grid is refused
+    Weight k belongs to node k of tensor_points(axes); every weight is the
+    product of the axes' steps, taken in axis order. The grid is refused
     past MAX_GRID_POINTS before the weights are built.
     """
-    nodes, weights = [], []
+    nodes, steps = [], []
     for lo, hi in zip(rect.lo, rect.hi):
         h = (hi - lo) / spec.n
         nodes.append(lo + (np.arange(spec.n) + 0.5) * h)
-        weights.append(np.full(spec.n, h))
-    grid_size(nodes)
-    w = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), weights)
-    return nodes, w
+        steps.append(h)
+    return nodes, np.full(grid_size(nodes), math.prod(steps))
 
 
 def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -123,25 +137,15 @@ def quadrature_grid(rect: Rect, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
 
 def _quadrature_nodes(rect: Rect,
                       spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """quadrature_grid(rect, spec), built once per (box, grid) among the
-    latest if it has at most _KEPT_ENTRIES entries, else for each call.
+    """quadrature_grid(rect, spec), kept if it has at most _KEPT_ENTRIES
+    entries, else built for each call.
 
     The Lp values of every pair on one box, and the slope masses of every
-    function on one inner box, read the same nodes and weights. Rect and
-    GridSpec are frozen, so a hit returns the bits a fresh build would.
-    Callers only read the arrays; kept ones are read-only.
+    function on one inner box, read the same nodes and weights.
     """
     if (rect.dim + 1) * spec.n ** rect.dim > _KEPT_ENTRIES:
         return quadrature_grid(rect, spec)
-    return _kept_quadrature(rect, spec)
-
-
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
-def _kept_quadrature(rect: Rect,
-                     spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    pts, w = quadrature_grid(rect, spec)
-    pts.flags.writeable = w.flags.writeable = False
-    return pts, w
+    return _kept(quadrature_grid, rect, spec)
 
 
 def vertex_grid(rect: Rect, n: int) -> np.ndarray:
@@ -150,30 +154,17 @@ def vertex_grid(rect: Rect, n: int) -> np.ndarray:
     return tensor_points(_vertex_axes(rect, n))
 
 
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
-def _vertex_nodes(rect: Rect, n: int) -> np.ndarray:
-    """vertex_grid(rect, n), built once per (box, grid) among the latest.
-
-    Both functions of a pair and the support kernel read the same nodes.
-    Rect is frozen, so a hit returns the bits a fresh build would. Every
-    caller gets the same array: it is read-only.
-    """
-    pts = vertex_grid(rect, n)
-    pts.flags.writeable = False
-    return pts
-
-
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _vertex_values(f: ConvexFunction, n: int) -> np.ndarray:
     """f on vertex_grid(f.domain, n), evaluated once per (form, grid).
 
     The sup distance, the Hausdorff sweep and the slab-ceiling checks of
     verify all read these values, so a pair's functions are evaluated once
-    on each grid while it stays among the _HAUSDORFF_CACHE_SIZE latest.
-    Forms are frozen dataclasses, so a hit returns the bits a fresh
-    evaluation would. Every caller gets the same array: it is read-only.
+    on each grid while it stays among the _CACHE_SIZE latest. Forms are
+    frozen dataclasses, so a hit returns the bits a fresh evaluation
+    would. Every caller gets the same array: it is read-only.
     """
-    vals = f.values(_vertex_nodes(f.domain, n))
+    vals = f.values(_kept(vertex_grid, f.domain, n))
     vals.flags.writeable = False
     return vals
 
@@ -219,7 +210,7 @@ def sup_grid_distance(f: ConvexFunction, g: ConvexFunction,
     """
     _require_common_domain(f, g)
     value = _sup_value(f, g, grid.n)
-    fine = _sup_value(f, g, 2 * grid.n - 1)
+    fine = _sup_value(f, g, grid.refined().n)
     return DistanceReport(value, abs(fine - value))
 
 
@@ -516,28 +507,20 @@ def direction_set(ambient: int, count: int) -> np.ndarray:
 
     sampler = qmc.Halton(d=ambient, scramble=False)
     sampler.fast_forward(1)  # skip the all-zero first point
-    raw = norm.ppf(sampler.random(count))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw / norms
+    dirs = np.empty((count, ambient))
+    for s in range(0, count, _HALTON_ROWS):
+        raw = norm.ppf(sampler.random(min(_HALTON_ROWS, count - s)))
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        np.divide(raw, norms, out=dirs[s:s + len(raw)])
+    return dirs
 
 
 def _directions(ambient: int, count: int) -> np.ndarray:
-    """direction_set(ambient, count), built once among the latest if it
-    has at most _KEPT_ENTRIES entries, else for each call.
-
-    A deterministic function of its key, so a hit returns the bits a
-    fresh build would. Callers only read it; a kept one is read-only.
-    """
+    """direction_set(ambient, count), kept if it has at most
+    _KEPT_ENTRIES entries, else built for each call."""
     if ambient * count > _KEPT_ENTRIES:
         return direction_set(ambient, count)
-    return _kept_directions(ambient, count)
-
-
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
-def _kept_directions(ambient: int, count: int) -> np.ndarray:
-    dirs = direction_set(ambient, count)
-    dirs.flags.writeable = False
-    return dirs
+    return _kept(direction_set, ambient, count)
 
 
 def direction_covering_radius(ambient: int, count: int) -> float:
@@ -566,14 +549,14 @@ def _hausdorff_value(f, g, dirs, n) -> float:
     down = dirs[dirs[:, -1] < 0.0]
     if not len(down):
         return 0.0
-    pts = _vertex_nodes(f.domain, n)
+    pts = _kept(vertex_grid, f.domain, n)
     vals = np.stack([_vertex_values(f, n), _vertex_values(g, n)])
     pruned = _prune(_vertex_axes(f.domain, n), vals, down)
     sf, sg = _support_batch(pts, vals, down, *(pruned or ()))
     return float(np.abs(sf - sg).max())
 
 
-@lru_cache(maxsize=_HAUSDORFF_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _hausdorff_at(f, g, count, n) -> float:
     # Every form is a frozen dataclass of floats and tuples, so equal keys
     # are value-equal functions, and _hausdorff_value is deterministic: a
@@ -602,12 +585,10 @@ def hausdorff_epigraph(f: ConvexFunction, g: ConvexFunction,
     direction_covering_radius.
 
     Each (f, g, directions, grid) value is swept once per process and then
-    served from a cache of the _HAUSDORFF_CACHE_SIZE latest, so the second
-    check of the same pair sweeps nothing.
+    served from a cache of the _CACHE_SIZE latest, so the second check of
+    the same pair sweeps nothing.
     """
-    d = _require_common_domain(f, g).dim
-    if n_directions < 2 * (d + 1):
-        raise ParameterError(f"need at least {2 * (d + 1)} directions")
+    require_directions(_require_common_domain(f, g).dim, n_directions)
     value = _hausdorff_at(f, g, n_directions, grid.n)
-    fine = _hausdorff_at(f, g, 2 * n_directions, 2 * grid.n - 1)
+    fine = _hausdorff_at(f, g, 2 * n_directions, grid.refined().n)
     return DistanceReport(value, abs(fine - value))

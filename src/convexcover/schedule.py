@@ -40,6 +40,7 @@ from .core import (
     ParameterError,
     Rect,
     _report_json,
+    require_dim,
     separation_point,
     separation_scale,
 )
@@ -366,8 +367,7 @@ def cover_accounting(sched: Schedule, d: int,
     """Cover radius and the bound on the log covering count for dimension d."""
     if sched.depth < 1:
         raise ParameterError("schedule has no levels below the edge")
-    if not 1 <= d <= MAX_DIM:
-        raise ParameterError(f"dimension must be in 1..{MAX_DIM}")
+    require_dim(d)
     if not (gamma_sum >= 0.0):
         raise ParameterError("gamma_sum must be nonnegative (inf allowed)")
 

@@ -35,6 +35,7 @@ from convexcover import (
 )
 from convexcover import ConvexFunction, metrics
 from convexcover.cli import main
+from convexcover.core import MAX_GRID_POINTS
 
 
 # x and 0 on [0, 1]
@@ -56,6 +57,26 @@ def test_quadrature_weights_sum_to_volume():
     pts, w = quadrature_grid(rect, GridSpec(7))
     assert pts.shape == (49, 2)
     assert math.isclose(float(w.sum()), 8.0, rel_tol=1e-13)
+
+
+def test_quadrature_weights_equal_the_per_axis_outer_products_bit_for_bit():
+    # the reference builds one weight array per axis and multiplies them
+    # out, axis by axis; the rule forms one product of the steps
+    rng = np.random.default_rng(54)
+    for d in range(1, 5):
+        for n in (2, 3, 17, 101):
+            if n**d > MAX_GRID_POINTS:
+                continue
+            for _ in range(3):
+                lo = rng.uniform(-3.0, 3.0, d)
+                rect = Rect(lo, lo + rng.uniform(0.1, 5.0, d))
+                weights = [np.full(n, (b - a) / n)
+                           for a, b in zip(rect.lo, rect.hi)]
+                want = weights[0]
+                for w in weights[1:]:
+                    want = np.multiply.outer(want, w).ravel()
+                _, got = metrics.quadrature_axes(rect, GridSpec(n))
+                assert got.tobytes() == want.tobytes()
 
 
 def test_midpoint_nodes_are_cell_centers():
@@ -146,6 +167,25 @@ def test_direction_set_properties():
         direction_set(2, 0)
 
 
+def test_halton_directions_drawn_in_chunks_equal_one_draw_bit_for_bit():
+    # direction_set draws _HALTON_ROWS rows at a time; the reference draws
+    # the whole set at once, as scipy documents the sampler
+    from scipy.stats import norm, qmc
+
+    rows = metrics._HALTON_ROWS
+    for ambient in (4, 6):
+        for count in (8, rows - 1, rows, rows + 1, 2 * rows + 3):
+            sampler = qmc.Halton(d=ambient, scramble=False)
+            sampler.fast_forward(1)
+            raw = norm.ppf(sampler.random(count))
+            want = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            assert direction_set(ambient, count).tobytes() == want.tobytes()
+    # the chunks bound the peak: one draw of 200,000 rows at ambient 4
+    # peaked at 59 MB over its 6.4 MB result
+    dirs, peak = _traced(direction_set, 4, 200000)
+    assert peak < dirs.nbytes + 8 * 2**20
+
+
 def test_angle_lattice_nests_under_doubling():
     coarse = direction_set(2, 8)
     fine = direction_set(2, 16)
@@ -206,6 +246,7 @@ def test_hausdorff_of_a_ramp_and_a_line_at_11_nodes_stays_below_201():
 def test_hausdorff_epigraph_needs_enough_directions():
     with pytest.raises(ParameterError):
         hausdorff_epigraph(_ZERO, _ZERO, 3)
+    assert hausdorff_epigraph(_ZERO, _ZERO, 4).value == 0.0
 
 
 # -- the support kernel against the untiled formula --------------------------
@@ -449,8 +490,7 @@ def test_an_identical_pair_takes_the_full_sweep(monkeypatch, d, n, count):
 
 def _clear_caches():
     for cache in (metrics._hausdorff_at, metrics._vertex_values,
-                  metrics._vertex_nodes, metrics._kept_quadrature,
-                  metrics._kept_directions):
+                  metrics._kept):
         cache.cache_clear()
 
 
@@ -595,29 +635,26 @@ def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(calls):
 # -- one evaluation per (form, vertex grid) -----------------------------------
 
 
-def test_a_cached_vertex_grid_refuses_writes(calls):
-    f = make_random_convex(2, 0.9, 6, 160)
+def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
+        calls):
+    # vertex nodes, quadrature grids and direction sets are kept alike: a
+    # second call returns the same arrays, which equal a fresh build bit
+    # for bit and refuse writes; so do a form's values on a vertex grid
+    f, g = _random_pair(2, 165)
+    grid = GridSpec(9)
     vals = metrics._vertex_values(f, 9)
-    nodes = metrics._vertex_nodes(f.domain, 9)
     assert metrics._vertex_values(f, 9) is vals
-    assert metrics._vertex_nodes(f.domain, 9) is nodes
     assert len(calls["values"]) == len(calls["grids"]) == 1
-    assert nodes.tobytes() == vertex_grid(f.domain, 9).tobytes()
     assert vals.tobytes() == f.values(vertex_grid(f.domain, 9)).tobytes()
     with pytest.raises(ValueError):
         vals[0] = 2.0
     with pytest.raises(ValueError):
         np.abs(vals, out=vals)
-    with pytest.raises(ValueError):
-        nodes[0, 0] = 2.0
-
-
-def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
-        calls):
+    nodes = metrics._kept(metrics.vertex_grid, f.domain, 9)
+    assert metrics._kept(metrics.vertex_grid, f.domain, 9) is nodes
+    assert len(calls["grids"]) == 1
     # a second Lp distance or slope mass on the same box builds no grid,
     # and a second sweep with the same directions builds no direction set
-    f, g = _random_pair(2, 165)
-    grid = GridSpec(9)
     first = lp_distance(f, g, 1.0, grid)
     assert lp_distance(g, f, 2.0, grid).value > 0.0
     assert lp_distance(f, g, 1.0, grid) == first
@@ -632,11 +669,15 @@ def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
         [(3, 40), (3, 80)]
     pts, w = metrics._quadrature_nodes(f.domain, grid)
     dirs = metrics._directions(3, 40)
+    assert metrics._quadrature_nodes(f.domain, grid)[0] is pts
+    assert metrics._directions(3, 40) is dirs
+    assert len(calls["quadratures"]) == 3 and len(calls["directions"]) == 2
     fresh_pts, fresh_w = quadrature_grid(f.domain, grid)
+    assert nodes.tobytes() == vertex_grid(f.domain, 9).tobytes()
     assert pts.tobytes() == fresh_pts.tobytes()
     assert w.tobytes() == fresh_w.tobytes()
     assert dirs.tobytes() == direction_set(3, 40).tobytes()
-    for cached in (pts, w, dirs):
+    for cached in (nodes, pts, w, dirs):
         with pytest.raises(ValueError):
             cached[0] = 2.0
         with pytest.raises(ValueError):
@@ -659,8 +700,9 @@ def test_only_small_quadrature_grids_and_direction_sets_are_kept(
         [9] + [17] * 4
     assert sorted(args[1] for _, args, _ in calls["directions"]) == \
         [40, 80, 100, 100, 200, 200]
-    assert metrics._kept_quadrature.cache_info().currsize == 1
-    assert metrics._kept_directions.cache_info().currsize == 2
+    # the 9^2 quadrature grid, the 40 and 80 directions, and the vertex
+    # grids of 9 and 17 nodes per axis
+    assert metrics._kept.cache_info().currsize == 5
 
 
 def test_lemmas_hit_the_value_cache_only_within_a_pair(tmp_path, calls):

@@ -30,6 +30,8 @@ VERDICTS = {  # verdict: (its module, the test file holding most of its tests)
     "check_l1_bound": ("verify", "test_verify.py"),
     "_prune": ("metrics", "test_metrics.py"),
     "_require_within": ("functions", "test_functions.py"),
+    "require_dim": ("core", "test_schedule.py"),
+    "require_directions": ("core", "test_metrics.py"),
 }
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 SWAPS = {"<": ("<=", ">="), "<=": ("<", ">"), ">": (">=", "<="), ">=": (">", "<")}
