@@ -635,26 +635,32 @@ def test_forms_equal_up_to_the_sign_of_zero_give_the_same_bits(calls):
 # -- one evaluation per (form, vertex grid) -----------------------------------
 
 
+def test_a_cached_vertex_grid_refuses_writes(calls):
+    # a form's values on a vertex grid and the grid's nodes are kept: a
+    # second call returns the same arrays, which equal a fresh build bit
+    # for bit and refuse writes
+    f = make_random_convex(2, 0.9, 6, 160)
+    vals = metrics._vertex_values(f, 9)
+    nodes = metrics._kept(metrics.vertex_grid, f.domain, 9)
+    assert metrics._vertex_values(f, 9) is vals
+    assert metrics._kept(metrics.vertex_grid, f.domain, 9) is nodes
+    assert len(calls["values"]) == len(calls["grids"]) == 1
+    assert nodes.tobytes() == vertex_grid(f.domain, 9).tobytes()
+    assert vals.tobytes() == f.values(vertex_grid(f.domain, 9)).tobytes()
+    for cached in (vals, nodes):
+        with pytest.raises(ValueError):
+            cached[0] = 2.0
+        with pytest.raises(ValueError):
+            np.abs(cached, out=cached)
+
+
 def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
         calls):
-    # vertex nodes, quadrature grids and direction sets are kept alike: a
-    # second call returns the same arrays, which equal a fresh build bit
-    # for bit and refuse writes; so do a form's values on a vertex grid
+    # a second Lp distance or slope mass on the same box builds no grid,
+    # and a second sweep with the same directions builds no direction set;
+    # the kept arrays equal a fresh build bit for bit and refuse writes
     f, g = _random_pair(2, 165)
     grid = GridSpec(9)
-    vals = metrics._vertex_values(f, 9)
-    assert metrics._vertex_values(f, 9) is vals
-    assert len(calls["values"]) == len(calls["grids"]) == 1
-    assert vals.tobytes() == f.values(vertex_grid(f.domain, 9)).tobytes()
-    with pytest.raises(ValueError):
-        vals[0] = 2.0
-    with pytest.raises(ValueError):
-        np.abs(vals, out=vals)
-    nodes = metrics._kept(metrics.vertex_grid, f.domain, 9)
-    assert metrics._kept(metrics.vertex_grid, f.domain, 9) is nodes
-    assert len(calls["grids"]) == 1
-    # a second Lp distance or slope mass on the same box builds no grid,
-    # and a second sweep with the same directions builds no direction set
     first = lp_distance(f, g, 1.0, grid)
     assert lp_distance(g, f, 2.0, grid).value > 0.0
     assert lp_distance(f, g, 1.0, grid) == first
@@ -673,11 +679,10 @@ def test_cached_quadrature_grids_and_direction_sets_are_fresh_and_read_only(
     assert metrics._directions(3, 40) is dirs
     assert len(calls["quadratures"]) == 3 and len(calls["directions"]) == 2
     fresh_pts, fresh_w = quadrature_grid(f.domain, grid)
-    assert nodes.tobytes() == vertex_grid(f.domain, 9).tobytes()
     assert pts.tobytes() == fresh_pts.tobytes()
     assert w.tobytes() == fresh_w.tobytes()
     assert dirs.tobytes() == direction_set(3, 40).tobytes()
-    for cached in (nodes, pts, w, dirs):
+    for cached in (pts, w, dirs):
         with pytest.raises(ValueError):
             cached[0] = 2.0
         with pytest.raises(ValueError):
